@@ -50,14 +50,11 @@ for b in doc.get("benchmarks", []):
         b["wall_ms"] = b.get("real_time", 0.0) * scale.get(b.get("time_unit", "ns"), 1e-6)
 # Parallel-scaling provenance: how many cores this machine has and what the
 # pool default was (per-case sweeps report their own `threads` counter).
-# The prefetch depth is stamped the same way (TRIENUM_BENCH_PREFETCH,
-# default 0); bench_prefetch additionally sweeps explicit per-case depths
-# as a `depth` counter. `traced` records whether a TraceCollector was
-# installed for the run (TRIENUM_BENCH_TRACE=1).
+# `traced` records whether a TraceCollector was installed for the run
+# (TRIENUM_BENCH_TRACE=1).
 ctx = doc.setdefault("context", {})
 ctx["host_cores"] = os.cpu_count() or 1
 ctx["threads"] = int(os.environ.get("TRIENUM_BENCH_THREADS", "1"))
-ctx["prefetch"] = int(os.environ.get("TRIENUM_BENCH_PREFETCH", "0"))
 ctx["traced"] = int(os.environ.get("TRIENUM_BENCH_TRACE", "0") not in ("", "0"))
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)

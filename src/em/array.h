@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <mutex>
 #include <type_traits>
 #include <vector>
 
@@ -222,13 +221,6 @@ class Array {
                     kWordsPer);
   }
 
-  /// Advises the store that [begin, end) is about to be streamed over (see
-  /// GraphStore::Advise). A pure hint — uncounted and bit-invisible.
-  void AdviseRange(std::size_t begin, std::size_t end, AdviseKind kind) const {
-    if (ctx_ == nullptr || begin >= end) return;
-    ctx_->Advise(base_ + begin * kWordsPer, (end - begin) * kWordsPer, kind);
-  }
-
   /// Scan-exact bulk write into [begin, end): one transfer, charged exactly
   /// like per-record Set calls (the buffered Writer's flush).
   void WriteScanFrom(std::size_t begin, std::size_t end, const T* in) {
@@ -266,16 +258,7 @@ class Array {
 
 template <typename T>
 Array<T> GraphStore::Alloc(std::size_t n) {
-  Addr base;
-  if (prefetch_ != nullptr) {
-    // Allocation can grow the backend (ftruncate / vector resize / remap)
-    // while prefetch workers are mid-read; like every backend call, it
-    // serializes under the pool's io_mutex.
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-    base = device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
-  } else {
-    base = device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
-  }
+  Addr base = device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
   return Array<T>(this, base, n);
 }
 
@@ -298,18 +281,11 @@ template <typename T>
 class Scanner {
  public:
   Scanner() = default;
-  // A scanner knows its entire future access sequence at construction —
-  // exactly the property the advice hook exists for. Both modes advise: the
-  // physical pattern is identical, only the charging granularity differs.
   explicit Scanner(Array<T> a, ScanMode mode = DefaultScanMode())
-      : a_(a), mode_(mode) {
-    a_.AdviseRange(0, a_.size(), AdviseKind::kSequentialRead);
-  }
+      : a_(a), mode_(mode) {}
   Scanner(Array<T> a, std::size_t begin, std::size_t end,
           ScanMode mode = DefaultScanMode())
-      : a_(a.Slice(begin, end - begin)), mode_(mode) {
-    a_.AdviseRange(0, a_.size(), AdviseKind::kSequentialRead);
-  }
+      : a_(a.Slice(begin, end - begin)), mode_(mode) {}
 
   bool HasNext() const { return pos_ < a_.size(); }
   std::size_t position() const { return pos_; }
@@ -352,15 +328,6 @@ class Scanner {
     a_.ReadScanInto(pos_, j, buf_.data());
     buf_lo_ = pos_;
     buf_hi_ = j;
-    // Advice refresh: re-advertise a short window past the line just
-    // buffered. The construction-time range usually covers it (the pool
-    // dedupes overlapping advice); this keeps the hint alive for scanners
-    // whose range was advised before counting was enabled, and re-arms
-    // madvise on very long streams.
-    if (j < n) {
-      const std::size_t ahead = (8 * b) / w + 1;
-      a_.AdviseRange(j, std::min(n, j + ahead), AdviseKind::kSequentialRead);
-    }
   }
 
   Array<T> a_;
@@ -383,13 +350,8 @@ template <typename T>
 class Writer {
  public:
   Writer() = default;
-  // Write advice reaches the backend only (madvise SEQUENTIAL); the
-  // prefetcher ignores it — reading ahead under a pure output stream could
-  // only waste device reads.
   explicit Writer(Array<T> a, ScanMode mode = DefaultScanMode())
-      : a_(a), mode_(mode) {
-    a_.AdviseRange(0, a_.size(), AdviseKind::kSequentialWrite);
-  }
+      : a_(a), mode_(mode) {}
   ~Writer() {
     // Flush can hit a staged-I/O fault; the destructor must not throw. The
     // cache latches the fault (Cache::fault()), which the query layer checks

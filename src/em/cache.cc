@@ -3,23 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
-#include <mutex>
 
 namespace trienum::em {
 
 void Cache::StagedRead(Addr addr, std::size_t words, Word* out) {
   if (fault_.ok()) {
-    Status st;
-    if (prefetch_ != nullptr) {
-      // Backends (and the fault decorators) are not thread-safe; with
-      // prefetch workers alive, every backend call serializes under the
-      // pool's io_mutex. Overlap comes from prefetch I/O running while the
-      // host computes, not from parallel I/O.
-      std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-      st = staging_->ReadWords(addr, words, out);
-    } else {
-      st = staging_->ReadWords(addr, words, out);
-    }
+    Status st = staging_->ReadWords(addr, words, out);
     if (st.ok()) return;
     fault_ = st;
   }
@@ -32,35 +21,11 @@ void Cache::StagedRead(Addr addr, std::size_t words, Word* out) {
 
 void Cache::StagedWrite(Addr addr, std::size_t words, const Word* in) {
   if (fault_.ok()) {
-    Status st;
-    if (prefetch_ != nullptr) {
-      {
-        std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-        st = staging_->WriteWords(addr, words, in);
-      }
-      // Coherence: staged read-ahead overlapping this write is now stale.
-      // Invalidate even on failure — a short write may have landed a prefix.
-      prefetch_->Invalidate(addr, words);
-    } else {
-      st = staging_->WriteWords(addr, words, in);
-    }
+    Status st = staging_->WriteWords(addr, words, in);
     if (st.ok()) return;
     fault_ = st;
   }
   if (std::uncaught_exceptions() == 0) throw IoFault(fault_);
-}
-
-void Cache::FetchLine(std::int64_t line, Word* out) {
-  const Addr addr = static_cast<Addr>(line) * block_words_;
-  if (prefetch_ != nullptr && fault_.ok() &&
-      prefetch_->Consume(addr, block_words_, out)) {
-    // Served from staging: the physical read already happened on a worker,
-    // through the same decorated backend a demand read would use. A failed
-    // worker read is never consumed — the demand path below re-issues it so
-    // fault latching and retry semantics stay on the counted path.
-    return;
-  }
-  StagedRead(addr, block_words_, out);
 }
 
 Cache::Cache(std::size_t memory_words, std::size_t block_words,
@@ -176,7 +141,8 @@ std::int32_t Cache::TouchLine(std::int64_t line, bool write, bool aligned_write,
       // charging decision above: a block-aligned fresh write is not charged
       // a read by the model, but a partially-covered line must still be
       // loaded so its untouched words survive the eventual write-back.
-      FetchLine(line, line_buf(s));
+      StagedRead(static_cast<Addr>(line) * block_words_, block_words_,
+                 line_buf(s));
     }
   }
   last_line_ = line;
@@ -407,10 +373,6 @@ void Cache::Reset() {
   FlushAll();
   counting_ = saved;
   stats_ = IoStats{};
-  // Cold start extends to the read-ahead engine: leftover staging from a
-  // previous query is dropped (counted as wasted there, before the next
-  // query's stats snapshot).
-  if (prefetch_ != nullptr) prefetch_->Clear();
 }
 
 void Cache::Discard() {
@@ -433,7 +395,6 @@ void Cache::Discard() {
   where_.Clear();
   stats_ = IoStats{};
   fault_ = Status::OK();
-  if (prefetch_ != nullptr) prefetch_->Clear();
 }
 
 bool Cache::IsResident(Addr addr) const {

@@ -170,21 +170,6 @@ class Cache {
   /// True if this cache stages real data (file-backed device).
   bool staged() const { return staging_ != nullptr; }
 
-  /// Attaches a read-ahead engine (see em/defs.h LinePrefetcher). Staged
-  /// mode only; installed once at GraphStore construction. With a prefetcher
-  /// attached, every backend call the cache makes is serialized under the
-  /// prefetcher's io_mutex (backends and decorators are not thread-safe),
-  /// a counted miss first tries to consume a staged block, and every write
-  /// invalidates overlapping staging so it never serves stale bytes. All of
-  /// this is below the charging layer: IoStats are prefetch-invariant by
-  /// construction.
-  void set_prefetcher(LinePrefetcher* p) {
-    TRIENUM_CHECK_MSG(p == nullptr || staging_ != nullptr,
-                      "a prefetcher needs staged mode (real reads to overlap)");
-    prefetch_ = p;
-  }
-  LinePrefetcher* prefetcher() const { return prefetch_; }
-
   /// Writes back all dirty lines (counting block writes) and empties the
   /// cache. Call at the end of a measured run so pending output is charged.
   void FlushAll();
@@ -264,11 +249,6 @@ class Cache {
   /// staged op behaves the same way: fail fast, never touch the backend.
   void StagedRead(Addr addr, std::size_t words, Word* out);
   void StagedWrite(Addr addr, std::size_t words, const Word* in);
-  /// The physical read behind a counted staged miss: serves the block from
-  /// the prefetcher's staging when available (memcpy, no blocking I/O),
-  /// falling back to a synchronous StagedRead. The charge was already made
-  /// by TouchLine — where the bytes come from is invisible to IoStats.
-  void FetchLine(std::int64_t line, Word* out);
   std::int32_t GrabSlot();           // free (or unpinned LRU) slot
   void MoveToFront(std::int32_t s);
   void PushFront(std::int32_t s);
@@ -302,7 +282,6 @@ class Cache {
   std::size_t pinned_lines_ = 0;
 
   StorageBackend* staging_ = nullptr;  // non-null = staged data mode
-  LinePrefetcher* prefetch_ = nullptr;  // optional read-ahead (staged only)
   std::vector<Word> line_data_;        // num_slots_ * block_words_ (staged)
 
   bool counting_ = true;

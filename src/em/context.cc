@@ -1,5 +1,8 @@
 #include "em/context.h"
 
+#include <string>
+#include <utility>
+
 namespace trienum::em {
 
 GraphStore::GraphStore(const EmConfig& cfg)
@@ -9,28 +12,24 @@ GraphStore::GraphStore(const EmConfig& cfg)
              cfg.line_map_dense_limit) {
   TRIENUM_CHECK_MSG(cfg.memory_words >= cfg.block_words,
                     "internal memory must hold at least one block");
-  // Read-ahead engine (src/prefetch/, injected like the faults decorators):
-  // only meaningful when the cache stages real data — a counting-only cache
-  // has no physical reads to overlap. The pool reads through the *decorated*
-  // backend stack, so prefetch I/O exercises the same retry/checksum
-  // machinery as demand I/O.
-  if (cfg_.make_prefetcher && cache_.staged()) {
-    prefetch_ = cfg_.make_prefetcher(&device_.backend(), cfg_);
-    cache_.set_prefetcher(prefetch_.get());
-  }
-}
-
-GraphStore::~GraphStore() {
-  // Detach before the members unwind so no dangling prefetcher pointer
-  // survives inside the cache while the pool joins its workers.
-  cache_.set_prefetcher(nullptr);
 }
 
 ScratchLease::ScratchLease(QuerySession* session, std::size_t words)
     : session_(session), words_(words) {
+  const std::size_t m = session_->memory_words();
+  if (words_ > m - session_->scratch_used_) {
+    // Nothing is recorded yet, so the throw leaves the session's budget
+    // exactly as it was.
+    std::string msg = "host scratch lease of ";
+    msg += std::to_string(words_);
+    msg += " words exceeds internal memory M=";
+    msg += std::to_string(m);
+    msg += " (";
+    msg += std::to_string(session_->scratch_used_);
+    msg += " already leased)";
+    throw Status::InvalidArgument(std::move(msg));
+  }
   session_->scratch_used_ += words_;
-  TRIENUM_CHECK_MSG(session_->scratch_used_ <= session_->memory_words(),
-                    "host scratch exceeds internal memory budget M");
 }
 
 ScratchLease::~ScratchLease() {

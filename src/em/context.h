@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 
 #include "common/status.h"
 #include "em/cache.h"
@@ -50,6 +49,11 @@ class Array;
 /// enforces the model's internal-memory budget. Cache-oblivious algorithms
 /// lease only O(1)-sized buffers. Leases are query-lifetime state: they live
 /// on the QuerySession, never on the store.
+///
+/// An over-budget lease throws a Status (InvalidArgument, naming M and the
+/// lease size): an M below an algorithm's fixed buffer size is a user input,
+/// not a library bug. Like IoFault, it is caught only by the query layer,
+/// which discards the failed query's cache state and returns the Status.
 class ScratchLease {
  public:
   ScratchLease() = default;
@@ -144,7 +148,6 @@ class DeviceRegion {
 class GraphStore {
  public:
   explicit GraphStore(const EmConfig& cfg);
-  ~GraphStore();
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
@@ -254,46 +257,6 @@ class GraphStore {
     return PinnedLine(&cache_, s, data, base, cfg_.block_words);
   }
 
-  /// Registers an upcoming sequential pass over device words
-  /// [a, a+words) — the scan-advice hook. Scanner/Writer (and the merge in
-  /// extsort) call this with their exact future access range; the backend
-  /// turns it into madvise (MmapBackend) and the prefetcher, when attached,
-  /// into background read-ahead. Advice is a pure hint: uncounted, never
-  /// blocking, and bit-invisible to results and IoStats. Read-ahead is only
-  /// accepted while counting is on — uncounted phases (ingest) bypass the
-  /// line buffers, so staging their ranges could only waste reads.
-  void Advise(Addr a, std::size_t words, AdviseKind kind) {
-    device_.backend().Advise(a, words, kind);
-    if (prefetch_ != nullptr && cache_.counting()) {
-      prefetch_->Advise(a, words, kind);
-    }
-  }
-
-  /// The attached read-ahead engine, or null (depth 0 / counting-only
-  /// cache).
-  LinePrefetcher* prefetcher() { return prefetch_.get(); }
-
-  /// Lifetime-monotone prefetch counters (all zero when no engine is
-  /// attached); query::RunQuery diffs snapshots into per-query stats.
-  PrefetchStats prefetch_stats() const {
-    return prefetch_ != nullptr ? prefetch_->stats() : PrefetchStats{};
-  }
-
-  /// Thread-safe snapshots of the backend's real-transfer / recovery
-  /// counters. With prefetch workers alive these advance on I/O threads, so
-  /// the read serializes under the pool's io_mutex; without a pool they are
-  /// plain reads, same as ever.
-  StorageTelemetry telemetry_snapshot() {
-    if (prefetch_ == nullptr) return device_.backend().telemetry();
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-    return device_.backend().telemetry();
-  }
-  RecoveryStats recovery_snapshot() {
-    if (prefetch_ == nullptr) return device_.backend().recovery();
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-    return device_.backend().recovery();
-  }
-
   /// Attaches a second, passive LRU cache observing the same access stream —
   /// the paper's multilevel-cache corollary (a cache-oblivious algorithm is
   /// simultaneously optimal at every level of an LRU hierarchy) becomes
@@ -326,9 +289,6 @@ class GraphStore {
   Device device_;
   Cache cache_;
   std::unique_ptr<Cache> probe_;
-  // Declared last: destroyed first, so the I/O workers are joined while the
-  // device/backend they read through are still alive.
-  std::unique_ptr<LinePrefetcher> prefetch_;
 };
 
 /// \brief Query-lifetime state over a borrowed GraphStore.
@@ -375,12 +335,6 @@ class QuerySession {
     store_->WriteScan(a, words, elem_words, in);
   }
   Word* DirectData(Addr a) { return store_->DirectData(a); }
-  void Advise(Addr a, std::size_t words, AdviseKind kind) {
-    store_->Advise(a, words, kind);
-  }
-  PrefetchStats prefetch_stats() const { return store_->prefetch_stats(); }
-  StorageTelemetry telemetry_snapshot() { return store_->telemetry_snapshot(); }
-  RecoveryStats recovery_snapshot() { return store_->recovery_snapshot(); }
   PinnedLine PinLine(Addr addr, bool write) {
     return store_->PinLine(addr, write);
   }
@@ -401,7 +355,8 @@ class QuerySession {
   DeviceRegion Region() { return store_->Region(); }
 
   // --- query-lifetime state --------------------------------------------
-  /// Leases `words` of host scratch; aborts if the total would exceed M.
+  /// Leases `words` of host scratch; throws an InvalidArgument Status if the
+  /// total would exceed M (see ScratchLease).
   ScratchLease LeaseScratch(std::size_t words) {
     return ScratchLease(this, words);
   }

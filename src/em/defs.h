@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 
 namespace trienum::em {
@@ -38,76 +37,9 @@ enum class StorageKind {
   /// Unlinked temp file via pread/pwrite; resident memory is O(M) and the
   /// LRU cache performs real block fetches and dirty write-backs.
   kFile,
-  /// Unlinked temp file mapped with mmap; the OS pages blocks in and out and
-  /// `madvise` consumes the scan-advice hook. Memory-resident from the
-  /// cache's point of view (counting-only, like kMemory), so it is a cheap
-  /// third implementation to differential-test the other two against.
-  kMmap,
 };
 
 class StorageBackend;  // em/storage.h
-
-/// Access-pattern advice for a device range that a caller is about to stream
-/// over. Purely a performance hint: advice is uncounted, carries no data, and
-/// must never change results or IoStats.
-enum class AdviseKind {
-  kSequentialRead,   ///< the range will be read front to back
-  kSequentialWrite,  ///< the range will be written front to back
-};
-
-/// Counters of the asynchronous read-ahead machinery (src/prefetch/). Like
-/// RecoveryStats, all of this is *uncounted* traffic: a prefetched line never
-/// changes IoStats, which stay bit-identical to a depth-0 run.
-struct PrefetchStats {
-  std::uint64_t issued = 0;  ///< read-ahead block fetches started by workers
-  std::uint64_t useful = 0;  ///< staged blocks consumed by a counted miss
-  std::uint64_t wasted = 0;  ///< staged blocks dropped unconsumed
-  std::uint64_t stalls = 0;  ///< consumes that waited on an in-flight fetch
-
-  PrefetchStats operator-(const PrefetchStats& o) const {
-    return PrefetchStats{issued - o.issued, useful - o.useful,
-                         wasted - o.wasted, stalls - o.stalls};
-  }
-};
-
-/// \brief Abstract read-ahead engine the staged cache can consult on a miss.
-///
-/// The em layer defines only this interface; the implementation
-/// (prefetch::PrefetchPool) lives in src/prefetch/ and is injected through
-/// EmConfig::make_prefetcher, mirroring the faults layer's wrap_backend hook.
-/// Contract: the prefetcher reads through the same (possibly decorated)
-/// backend the cache stages against, so retries/checksums see real device
-/// reads; it never touches LRU state or IoStats; and all backend I/O — its
-/// workers' and the cache's own — is serialized under io_mutex(), because
-/// backends and their decorators are not thread-safe.
-class LinePrefetcher {
- public:
-  virtual ~LinePrefetcher() = default;
-
-  /// Registers an upcoming sequential pass over [addr, addr+words).
-  /// Uncounted; never blocks on I/O.
-  virtual void Advise(Addr addr, std::size_t words, AdviseKind kind) = 0;
-
-  /// If the block at `line_base` is staged (or in flight), copies its
-  /// `words` words into `out` and returns true; returns false when the
-  /// caller must perform the demand read itself. Main thread only.
-  virtual bool Consume(Addr line_base, std::size_t words, Word* out) = 0;
-
-  /// Drops any staged or in-flight data overlapping [addr, addr+words).
-  /// Must be called after every backend write so staging never serves stale
-  /// bytes. Main thread only.
-  virtual void Invalidate(Addr addr, std::size_t words) = 0;
-
-  /// Drops all advice and staged data (cold-start reset between queries).
-  virtual void Clear() = 0;
-
-  /// Lifetime-monotone counters (thread-safe snapshot).
-  virtual PrefetchStats stats() const = 0;
-
-  /// Serializes every backend ReadWords/WriteWords/EnsureSize — the cache
-  /// locks this around its own staged I/O whenever a prefetcher is attached.
-  virtual std::mutex& io_mutex() = 0;
-};
 
 /// Parameters of the simulated memory hierarchy.
 struct EmConfig {
@@ -151,24 +83,6 @@ struct EmConfig {
   /// constructs. Installed by faults::ApplyFaultConfig; null = identity.
   std::function<std::unique_ptr<StorageBackend>(std::unique_ptr<StorageBackend>)>
       wrap_backend;
-
-  // --- Asynchronous prefetch (src/prefetch/) --------------------------------
-  // Same layering as faults: the em layer carries the configuration but never
-  // depends on the prefetch layer. prefetch::ApplyPrefetchConfig installs
-  // make_prefetcher when prefetch_depth > 0; GraphStore applies it iff the
-  // cache stages real data (a counting-only cache has no physical reads to
-  // overlap). Depth 0 with a null hook is the default: zero overhead, no
-  // background threads.
-
-  /// Read-ahead depth in blocks (staging slots); 0 = prefetch off.
-  std::size_t prefetch_depth = 0;
-  /// Dedicated background I/O workers serving the read-ahead queue.
-  std::size_t prefetch_threads = 1;
-  /// Factory applied by GraphStore over the (decorated) backend the cache
-  /// stages against. Installed by prefetch::ApplyPrefetchConfig; null = off.
-  std::function<std::unique_ptr<LinePrefetcher>(StorageBackend*,
-                                                const EmConfig&)>
-      make_prefetcher;
 };
 
 /// Counters of simulated block transfers.

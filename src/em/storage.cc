@@ -7,7 +7,6 @@
 
 #ifndef _WIN32
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -31,17 +30,6 @@ obs::Histogram& FileWriteHist() {
       obs::metric_names::kFileWriteNs);
   return h;
 }
-obs::Histogram& MmapReadHist() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      obs::metric_names::kMmapReadNs);
-  return h;
-}
-obs::Histogram& MmapWriteHist() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      obs::metric_names::kMmapWriteNs);
-  return h;
-}
-
 // Shared amortized-doubling capacity policy: both backends must grow
 // identically so allocation behavior never depends on the backend.
 std::size_t GrownCapacity(std::size_t current, std::size_t want) {
@@ -199,103 +187,6 @@ Status FileBackend::WriteWords(Addr addr, std::size_t words, const Word* in) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// MmapBackend
-
-MmapBackend::MmapBackend(std::string dir) {
-  if (dir.empty()) {
-    const char* t = std::getenv("TMPDIR");
-    dir = (t != nullptr && *t != '\0') ? t : "/tmp";
-  }
-  std::string tmpl_str = dir + "/trienum-mmap-XXXXXX";
-  std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
-  tmpl.push_back('\0');
-  fd_ = ::mkstemp(tmpl.data());
-  if (fd_ < 0) {
-    init_status_ = Status::IoError("MmapBackend: mkstemp in '" + dir +
-                                   "' failed: " + std::strerror(errno) +
-                                   " (check --temp-dir)");
-    return;
-  }
-  path_.assign(tmpl.data());
-  ::unlink(tmpl.data());
-}
-
-MmapBackend::~MmapBackend() {
-  if (map_ != nullptr) ::munmap(map_, size_words_ * sizeof(Word));
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status MmapBackend::EnsureSize(std::size_t words) {
-  TRIENUM_RETURN_NOT_OK(init_status_);
-  if (words <= size_words_) return Status::OK();
-  std::size_t grown = GrownCapacity(size_words_, words);
-  if (::ftruncate(fd_, static_cast<off_t>(grown * sizeof(Word))) != 0) {
-    return Status::IoError(std::string("MmapBackend: ftruncate failed: ") +
-                           std::strerror(errno));
-  }
-  // Remap at the new size: mmap has no portable in-place grow, and the
-  // DirectView contract already declares the pointer invalidated by
-  // EnsureSize. Holes from ftruncate read as zero, matching the other
-  // backends' zero-initialized address space.
-  void* remapped = ::mmap(nullptr, grown * sizeof(Word),
-                          PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-  if (remapped == MAP_FAILED) {
-    return Status::IoError(std::string("MmapBackend: mmap failed: ") +
-                           std::strerror(errno));
-  }
-  if (map_ != nullptr) ::munmap(map_, size_words_ * sizeof(Word));
-  map_ = static_cast<Word*>(remapped);
-  size_words_ = grown;
-  ++grow_calls_;
-  return Status::OK();
-}
-
-Status MmapBackend::ReadWords(Addr addr, std::size_t words, Word* out) {
-  TRIENUM_RETURN_NOT_OK(init_status_);
-  obs::LatencyTimer timer(MmapReadHist());
-  // Same semantics as MemoryBackend: reads past the current size yield
-  // zeros (the staged cache may fetch a whole line whose tail was never
-  // allocated). Only used when fault decorators wrap this backend and force
-  // staged mode; the unwrapped path goes through DirectView.
-  std::size_t avail =
-      addr < size_words_
-          ? std::min(words, size_words_ - static_cast<std::size_t>(addr))
-          : 0;
-  if (avail > 0) std::memcpy(out, map_ + addr, avail * sizeof(Word));
-  if (avail < words) std::memset(out + avail, 0, (words - avail) * sizeof(Word));
-  ++telemetry_.read_calls;
-  telemetry_.bytes_read += words * sizeof(Word);
-  return Status::OK();
-}
-
-Status MmapBackend::WriteWords(Addr addr, std::size_t words, const Word* in) {
-  TRIENUM_RETURN_NOT_OK(EnsureSize(static_cast<std::size_t>(addr) + words));
-  obs::LatencyTimer timer(MmapWriteHist());
-  std::memcpy(map_ + addr, in, words * sizeof(Word));
-  ++telemetry_.write_calls;
-  telemetry_.bytes_written += words * sizeof(Word);
-  return Status::OK();
-}
-
-void MmapBackend::Advise(Addr addr, std::size_t words, AdviseKind kind) {
-  if (map_ == nullptr || words == 0 || addr >= size_words_) return;
-  words = std::min(words, size_words_ - static_cast<std::size_t>(addr));
-  // madvise wants a page-aligned start; round the byte range outward.
-  const long page = ::sysconf(_SC_PAGESIZE);
-  if (page <= 0) return;
-  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(map_);
-  std::uintptr_t lo = base + addr * sizeof(Word);
-  std::uintptr_t hi = lo + words * sizeof(Word);
-  lo -= lo % static_cast<std::uintptr_t>(page);
-  // Advice is best-effort: errors are ignored (the hint simply has no
-  // effect), and it never counts toward any telemetry.
-  ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_SEQUENTIAL);
-  if (kind == AdviseKind::kSequentialRead) {
-    ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_WILLNEED);
-  }
-}
-
 #else  // _WIN32
 
 FileBackend::FileBackend(std::string) {
@@ -308,17 +199,6 @@ Status FileBackend::WriteWords(Addr, std::size_t, const Word*) {
   return init_status_;
 }
 
-MmapBackend::MmapBackend(std::string) {
-  init_status_ = Status::IoError("MmapBackend requires a POSIX platform");
-}
-MmapBackend::~MmapBackend() = default;
-Status MmapBackend::EnsureSize(std::size_t) { return init_status_; }
-Status MmapBackend::ReadWords(Addr, std::size_t, Word*) { return init_status_; }
-Status MmapBackend::WriteWords(Addr, std::size_t, const Word*) {
-  return init_status_;
-}
-void MmapBackend::Advise(Addr, std::size_t, AdviseKind) {}
-
 #endif  // _WIN32
 
 std::unique_ptr<StorageBackend> MakeStorageBackend(const EmConfig& cfg) {
@@ -329,9 +209,6 @@ std::unique_ptr<StorageBackend> MakeStorageBackend(const EmConfig& cfg) {
       break;
     case StorageKind::kMemory:
       backend = std::make_unique<MemoryBackend>();
-      break;
-    case StorageKind::kMmap:
-      backend = std::make_unique<MmapBackend>(cfg.temp_dir);
       break;
   }
   if (cfg.wrap_backend) backend = cfg.wrap_backend(std::move(backend));

@@ -99,16 +99,6 @@ class StorageBackend {
   virtual Status ReadWords(Addr addr, std::size_t words, Word* out) = 0;
   virtual Status WriteWords(Addr addr, std::size_t words, const Word* in) = 0;
 
-  /// Access-pattern advice for an upcoming sequential pass over
-  /// [addr, addr+words). A pure hint: default no-op, never counted, never
-  /// observable in results or IoStats. The MmapBackend forwards it to
-  /// madvise; decorators (src/faults/) forward it to the wrapped backend.
-  virtual void Advise(Addr addr, std::size_t words, AdviseKind kind) {
-    (void)addr;
-    (void)words;
-    (void)kind;
-  }
-
   /// Whether construction succeeded. Backends cannot report failure from a
   /// constructor; a backend that failed to initialize (e.g. mkstemp on a bad
   /// temp dir) latches the error here and fails every subsequent operation
@@ -181,50 +171,6 @@ class FileBackend final : public StorageBackend {
 
  private:
   int fd_ = -1;
-  std::size_t size_words_ = 0;
-  std::string path_;
-  Status init_status_;
-};
-
-/// \brief Memory-mapped store: an unlinked temp file mapped MAP_SHARED.
-///
-/// The third backend implementation, differential-tested against the other
-/// two. It is memory_resident(): the mapping is the direct view, so the
-/// cache runs counting-only and the *OS* pages blocks in and out — the
-/// related-repo approach of leaning on page-cache prefetch instead of
-/// explicit staging. Advise() turns the scan-advice hook into
-/// madvise(MADV_SEQUENTIAL / MADV_WILLNEED). Growth is ftruncate + remap
-/// (the direct view is invalidated by EnsureSize, same contract as the
-/// MemoryBackend's vector resize). When wrapped by fault decorators the
-/// cache stages against the decorated stack exactly as it does over kMemory
-/// (decorators report memory_resident() == false), so mmap composes with
-/// faults/recovery unchanged. POSIX only.
-class MmapBackend final : public StorageBackend {
- public:
-  /// Creates the backing file in `dir`; empty means $TMPDIR, falling back
-  /// to /tmp.
-  explicit MmapBackend(std::string dir = "");
-  ~MmapBackend() override;
-  MmapBackend(const MmapBackend&) = delete;
-  MmapBackend& operator=(const MmapBackend&) = delete;
-
-  Status EnsureSize(std::size_t words) override;
-  std::size_t size_words() const override { return size_words_; }
-  bool memory_resident() const override { return true; }
-  Word* DirectView() override { return map_; }
-  const Word* DirectView() const override { return map_; }
-  Status ReadWords(Addr addr, std::size_t words, Word* out) override;
-  Status WriteWords(Addr addr, std::size_t words, const Word* in) override;
-  void Advise(Addr addr, std::size_t words, AdviseKind kind) override;
-  Status init_status() const override { return init_status_; }
-  const char* name() const override { return "mmap"; }
-
-  /// Path the backing file was created at (already unlinked; informational).
-  const std::string& path() const { return path_; }
-
- private:
-  int fd_ = -1;
-  Word* map_ = nullptr;
   std::size_t size_words_ = 0;
   std::string path_;
   Status init_status_;

@@ -13,6 +13,7 @@
 #define TRIENUM_EXTSORT_EXT_MERGE_SORT_H_
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "em/array.h"
@@ -30,7 +31,8 @@ namespace trienum::extsort {
 ///
 /// Internal-memory usage: one run buffer of at most M/2 words during run
 /// formation, and during merging one loser tree of fan-in
-/// k = max(2, M/(2B)) entries; both are accounted via scratch leases.
+/// k = max(2, min(M/(2B), bit_floor(M/(words_per+2)))) entries; both are
+/// accounted via scratch leases.
 template <typename T, typename Less>
 void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
   const std::size_t n = data.size();
@@ -63,12 +65,6 @@ void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
     // most the records' own width there; the permutation applies in place),
     // or std::stable_sort's internal temp buffer on the keyless fallback.
     em::ScratchLease lease = ctx.LeaseScratch(2 * run_items * words_per);
-    // Run formation is one fully predictable pass: a sequential read of the
-    // whole input and a sequential write of the runs. Announce both so the
-    // prefetcher overlaps the M/2-word loads with SortRun's host compute
-    // (the bulk ReadTo below issues no Scanner of its own).
-    data.AdviseRange(0, n, em::AdviseKind::kSequentialRead);
-    ping.AdviseRange(0, n, em::AdviseKind::kSequentialWrite);
     std::vector<T> buf(std::min(run_items, n));
     RunScratch<T> rs;
     for (std::size_t lo = 0; lo < n; lo += run_items) {
@@ -81,8 +77,13 @@ void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
     }
   }
 
-  const std::size_t fan =
-      std::max<std::size_t>(2, ctx.memory_words() / (2 * ctx.block_words()));
+  // M/(2B)-way merging, capped so the loser tree's padded scratch lease
+  // (a power of two times words_per + 2 words, below) still fits in M. The
+  // cap binds only at tiny M relative to B, where the uncapped lease would
+  // overflow the budget; elsewhere the fan-in is exactly M/(2B).
+  const std::size_t fan = std::max<std::size_t>(
+      2, std::min(ctx.memory_words() / (2 * ctx.block_words()),
+                  std::bit_floor(ctx.memory_words() / (words_per + 2))));
 
   em::Array<T> pong = runs.size() > 1 ? ctx.Alloc<T>(n) : em::Array<T>();
   em::Array<T> src = ping;
@@ -101,20 +102,6 @@ void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
     obs::LatencyTimer pass_timer(merge_hist);
     std::vector<std::pair<std::size_t, std::size_t>> next_runs;
     em::Writer<T> out(pong);
-    // Advise every run head of the pass up front — not just the current
-    // group's — so later groups' head blocks are already warming while this
-    // group merges. Each group's Scanners then advise their whole runs at
-    // construction (the Scanner ctor hook), which is what keeps the (M/B)-way
-    // merge's active heads staged.
-    {
-      const std::size_t head_records =
-          (4 * ctx.block_words()) / words_per + 1;
-      for (const auto& run : runs) {
-        src.AdviseRange(run.first,
-                        std::min(run.second, run.first + head_records),
-                        em::AdviseKind::kSequentialRead);
-      }
-    }
     for (std::size_t g = 0; g < runs.size(); g += fan) {
       std::size_t g_end = std::min(runs.size(), g + fan);
       std::size_t out_lo = out.count();

@@ -41,12 +41,6 @@ class FaultInjectingBackend final : public em::StorageBackend {
   Status ReadWords(em::Addr addr, std::size_t words, em::Word* out) override;
   Status WriteWords(em::Addr addr, std::size_t words,
                     const em::Word* in) override;
-  // Advice is a pure hint: it passes through unfaulted (there is no I/O to
-  // fault) and does not advance the per-op counters, so a prefetch-advised
-  // run fires the same schedule as an unadvised one.
-  void Advise(em::Addr addr, std::size_t words, em::AdviseKind kind) override {
-    inner_->Advise(addr, words, kind);
-  }
   Status init_status() const override { return inner_->init_status(); }
   const em::StorageTelemetry& telemetry() const override {
     return inner_->telemetry();

@@ -48,9 +48,6 @@ class RecoveringBackend final : public em::StorageBackend {
   Status ReadWords(em::Addr addr, std::size_t words, em::Word* out) override;
   Status WriteWords(em::Addr addr, std::size_t words,
                     const em::Word* in) override;
-  void Advise(em::Addr addr, std::size_t words, em::AdviseKind kind) override {
-    inner_->Advise(addr, words, kind);
-  }
   Status init_status() const override { return inner_->init_status(); }
   const em::StorageTelemetry& telemetry() const override {
     return inner_->telemetry();

@@ -40,11 +40,27 @@ Status WriteEdgeListText(const std::string& path, const std::vector<Edge>& edges
 }
 
 Result<std::vector<Edge>> ReadEdgeListBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open " + path);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(0);
+  if (file_bytes < 0 || !in) return Status::IoError("cannot size " + path);
   std::uint64_t count = 0;
+  const auto size = static_cast<std::uint64_t>(file_bytes);
+  if (size < sizeof(count)) {
+    return Status::InvalidArgument("binary edge file " + path +
+                                   " is shorter than its 8-byte header");
+  }
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) return Status::IoError("truncated header in " + path);
+  if (!in) return Status::IoError("cannot read header of " + path);
+  // Validate the header against the file before sizing anything from it: a
+  // garbage count must not become a huge allocation.
+  const std::uint64_t payload = size - sizeof(count);
+  if (payload % sizeof(Edge) != 0 || count != payload / sizeof(Edge)) {
+    return Status::InvalidArgument(
+        "binary edge file " + path + " declares " + std::to_string(count) +
+        " edges but holds " + std::to_string(payload) + " payload bytes");
+  }
   std::vector<Edge> edges(count);
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(count * sizeof(Edge)));

@@ -19,7 +19,9 @@ Result<std::vector<Edge>> ReadEdgeListText(const std::string& path);
 /// Writes "u v" per line.
 Status WriteEdgeListText(const std::string& path, const std::vector<Edge>& edges);
 
-/// Compact binary format: u64 count, then count packed Edge records.
+/// Compact binary format: u64 count, then count packed Edge records. A file
+/// whose length is not exactly 8 + count * sizeof(Edge) bytes is rejected
+/// with InvalidArgument.
 Result<std::vector<Edge>> ReadEdgeListBinary(const std::string& path);
 Status WriteEdgeListBinary(const std::string& path, const std::vector<Edge>& edges);
 

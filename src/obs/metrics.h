@@ -3,8 +3,7 @@
 //
 // Design rules:
 //   - The fast path (Add / Set / Observe) is lock-free: relaxed atomics
-//     only, safe from any thread including the prefetch I/O workers and
-//     the par pool. Registration (GetHistogram etc.) interns by name under
+//     only, safe from any thread including the par pool. Registration (GetHistogram etc.) interns by name under
 //     a mutex and returns a reference with a stable address, so seam code
 //     resolves its instrument once (function-local static) and never pays
 //     the lookup again.
@@ -13,8 +12,7 @@
 //     view (each cell individually atomic; count/sum may trail each other
 //     by in-flight observations, never tear).
 //   - Metrics are always on. They instrument only real-I/O seams — pread/
-//     pwrite calls, prefetch stall waits, retry backoff sleeps, merge-pass
-//     walls — where two steady_clock reads are noise against the measured
+//     pwrite calls, retry backoff sleeps, merge-pass walls — where two steady_clock reads are noise against the measured
 //     operation. The *counted* charge sequence (IoStats, work) is never
 //     touched; see README "Observability" for the invariance contract.
 //
@@ -156,9 +154,6 @@ class MetricsRegistry {
 namespace metric_names {
 inline constexpr char kFileReadNs[] = "storage.file.read_syscall_ns";
 inline constexpr char kFileWriteNs[] = "storage.file.write_syscall_ns";
-inline constexpr char kMmapReadNs[] = "storage.mmap.read_ns";
-inline constexpr char kMmapWriteNs[] = "storage.mmap.write_ns";
-inline constexpr char kPrefetchStallNs[] = "prefetch.stall_wait_ns";
 inline constexpr char kRecoveryBackoffNs[] = "recovery.backoff_sleep_ns";
 inline constexpr char kMergePassNs[] = "sort.merge_pass_wall_ns";
 }  // namespace metric_names

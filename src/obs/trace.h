@@ -1,8 +1,8 @@
 // Scoped trace spans with phase-attributed counter deltas, emitted as
 // Chrome trace-event JSON (chrome://tracing, Perfetto).
 //
-// The invariance contract (the same one threads, kernels, faults, and
-// prefetch obey): tracing on or off is bit-invisible to triangles, emission
+// The invariance contract (the same one threads, kernels, and faults
+// obey): tracing on or off is bit-invisible to triangles, emission
 // order, IoStats, and work. Spans achieve this by *reading* existing
 // counters at phase boundaries — they never touch the counted charge
 // sequence, never allocate inside it, and compile down to one relaxed
@@ -14,8 +14,8 @@
 //   - Span is RAII: opening records a steady_clock timestamp; closing
 //     records the duration and appends one complete ("ph":"X") event. Any
 //     thread may open spans — the collector assigns small stable tids and
-//     emits thread-name metadata, so par workers and prefetch I/O workers
-//     are visible as their own tracks.
+//     emits thread-name metadata, so par workers are visible as their own
+//     tracks.
 //   - Counter attribution runs only on the collector's owner thread (the
 //     thread that constructed it), via a sampler callback the query layer
 //     installs per query (the obs layer cannot depend on em). Each sampled
@@ -134,7 +134,7 @@ class ScopedTraceCollector {
 };
 
 /// Names the current thread for trace metadata ("par-worker-0",
-/// "prefetch-io-1", ...). Process-wide; survives collector churn.
+/// "par-worker-1", ...). Process-wide; survives collector churn.
 void SetCurrentThreadName(std::string name);
 std::string CurrentThreadNameFor(std::thread::id id);  // "" if unnamed
 

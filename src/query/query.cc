@@ -112,12 +112,9 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   }
   TRIENUM_CHECK(sink != nullptr);
 
-  // The _snapshot accessors serialize against prefetch workers; taken after
-  // Reset(), so staging leftovers a previous query abandoned were already
-  // cleared (and counted wasted) against that query's epoch.
-  em::StorageTelemetry tel_before = session.store().telemetry_snapshot();
-  em::RecoveryStats rec_before = session.store().recovery_snapshot();
-  em::PrefetchStats pf_before = session.store().prefetch_stats();
+  const em::StorageBackend& backend = session.device().backend();
+  const em::StorageTelemetry tel_before = backend.telemetry();
+  const em::RecoveryStats rec_before = backend.recovery();
 
   // Tracing, when a collector is installed: the sampler lets spans opened
   // on this thread attribute counter deltas to phases. Installed *after*
@@ -131,14 +128,14 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   SamplerGuard sampler_guard{tc};
   if (tc != nullptr) {
     hist_before = obs::MetricsRegistry::Global().Snap();
-    tc->set_sampler([&session]() {
+    tc->set_sampler([&session, &backend]() {
       obs::CounterSample s;
       const em::IoStats io = session.cache().stats();
       s.block_reads = io.block_reads;
       s.block_writes = io.block_writes;
       s.cache_hits = io.cache_hits;
       s.work = session.work();
-      const em::StorageTelemetry t = session.store().telemetry_snapshot();
+      const em::StorageTelemetry& t = backend.telemetry();
       s.read_calls = t.read_calls;
       s.write_calls = t.write_calls;
       s.bytes_read = t.bytes_read;
@@ -155,6 +152,10 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
     session.cache().FlushAll();
   } catch (const IoFault& fault) {
     run_status = fault.status();
+  } catch (const Status& st) {
+    // An over-budget ScratchLease: M is below a fixed buffer size of this
+    // algorithm. Same recovery as an I/O fault.
+    run_status = st;
   }
   // A fault swallowed mid-unwind (a Writer flushing from its destructor)
   // never surfaced as an exception; the cache latch still records it.
@@ -177,9 +178,8 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   r.io = session.cache().stats();
   r.work = session.work();
   r.device_peak_words = session.device().peak_words();
-  r.telemetry = session.store().telemetry_snapshot() - tel_before;
-  r.recovery = session.store().recovery_snapshot() - rec_before;
-  r.prefetch = session.store().prefetch_stats() - pf_before;
+  r.telemetry = backend.telemetry() - tel_before;
+  r.recovery = backend.recovery() - rec_before;
   r.wall_ms = std::chrono::duration_cast<
                   std::chrono::duration<double, std::milli>>(t1 - t0)
                   .count();
@@ -267,6 +267,8 @@ Result<LoadedGraph> LoadedGraph::FromEdges(const em::EmConfig& cfg,
     lg.graph_ = graph::BuildEmGraph(*lg.session_, raw);
   } catch (const IoFault& fault) {
     return fault.status();
+  } catch (const Status& st) {
+    return st;  // M below normalization's scratch lease
   }
   lg.store_->cache().set_counting(true);
   if (!lg.store_->cache().fault().ok()) return lg.store_->cache().fault();

@@ -108,11 +108,6 @@ struct QueryResult {
   /// to a clean run under any transient fault schedule. All zero unless the
   /// store was built with a fault/checksum configuration.
   em::RecoveryStats recovery;
-  /// Read-ahead traffic of this query (src/prefetch/) — uncounted with
-  /// respect to `io`, which stays bit-identical to a depth-0 run. All zero
-  /// unless the store was built with prefetch_depth > 0 over a staged
-  /// (non-memory-resident) backend.
-  em::PrefetchStats prefetch;
   double wall_ms = 0;
   std::uint64_t seed_used = 0;
   std::size_t threads_used = 0;

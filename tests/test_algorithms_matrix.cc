@@ -26,6 +26,7 @@ std::vector<MatrixParam> BuildMatrix() {
   const std::vector<std::pair<std::size_t, std::size_t>> mem_configs = {
       {1 << 12, 16},  // roomy memory
       {512, 8},       // tight memory: many chunks / merge passes
+      {136, 4},       // M/(2B) = 17 merge fan-in, capped to fit its lease
   };
   for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
     for (std::size_t gi = 0; gi < cases.size(); ++gi) {

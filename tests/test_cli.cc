@@ -116,25 +116,10 @@ TEST(CliSmoke, FileBackendMatchesMemoryBackend) {
   EXPECT_GT(std::stoull(ReportValue(file, "real_bytes_read")), 0u);
 }
 
-TEST(CliSmoke, MmapBackendMatchesMemoryBackend) {
-  // Same differential for the third backend: identical triangles and
-  // simulated block I/Os. The mapping is the direct view (counting-only
-  // cache), so like the memory backend it moves no bytes through the
-  // ReadWords/WriteWords API.
-  const std::string common =
-      "count --algo=ps-cache-aware --graph=rmat:scale=8,m=2000,seed=11"
-      " --memory=2048 --block=32 --seed=7";
-  std::string mem = RunCli(common + " --backend=memory");
-  std::string mmap = RunCli(common + " --backend=mmap");
-  EXPECT_EQ(ReportValue(mmap, "backend"), "mmap");
-  EXPECT_EQ(ReportValue(mem, "triangles"), ReportValue(mmap, "triangles"));
-  EXPECT_EQ(ReportValue(mem, "block_reads"), ReportValue(mmap, "block_reads"));
-  EXPECT_EQ(ReportValue(mem, "block_writes"),
-            ReportValue(mmap, "block_writes"));
-}
-
 TEST(CliSmoke, InvalidBackendFails) {
   RunCli("count --algo=ps-cache-aware --graph=clique:k=5 --backend=floppy",
+         /*expected_status=*/2);
+  RunCli("count --algo=ps-cache-aware --graph=clique:k=5 --backend=mmap",
          /*expected_status=*/2);
 }
 
@@ -231,15 +216,18 @@ TEST(CliSmoke, UnknownOptionFailsWithUsageHint) {
   // --script is a `trienum query` option; count must still reject it.
   RunCli("count --algo=mgt --graph=clique:k=5 --script=/dev/null",
          /*expected_status=*/2);
+  RunCli("count --algo=mgt --graph=clique:k=5 --prefetch=8",
+         /*expected_status=*/2);
 }
 
-// Writes `content` to a unique temp file and returns its path; the file is
-// removed when the returned guard dies.
+// Writes `content` to a unique temp file whose name ends in `suffix` and
+// returns its path; the file is removed when the returned guard dies.
 struct TempScript {
   std::string path;
-  explicit TempScript(const std::string& content) {
-    char tmpl[] = "/tmp/trienum-test-script-XXXXXX";
-    int fd = mkstemp(tmpl);
+  explicit TempScript(const std::string& content,
+                      const std::string& suffix = "") {
+    std::string tmpl = "/tmp/trienum-test-script-XXXXXX" + suffix;
+    int fd = mkstemps(tmpl.data(), static_cast<int>(suffix.size()));
     EXPECT_GE(fd, 0);
     path = tmpl;
     EXPECT_EQ(write(fd, content.data(), content.size()),
@@ -249,51 +237,36 @@ struct TempScript {
   ~TempScript() { unlink(path.c_str()); }
 };
 
-TEST(CliPrefetch, DepthIsEchoedAndLeavesCountedStatsBitIdentical) {
-  // The prefetch contract end to end through the CLI: read-ahead changes
-  // only the prefetch_* lines — triangles and every counted I/O number
-  // match the depth-0 run exactly, and the header echoes the depth.
-  const std::string common =
-      "count --algo=mgt --graph=rmat:scale=8,m=2000,seed=11"
-      " --memory=2048 --block=32 --seed=7 --backend=file";
-  std::string off = RunCli(common);
-  std::string on = RunCli(common + " --prefetch=8 --prefetch-threads=2");
-  EXPECT_EQ(ReportValue(off, "prefetch"), "0");
-  EXPECT_EQ(ReportValue(on, "prefetch"), "8");
-  for (const char* key : {"triangles", "block_reads", "block_writes",
-                          "block_ios", "internal_work"}) {
-    EXPECT_EQ(ReportValue(on, key), ReportValue(off, key)) << key;
+TEST(CliSmoke, GarbageBinaryEdgeFileFails) {
+  // 13 bytes: an 8-byte header declaring a huge edge count, then 5 bytes
+  // that are not even one whole edge. Must be a clean usage error, not an
+  // allocation abort.
+  TempScript bin(std::string("\xff\xff\xff\xff\xff\xff\xff\x7f" "abcde", 13),
+                 ".bin");
+  RunCli("count --algo=mgt --graph=" + bin.path, /*expected_status=*/2);
+}
+
+TEST(CliSmoke, MemoryBelowAFixedScratchLeaseFailsCleanly) {
+  // Both algorithms lease a fixed-size host buffer larger than M=16; the
+  // query must fail with a Status (exit 2), not abort.
+  for (const char* algo : {"ps-cache-oblivious", "chu-cheng"}) {
+    RunCli(std::string("count --algo=") + algo +
+               " --graph=rmat:scale=8,m=2000,seed=11 --memory=16 --block=4",
+           /*expected_status=*/2);
   }
-  EXPECT_EQ(ReportValue(off, "prefetch_issued"), "0");
 }
 
-TEST(CliPrefetch, DepthZeroAndMemoryResidentBackendsStayInert) {
-  // The knob must be harmless where there is nothing to stage: on the
-  // memory/mmap backends the cache runs counting-only and no pool is built.
-  std::string out = RunCli(
-      "count --algo=ps-cache-aware --graph=clique:k=8 --memory=1024"
-      " --block=16 --backend=mmap --prefetch=8");
-  EXPECT_EQ(ReportValue(out, "prefetch"), "8");
-  EXPECT_EQ(ReportValue(out, "prefetch_issued"), "0");
-  EXPECT_EQ(ReportValue(out, "triangles"), "56");  // C(8,3)
-}
-
-TEST(CliPrefetch, QueryReportsCarryThePrefetchHeader) {
-  TempScript script("count --algo=mgt\n");
-  std::string out = RunCli(
-      "query --graph=clique:k=8 --memory=1024 --block=16 --backend=file"
-      " --prefetch=4 --script=" + script.path);
-  EXPECT_EQ(ReportValue(out, "prefetch"), "4");
-  EXPECT_EQ(ReportValue(out, "triangles"), "56");
-}
-
-TEST(CliPrefetch, MalformedPrefetchFlagsFail) {
-  RunCli("count --graph=clique:k=5 --prefetch=deep", /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch=-1", /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch-threads=many",
-         /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch=4 --prefetch-threads=0",
-         /*expected_status=*/2);
+TEST(CliSmoke, MergeFanInFitsItsLeaseAtSmallMemory) {
+  // M=136, B=4: M/(2B) = 17 would pad to a 32-leaf loser tree whose lease
+  // exceeds M. The capped fan-in must run and match the reference.
+  const std::string spec = "rmat:scale=8,m=2000,seed=11";
+  const std::string expected =
+      ReportValue(RunCli("count --algo=reference --graph=" + spec), "triangles");
+  for (const char* algo : {"dementiev", "ps-deterministic"}) {
+    std::string out = RunCli(std::string("count --algo=") + algo +
+                             " --graph=" + spec + " --memory=136 --block=4");
+    EXPECT_EQ(ReportValue(out, "triangles"), expected) << algo;
+  }
 }
 
 TEST(CliFaults, TransientScheduleLeavesTheReportBitIdentical) {

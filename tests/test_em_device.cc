@@ -86,9 +86,20 @@ TEST(Scratch, LeaseAccountingEnforcesBudget) {
   EXPECT_EQ(ctx.scratch_in_use(), 0u);
 }
 
-TEST(Scratch, OverBudgetAborts) {
+TEST(Scratch, OverBudgetThrowsInvalidArgument) {
   em::Context ctx = test::MakeContext(/*m=*/256, 16);
-  EXPECT_DEATH({ em::ScratchLease l = ctx.LeaseScratch(257); }, "scratch");
+  em::ScratchLease held = ctx.LeaseScratch(200);
+  try {
+    em::ScratchLease l = ctx.LeaseScratch(57);
+    ADD_FAILURE() << "a lease past M must throw";
+  } catch (const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("M=256"), std::string::npos) << st.message();
+    EXPECT_NE(st.message().find("57"), std::string::npos) << st.message();
+  }
+  // The failed lease recorded nothing; the budget is intact.
+  EXPECT_EQ(ctx.scratch_in_use(), 200u);
+  EXPECT_THROW({ em::ScratchLease l = ctx.LeaseScratch(257); }, Status);
 }
 
 TEST(Scratch, MoveTransfersOwnership) {

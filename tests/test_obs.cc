@@ -379,8 +379,7 @@ std::vector<Cell> AllCells() {
   std::vector<Cell> cells;
   for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
     for (em::StorageKind storage :
-         {em::StorageKind::kMemory, em::StorageKind::kFile,
-          em::StorageKind::kMmap}) {
+         {em::StorageKind::kMemory, em::StorageKind::kFile}) {
       for (em::ScanMode mode :
            {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
         for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -396,11 +395,7 @@ std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   const Cell& c = info.param;
   std::string name = c.algo;
   std::replace(name.begin(), name.end(), '-', '_');
-  switch (c.storage) {
-    case em::StorageKind::kMemory: name += "_memory"; break;
-    case em::StorageKind::kFile: name += "_file"; break;
-    case em::StorageKind::kMmap: name += "_mmap"; break;
-  }
+  name += c.storage == em::StorageKind::kFile ? "_file" : "_memory";
   name +=
       c.scan_mode == em::ScanMode::kElementwise ? "_elementwise" : "_buffered";
   name += "_t" + std::to_string(c.threads);

@@ -41,10 +41,10 @@ std::vector<graph::Edge> FixtureEdges() {
 
 /// The baseline: a fresh context made for exactly one query (the historical
 /// single-run flow: construct, normalize uncounted, run cold).
-query::QueryResult FreshRun(em::StorageKind storage,
+query::QueryResult FreshRun(const em::EmConfig& cfg,
                             const std::vector<graph::Edge>& raw,
                             const query::Query& q) {
-  em::Context ctx(TestConfig(storage));
+  em::Context ctx(cfg);
   ctx.cache().set_counting(false);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   ctx.cache().set_counting(true);
@@ -92,7 +92,7 @@ void RunCell(const std::string& algo, em::StorageKind storage,
   for (std::size_t i = 0; i < queries.size(); ++i) {
     Result<query::QueryResult> reused = lg.Run(queries[i]);
     ASSERT_TRUE(reused.ok()) << cell;
-    query::QueryResult fresh = FreshRun(storage, raw, queries[i]);
+    query::QueryResult fresh = FreshRun(TestConfig(storage), raw, queries[i]);
     ExpectBitIdentical(*reused, fresh,
                        cell + " query " + std::to_string(i + 1));
   }
@@ -252,6 +252,38 @@ TEST(QueryErrors, UnknownAlgorithmIsNotFoundNotAbort) {
   // The failed dispatch must not have broken the session for later queries.
   q.algo = "mgt";
   EXPECT_TRUE(lg.Run(q).ok());
+}
+
+TEST(QueryErrors, ScratchOverBudgetFailsOnlyThatQuery) {
+  // ps-cache-oblivious's base case leases 136 words, more than M=128, deep
+  // inside the plan (after allocations and dirty lines). That query fails
+  // with InvalidArgument; the session survives, and the next query matches
+  // a fresh context bit for bit.
+  const std::vector<graph::Edge> raw = FixtureEdges();
+  for (em::StorageKind storage :
+       {em::StorageKind::kMemory, em::StorageKind::kFile}) {
+    em::EmConfig cfg = TestConfig(storage);
+    cfg.memory_words = 128;
+    cfg.block_words = 8;
+    query::LoadedGraph lg = *query::LoadedGraph::FromEdges(cfg, raw);
+    query::Query bad;
+    bad.algo = "ps-cache-oblivious";
+    Result<query::QueryResult> r = lg.Run(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+    EXPECT_EQ(lg.session().scratch_in_use(), 0u);
+    EXPECT_EQ(lg.store().cache().pinned_lines(), 0u);
+    EXPECT_EQ(lg.store().device().Mark(), lg.frozen_mark());
+
+    query::Query good;
+    good.kind = query::QueryKind::kEnumerate;
+    good.algo = "ps-cache-aware";
+    Result<query::QueryResult> after = lg.Run(good);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ExpectBitIdentical(*after, FreshRun(cfg, raw, good),
+                       storage == em::StorageKind::kFile ? "file" : "memory");
+  }
 }
 
 // ---------------------------------------------------------------------------

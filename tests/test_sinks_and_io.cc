@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "core/sink.h"
 #include "graph/graph_io.h"
@@ -80,6 +82,28 @@ TEST_F(GraphIoTest, BinaryRoundTrip) {
   auto back = ReadEdgeListBinary(Path("g.bin"));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, edges);
+
+  // Malformed files: the header count must match the file length exactly,
+  // and a mismatch is an InvalidArgument, never an allocation abort.
+  std::ifstream in(Path("g.bin"), std::ios::binary);
+  const std::string valid((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_EQ(valid.size(), 8 + edges.size() * sizeof(Edge));
+  std::string larger_count = valid;
+  larger_count[0] = static_cast<char>(larger_count[0] + 1);
+  const std::pair<const char*, std::string> bad_files[] = {
+      {"short_header.bin", valid.substr(0, 5)},
+      {"garbage13.bin",
+       std::string("\x93\x1f\xc4\x07\xee\x5a\x81\xf0\x3d\x6b\x29\xd8\x44", 13)},
+      {"count_past_payload.bin", larger_count},
+      {"partial_edge.bin", valid + std::string(3, '\0')},
+  };
+  for (const auto& [name, bytes] : bad_files) {
+    std::ofstream(Path(name), std::ios::binary) << bytes;
+    auto bad = ReadEdgeListBinary(Path(name));
+    ASSERT_FALSE(bad.ok()) << name;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 TEST_F(GraphIoTest, TextCommentsAndBlanksSkipped) {

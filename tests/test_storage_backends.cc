@@ -1,9 +1,8 @@
-// Differential matrix locking the file-backed and memory-mapped storage
-// backends to the in-memory simulator: every registered algorithm, run on
-// all backends over a spread of generator specs, must produce the identical
-// triangle set AND identical IoStats. The simulator is the spec — any
-// divergence in block_reads, block_writes or cache_hits is a bug in the
-// staged data path (file) or the mapped view (mmap).
+// Differential matrix locking the file-backed storage backend to the
+// in-memory simulator: every registered algorithm, run on both backends over
+// a spread of generator specs, must produce the identical triangle set AND
+// identical IoStats. The simulator is the spec — any divergence in
+// block_reads, block_writes or cache_hits is a bug in the staged data path.
 //
 // Also covers the data-integrity invariants the backends must share (zero
 // initialization, uncounted bypass windows, bulk DMA of padded records) and
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,16 +63,12 @@ TEST(StorageBackends, FullAlgorithmMatrixIsObservationallyIdentical) {
       SCOPED_TRACE(gc.name + " / " + a.name);
       BackendRun mem = RunOn(em::StorageKind::kMemory, a.name, gc.edges, m, b,
                              /*seed=*/0xD1FF);
-      for (em::StorageKind kind :
-           {em::StorageKind::kFile, em::StorageKind::kMmap}) {
-        SCOPED_TRACE(kind == em::StorageKind::kFile ? "file" : "mmap");
-        BackendRun other = RunOn(kind, a.name, gc.edges, m, b,
-                                 /*seed=*/0xD1FF);
-        EXPECT_EQ(mem.triangles, other.triangles);
-        EXPECT_EQ(mem.io.block_reads, other.io.block_reads);
-        EXPECT_EQ(mem.io.block_writes, other.io.block_writes);
-        EXPECT_EQ(mem.io.cache_hits, other.io.cache_hits);
-      }
+      BackendRun file = RunOn(em::StorageKind::kFile, a.name, gc.edges, m, b,
+                              /*seed=*/0xD1FF);
+      EXPECT_EQ(mem.triangles, file.triangles);
+      EXPECT_EQ(mem.io.block_reads, file.io.block_reads);
+      EXPECT_EQ(mem.io.block_writes, file.io.block_writes);
+      EXPECT_EQ(mem.io.cache_hits, file.io.cache_hits);
     }
   }
 }
@@ -90,15 +84,12 @@ TEST(StorageBackends, MatrixAcrossHierarchyShapes) {
                    " B=" + std::to_string(b));
       BackendRun mem =
           RunOn(em::StorageKind::kMemory, name, raw, m, b, /*seed=*/0xABCD);
-      for (em::StorageKind kind :
-           {em::StorageKind::kFile, em::StorageKind::kMmap}) {
-        SCOPED_TRACE(kind == em::StorageKind::kFile ? "file" : "mmap");
-        BackendRun other = RunOn(kind, name, raw, m, b, /*seed=*/0xABCD);
-        EXPECT_EQ(mem.triangles, other.triangles);
-        EXPECT_EQ(mem.io.block_reads, other.io.block_reads);
-        EXPECT_EQ(mem.io.block_writes, other.io.block_writes);
-        EXPECT_EQ(mem.io.cache_hits, other.io.cache_hits);
-      }
+      BackendRun file =
+          RunOn(em::StorageKind::kFile, name, raw, m, b, /*seed=*/0xABCD);
+      EXPECT_EQ(mem.triangles, file.triangles);
+      EXPECT_EQ(mem.io.block_reads, file.io.block_reads);
+      EXPECT_EQ(mem.io.block_writes, file.io.block_writes);
+      EXPECT_EQ(mem.io.cache_hits, file.io.cache_hits);
     }
   }
 }
@@ -121,9 +112,7 @@ TEST(StorageBackends, FileBackendSurvivesDeviceFootprint100xM) {
 }
 
 TEST(StorageBackends, NeverWrittenWordsReadAsZeroOnBothBackends) {
-  for (em::StorageKind kind :
-       {em::StorageKind::kMemory, em::StorageKind::kFile,
-        em::StorageKind::kMmap}) {
+  for (em::StorageKind kind : {em::StorageKind::kMemory, em::StorageKind::kFile}) {
     em::Context ctx = test::MakeContext(256, 16, 0x7001, kind);
     em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(4096);
     for (std::size_t i = 0; i < 4096; i += 313) EXPECT_EQ(a.Get(i), 0u);
@@ -160,9 +149,7 @@ TEST(StorageBackends, UncountedWindowsPreserveDataAndStats) {
 TEST(StorageBackends, BulkDmaOfPaddedRecordsRoundTrips) {
   // uint32 records are word-padded: the bulk DMA path must pack/unpack
   // identically on every backend.
-  for (em::StorageKind kind :
-       {em::StorageKind::kMemory, em::StorageKind::kFile,
-        em::StorageKind::kMmap}) {
+  for (em::StorageKind kind : {em::StorageKind::kMemory, em::StorageKind::kFile}) {
     em::Context ctx = test::MakeContext(128, 8, 0x7001, kind);
     em::Array<std::uint32_t> a = ctx.Alloc<std::uint32_t>(1000);
     std::vector<std::uint32_t> host(1000);
@@ -233,113 +220,6 @@ TEST(StorageBackends, RegionReuseIsCoherentOnFileBackend) {
     for (std::size_t i = 0; i < 1024; ++i) b.Set(i, 222);
     for (std::size_t i = 0; i < 1024; i += 101) ASSERT_EQ(b.Get(i), 222u);
   }
-}
-
-// ---------------------------------------------------------------------------
-// MmapBackend unit coverage: the mapped view, growth-by-remap, zero
-// initialization, telemetry, and failure latching — the properties the
-// differential matrix above relies on.
-
-TEST(MmapBackend, InitializesAndReportsName) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok()) << b.init_status().ToString();
-  EXPECT_EQ(std::string(b.name()), "mmap");
-  EXPECT_TRUE(b.memory_resident());
-  EXPECT_FALSE(b.path().empty());
-  EXPECT_EQ(b.size_words(), 0u);
-}
-
-TEST(MmapBackend, BadTempDirLatchesInitStatus) {
-  em::MmapBackend b("/nonexistent/trienum-mmap-test-dir");
-  EXPECT_FALSE(b.init_status().ok());
-  // The latched status must keep failing I/O cleanly, not crash.
-  em::Word w = 0;
-  EXPECT_FALSE(b.ReadWords(0, 1, &w).ok());
-  EXPECT_FALSE(b.WriteWords(0, 1, &w).ok());
-}
-
-TEST(MmapBackend, GrowByRemapPreservesDataAndZeroFills) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok());
-  std::vector<em::Word> first(512);
-  for (std::size_t i = 0; i < first.size(); ++i) first[i] = i * 0x9E3779B9ULL;
-  ASSERT_TRUE(b.WriteWords(0, first.size(), first.data()).ok());
-  const std::uint64_t grows_before = b.grow_calls();
-  // Force several remaps; earlier data must survive each one and the new
-  // tail must read as zero (fresh file pages).
-  ASSERT_TRUE(b.EnsureSize(1 << 16).ok());
-  ASSERT_TRUE(b.EnsureSize(1 << 18).ok());
-  EXPECT_GT(b.grow_calls(), grows_before);
-  EXPECT_GE(b.size_words(), std::size_t{1} << 18);
-  std::vector<em::Word> back(first.size());
-  ASSERT_TRUE(b.ReadWords(0, back.size(), back.data()).ok());
-  EXPECT_EQ(first, back);
-  std::vector<em::Word> tail(64, 0xFFFFFFFFFFFFFFFFULL);
-  ASSERT_TRUE(b.ReadWords((1 << 18) - 64, 64, tail.data()).ok());
-  for (em::Word w : tail) EXPECT_EQ(w, 0u);
-}
-
-TEST(MmapBackend, ReadPastSizeZeroFillsLikeMemoryBackend) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok());
-  em::Word one = 42;
-  ASSERT_TRUE(b.WriteWords(0, 1, &one).ok());
-  // Straddling read: the in-range prefix comes from the map, the rest zero.
-  std::vector<em::Word> out(8, 0xAAULL);
-  ASSERT_TRUE(b.ReadWords(0, out.size(), out.data()).ok());
-  EXPECT_EQ(out[0], 42u);
-  for (std::size_t i = b.size_words(); i < out.size(); ++i) {
-    EXPECT_EQ(out[i], 0u) << i;
-  }
-}
-
-TEST(MmapBackend, DirectViewTracksWrites) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok());
-  std::vector<em::Word> data(128);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = ~i;
-  ASSERT_TRUE(b.WriteWords(0, data.size(), data.data()).ok());
-  const em::Word* view = b.DirectView();
-  ASSERT_NE(view, nullptr);
-  for (std::size_t i = 0; i < data.size(); ++i) ASSERT_EQ(view[i], ~i);
-}
-
-TEST(MmapBackend, CountsTelemetry) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok());
-  std::vector<em::Word> buf(32, 7);
-  ASSERT_TRUE(b.WriteWords(0, buf.size(), buf.data()).ok());
-  ASSERT_TRUE(b.ReadWords(0, buf.size(), buf.data()).ok());
-  const em::StorageTelemetry& tel = b.telemetry();
-  EXPECT_EQ(tel.write_calls, 1u);
-  EXPECT_EQ(tel.read_calls, 1u);
-  EXPECT_EQ(tel.bytes_written, buf.size() * sizeof(em::Word));
-  EXPECT_EQ(tel.bytes_read, buf.size() * sizeof(em::Word));
-}
-
-TEST(MmapBackend, AdviseIsHarmlessIncludingPastEnd) {
-  em::MmapBackend b;
-  ASSERT_TRUE(b.init_status().ok());
-  std::vector<em::Word> data(256);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = i + 1;
-  ASSERT_TRUE(b.WriteWords(0, data.size(), data.data()).ok());
-  // Advice over live data, past-the-end ranges, and an empty map region must
-  // all be no-ops for correctness (madvise is a hint).
-  b.Advise(0, data.size(), em::AdviseKind::kSequentialRead);
-  b.Advise(0, 1 << 20, em::AdviseKind::kSequentialRead);
-  b.Advise(data.size() + 1000, 64, em::AdviseKind::kSequentialWrite);
-  std::vector<em::Word> back(data.size());
-  ASSERT_TRUE(b.ReadWords(0, back.size(), back.data()).ok());
-  EXPECT_EQ(data, back);
-}
-
-TEST(MmapBackend, SelectableThroughMakeStorageBackend) {
-  em::EmConfig cfg;
-  cfg.storage = em::StorageKind::kMmap;
-  std::unique_ptr<em::StorageBackend> b = em::MakeStorageBackend(cfg);
-  ASSERT_NE(b, nullptr);
-  ASSERT_TRUE(b->init_status().ok()) << b->init_status().ToString();
-  EXPECT_EQ(std::string(b->name()), "mmap");
 }
 
 }  // namespace

@@ -34,7 +34,6 @@
 #include "core/sink.h"
 #include "em/context.h"
 #include "faults/recovery.h"
-#include "prefetch/prefetch.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "graph/normalize.h"
@@ -75,13 +74,10 @@ constexpr char kUsage[] =
     "  --block=<B>               block size in words        (default 64)\n"
     "  --seed=<S>                master seed                (default 2014)\n"
     "  --limit=<N>               max triangles to print     (enumerate only)\n"
-    "  --backend=<memory|file|mmap>\n"
-    "                            storage backend            (default memory)\n"
+    "  --backend=<memory|file>   storage backend            (default memory)\n"
     "                            memory: RAM-resident, I/Os simulated only\n"
     "                            file:   temp-file store, resident memory\n"
     "                                    O(M); real pread/pwrite per block\n"
-    "                            mmap:   memory-mapped temp file; the OS\n"
-    "                                    pages, scan advice maps to madvise\n"
     "  --temp-dir=<path>         dir for the file backend's (unlinked) temp\n"
     "                            file (default $TMPDIR, then /tmp)\n"
     "  --threads=<N>             host compute threads (default 1; 0 = all\n"
@@ -105,15 +101,6 @@ constexpr char kUsage[] =
     "                            attempt (default 0: retry immediately)\n"
     "  --verify-checksums[=0|1]  keep per-line checksums on write and verify\n"
     "                            them on fetch, detecting torn/corrupt blocks\n"
-    "  --prefetch=<DEPTH>        asynchronous read-ahead depth in cache lines\n"
-    "                            (default 0 = off). Dedicated I/O workers\n"
-    "                            stage scan-predicted lines ahead of demand;\n"
-    "                            triangles and counted block I/Os stay\n"
-    "                            bit-identical to --prefetch=0. Only the\n"
-    "                            staged backends (file, or any --faults/\n"
-    "                            --verify-checksums stack) can stage lines\n"
-    "  --prefetch-threads=<N>    I/O worker threads for --prefetch (default 1;\n"
-    "                            must be positive when prefetch is on)\n"
     "  --trace=<file>            write a Chrome trace-event JSON timeline\n"
     "                            (chrome://tracing, Perfetto): phase spans\n"
     "                            with per-phase I/O deltas, worker threads as\n"
@@ -164,8 +151,6 @@ struct Options {
   int io_retries = 4;
   int io_retry_backoff_ms = 0;
   bool verify_checksums = false;
-  std::size_t prefetch_depth = 0;
-  std::size_t prefetch_threads = 1;
   std::string script;       // `trienum query` only
   std::string trace_file;   // --trace=<file>: Chrome trace-event JSON
   std::string metrics_json; // --metrics-json=<file>: structured report
@@ -230,11 +215,8 @@ Options ParseOptions(int argc, char** argv, bool query_mode = false) {
         opt.backend = em::StorageKind::kMemory;
       } else if (value == "file") {
         opt.backend = em::StorageKind::kFile;
-      } else if (value == "mmap") {
-        opt.backend = em::StorageKind::kMmap;
       } else {
-        Die("--backend must be 'memory', 'file', or 'mmap', got '" + value +
-            "'");
+        Die("--backend must be 'memory' or 'file', got '" + value + "'");
       }
     } else if (key == "temp-dir") {
       opt.temp_dir = value;
@@ -251,10 +233,6 @@ Options ParseOptions(int argc, char** argv, bool query_mode = false) {
       opt.io_retries = static_cast<int>(ParseU64(key, value));
     } else if (key == "io-retry-backoff-ms") {
       opt.io_retry_backoff_ms = static_cast<int>(ParseU64(key, value));
-    } else if (key == "prefetch") {
-      opt.prefetch_depth = ParseU64(key, value);
-    } else if (key == "prefetch-threads") {
-      opt.prefetch_threads = ParseU64(key, value);
     } else if (key == "verify-checksums") {
       if (value == "1") {
         opt.verify_checksums = true;
@@ -287,10 +265,6 @@ Options ParseOptions(int argc, char** argv, bool query_mode = false) {
   }
   if (opt.block_words > opt.memory_words) {
     Die("--block must not exceed --memory (need at least one cache line)");
-  }
-  if (opt.prefetch_depth > 0 && opt.prefetch_threads == 0) {
-    Die("--prefetch-threads must be positive when --prefetch is on "
-        "(run `trienum help` for the option table)");
   }
   if (query_mode && opt.report_json) {
     Die("--report=json applies to count/enumerate only; `trienum query` "
@@ -480,11 +454,7 @@ em::EmConfig MakeEmConfig(const Options& opt) {
   cfg.io_retries = opt.io_retries;
   cfg.io_retry_backoff_ms = opt.io_retry_backoff_ms;
   cfg.verify_checksums = opt.verify_checksums;
-  cfg.prefetch_depth = opt.prefetch_depth;
-  cfg.prefetch_threads = opt.prefetch_threads;
   Status st = faults::ApplyFaultConfig(cfg);
-  if (!st.ok()) Die(st.ToString());
-  st = prefetch::ApplyPrefetchConfig(cfg);
   if (!st.ok()) Die(st.ToString());
   return cfg;
 }
@@ -531,14 +501,6 @@ void PrintMeasurements(const query::QueryResult& r, std::size_t num_edges,
               static_cast<unsigned long long>(r.recovery.faults_injected));
   std::printf("recovery_checksum_failures = %llu\n",
               static_cast<unsigned long long>(r.recovery.checksum_failures));
-  std::printf("prefetch_issued = %llu\n",
-              static_cast<unsigned long long>(r.prefetch.issued));
-  std::printf("prefetch_useful = %llu\n",
-              static_cast<unsigned long long>(r.prefetch.useful));
-  std::printf("prefetch_wasted = %llu\n",
-              static_cast<unsigned long long>(r.prefetch.wasted));
-  std::printf("prefetch_stalls = %llu\n",
-              static_cast<unsigned long long>(r.prefetch.stalls));
   // Per-phase attribution (traced runs only): exclusive deltas, so the
   // block_reads/block_writes/work columns sum to the totals above.
   for (const query::PhaseStat& p : r.phases) {
@@ -616,12 +578,6 @@ void WriteResultJson(obs::JsonWriter& w, const query::QueryResult& r,
   w.KV("faults_injected", r.recovery.faults_injected);
   w.KV("checksum_failures", r.recovery.checksum_failures);
   w.EndObject();
-  w.Key("prefetch").BeginObject();
-  w.KV("issued", r.prefetch.issued);
-  w.KV("useful", r.prefetch.useful);
-  w.KV("wasted", r.prefetch.wasted);
-  w.KV("stalls", r.prefetch.stalls);
-  w.EndObject();
   w.Key("phases").BeginArray();
   for (const query::PhaseStat& p : r.phases) {
     w.BeginObject();
@@ -671,7 +627,6 @@ void WriteGraphHeaderJson(obs::JsonWriter& w, const Options& opt,
   w.KV("vertices", g.num_vertices);
   w.KV("memory_words", static_cast<std::uint64_t>(opt.memory_words));
   w.KV("block_words", static_cast<std::uint64_t>(opt.block_words));
-  w.KV("prefetch_depth", static_cast<std::uint64_t>(opt.prefetch_depth));
 }
 
 struct MetricsEntry {
@@ -913,7 +868,6 @@ int CmdRun(const Options& opt, bool enumerate) {
   std::printf("vertices = %u\n", g.num_vertices);
   std::printf("memory_words = %zu\n", opt.memory_words);
   std::printf("block_words = %zu\n", opt.block_words);
-  std::printf("prefetch = %zu\n", opt.prefetch_depth);
   PrintMeasurements(r, g.num_edges(), opt.memory_words, opt.block_words);
   return 0;
 }
@@ -1041,7 +995,6 @@ int CmdQuery(const Options& opt) {
   std::printf("vertices = %u\n", g.num_vertices);
   std::printf("memory_words = %zu\n", opt.memory_words);
   std::printf("block_words = %zu\n", opt.block_words);
-  std::printf("prefetch = %zu\n", opt.prefetch_depth);
   std::printf("queries = %zu\n", script.size());
 
   static const char* kKindNames[] = {"count", "enumerate", "per-vertex",
