@@ -8,13 +8,13 @@
 //   * BM_RunFormation — the parallel radix kernel alone, sorting one
 //     E-record host load (the sort engine's hottest host loop);
 //   * BM_MgtEndToEnd / BM_CacheAwareEndToEnd — whole-algorithm scaling,
-//     where Lemma 2 cone probes (mgt, ps-cache-aware) and the coloring
-//     transform ride the pool.
+//     where the Lemma 2 pivot chunks (mgt, ps-cache-aware) run as ordered
+//     pool tasks and run formation fans out.
 //
-// On a single-core runner (such as the committed baseline's) every thread
-// count collapses to the same wall clock — the interesting column there is
-// that `ios` stays flat. Multi-core machines show the speedup; the
-// committed baseline pins the no-regression floor for threads=1.
+// `ios` must stay flat across the thread counts on any machine. The
+// committed baseline comes from a 4-vCPU VM shared with other tenants: it is
+// the median of five whole runs, and its single-iteration wall_ms rows
+// swing by 2x between runs there, so read the scaling column as a trend.
 #include <benchmark/benchmark.h>
 
 #include <vector>

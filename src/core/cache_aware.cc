@@ -83,8 +83,8 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
   // the pinned LRU charge sequence — batching reads ahead of the writes
   // would perturb IoStats under capacity pressure. Parallelism enters this
   // algorithm through charge-safe windows instead: run formation inside
-  // the ExternalMergeSort below and the Lemma 2 cone probes of step 3
-  // (see pivot_enum.h), both invariant in the thread count.
+  // the ExternalMergeSort below and the Lemma 2 chunks of step 3 (see
+  // pivot_enum.h), both invariant in the thread count.
   const std::size_t num_keys = static_cast<std::size_t>(c) * c;
   em::Array<std::uint64_t> offsets;
   em::Array<Edge> buckets;
@@ -123,31 +123,66 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
     }
   }
 
-  auto bucket = [&](std::uint32_t a, std::uint32_t b) {
-    std::size_t key = static_cast<std::size_t>(a) * c + b;
-    std::size_t lo = offsets.Get(key);
-    std::size_t hi = offsets.Get(key + 1);
-    return buckets.Slice(lo, hi - lo);
-  };
-
   // ---- Step 3: Lemma 2 per color triple -------------------------------------
+  // The triple loop in its serial order: bound(key) reads one bucket bound,
+  // lemma2(cone_a, cone_b, pivot) is one Lemma 2 call.
+  auto for_each_triple = [&](auto bound, auto lemma2) {
+    auto bucket = [&](std::uint32_t a, std::uint32_t b) {
+      const std::size_t key = static_cast<std::size_t>(a) * c + b;
+      const std::size_t lo = bound(key);
+      return buckets.Slice(lo, bound(key + 1) - lo);
+    };
+    for (std::uint32_t t1 = 0; t1 < c; ++t1) {
+      for (std::uint32_t t2 = 0; t2 < c; ++t2) {
+        em::Array<Edge> cone_a = bucket(t1, t2);
+        if (cone_a.empty()) continue;
+        for (std::uint32_t t3 = 0; t3 < c; ++t3) {
+          em::Array<Edge> pivot = bucket(t2, t3);
+          if (pivot.empty()) continue;
+          em::Array<Edge> cone_b = t2 == t3 ? cone_a : bucket(t1, t3);
+          if (cone_b.empty()) continue;
+          lemma2(cone_a, cone_b, pivot);
+        }
+      }
+    }
+  };
   obs::Span span("ca.color_triples");
   span.AddArg("colors", c);
   PivotEnumOptions popts;
   popts.chunk_fraction = opts.chunk_fraction;
-  for (std::uint32_t t1 = 0; t1 < c; ++t1) {
-    for (std::uint32_t t2 = 0; t2 < c; ++t2) {
-      em::Array<Edge> cone_a = bucket(t1, t2);
-      if (cone_a.empty()) continue;
-      for (std::uint32_t t3 = 0; t3 < c; ++t3) {
-        em::Array<Edge> pivot = bucket(t2, t3);
-        if (pivot.empty()) continue;
-        em::Array<Edge> cone_b = t2 == t3 ? cone_a : bucket(t1, t3);
-        if (cone_b.empty()) continue;
-        PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink, popts);
-      }
-    }
+  auto charged_bound = [&](std::size_t key) {
+    return static_cast<std::size_t>(offsets.Get(key));
+  };
+  if (!PivotChunksRunOrdered(ctx)) {
+    for_each_triple(charged_bound, [&](em::Array<Edge> cone_a,
+                                       em::Array<Edge> cone_b,
+                                       em::Array<Edge> pivot) {
+      PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink, popts);
+    });
+    return;
   }
+  // All c^3 triples' chunks go through one ordered run. The plan reads the
+  // bounds through the direct view, uncharged; each call then re-reads its
+  // own bounds, charged, at its serial position in the commit order.
+  const std::uint64_t* bounds = offsets.MemRef();
+  std::vector<PivotCall<Edge>> calls;
+  std::vector<std::size_t> keys;  // bounds read since the last call
+  auto charge = [&](const std::vector<std::size_t>& ks) {
+    for (std::size_t k : ks) charged_bound(k);
+  };
+  for_each_triple(
+      [&](std::size_t key) {
+        keys.push_back(key);
+        return static_cast<std::size_t>(bounds[key]);
+      },
+      [&](em::Array<Edge> cone_a, em::Array<Edge> cone_b,
+          em::Array<Edge> pivot) {
+        calls.push_back(PivotCall<Edge>{
+            cone_a, cone_b, pivot, [&charge, ks = keys] { charge(ks); }});
+        keys.clear();
+      });
+  PivotEnumerateOrdered<Edge>(ctx, calls, sink, popts);
+  charge(keys);
 }
 
 double PaghSilvestriIoBound(std::size_t num_edges, std::size_t m, std::size_t b) {

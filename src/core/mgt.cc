@@ -15,7 +15,8 @@ void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& 
   // Lemma 2 with the pivot set equal to the whole edge set: every triangle
   // has its (unique) pivot edge somewhere in E, so all are enumerated. The
   // adjacency intersections (resident pivot runs vs Gamma_3) run on the
-  // src/simd/ two-regime kernels inside PivotEnumerate.
+  // src/simd/ two-regime kernels inside PivotEnumerate, and at threads > 1
+  // its chunks run as one ordered run on the pool.
   PivotEnumerate<graph::Edge>(ctx, g.edges, g.edges, g.edges, sink, popts);
 }
 

@@ -3,10 +3,11 @@
 // total of O(E/B + E^2/(MB)) I/Os. This is the main prior-art comparator the
 // paper improves on by a factor min(sqrt(E/M), sqrt(M)).
 //
-// Host compute (the Lemma 2 cone probes, which dominate mgt's wall clock)
-// fans out over the src/par/ pool when par::SetThreads(N > 1) is active;
-// the I/O charge sequence — and therefore MgtIoBound's accounting — is
-// unaffected at any thread count (see pivot_enum.h).
+// The Lemma 2 chunks, which dominate mgt's wall clock, run on the src/par/
+// pool when par::SetThreads(N > 1) is active on a memory-resident store;
+// their charges are replayed in serial order, so the I/O charge sequence —
+// and therefore MgtIoBound's accounting — is unaffected at any thread count
+// (see pivot_enum.h).
 #ifndef TRIENUM_CORE_MGT_H_
 #define TRIENUM_CORE_MGT_H_
 

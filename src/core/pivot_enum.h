@@ -16,16 +16,23 @@
 //     vertex is not colored tau1" a structural no-op;
 //   * ablation benches sweeping the chunk fraction alpha.
 //
-// Two loop engines share the chunk loading and indexing:
-//   * serial (threads=1, the default): the fused probe-as-you-scan loop —
-//     kept verbatim as its own small function so its codegen is untouched
-//     by the pool machinery;
-//   * pooled (par::SetThreads(N > 1)): neighbour collection issues the
-//     exact same Peek/Next charge sequence, then the role probes and the
-//     resident-run membership tests — pure reads of chunk-resident state —
-//     fan out over stable partitions with per-worker emit buffers flushed
-//     in partition order. Output order, IoStats and work counters are
-//     identical to the serial engine (pinned by tests/test_parallel.cc).
+// Each chunk (load, then cone scan) is independent of every other, and so
+// is each call. Two engines run the same per-chunk code
+// (ResidentChunk::Load plus ScanConesSerial):
+//   * serial (threads=1, the default, and every staged store): the chunks
+//     in order on the calling thread;
+//   * ordered (threads > 1 over a memory-resident store): each chunk is a
+//     par::RunOrdered task. A pool worker runs it against a recording view
+//     of the store (em::GraphStore::RecordingView), which reads the words
+//     through the direct view and appends every charge to a per-task charge
+//     log; the triangles go to an emit buffer and the work to a count. The
+//     caller commits the tasks strictly in serial order: it takes the
+//     chunk's lease, replays the logs into the real LRU cache (and probe)
+//     under the same pivot.chunk_load / pivot.cone_scan spans, adds the
+//     work and flushes the emits to the sink. Triangles, emission order,
+//     IoStats (reads, writes and hits), work and the phase table therefore
+//     match threads=1 by construction (pinned by tests/test_parallel.cc).
+//     Sinks see every emission on the calling thread.
 //
 // Both engines drive the src/simd/ two-regime intersection kernels: the
 // cone-stream role probes go through batched flat-map lookups, and the
@@ -40,6 +47,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -130,13 +139,8 @@ class FlatVertexMap {
   std::uint32_t mask_ = 0;
 };
 
-/// Probes per pool partition below which the pooled engine's batches stay
-/// serial: a flat-map lookup or a binary search is tens of nanoseconds, so
-/// a partition must amortize the fork/join handshake.
-inline constexpr std::size_t kPivotParGrain = std::size_t{1} << 11;
-
 /// One resident pivot chunk with its host-side index: the sorted chunk, the
-/// per-u run table, and the role map. Shared by both loop engines.
+/// per-u run table, and the role map.
 template <typename EdgeT>
 struct ResidentChunk {
   using Access = graph::EdgeAccess<EdgeT>;
@@ -305,155 +309,13 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
   }
 }
 
-/// The pooled loop engine: identical charges and output (see the header
-/// comment), with the per-group probe and emit phases fanned out over the
-/// par pool. Work accounting moves from per-item to per-batch AddWork calls
-/// of equal totals.
+/// Host words per resident chunk record: the chunk itself, its adjacency
+/// index, the endpoint filter and the per-v buffers (the kernel sidecars —
+/// extracted endpoints, group bitmap, match scratch — add ~1.25 words per
+/// record, inside the slack the power-of-two role table leaves). Each
+/// chunk's scratch lease is this times its record count.
 template <typename EdgeT>
-void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
-                     em::Array<EdgeT> cone_a, em::Array<EdgeT> cone_b,
-                     bool same_cone, TriangleSink& sink) {
-  using Access = graph::EdgeAccess<EdgeT>;
-  using graph::VertexId;
-  em::Scanner<EdgeT> sa(cone_a);
-  em::Scanner<EdgeT> sb;
-  if (!same_cone) sb = em::Scanner<EdgeT>(cone_b);
-  const std::uint32_t* const vmax = rc.vmax.data();
-  const std::pair<std::uint32_t, std::uint32_t>* const ranges =
-      rc.ranges.data();
-  const FlatVertexMap::View roles = rc.roles.view();
-  std::vector<std::pair<VertexId, std::uint32_t>> g2;
-  std::vector<VertexId> g3;
-  std::vector<VertexId> nbrs;       // one group's neighbours, arrival order
-  std::vector<std::uint32_t> role;  // their probed role payloads
-  std::vector<std::uint64_t> g2_probes;  // per-g2-entry pivot-run lengths
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> emit_bufs;
-  std::vector<std::vector<std::uint32_t>> match_bufs;  // per-worker scratch
-  std::vector<std::uint32_t> match;  // single-partition fast-path scratch
-  simd::DenseBitmap bitmap;
-
-  // Batched role probe: role[i] = roles.Get(nbrs[i]) over stable
-  // partitions, each serviced by the flat-map probe kernel.
-  auto probe_group = [&](std::size_t count) {
-    if (role.size() < count) role.resize(count);
-    par::ParallelFor(count, kPivotParGrain,
-                     [&](std::size_t lo, std::size_t hi) {
-                       simd::ProbeFlatMapU32(roles.keys, roles.vals,
-                                             roles.mask, nbrs.data() + lo,
-                                             hi - lo, role.data() + lo);
-                     });
-  };
-  // One run's two-regime intersection into `out` (kOutSlack slack);
-  // returns the match count. Read-only on shared state once the group's
-  // bitmap is built, so pool workers may call it concurrently.
-  auto intersect_run = [&](const std::pair<std::uint32_t, std::uint32_t>& range,
-                           simd::Regime regime,
-                           std::uint32_t* out) -> std::size_t {
-    const std::uint32_t* run = vmax + range.first;
-    const std::size_t len = range.second - range.first;
-    if (regime == simd::Regime::kBitmap) return bitmap.Probe(run, len, out);
-    return simd::IntersectSorted(run, len, g3.data(), g3.size(), out).matches;
-  };
-
-  while (sa.HasNext() || (!same_cone && sb.HasNext())) {
-    VertexId v;
-    if (!sa.HasNext()) {
-      v = Access::U(sb.Peek());
-    } else if (same_cone || !sb.HasNext()) {
-      v = Access::U(sa.Peek());
-    } else {
-      v = std::min(Access::U(sa.Peek()), Access::U(sb.Peek()));
-    }
-    g2.clear();
-    g3.clear();
-    // Neighbour collection: the exact Peek/Next sequence of the serial
-    // engine, so the I/O charges are untouched; only the (pure) probes are
-    // deferred into the batch.
-    nbrs.clear();
-    while (sa.HasNext() && Access::U(sa.Peek()) == v) {
-      nbrs.push_back(Access::V(sa.Next()));
-    }
-    ctx.AddWork(nbrs.size());
-    probe_group(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const std::uint32_t r = role[i];
-      if (r != FlatVertexMap::kEmpty) {
-        if ((r >> 1) != 0) g2.emplace_back(nbrs[i], (r >> 1) - 1);
-        if (same_cone && (r & 1u) != 0) g3.push_back(nbrs[i]);
-      }
-    }
-    if (!same_cone) {
-      nbrs.clear();
-      while (sb.HasNext() && Access::U(sb.Peek()) == v) {
-        nbrs.push_back(Access::V(sb.Next()));
-      }
-      ctx.AddWork(nbrs.size());
-      probe_group(nbrs.size());
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (role[i] != FlatVertexMap::kEmpty && (role[i] & 1u) != 0) {
-          g3.push_back(nbrs[i]);
-        }
-      }
-    }
-    if (g2.empty() || g3.empty()) continue;
-
-    if (!std::is_sorted(g3.begin(), g3.end())) {
-      std::sort(g3.begin(), g3.end());
-    }
-    // Emit phase: each g2 entry intersects its resident pivot run with g3
-    // through the two-regime kernels (regime chosen once per group; a
-    // bitmap, once built, is read-only and shared across workers). Work is
-    // the run length, not a constant, so the partitioning is weighted;
-    // per-worker emit buffers are flushed to the sink in partition order.
-    // A single partition (small group) emits directly — the order is the
-    // same either way.
-    g2_probes.resize(g2.size());
-    std::uint64_t total_probes = 0;
-    std::uint64_t max_run = 0;
-    for (std::size_t k = 0; k < g2.size(); ++k) {
-      g2_probes[k] =
-          ranges[g2[k].second].second - ranges[g2[k].second].first;
-      total_probes += g2_probes[k];
-      max_run = std::max(max_run, g2_probes[k]);
-    }
-    ctx.AddWork(total_probes);
-    const simd::Regime regime =
-        simd::ChooseRegime(g3.size(), g3.front(), g3.back());
-    if (regime == simd::Regime::kBitmap) bitmap.Build(g3.data(), g3.size());
-    const std::size_t match_cap =
-        static_cast<std::size_t>(max_run) + simd::kOutSlack;
-    const std::size_t parts =
-        par::PartsFor(static_cast<std::size_t>(total_probes), par::Threads(),
-                      kPivotParGrain);
-    if (parts <= 1) {
-      if (match.size() < match_cap) match.resize(match_cap);
-      for (const auto& [u, ri] : g2) {
-        const std::size_t m = intersect_run(ranges[ri], regime, match.data());
-        for (std::size_t i = 0; i < m; ++i) sink.Emit(v, u, match[i]);
-      }
-      continue;
-    }
-    const std::vector<par::Range> splits = par::SplitWeighted(g2_probes, parts);
-    if (emit_bufs.size() < splits.size()) emit_bufs.resize(splits.size());
-    if (match_bufs.size() < splits.size()) match_bufs.resize(splits.size());
-    par::ParallelFor(splits.size(), 1, [&](std::size_t k0, std::size_t k1) {
-      for (std::size_t k = k0; k < k1; ++k) {
-        auto& buf = emit_bufs[k];
-        auto& mbuf = match_bufs[k];
-        buf.clear();
-        if (mbuf.size() < match_cap) mbuf.resize(match_cap);
-        for (std::size_t gi = splits[k].lo; gi < splits[k].hi; ++gi) {
-          const auto& [u, ri] = g2[gi];
-          const std::size_t m = intersect_run(ranges[ri], regime, mbuf.data());
-          for (std::size_t i = 0; i < m; ++i) buf.emplace_back(u, mbuf[i]);
-        }
-      }
-    });
-    for (std::size_t k = 0; k < splits.size(); ++k) {
-      for (const auto& [u, w] : emit_bufs[k]) sink.Emit(v, u, w);
-    }
-  }
-}
+inline constexpr std::size_t kChunkWordsPer = em::Array<EdgeT>::kWordsPer + 6;
 
 }  // namespace internal
 
@@ -461,6 +323,170 @@ struct PivotEnumOptions {
   /// Fraction alpha of internal memory used for the resident pivot chunk.
   double chunk_fraction = 1.0 / 8.0;
 };
+
+/// One Lemma 2 call of an ordered batch (PivotEnumerateOrdered): arrays as
+/// for PivotEnumerate, plus the caller's own charges that precede the call
+/// in serial order.
+template <typename EdgeT>
+struct PivotCall {
+  em::Array<EdgeT> cone_a;
+  em::Array<EdgeT> cone_b;
+  em::Array<EdgeT> pivot;
+  /// Runs on the calling thread at the call's serial position: after the
+  /// previous call's last chunk and before this call's first one.
+  std::function<void()> before;
+};
+
+namespace internal {
+
+/// Records per resident chunk: alpha*M words of records, capped so the
+/// chunk's scratch lease stays within M even for aggressive alpha.
+template <typename EdgeT>
+std::size_t ChunkItems(const em::QuerySession& ctx,
+                       const PivotEnumOptions& opts) {
+  const std::size_t items = static_cast<std::size_t>(
+      static_cast<double>(ctx.memory_words()) * opts.chunk_fraction /
+      static_cast<double>(em::Array<EdgeT>::kWordsPer));
+  return std::max<std::size_t>(
+      std::min(items, ctx.memory_words() / kChunkWordsPer<EdgeT>), 1);
+}
+
+/// One slot of the ordered engine, reused by every task RunOrdered assigns
+/// it: a recording view of the store with a session counting the task's
+/// work, the resident chunk, the chunk-load and cone-scan charge logs with
+/// their work counts, and the chunk's triangles in emission order.
+template <typename EdgeT>
+struct ChunkSlot {
+  std::unique_ptr<em::GraphStore> view;
+  std::unique_ptr<em::QuerySession> session;  // over *view
+  ResidentChunk<EdgeT> rc;
+  em::ChargeLog load_log;
+  em::ChargeLog scan_log;
+  std::uint64_t load_work = 0;
+  std::uint64_t scan_work = 0;
+  CollectingSink emits;
+};
+
+}  // namespace internal
+
+/// True when Lemma 2 chunks run on pool workers: more than one thread, and
+/// a store a worker can read without going through the cache. A staged
+/// store (the file backend, the fault decorators) moves its data through
+/// the LRU cache itself, so reads cannot be separated from charges and it
+/// keeps the serial loop.
+inline bool PivotChunksRunOrdered(em::QuerySession& ctx) {
+  return par::Threads() > 1 && !ctx.cache().staged();
+}
+
+/// \brief Runs `calls` exactly as PivotEnumerate on each in turn would —
+/// same triangles in the same order, same IoStats, work and phase spans —
+/// with the chunks computed on pool workers (see the header comment).
+///
+/// Requires PivotChunksRunOrdered(ctx). The device must not allocate until
+/// this returns: workers read it through its direct view.
+template <typename EdgeT>
+void PivotEnumerateOrdered(em::QuerySession& ctx,
+                           const std::vector<PivotCall<EdgeT>>& calls,
+                           TriangleSink& sink,
+                           const PivotEnumOptions& opts = {}) {
+  struct Task {
+    std::size_t call, p0, p1;
+  };
+  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx, opts);
+  em::GraphStore& store = ctx.store();
+  std::vector<Task> tasks;
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    const PivotCall<EdgeT>& c = calls[k];
+    if (c.pivot.empty() || c.cone_a.empty() || c.cone_b.empty()) continue;
+    // Workers read every array through a view of the session's store.
+    TRIENUM_CHECK(c.cone_a.store() == &store && c.cone_b.store() == &store &&
+                  c.pivot.store() == &store);
+    for (std::size_t p0 = 0; p0 < c.pivot.size(); p0 += chunk_items) {
+      const std::size_t p1 = std::min(c.pivot.size(), p0 + chunk_items);
+      tasks.push_back(Task{k, p0, p1});
+    }
+  }
+
+  const std::size_t threads = par::Threads();
+  std::vector<internal::ChunkSlot<EdgeT>> slots(par::OrderedWindow(threads));
+  for (internal::ChunkSlot<EdgeT>& s : slots) {
+    s.view = store.RecordingView();
+    s.session = std::make_unique<em::QuerySession>(*s.view);
+    // Full-size chunk buffers, allocated here so the workers' Loads reuse
+    // them rather than grow per-thread malloc arenas, which keep what they
+    // grow resident (about 5 MB of peak RSS on rmat16-mem).
+    s.rc.chunk.reserve(chunk_items);
+    s.rc.ranges.reserve(chunk_items);
+    s.rc.vmax.reserve(chunk_items);
+    s.rc.roles.Reset(2 * chunk_items);
+  }
+  const em::Addr top = ctx.device().Mark();
+  const em::Word* const words = ctx.device().direct_view();
+  std::size_t next_before = 0;  // first call whose `before` has not run
+  auto run_befores = [&](std::size_t end) {
+    for (; next_before < end; ++next_before) {
+      if (calls[next_before].before) calls[next_before].before();
+    }
+  };
+
+  // A worker runs the serial engine's own code on the chunk, against its
+  // slot's recording view: the charges land in the slot's logs, the
+  // triangles in its emit buffer.
+  auto compute = [&](std::size_t i, std::size_t s) {
+    const Task& t = tasks[i];
+    const PivotCall<EdgeT>& c = calls[t.call];
+    internal::ChunkSlot<EdgeT>& slot = slots[s];
+    em::GraphStore* view = slot.view.get();
+    auto on_view = [view](const em::Array<EdgeT>& a) {
+      return em::Array<EdgeT>(view, a.base(), a.size());
+    };
+    slot.emits.mutable_triangles().clear();
+    slot.load_log.clear();
+    slot.scan_log.clear();
+    view->cache().Record(&slot.load_log);
+    slot.session->ResetWork();
+    slot.rc.Load(*slot.session, on_view(c.pivot), t.p0, t.p1);
+    slot.load_work = slot.session->work();
+    view->cache().Record(&slot.scan_log);
+    slot.session->ResetWork();
+    internal::ScanConesSerial<EdgeT>(
+        *slot.session, slot.rc, on_view(c.cone_a), on_view(c.cone_b),
+        c.cone_a.base() == c.cone_b.base(), slot.emits);
+    slot.scan_work = slot.session->work();
+    view->cache().Record(nullptr);
+  };
+  // The caller then issues what the serial loop would have at this point:
+  // the lease, the two phases' charges and work, and the emissions.
+  auto commit = [&](std::size_t i, std::size_t s) {
+    const Task& t = tasks[i];
+    const internal::ChunkSlot<EdgeT>& slot = slots[s];
+    run_befores(t.call + 1);
+    const std::size_t csize = t.p1 - t.p0;
+    em::ScratchLease lease =
+        ctx.LeaseScratch(csize * internal::kChunkWordsPer<EdgeT>);
+    {
+      obs::Span span("pivot.chunk_load");
+      span.AddArg("chunk_items", csize);
+      store.Replay(slot.load_log);
+      ctx.AddWork(slot.load_work);
+    }
+    {
+      obs::Span span("pivot.cone_scan");
+      span.AddArg("chunk_items", csize);
+      store.Replay(slot.scan_log);
+      ctx.AddWork(slot.scan_work);
+      for (const graph::Triangle& tri : slot.emits.triangles()) {
+        sink.Emit(tri.a, tri.b, tri.c);
+      }
+    }
+    // Workers are reading the device through `words` right now.
+    TRIENUM_CHECK_MSG(
+        ctx.device().Mark() == top && ctx.device().direct_view() == words,
+        "device allocation while Lemma 2 chunks are in flight");
+  };
+  par::RunOrdered(tasks.size(), threads, compute, commit);
+  run_befores(calls.size());
+}
 
 /// \brief Enumerates all triangles (v, u, w), v < u < w, with cone edges
 /// {v,u} in `cone_a`, {v,w} in `cone_b` and pivot edge {u,w} in `pivot`.
@@ -473,31 +499,21 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
                     em::Array<EdgeT> cone_b, em::Array<EdgeT> pivot,
                     TriangleSink& sink, const PivotEnumOptions& opts = {}) {
   if (pivot.empty() || cone_a.empty() || cone_b.empty()) return;
+  if (PivotChunksRunOrdered(ctx)) {
+    PivotEnumerateOrdered<EdgeT>(
+        ctx, {PivotCall<EdgeT>{cone_a, cone_b, pivot, {}}}, sink, opts);
+    return;
+  }
 
   const bool same_cone = cone_a.base() == cone_b.base();
-  const std::size_t words_per = em::Array<EdgeT>::kWordsPer;
-  std::size_t chunk_items = static_cast<std::size_t>(
-      static_cast<double>(ctx.memory_words()) * opts.chunk_fraction /
-      static_cast<double>(words_per));
-  // The resident structures cost ~(words_per + 6) words per chunk record
-  // (chunk + adjacency index + endpoint filter + per-v buffers; the kernel
-  // sidecars — extracted endpoints, group bitmap, match scratch — add
-  // ~1.25 words/record, inside the slack the power-of-two role table
-  // leaves), so cap the chunk to keep the scratch lease within M even for
-  // aggressive alpha.
-  chunk_items =
-      std::min(chunk_items, ctx.memory_words() / (words_per + 6));
-  chunk_items = std::max<std::size_t>(chunk_items, 1);
-
-  const bool pool_active = par::Threads() > 1;
+  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx, opts);
   internal::ResidentChunk<EdgeT> rc;
   for (std::size_t p0 = 0; p0 < pivot.size(); p0 += chunk_items) {
     const std::size_t p1 = std::min(pivot.size(), p0 + chunk_items);
     const std::size_t csize = p1 - p0;
 
-    // Internal-memory working set for this chunk: the chunk itself, its
-    // adjacency index, the endpoint filters, and the per-v buffers.
-    em::ScratchLease lease = ctx.LeaseScratch(csize * (words_per + 6));
+    em::ScratchLease lease =
+        ctx.LeaseScratch(csize * internal::kChunkWordsPer<EdgeT>);
     {
       obs::Span span("pivot.chunk_load");
       span.AddArg("chunk_items", csize);
@@ -507,13 +523,8 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
     {
       obs::Span span("pivot.cone_scan");
       span.AddArg("chunk_items", csize);
-      if (pool_active) {
-        internal::ScanConesPooled<EdgeT>(ctx, rc, cone_a, cone_b, same_cone,
-                                         sink);
-      } else {
-        internal::ScanConesSerial<EdgeT>(ctx, rc, cone_a, cone_b, same_cone,
-                                         sink);
-      }
+      internal::ScanConesSerial<EdgeT>(ctx, rc, cone_a, cone_b, same_cone,
+                                       sink);
     }
   }
 }

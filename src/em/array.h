@@ -41,10 +41,10 @@ inline std::atomic<ScanMode>& DefaultScanModeStorage() {
 /// differential suite and benches flip this to run whole algorithms down
 /// either path; IoStats must not change (asserted by tests/test_hotpath.cc).
 /// The storage is atomic so a read never tears against a concurrent flip,
-/// but the mode is process-wide configuration, not per-thread state: all
-/// Scanner/Writer construction — like every em:: charge — happens on the
-/// main thread, and pool workers (src/par/) must neither flip the default
-/// nor expect a ScopedScanMode on another thread to be visible mid-region.
+/// but the mode is process-wide configuration, not per-thread state: pool
+/// workers (src/par/) construct Scanners on recording views and read the
+/// default, so they must neither flip it nor expect a ScopedScanMode on
+/// another thread to be visible mid-region.
 inline ScanMode DefaultScanMode() {
   return internal::DefaultScanModeStorage().load(std::memory_order_relaxed);
 }

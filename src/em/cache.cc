@@ -149,8 +149,12 @@ std::int32_t Cache::TouchLine(std::int64_t line, bool write, bool aligned_write,
   return s;
 }
 
-void Cache::TouchRangeSlow(Addr addr, std::int64_t first, std::int64_t last,
-                           bool write) {
+void Cache::TouchRangeSlow(Addr addr, std::size_t words, std::int64_t first,
+                           std::int64_t last, bool write) {
+  if (log_ != nullptr) {
+    RecordCharge(addr, words, 0, write);
+    return;
+  }
   for (std::int64_t line = first; line <= last; ++line) {
     bool aligned = write && (line > first || OffsetIn(addr) == 0);
     // Data-less touch: always fetch on a staged miss, since we cannot know
@@ -204,8 +208,67 @@ void Cache::ScanOp(Addr addr, std::size_t words, std::size_t elem_words,
 void Cache::ScanRange(Addr addr, std::size_t words, std::size_t elem_words,
                       bool write) {
   if (!counting_ || words == 0) return;
+  if (log_ != nullptr) {
+    TRIENUM_CHECK(elem_words > 0 && words % elem_words == 0);
+    if (head_ >= 0 && LineOf(addr) == last_line_ &&
+        LineOf(addr + words - 1) == last_line_) {
+      // Every record of the scan lies on the open charge's line: on replay
+      // each is one MRU hit, exactly what ScanOp charges for a resident line.
+      stats_.cache_hits += words / elem_words;
+      slots_[0].dirty |= write;
+    } else {
+      RecordCharge(addr, words, elem_words, write);
+    }
+    return;
+  }
   ScanOp(addr, words, elem_words,
          write ? ScanOpKind::kWrite : ScanOpKind::kCharge, nullptr, nullptr);
+}
+
+void Cache::Record(ChargeLog* log) {
+  TRIENUM_CHECK_MSG(staging_ == nullptr, "only counting-only caches record");
+  // Recording reuses head_ and slot 0 for the open charge, so it may only
+  // start on a cache holding no lines.
+  TRIENUM_CHECK_MSG(log_ != nullptr || head_ < 0,
+                    "recording needs an empty cache");
+  if (log_ != nullptr) CloseCharge();
+  log_ = log;
+  head_ = -1;
+  last_line_ = -1;
+}
+
+void Cache::CloseCharge() {
+  if (head_ < 0) return;
+  Charge& c = log_->back();
+  c.repeat_hits = stats_.cache_hits;
+  c.repeat_write = slots_[0].dirty;
+}
+
+void Cache::RecordCharge(Addr addr, std::size_t words, std::size_t elem_words,
+                         bool write) {
+  TRIENUM_CHECK(words <= UINT32_MAX && elem_words <= UINT16_MAX);
+  CloseCharge();
+  log_->push_back(Charge{addr, 0, static_cast<std::uint32_t>(words),
+                         static_cast<std::uint16_t>(elem_words), write, false});
+  head_ = 0;
+  last_line_ = LineOf(addr + words - 1);
+  slots_[0].line = last_line_;
+  slots_[0].dirty = false;
+  stats_.cache_hits = 0;
+}
+
+void Cache::Replay(const ChargeLog& log) {
+  TRIENUM_CHECK_MSG(log_ == nullptr, "a recording cache cannot replay");
+  if (!counting_) return;
+  for (const Charge& c : log) {
+    if (c.elem_words == 0) {
+      TouchRange(c.addr, c.words, c.write);
+    } else {
+      ScanRange(c.addr, c.words, c.elem_words, c.write);
+    }
+    slots_[head_].dirty |= c.repeat_write;
+    stats_.cache_hits += c.repeat_hits;
+  }
 }
 
 void Cache::ReadScan(Addr addr, std::size_t words, std::size_t elem_words,

@@ -19,6 +19,11 @@
 //     memory is O(M). The counting code is shared between the modes, which is
 //     what guarantees IoStats are backend-independent (asserted by
 //     tests/test_storage_backends.cc).
+//
+// A counting-only cache can also be switched into recording (Record): its
+// charges are then appended to a ChargeLog instead of reaching any LRU
+// state, and Replay later re-issues the log against a real cache. This is
+// how pool workers run counted code off the owner thread (pivot_enum.h).
 #ifndef TRIENUM_EM_CACHE_H_
 #define TRIENUM_EM_CACHE_H_
 
@@ -85,6 +90,21 @@ class LineMap {
   std::unordered_map<std::size_t, std::int32_t> sparse_;
 };
 
+/// One recorded charge (see Cache::Record): a TouchRange (elem_words == 0)
+/// or ScanRange call, followed by `repeat_hits` further touches that all
+/// fell on the line holding the call's last word. On replay the call runs
+/// as recorded and leaves that line MRU, so every folded touch is a hit on
+/// it, in any cache whose line size the recording's line size divides.
+struct Charge {
+  Addr addr = 0;
+  std::uint64_t repeat_hits = 0;
+  std::uint32_t words = 0;
+  std::uint16_t elem_words = 0;
+  bool write = false;
+  bool repeat_write = false;  // some folded touch was a write
+};
+using ChargeLog = std::vector<Charge>;
+
 /// \brief LRU cache of M words in B-word lines with I/O counting and an
 /// optional real (staged) data path.
 ///
@@ -114,7 +134,7 @@ class Cache {
       ++stats_.cache_hits;
       return;
     }
-    TouchRangeSlow(addr, first, last, write);
+    TouchRangeSlow(addr, words, first, last, write);
   }
 
   /// Single-word convenience wrapper.
@@ -169,6 +189,20 @@ class Cache {
 
   /// True if this cache stages real data (file-backed device).
   bool staged() const { return staging_ != nullptr; }
+
+  /// Recording mode (counting-only caches): every later TouchRange and
+  /// ScanRange is appended to `log` as a Charge — a touch of the line the
+  /// previous charge ended on folds into that charge — and no LRU state or
+  /// IoStats change. Recording happens at this cache's line size, so a
+  /// recorder built with B = gcd of the target caches' line sizes produces
+  /// a log exact for all of them. Record(nullptr) closes the last charge
+  /// and ends recording; switching logs closes it too.
+  void Record(ChargeLog* log);
+
+  /// Re-issues `log`'s charges, touching lines and counting reads, writes
+  /// and hits exactly as the recorded calls would have. A no-op while
+  /// counting is disabled, like the calls themselves.
+  void Replay(const ChargeLog& log);
 
   /// Writes back all dirty lines (counting block writes) and empties the
   /// cache. Call at the end of a measured run so pending output is charged.
@@ -236,8 +270,15 @@ class Cache {
   /// backend (false only when the caller overwrites the whole line).
   std::int32_t TouchLine(std::int64_t line, bool write, bool aligned_write,
                          bool fetch);
-  void TouchRangeSlow(Addr addr, std::int64_t first, std::int64_t last,
-                      bool write);
+  void TouchRangeSlow(Addr addr, std::size_t words, std::int64_t first,
+                      std::int64_t last, bool write);
+  /// Recording mode: starts a new Charge, closing the open one. Slot 0
+  /// stands for the line the open charge ended on, so the inline TouchRange
+  /// fast path folds repeat touches into stats_.cache_hits and the slot's
+  /// dirty bit, which CloseCharge moves into the log.
+  void RecordCharge(Addr addr, std::size_t words, std::size_t elem_words,
+                    bool write);
+  void CloseCharge();
   /// Shared walk behind ScanRange/ReadScan/WriteScan.
   void ScanOp(Addr addr, std::size_t words, std::size_t elem_words,
               ScanOpKind kind, void* out, const void* in);
@@ -283,6 +324,7 @@ class Cache {
 
   StorageBackend* staging_ = nullptr;  // non-null = staged data mode
   std::vector<Word> line_data_;        // num_slots_ * block_words_ (staged)
+  ChargeLog* log_ = nullptr;           // non-null = recording mode
 
   bool counting_ = true;
   IoStats stats_;

@@ -1,9 +1,42 @@
 #include "em/context.h"
 
+#include <numeric>
 #include <string>
 #include <utility>
 
 namespace trienum::em {
+namespace {
+
+/// The backend of a recording view: a read-only alias of a memory-resident
+/// backend. DirectView forwards, so a view's reads cost a memcpy from the
+/// same words the source holds.
+class AliasBackend final : public StorageBackend {
+ public:
+  explicit AliasBackend(StorageBackend& source) : source_(&source) {}
+  Status EnsureSize(std::size_t words) override {
+    return words <= source_->size_words()
+               ? Status::OK()
+               : Status::Internal("a recording view cannot grow its device");
+  }
+  std::size_t size_words() const override { return source_->size_words(); }
+  bool memory_resident() const override { return true; }
+  Word* DirectView() override { return source_->DirectView(); }
+  const Word* DirectView() const override {
+    return std::as_const(*source_).DirectView();
+  }
+  Status ReadWords(Addr addr, std::size_t words, Word* out) override {
+    return source_->ReadWords(addr, words, out);
+  }
+  Status WriteWords(Addr, std::size_t, const Word*) override {
+    return Status::Internal("a recording view is read-only");
+  }
+  const char* name() const override { return "view"; }
+
+ private:
+  StorageBackend* source_;
+};
+
+}  // namespace
 
 GraphStore::GraphStore(const EmConfig& cfg)
     : cfg_(cfg),
@@ -12,6 +45,21 @@ GraphStore::GraphStore(const EmConfig& cfg)
              cfg.line_map_dense_limit) {
   TRIENUM_CHECK_MSG(cfg.memory_words >= cfg.block_words,
                     "internal memory must hold at least one block");
+}
+
+GraphStore::GraphStore(GraphStore& source, std::size_t line_words)
+    : cfg_(source.cfg_),
+      device_(std::make_unique<AliasBackend>(source.device_.backend())),
+      cache_(line_words, line_words) {
+  cache_.set_counting(source.cache_.counting());
+}
+
+std::unique_ptr<GraphStore> GraphStore::RecordingView() {
+  TRIENUM_CHECK_MSG(!cache_.staged(),
+                    "recording views need a memory-resident store");
+  std::size_t line = cfg_.block_words;
+  if (probe_ != nullptr) line = std::gcd(line, probe_->block_words());
+  return std::unique_ptr<GraphStore>(new GraphStore(*this, line));
 }
 
 ScratchLease::ScratchLease(QuerySession* session, std::size_t words)

@@ -266,6 +266,23 @@ class GraphStore {
   }
   Cache* probe() { return probe_.get(); }
 
+  /// A recording view of this memory-resident store, for running counted
+  /// code on another thread. Arrays rebound to the view (Array(view, base,
+  /// n)) read the same words through the direct view, while every charge
+  /// goes to the log set by the view's cache().Record instead of to any
+  /// cache; Replay then applies the log to this store on its owner thread. The view records at
+  /// the gcd of this store's and its probe's line sizes, so one log replays
+  /// exactly into both. The view is valid while this store's device neither
+  /// grows nor releases the words it reads.
+  std::unique_ptr<GraphStore> RecordingView();
+
+  /// Charges a recorded log to the cache and, if attached, the probe, as
+  /// if the recorded calls ran here now.
+  void Replay(const ChargeLog& log) {
+    cache_.Replay(log);
+    if (probe_ != nullptr && cache_.counting()) probe_->Replay(log);
+  }
+
   /// Internal memory size M in words. Only cache-aware algorithms may
   /// consult this.
   std::size_t memory_words() const { return cfg_.memory_words; }
@@ -285,6 +302,10 @@ class GraphStore {
   DeviceRegion Region() { return DeviceRegion(this); }
 
  private:
+  /// The RecordingView constructor: an alias of `source`'s data with a
+  /// one-line recording cache of `line_words`.
+  GraphStore(GraphStore& source, std::size_t line_words);
+
   EmConfig cfg_;
   Device device_;
   Cache cache_;

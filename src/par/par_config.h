@@ -1,17 +1,18 @@
 // Global thread configuration for the host-parallel execution subsystem.
 //
 // The Pagh–Silvestri model counts block transfers, not CPU cycles, so host
-// compute (radix scatter, GF(2^61-1) refinement bits, Lemma 2 cone probes)
-// may fan out across cores without perturbing a single counted I/O. The
-// knob here is the *only* input the subsystem takes: a process-wide thread
-// count, default 1, so every serial code path — and every existing test —
-// is byte-for-byte unchanged until a caller opts in.
+// compute (radix scatter, GF(2^61-1) refinement bits, whole Lemma 2 pivot
+// chunks) may fan out across cores without perturbing a single counted
+// I/O. The knob here is the *only* input the subsystem takes: a
+// process-wide thread count, default 1, so every serial code path — and
+// every existing test — is byte-for-byte unchanged until a caller opts in.
 //
 // Contract (enforced by tests/test_parallel.cc): for any thread count N,
 // every algorithm produces identical triangle output, identical emission
 // order, and identical IoStats to threads=1. Parallel kernels achieve this
-// by only ever splitting pure host work over stable contiguous partitions
-// (see partition.h) and merging results in partition order.
+// by splitting pure host work over stable contiguous partitions (see
+// partition.h) and merging results in partition order, or by replaying
+// workers' charge logs and emits in task order (RunOrdered).
 #ifndef TRIENUM_PAR_PAR_CONFIG_H_
 #define TRIENUM_PAR_PAR_CONFIG_H_
 

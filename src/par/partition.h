@@ -11,7 +11,6 @@
 #define TRIENUM_PAR_PARTITION_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace trienum::par {
@@ -48,48 +47,13 @@ inline Range PartRange(std::size_t n, std::size_t parts, std::size_t i) {
   return Range{lo, lo + len};
 }
 
-/// All partitions of SplitRange order, materialized (tests / weighted-split
-/// callers that iterate the whole decomposition).
+/// All partitions of SplitRange order, materialized (callers that iterate
+/// the whole decomposition).
 inline std::vector<Range> SplitRange(std::size_t n, std::size_t parts) {
   std::vector<Range> out;
   if (n == 0 || parts == 0) return out;
   out.reserve(parts);
   for (std::size_t i = 0; i < parts; ++i) out.push_back(PartRange(n, parts, i));
-  return out;
-}
-
-/// Splits items 0..weights.size() into at most `parts` contiguous ranges of
-/// roughly equal total weight (boundaries at the smallest prefix reaching
-/// ceil(k * total / parts)). Deterministic; never returns an empty range;
-/// may return fewer than `parts` ranges when weights are concentrated. Used
-/// by the Lemma 2 emit loop, where per-item work is a resident pivot run's
-/// length rather than a constant.
-inline std::vector<Range> SplitWeighted(const std::vector<std::uint64_t>& weights,
-                                        std::size_t parts) {
-  std::vector<Range> out;
-  const std::size_t n = weights.size();
-  if (n == 0 || parts == 0) return out;
-  std::uint64_t total = 0;
-  for (std::uint64_t w : weights) total += w;
-  if (parts == 1 || total == 0) {
-    out.push_back(Range{0, n});
-    return out;
-  }
-  std::size_t lo = 0;
-  std::uint64_t prefix = 0;
-  for (std::size_t k = 1; k <= parts && lo < n; ++k) {
-    // Target prefix weight for the end of range k (ceil division keeps the
-    // last range from going empty).
-    const std::uint64_t target = (total * k + parts - 1) / parts;
-    std::size_t hi = lo;
-    while (hi < n && (prefix < target || hi == lo)) {
-      prefix += weights[hi];
-      ++hi;
-    }
-    if (k == parts) hi = n;  // absorb any rounding tail
-    out.push_back(Range{lo, hi});
-    lo = hi;
-  }
   return out;
 }
 

@@ -63,8 +63,8 @@ void ThreadPool::WorkerLoop() {
     // Claim parts one at a time. Every claim re-checks the generation under
     // the lock, so a worker that drained the queue can never run a stale
     // task pointer against the next region's counters. Parts are coarse
-    // (>= grain items each; at most ~Threads() of them), so the per-claim
-    // lock is noise next to the work inside a part.
+    // (>= grain items each, or one whole Lemma 2 chunk under RunOrdered),
+    // so the per-claim lock is noise next to the work inside a part.
     while (generation_ == seen && next_ < parts_) {
       const std::size_t idx = next_++;
       const std::function<void(std::size_t)>* task = task_;
@@ -85,7 +85,8 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::Run(std::size_t parts, std::size_t threads,
-                     const std::function<void(std::size_t)>& task) {
+                     const std::function<void(std::size_t)>& task,
+                     bool caller_first) {
   TRIENUM_CHECK(parts > 0);
   // One region at a time: Run is only entered from the (single) main
   // thread — nested fan-out from workers is rejected before reaching here.
@@ -97,12 +98,21 @@ void ThreadPool::Run(std::size_t parts, std::size_t threads,
   std::unique_lock<std::mutex> lk(mu_);
   task_ = &task;
   parts_ = parts;
-  next_ = 0;
+  next_ = caller_first ? 1 : 0;
   done_ = 0;
   ++generation_;
   lk.unlock();
   cv_work_.notify_all();
 
+  if (caller_first) {
+    {
+      RegionScope region;
+      task(0);
+    }
+    lk.lock();
+    ++done_;
+    lk.unlock();
+  }
   // The caller is a worker too; it claims parts alongside the pool.
   lk.lock();
   const std::uint64_t gen = generation_;

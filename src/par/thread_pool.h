@@ -1,11 +1,19 @@
-// Fixed-size host thread pool with deterministic fork/join helpers.
+// Fixed-size host thread pool with deterministic fork/join helpers and an
+// ordered pipeline.
 //
-// The pool exists to parallelize *pure host compute between I/O charges*:
-// radix histograms and scatters over run buffers, batched GF(2^61-1)
-// refinement bits, Lemma 2 cone probes over a resident chunk. Workers never
-// touch the em:: layer — every Scanner/Writer charge stays on the calling
-// thread, which is why IoStats are invariant in the thread count by
-// construction (and pinned by tests/test_parallel.cc).
+// The pool parallelizes host compute without moving an I/O charge, in two
+// shapes:
+//   * fork/join (ParallelFor / ParallelReduce) over *pure host compute
+//     between charges* — radix histograms and scatters over run buffers,
+//     batched GF(2^61-1) refinement bits. These workers never touch the em::
+//     layer; every Scanner/Writer charge stays on the calling thread.
+//   * the ordered pipeline (RunOrdered) for whole subproblems — Lemma 2
+//     pivot chunks. A worker runs counted code against an em recording view
+//     and hands back a charge log; the caller replays the logs into the real
+//     cache strictly in task order (see core/pivot_enum.h).
+// Either way the caller issues the serial charge sequence, which is why
+// IoStats are invariant in the thread count by construction (and pinned by
+// tests/test_parallel.cc).
 //
 // Shape: one process-wide pool (Global()), lazily spawning up to N-1
 // workers the first time a parallel region actually fans out; the caller
@@ -14,13 +22,14 @@
 // partition.h: ParallelFor splits [0, n) into stable contiguous ranges and
 // ParallelReduce combines partial results in partition order, so results
 // reproduce the serial left-to-right computation exactly regardless of
-// which worker ran which partition when.
+// which worker ran which partition when. RunOrdered commits in task order.
 #ifndef TRIENUM_PAR_THREAD_POOL_H_
 #define TRIENUM_PAR_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -47,10 +56,13 @@ class ThreadPool {
   /// over up to `threads` threads (the caller participates), and blocks
   /// until every part has finished. Part-to-worker assignment is dynamic —
   /// callers must make parts independent and merge any results in part
-  /// order to stay deterministic. `task` must not throw and must not touch
-  /// the em:: accounting layer.
+  /// order to stay deterministic. With `caller_first`, part 0 runs on the
+  /// caller before it claims any other part (RunOrdered's commit loop);
+  /// workers claim parts in index order. `task` must not throw and must
+  /// not touch the em:: accounting layer.
   void Run(std::size_t parts, std::size_t threads,
-           const std::function<void(std::size_t)>& task);
+           const std::function<void(std::size_t)>& task,
+           bool caller_first = false);
 
   /// True while the current thread is executing inside a parallel region
   /// (used to reject nested fan-out).
@@ -133,6 +145,101 @@ T ParallelReduce(std::size_t n, std::size_t grain, T init, Map map,
     acc = combine(std::move(acc), std::move(partials[i]));
   }
   return acc;
+}
+
+/// Number of slots RunOrdered uses at `threads`, which is also how many
+/// tasks may be computed but not yet committed: twice the thread count, so
+/// workers stay busy while the caller commits; one when serial.
+inline std::size_t OrderedWindow(std::size_t threads) {
+  return threads <= 1 ? 1 : 2 * threads;
+}
+
+/// \brief Ordered pipeline over tasks [0, n): compute(i, slot) runs on pool
+/// workers, commit(i, slot) on the calling thread strictly in order i = 0,
+/// 1, ..., n-1.
+///
+/// Task i uses slot i % OrderedWindow(threads), and its compute starts only
+/// after the task before it in that slot committed: a slot is never shared,
+/// its buffers can be recycled from task to task, and host memory grows by
+/// the window, not by n. At threads <= 1 both run inline on the caller.
+/// An exception from compute(i) is held until task i's commit point;
+/// there, or when a commit throws, no further task starts, the tasks in
+/// flight drain, and the exception is rethrown on the caller.
+template <typename Compute, typename Commit>
+void RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
+                Commit&& commit) {
+  if (n == 0) return;
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      compute(i, std::size_t{0});
+      commit(i, std::size_t{0});
+    }
+    return;
+  }
+  TRIENUM_CHECK_MSG(!ThreadPool::InParallelRegion(),
+                    "nested RunOrdered inside a pool worker");
+  const std::size_t window = OrderedWindow(threads);
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::mutex mu;
+  std::condition_variable cv_computed;   // the caller: a task is computed
+  std::condition_variable cv_committed;  // workers: a slot came free
+  std::vector<std::size_t> computed(window, kNone);  // per slot: last task
+  std::vector<std::exception_ptr> errors(window);    // per slot
+  std::size_t committed = 0;
+  bool stop = false;
+  std::exception_ptr failure;  // caller only
+  // Part 0 is the caller's commit loop; part i + 1 computes task i. Workers
+  // claim parts in index order, so tasks start in order too.
+  const std::function<void(std::size_t)> part = [&](std::size_t p) {
+    if (p == 0) {
+      for (std::size_t i = 0; i < n && !failure; ++i) {
+        const std::size_t s = i % window;
+        {
+          std::unique_lock<std::mutex> lk(mu);
+          cv_computed.wait(lk, [&] { return computed[s] == i; });
+          failure = std::move(errors[s]);
+        }
+        if (!failure) {
+          try {
+            commit(i, s);
+          } catch (...) {
+            failure = std::current_exception();
+          }
+        }
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          if (failure) {
+            stop = true;
+          } else {
+            committed = i + 1;
+          }
+        }
+        cv_committed.notify_all();
+      }
+      return;
+    }
+    const std::size_t i = p - 1;
+    const std::size_t s = i % window;
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv_committed.wait(lk, [&] { return stop || i < committed + window; });
+      if (stop) return;
+    }
+    std::exception_ptr err;
+    try {
+      compute(i, s);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      computed[s] = i;
+      errors[s] = std::move(err);
+    }
+    cv_computed.notify_one();
+  };
+  ThreadPool::Global().Run(n + 1, threads, part, /*caller_first=*/true);
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace trienum::par

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -469,6 +470,31 @@ TEST(KernelDispatch, Avx2RequestDegradesToSwarWhenUnavailable) {
     EXPECT_GT(simd::Invocations(KernelVariant::kSwar), 0u);
     EXPECT_EQ(simd::Invocations(KernelVariant::kAvx2), 0u);
   }
+}
+
+TEST(KernelDispatch, InvocationCountsStayExactAcrossThreads) {
+  // Every thread counts into its own slot; Invocations sums the live slots
+  // (here the main thread's) and the counts of threads that have exited.
+  simd::ScopedKernelMode scoped(KernelMode::kScalar);
+  simd::ResetInvocationCounters();
+  constexpr int kThreads = 7;
+  constexpr int kCalls = 4000;
+  const auto a = Iota(40, 0, 2);
+  const auto b = Iota(40, 0, 3);
+  auto calls = [&] {
+    std::vector<std::uint32_t> out(40 + simd::kOutSlack);
+    for (int i = 0; i < kCalls; ++i) {
+      simd::IntersectSorted(a.data(), a.size(), b.data(), b.size(), out.data());
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(calls);
+  calls();
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(simd::Invocations(KernelVariant::kScalar),
+            std::uint64_t{kThreads + 1} * kCalls);
+  EXPECT_EQ(simd::Invocations(KernelVariant::kSwar), 0u);
+  EXPECT_EQ(simd::Invocations(KernelVariant::kAvx2), 0u);
 }
 
 TEST(KernelDispatch, ModeRoundTripsThroughParseAndName) {

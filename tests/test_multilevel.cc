@@ -9,6 +9,7 @@
 
 #include "core/cache_oblivious.h"
 #include "core/mgt.h"
+#include "par/par_config.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -122,6 +123,46 @@ TEST(Multilevel, ObliviousBoundHoldsAtBothLevelsOfOneRun) {
   // And the levels are genuinely separated: L1 misses dominate L2 misses.
   EXPECT_GT(ctx.probe()->stats().total_ios(),
             2 * ctx.cache().stats().total_ios());
+}
+
+TEST(Multilevel, ProbeIoStatsAreThreadCountInvariant) {
+  // At threads > 1 the Lemma 2 chunks of ps-cache-aware and mgt run on pool
+  // workers and their charge logs are replayed on the caller — into the
+  // probe as well as the main cache. The tests above run one thread only,
+  // so a replay that skipped the probe would pass them. Probe line sizes 8
+  // and 24 against B = 32 make the logs record at gcd granularity.
+  auto raw = Rmat(10, 6000, 0.45, 0.22, 0.22, 41);
+  struct Level {
+    std::size_t m, b;
+  };
+  for (const char* algo : {"ps-cache-aware", "mgt"}) {
+    for (Level probe : {Level{1 << 9, 8}, Level{24 * 32, 24}}) {
+      auto run = [&](std::size_t threads) {
+        par::ScopedThreads scope(threads);
+        em::Context ctx = test::MakeContext(1 << 12, 32);
+        ctx.AttachProbe(probe.m, probe.b);
+        EmGraph g = BuildEmGraph(ctx, raw);
+        ctx.cache().Reset();
+        ctx.probe()->Reset();
+        core::CountingSink sink;
+        core::FindAlgorithm(algo)->run(ctx, g, sink);
+        ctx.cache().FlushAll();
+        ctx.probe()->FlushAll();
+        return std::make_pair(ctx.cache().stats(), ctx.probe()->stats());
+      };
+      const auto [base_main, base_probe] = run(1);
+      const auto [main_io, probe_io] = run(4);
+      const std::string label =
+          std::string(algo) + " probe B=" + std::to_string(probe.b);
+      EXPECT_GT(base_probe.block_reads, 0u) << label;
+      EXPECT_EQ(probe_io.block_reads, base_probe.block_reads) << label;
+      EXPECT_EQ(probe_io.block_writes, base_probe.block_writes) << label;
+      EXPECT_EQ(probe_io.cache_hits, base_probe.cache_hits) << label;
+      EXPECT_EQ(main_io.block_reads, base_main.block_reads) << label;
+      EXPECT_EQ(main_io.block_writes, base_main.block_writes) << label;
+      EXPECT_EQ(main_io.cache_hits, base_main.cache_hits) << label;
+    }
+  }
 }
 
 }  // namespace

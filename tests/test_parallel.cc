@@ -1,8 +1,10 @@
 // The par subsystem's determinism contract, adversarially pinned.
 //
-// Three layers:
+// Four layers:
 //   * pool unit tests — stable range splitting, grain edge cases, empty
 //     ranges, ordered reduction, nested fan-out rejection, ScopedThreads;
+//   * RunOrdered unit tests — commit order on the caller, the look-ahead
+//     bound, and a throwing task or commit;
 //   * SortRun differentials — the parallel radix (histogram + scatter per
 //     stable partition) against std::stable_sort at threads in {1, 2, 7},
 //     down every record-width path;
@@ -16,12 +18,14 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/cache_aware.h"
 #include "core/clique4.h"
 #include "em/array.h"
 #include "extsort/ext_merge_sort.h"
@@ -40,7 +44,6 @@ using par::PartsFor;
 using par::Range;
 using par::ScopedThreads;
 using par::SplitRange;
-using par::SplitWeighted;
 
 // ---------------------------------------------------------------------------
 // partition.h: stable splitting.
@@ -77,29 +80,6 @@ TEST(Partition, PartsForGrainControl) {
   EXPECT_EQ(PartsFor(200, 8, 100), 2u);    // two grains: two parts
   EXPECT_EQ(PartsFor(100000, 4, 100), 4u); // capped by threads
   EXPECT_EQ(PartsFor(100, 8, 0), 8u);      // grain 0 treated as 1
-}
-
-TEST(Partition, SplitWeightedCoversAndBalances) {
-  // Skewed weights: one heavy item among many light ones.
-  std::vector<std::uint64_t> w(100, 1);
-  w[17] = 500;
-  for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    std::vector<Range> rs = SplitWeighted(w, parts);
-    ASSERT_FALSE(rs.empty());
-    EXPECT_LE(rs.size(), parts);
-    std::size_t expect_lo = 0;
-    for (const Range& r : rs) {
-      EXPECT_EQ(r.lo, expect_lo);
-      EXPECT_GT(r.size(), 0u);
-      expect_lo = r.hi;
-    }
-    EXPECT_EQ(expect_lo, w.size());
-  }
-  // All-zero weights collapse to one range.
-  std::vector<Range> z = SplitWeighted(std::vector<std::uint64_t>(5, 0), 4);
-  ASSERT_EQ(z.size(), 1u);
-  EXPECT_EQ(z[0].lo, 0u);
-  EXPECT_EQ(z[0].hi, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +217,132 @@ TEST(ThreadPool, NestedSerialResolutionRunsInline) {
     }
   });
   EXPECT_EQ(inner_calls.load(), 8 * 3);
+}
+
+// ---------------------------------------------------------------------------
+// thread_pool.h: RunOrdered.
+
+/// A task of uneven length (so workers finish out of order) with a result
+/// that identifies it.
+std::uint64_t UnevenWork(std::size_t i) {
+  std::uint64_t h = i + 1;
+  for (std::size_t k = 0; k < (i * 7919) % 4096; ++k) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return h;
+}
+
+TEST(OrderedRun, CommitsEveryTaskInOrderOnTheCaller) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    const std::size_t n = 300;
+    const std::size_t window = par::OrderedWindow(threads);
+    std::vector<std::pair<std::size_t, std::uint64_t>> slots(window);
+    std::vector<std::size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    par::RunOrdered(
+        n, threads,
+        [&](std::size_t i, std::size_t s) { slots[s] = {i, UnevenWork(i)}; },
+        [&](std::size_t i, std::size_t s) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          EXPECT_EQ(s, i % window);
+          EXPECT_EQ(slots[s].first, i) << "threads " << threads;
+          EXPECT_EQ(slots[s].second, UnevenWork(i));
+          order.push_back(i);
+        });
+    ASSERT_EQ(order.size(), n) << "threads " << threads;
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(order[i], i);
+  }
+}
+
+TEST(OrderedRun, LookAheadStaysWithinTheWindow) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    const std::size_t window = par::OrderedWindow(threads);
+    std::atomic<std::size_t> committed{0};
+    std::vector<std::atomic<int>> in_use(window);
+    for (auto& u : in_use) u.store(0);
+    std::atomic<bool> too_far{false};
+    std::atomic<bool> shared{false};
+    par::RunOrdered(
+        400, threads,
+        [&](std::size_t i, std::size_t s) {
+          // Task i may start only once task i - window has committed, and
+          // never while another task holds its slot.
+          if (i >= committed.load() + window) too_far = true;
+          if (in_use[s].fetch_add(1) != 0) shared = true;
+          (void)UnevenWork(i);
+          in_use[s].fetch_sub(1);
+        },
+        [&](std::size_t i, std::size_t s) {
+          if (in_use[s].load() != 0) shared = true;
+          (void)UnevenWork(i);  // a slow committer lets workers run ahead
+          committed.store(i + 1);
+        });
+    EXPECT_FALSE(too_far.load()) << "threads " << threads;
+    EXPECT_FALSE(shared.load()) << "threads " << threads;
+    EXPECT_EQ(committed.load(), 400u);
+  }
+}
+
+TEST(OrderedRun, ThrowingTaskRethrowsAtItsCommitPointAfterTheDrain) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    std::atomic<int> in_flight{0};
+    std::vector<std::size_t> committed;
+    bool caught = false;
+    try {
+      par::RunOrdered(
+          200, threads,
+          [&](std::size_t i, std::size_t) {
+            ++in_flight;
+            (void)UnevenWork(i);
+            --in_flight;
+            // The shape of an over-budget ScratchLease.
+            if (i == 37) throw Status::InvalidArgument("task 37 over budget");
+          },
+          [&](std::size_t i, std::size_t) { committed.push_back(i); });
+    } catch (const Status& st) {
+      caught = true;
+      EXPECT_EQ(in_flight.load(), 0) << "threads " << threads;
+      EXPECT_EQ(st.message(), "task 37 over budget");
+    }
+    ASSERT_TRUE(caught) << "threads " << threads;
+    ASSERT_EQ(committed.size(), 37u) << "threads " << threads;
+    for (std::size_t i = 0; i < committed.size(); ++i) {
+      EXPECT_EQ(committed[i], i);
+    }
+  }
+}
+
+TEST(OrderedRun, ThrowingCommitStopsTheRunAndThePoolStaysUsable) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    std::atomic<int> in_flight{0};
+    std::atomic<std::size_t> computed{0};
+    bool caught = false;
+    try {
+      par::RunOrdered(
+          500, threads,
+          [&](std::size_t i, std::size_t) {
+            ++in_flight;
+            (void)UnevenWork(i);
+            ++computed;
+            --in_flight;
+          },
+          [&](std::size_t i, std::size_t) {
+            if (i == 50) throw std::runtime_error("commit 50");
+          });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_EQ(in_flight.load(), 0);
+      EXPECT_STREQ(e.what(), "commit 50");
+    }
+    ASSERT_TRUE(caught) << "threads " << threads;
+    // No task started past the failed commit's window.
+    EXPECT_LE(computed.load(), 51 + par::OrderedWindow(threads));
+    std::size_t after = 0;
+    par::RunOrdered(
+        10, threads, [](std::size_t, std::size_t) {},
+        [&](std::size_t, std::size_t) { ++after; });
+    EXPECT_EQ(after, 10u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,8 +504,8 @@ TEST(ParallelInvariance, FullAlgorithmMatrixIsThreadCountInvariant) {
 }
 
 TEST(ParallelInvariance, HighThreadCountOnDenseGraph) {
-  // A dense core drives the Lemma 2 emit loop hard (large Gamma_v groups);
-  // run it at a thread count far above the core count.
+  // A dense core gives every Lemma 2 chunk task large Gamma_v groups; run
+  // it at a thread count far above the core count.
   const std::vector<graph::Edge> raw = graph::Clique(40);
   const MatrixRun base =
       RunMatrixCase("mgt", raw, 1, em::StorageKind::kMemory,
@@ -490,11 +596,48 @@ TEST(ParallelInvariance, ObliviousRecursionLargeNodeBatchesFanOut) {
   EXPECT_EQ(got.work, base.work);
 }
 
+TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
+  // The matrix graph yields a single color triple. Forcing c = 4 gives 64
+  // triples, and alpha = 1/64 cuts every pivot bucket into several 64-edge
+  // chunks, so the ordered run commits across triples and across chunks of
+  // one triple — with each triple's charged bucket-bound reads in between.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(11, 12000, 0.45, 0.22, 0.22, 97);
+  auto run = [&](std::size_t threads) {
+    ScopedThreads scope(threads);
+    em::Context ctx = test::MakeContext(1 << 12, 32, 0xCA4);
+    graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
+    ctx.cache().Reset();
+    ctx.ResetWork();
+    core::CollectingSink sink;
+    core::CacheAwareOptions opts;
+    opts.force_colors = 4;
+    opts.chunk_fraction = 1.0 / 64;
+    core::EnumerateCacheAware(ctx, g, sink, opts);
+    ctx.cache().FlushAll();
+    MatrixRun out;
+    out.triangles = sink.triangles();
+    out.io = ctx.cache().stats();
+    out.work = ctx.work();
+    return out;
+  };
+  const MatrixRun base = run(1);
+  ASSERT_FALSE(base.triangles.empty());
+  for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    const MatrixRun got = run(threads);
+    ASSERT_EQ(got.triangles, base.triangles) << "threads " << threads;
+    const std::string label = "threads " + std::to_string(threads);
+    EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
+    EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
+    EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
+    EXPECT_EQ(got.work, base.work) << label;
+  }
+}
+
 TEST(ParallelInvariance, Lemma2EmitLoopFanOutOnDenseCore) {
-  // K_150 under M = 2^15: resident pivot chunks of 4096 edges drive single
-  // groups past the weighted-emit grain, so the cone loop's per-worker
-  // buffers and partition-order flush are exercised for real. Emission
-  // order must stay byte-identical.
+  // K_150 under M = 2^15: resident pivot chunks of 4096 edges with dense
+  // groups, so each chunk task emits many triangles; the ordered run must
+  // flush them in byte-identical emission order.
   const std::vector<graph::Edge> raw = graph::Clique(150);
   auto run = [&](std::size_t threads) {
     ScopedThreads scope(threads);
@@ -519,6 +662,49 @@ TEST(ParallelInvariance, Lemma2EmitLoopFanOutOnDenseCore) {
   EXPECT_EQ(got.io.block_writes, base.io.block_writes);
   EXPECT_EQ(got.io.cache_hits, base.io.cache_hits);
   EXPECT_EQ(got.work, base.work);
+}
+
+TEST(OrderedRun, FailedLemma2RunUnwindsAndTheContextStaysUsable) {
+  // A commit-time failure inside the real engine: the sink throws on the
+  // 500th emission while later chunks are still in flight. The Status must
+  // reach the caller (where RunQuery catches it) with every lease released,
+  // and a rerun on the same context must match a clean threads=1 run.
+  const std::vector<graph::Edge> raw = graph::Clique(60);
+  auto clean_run = [&](em::Context& ctx, const graph::EmGraph& g) {
+    ctx.cache().Reset();
+    ctx.ResetWork();
+    core::CollectingSink sink;
+    core::FindAlgorithm("mgt")->run(ctx, g, sink);
+    ctx.cache().FlushAll();
+    MatrixRun out;
+    out.triangles = sink.triangles();
+    out.io = ctx.cache().stats();
+    out.work = ctx.work();
+    return out;
+  };
+  em::Context serial_ctx = test::MakeContext(1 << 12, 32);
+  const graph::EmGraph serial_g = graph::BuildEmGraph(serial_ctx, raw);
+  const MatrixRun serial = clean_run(serial_ctx, serial_g);
+  ASSERT_EQ(serial.triangles.size(), 60u * 59u * 58u / 6u);
+
+  ScopedThreads scope(4);
+  em::Context ctx = test::MakeContext(1 << 12, 32);
+  const graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
+  std::size_t emitted = 0;
+  core::CallbackSink failing(
+      [&](graph::VertexId, graph::VertexId, graph::VertexId) {
+        if (++emitted == 500) throw Status::InvalidArgument("sink failed");
+      });
+  ctx.cache().Reset();
+  EXPECT_THROW(core::FindAlgorithm("mgt")->run(ctx, g, failing), Status);
+  EXPECT_EQ(ctx.scratch_in_use(), 0u);
+  ctx.cache().Discard();
+  const MatrixRun rerun = clean_run(ctx, g);
+  EXPECT_EQ(rerun.triangles, serial.triangles);
+  EXPECT_EQ(rerun.io.block_reads, serial.io.block_reads);
+  EXPECT_EQ(rerun.io.block_writes, serial.io.block_writes);
+  EXPECT_EQ(rerun.io.cache_hits, serial.io.cache_hits);
+  EXPECT_EQ(rerun.work, serial.work);
 }
 
 TEST(ParallelInvariance, PinnedIoRegressionsUnchangedUnderThreads) {
