@@ -115,8 +115,8 @@ void BM_BaseCutoff(benchmark::State& state) {
   state.counters["subproblems"] = static_cast<double>(rep.subproblems);
 }
 
-BENCHMARK(BM_BaseCutoff)->Arg(0)->Arg(8)->Arg(16)->Arg(64)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BaseCutoff)->Arg(0)->Arg(8)->Arg(16)->Arg(64)->Arg(128)
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_ChunkFraction(benchmark::State& state) {
   core::CacheAwareOptions opts;

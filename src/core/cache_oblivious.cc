@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,25 +12,121 @@
 #include "extsort/sorter.h"
 #include "hashing/kwise.h"
 #include "obs/trace.h"
-#include "par/thread_pool.h"
 
 namespace trienum::core {
+
+namespace internal {
+
+std::uint32_t HighDegreeFinder::EqMask(const Lanes (&lanes)[kGroups],
+                                       std::uint32_t x) {
+  const Lanes xs = Lanes{} + x;
+  Lanes acc{};
+  for (int g = 0; g < kGroups; ++g) {
+    const Lanes bit = Lanes{1, 2, 4, 8} << (4 * g);
+    acc |= reinterpret_cast<Lanes>(lanes[g] == xs) & bit;
+  }
+  return acc[0] | acc[1] | acc[2] | acc[3];
+}
+
+void HighDegreeFinder::Offer(graph::VertexId x) {
+  const std::uint32_t hit = EqMask(key_, x) & occupied_;
+  if (hit != 0) {
+    const int k = __builtin_ctz(hit);
+    ++cnt_[k >> 2][k & 3];
+  } else if (occupied_ != kSlots) {
+    const int k = __builtin_ctz(~occupied_);  // lowest free slot first
+    key_[k >> 2][k & 3] = x;
+    cnt_[k >> 2][k & 3] = 1;
+    occupied_ |= 1u << k;
+  } else {
+    // All 31 counters are live, so every decrement stays >= 0; lane 31
+    // wraps, but it is never occupied.
+    for (int g = 0; g < kGroups; ++g) cnt_[g] -= 1;
+    occupied_ &= ~EqMask(cnt_, 0);
+  }
+}
+
+void HighDegreeFinder::Count(graph::VertexId u, graph::VertexId v) {
+  Offer(u);
+  Offer(v);
+}
+
+void HighDegreeFinder::BeginVerify() {
+  for (int g = 0; g < kGroups; ++g) cnt_[g] = Lanes{};
+}
+
+void HighDegreeFinder::Verify(graph::VertexId u, graph::VertexId v) {
+  // A true compare is all-ones, so subtracting it adds one. Lanes that hold
+  // no candidate count too, but High() never reads them.
+  const Lanes us = Lanes{} + u;
+  const Lanes vs = Lanes{} + v;
+  for (int g = 0; g < kGroups; ++g) {
+    cnt_[g] -= reinterpret_cast<Lanes>(key_[g] == us);
+    cnt_[g] -= reinterpret_cast<Lanes>(key_[g] == vs);
+  }
+}
+
+void HighDegreeFinder::High(std::size_t threshold,
+                            std::vector<graph::VertexId>& out) const {
+  for (std::uint32_t m = occupied_; m != 0; m &= m - 1) {
+    const int k = __builtin_ctz(m);
+    if (cnt_[k >> 2][k & 3] >= threshold) out.push_back(key_[k >> 2][k & 3]);
+  }
+}
+
+}  // namespace internal
+
 namespace {
 
 using graph::ColoredEdge;
 using graph::VertexId;
 
+/// Wall time and node count of one recursion role, tallied only while a
+/// trace collector is installed.
+struct RoleTally {
+  std::uint64_t ns = 0;
+  std::uint64_t nodes = 0;
+};
+
+struct RoleTallies {
+  RoleTally high_degree, lemma1, partition, base;
+};
+
+/// Adds the scope's steady_clock time and one node to `tally`; a null tally
+/// reads no clock.
+class RoleTimer {
+ public:
+  explicit RoleTimer(RoleTally* tally) : tally_(tally) {
+    if (tally_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~RoleTimer() {
+    if (tally_ == nullptr) return;
+    tally_->ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    ++tally_->nodes;
+  }
+  RoleTimer(const RoleTimer&) = delete;
+  RoleTimer& operator=(const RoleTimer&) = delete;
+
+ private:
+  RoleTally* tally_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 class CoRunner {
  public:
   CoRunner(em::QuerySession& ctx, TriangleSink& sink,
            const CacheObliviousOptions& opts, int max_depth,
-           CacheObliviousReport* report)
+           CacheObliviousReport* report, bool timed)
       : ctx_(ctx),
         sink_(sink),
         opts_(opts),
         max_depth_(max_depth),
         rng_(opts.seed != 0 ? opts.seed : ctx.seed()),
-        report_(report) {}
+        report_(report),
+        timed_(timed) {}
 
   void Recurse(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col,
                int depth) {
@@ -44,6 +141,7 @@ class CoRunner {
     }
     if (depth >= max_depth_ ||
         (opts_.base_cutoff != 0 && len <= opts_.base_cutoff)) {
+      RoleTimer timer(Tally(roles_.base));
       BaseCase(a, col);
       return;
     }
@@ -71,54 +169,58 @@ class CoRunner {
     // Closed-form child dispatch: a slot-(i,j) match pins two of z's three
     // bits (z's bit k is position k's refinement bit), leaving exactly two
     // candidate children per slot class. Equivalent to comparing (nu, nv)
-    // against all eight cc[z] rows, at a fraction of the work.
+    // against all eight cc[z] rows, at a fraction of the work. Bit z of
+    // `hit` marks child z and byte z of `flags` holds its slot classes, so
+    // only the (at most six) hit children are visited, in ascending z.
     auto route = [&](const ColoredEdge& e, std::uint32_t bu, std::uint32_t bv,
                      auto&& per_child) {
-      const std::uint32_t nu = 2 * e.cu - bu;
-      const std::uint32_t nv = 2 * e.cv - bv;
       ctx_.AddWork(2);
-      std::uint8_t fl[8] = {};
-      if (e.cu == col[0] && e.cv == col[1]) {
-        std::uint32_t z = bu | (bv << 1);
-        fl[z] |= 1;
-        fl[z | 4] |= 1;
-      }
-      if (e.cu == col[1] && e.cv == col[2]) {
-        std::uint32_t z = (bu << 1) | (bv << 2);
-        fl[z] |= 2;
-        fl[z | 1] |= 2;
-      }
-      if (e.cu == col[0] && e.cv == col[2]) {
-        std::uint32_t z = bu | (bv << 2);
-        fl[z] |= 4;
-        fl[z | 2] |= 4;
-      }
-      for (int z = 0; z < 8; ++z) {
-        if (fl[z] != 0) {
-          per_child(z, ColoredEdge{e.u, e.v, nu, nv}, (fl[z] & 1) != 0,
-                    (fl[z] & 2) != 0, (fl[z] & 4) != 0);
-        }
+      const std::uint32_t s01 = e.cu == col[0] && e.cv == col[1];
+      const std::uint32_t s12 = e.cu == col[1] && e.cv == col[2];
+      const std::uint32_t s02 = e.cu == col[0] && e.cv == col[2];
+      const std::uint32_t z01 = bu | (bv << 1);
+      const std::uint32_t z12 = (bu << 1) | (bv << 2);
+      const std::uint32_t z02 = bu | (bv << 2);
+      const std::uint32_t hit = (s01 << z01) | (s01 << (z01 | 4)) |
+                                (s12 << z12) | (s12 << (z12 | 1)) |
+                                (s02 << z02) | (s02 << (z02 | 2));
+      const std::uint64_t flags = (std::uint64_t{s01} << (8 * z01)) |
+                                  (std::uint64_t{s01} << (8 * (z01 | 4))) |
+                                  (std::uint64_t{s12} << (8 * z12 + 1)) |
+                                  (std::uint64_t{s12} << (8 * (z12 | 1) + 1)) |
+                                  (std::uint64_t{s02} << (8 * z02 + 2)) |
+                                  (std::uint64_t{s02} << (8 * (z02 | 2) + 2));
+      const ColoredEdge ce{e.u, e.v, 2 * e.cu - bu, 2 * e.cv - bv};
+      for (std::uint32_t m = hit; m != 0; m &= m - 1) {
+        const int z = __builtin_ctz(m);
+        const auto f = static_cast<std::uint32_t>(flags >> (8 * z));
+        per_child(z, ce, (f & 1) != 0, (f & 2) != 0, (f & 4) != 0);
       }
     };
+    auto count_child = [&](int z, const ColoredEdge&, bool s01, bool s12,
+                           bool s02) {
+      ++child_len[z];
+      slots[z][0] += s01 ? 1 : 0;
+      slots[z][1] += s12 ? 1 : 0;
+      slots[z][2] += s02 ? 1 : 0;
+    };
     std::array<em::Writer<ColoredEdge>, 8> writers;
-    if (len < kSmallNode) {
-      // Small-subproblem fast path (the recursion spends most of its nodes
-      // here: millions of subproblems of a dozen edges). One charged read
-      // brings the records host-side; the second pass re-charges the scan
-      // without re-moving data, and the refinement bits are computed once
-      // and reused. The touch sequence is identical to the two-scan path.
-      std::array<ColoredEdge, kSmallNode> ebuf;
-      std::array<std::uint8_t, kSmallNode> ebits;
+    auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
+      writers[z].Push(ce);
+    };
+    if (len < kTinyBase) {
+      // Small-subproblem fast path (reached only with a base_cutoff below
+      // kTinyBase). One charged read brings the records host-side; the
+      // second pass re-charges the scan without re-moving data, and the
+      // refinement bits are computed once and reused. The touch sequence is
+      // identical to the two-scan path.
+      RoleTimer timer(Tally(roles_.partition));
+      std::array<ColoredEdge, kTinyBase> ebuf;
+      std::array<std::uint8_t, kTinyBase> ebits;
       a.ReadScanInto(0, len, ebuf.data());
       for (std::size_t i = 0; i < len; ++i) {
         ebits[i] = static_cast<std::uint8_t>(bh.PairBits(ebuf[i].u, ebuf[i].v));
-        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1,
-              [&](int z, const ColoredEdge&, bool s01, bool s12, bool s02) {
-                ++child_len[z];
-                slots[z][0] += s01 ? 1 : 0;
-                slots[z][1] += s12 ? 1 : 0;
-                slots[z][2] += s02 ? 1 : 0;
-              });
+        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, count_child);
       }
       for (int z = 0; z < 8; ++z) {
         writers[z] = em::Writer<ColoredEdge>(
@@ -126,10 +228,7 @@ class CoRunner {
       }
       a.TouchScanRange(0, len);  // the routing pass's read charges
       for (std::size_t i = 0; i < len; ++i) {
-        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1,
-              [&](int z, const ColoredEdge& ce, bool, bool, bool) {
-                writers[z].Push(ce);
-              });
+        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, push_child);
       }
     } else {
       // Refinement bits are GF(2^61-1) polynomial evaluations — the
@@ -143,65 +242,18 @@ class CoRunner {
       // I/O charge sequence is untouched.
       // One buffer shared down the whole recursion (children reuse it only
       // after the parent's second scan has drained it).
+      RoleTimer timer(Tally(roles_.partition));
       const bool cache_bits = len <= kBitCacheMax;
       std::vector<std::uint8_t>& bits = bit_cache_;
       if (cache_bits && bits.size() < len) bits.resize(len);
-      // When the par pool is active, the counting scan stages records in
-      // batches and fans the two-point evaluations out across workers
-      // (independent pure GF(2^61-1) work). This is charge-exact: the scan
-      // is read-only, records are pulled with the same Next() sequence
-      // either way, and routing stays on this thread. The write scan is
-      // NOT batched — its Scanner reads interleave with the eight child
-      // Writers' flushes, and that interleaving is part of the pinned LRU
-      // charge sequence — so nodes over the bit-cache cap re-evaluate
-      // serially there; for every cacheable node the expensive hashing ran
-      // exactly once, in parallel, on the counting scan. Nodes below two
-      // grains can never fan out, so they skip the batch staging entirely.
-      const bool pool_active =
-          par::Threads() > 1 && len >= 2 * kHashGrain;
-      std::vector<ColoredEdge>& batch = hash_batch_;
-      std::vector<std::uint8_t>& pbv = hash_bits_;
-      auto fill_batch = [&](em::Scanner<ColoredEdge>& in) {
-        batch.clear();
-        while (in.HasNext() && batch.size() < kHashBatch) {
-          batch.push_back(in.Next());
-        }
-        if (pbv.size() < batch.size()) pbv.resize(batch.size());
-        par::ParallelFor(batch.size(), kHashGrain,
-                         [&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t j = lo; j < hi; ++j) {
-                             pbv[j] = static_cast<std::uint8_t>(
-                                 bh.PairBits(batch[j].u, batch[j].v));
-                           }
-                         });
-        return batch.size();
-      };
       {
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
         std::size_t i = 0;
-        auto count_child = [&](int z, const ColoredEdge&, bool s01, bool s12,
-                               bool s02) {
-          ++child_len[z];
-          slots[z][0] += s01 ? 1 : 0;
-          slots[z][1] += s12 ? 1 : 0;
-          slots[z][2] += s02 ? 1 : 0;
-        };
-        if (!pool_active) {
-          while (in.HasNext()) {
-            ColoredEdge e = in.Next();
-            const std::uint32_t pb = bh.PairBits(e.u, e.v);
-            if (cache_bits) bits[i++] = static_cast<std::uint8_t>(pb);
-            route(e, pb & 1u, pb >> 1, count_child);
-          }
-        } else {
-          while (in.HasNext()) {
-            const std::size_t bn = fill_batch(in);
-            for (std::size_t j = 0; j < bn; ++j) {
-              if (cache_bits) bits[i + j] = pbv[j];
-              route(batch[j], pbv[j] & 1u, pbv[j] >> 1, count_child);
-            }
-            i += bn;
-          }
+        while (in.HasNext()) {
+          ColoredEdge e = in.Next();
+          const std::uint32_t pb = bh.PairBits(e.u, e.v);
+          if (cache_bits) bits[i++] = static_cast<std::uint8_t>(pb);
+          route(e, pb & 1u, pb >> 1, count_child);
         }
       }
       for (int z = 0; z < 8; ++z) {
@@ -210,9 +262,6 @@ class CoRunner {
       }
       {
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
-        auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
-          writers[z].Push(ce);
-        };
         if (cache_bits) {
           std::size_t i = 0;
           while (in.HasNext()) {
@@ -239,10 +288,11 @@ class CoRunner {
     }
   }
 
-  /// Below this size a subproblem's materialization runs from a host copy
-  /// (one charged read + a charge-only second scan) instead of the streaming
-  /// two-pass — identical IoStats, none of the per-node stream setup.
-  static constexpr std::size_t kSmallNode = 64;
+  /// Per-role wall time and node counts, filled only when timed.
+  const RoleTallies& roles() const { return roles_; }
+
+ private:
+  static constexpr std::size_t kTinyBase = CacheObliviousOptions::kTinyBase;
 
   /// Largest subproblem whose refinement bits are cached between the two
   /// materialization scans (2 bits/record, 1 MiB of host metadata at the
@@ -250,19 +300,8 @@ class CoRunner {
   /// M or B.
   static constexpr std::size_t kBitCacheMax = std::size_t{1} << 20;
 
-  /// Records pulled from the Scanner per hashing batch. Bounds the host
-  /// staging the parallel refinement-bit evaluation needs (a batch of
-  /// records + one byte each, 256 KiB at the cap) independent of subproblem
-  /// size, while leaving headroom for kHashBatch / kHashGrain = 8-way
-  /// fan-out. A fixed constant — the oblivious code path never consults M
-  /// or the thread count.
-  static constexpr std::size_t kHashBatch = std::size_t{1} << 14;
+  RoleTally* Tally(RoleTally& t) { return timed_ ? &t : nullptr; }
 
-  /// Pair evaluations per pool partition below which fan-out cannot pay;
-  /// batches under 2x this run inline on the calling thread.
-  static constexpr std::size_t kHashGrain = std::size_t{1} << 11;
-
- private:
   /// Enumerates proper triangles through vertices of degree >= E/8 within
   /// the subproblem and removes those vertices' edges; returns the new
   /// length of `a`.
@@ -273,84 +312,37 @@ class CoRunner {
     // maximum degree in the variance argument); skip it.
     if (len < 24) return len;
 
-    // Degrees within the subproblem: at most 2E/(E/8) = 16 vertices can
-    // qualify, so a Misra-Gries heavy-hitter pass with 31 counters (finds
-    // everything with frequency > 2E/32 <= E/8 among the 2E endpoints)
-    // followed by one exact counting pass identifies them with two scans and
-    // O(1) internal memory — cheaper than the endpoint sort and still
-    // oblivious.
+    // At most 2E/(E/8) = 16 vertices can qualify; two scans with O(1)
+    // internal memory find them (see internal::HighDegreeFinder), which is
+    // cheaper than the endpoint sort and still oblivious.
     const std::size_t threshold = std::max<std::size_t>(1, len / 8);
     std::vector<VertexId> high;
     {
-      constexpr std::size_t kCounters = 31;
-      // Misra-Gries state laid out for the hot loop: occupied slots hold
-      // their key, free slots hold a sentinel no vertex id can equal (ids
-      // are 32-bit), so the match scan is a branchless sweep and the lowest
-      // free slot comes from a bitmask — identical semantics to the
-      // original find-match/find-empty scans at a fraction of the work.
-      // This runs twice per edge of every subproblem.
-      constexpr std::uint64_t kFree = ~std::uint64_t{0};
-      std::array<std::uint64_t, kCounters> key;
-      std::array<std::uint32_t, kCounters> cnt{};
-      key.fill(kFree);
-      std::uint32_t free_mask = (1u << kCounters) - 1;
-      auto offer = [&](VertexId v) {
-        const std::uint64_t vv = v;
-        int match = -1;
-        for (int k = 0; k < static_cast<int>(kCounters); ++k) {
-          match = key[k] == vv ? k : match;
-        }
-        if (match >= 0) {
-          ++cnt[match];
-        } else if (free_mask != 0) {
-          int empty = __builtin_ctz(free_mask);  // lowest free slot first
-          key[empty] = vv;
-          cnt[empty] = 1;
-          free_mask &= ~(1u << empty);
-        } else {
-          for (std::size_t k = 0; k < kCounters; ++k) {
-            if (--cnt[k] == 0) {
-              key[k] = kFree;
-              free_mask |= 1u << k;
-            }
-          }
-        }
-      };
+      RoleTimer timer(Tally(roles_.high_degree));
+      const em::ScanMode mode =
+          len >= 64 ? em::DefaultScanMode() : em::ScanMode::kElementwise;
+      internal::HighDegreeFinder finder;
       {
-        const em::ScanMode mode =
-            len >= 64 ? em::DefaultScanMode() : em::ScanMode::kElementwise;
         em::Scanner<ColoredEdge> in(a.Slice(0, len), mode);
         while (in.HasNext()) {
           ColoredEdge e = in.Next();
-          offer(e.u);
-          offer(e.v);
+          finder.Count(e.u, e.v);
           ctx_.AddWork(2);
         }
       }
-      // Exact verification pass, compacted to the surviving candidates so
-      // the inner loop is a tight array sweep.
-      std::array<VertexId, kCounters> cand_key{};
-      std::array<std::size_t, kCounters> cand_exact{};
-      std::size_t nc = 0;
-      for (std::size_t k = 0; k < kCounters; ++k) {
-        if (cnt[k] != 0) cand_key[nc++] = static_cast<VertexId>(key[k]);
-      }
+      finder.BeginVerify();
       {
-        const em::ScanMode mode =
-            len >= 64 ? em::DefaultScanMode() : em::ScanMode::kElementwise;
         em::Scanner<ColoredEdge> in(a.Slice(0, len), mode);
         while (in.HasNext()) {
           ColoredEdge e = in.Next();
-          for (std::size_t k = 0; k < nc; ++k) {
-            cand_exact[k] += (cand_key[k] == e.u) + (cand_key[k] == e.v);
-          }
+          finder.Verify(e.u, e.v);
         }
       }
-      for (std::size_t k = 0; k < nc; ++k) {
-        if (cand_exact[k] >= threshold) high.push_back(cand_key[k]);
-      }
+      finder.High(threshold, high);
     }
+    if (high.empty()) return len;
 
+    RoleTimer timer(Tally(roles_.lemma1));
     for (VertexId x : high) {
       if (report_ != nullptr) ++report_->high_degree_calls;
       em::Array<ColoredEdge> cur = a.Slice(0, len);
@@ -375,8 +367,6 @@ class CoRunner {
   /// allocations; larger depth-capped subproblems run Dementiev's sort/scan
   /// listing in its oblivious (funnelsort) flavor. Both filter to proper
   /// triangles.
-  static constexpr std::size_t kTinyBase = 64;
-
   void BaseCase(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col) {
     if (report_ != nullptr) ++report_->base_cases;
     const std::size_t len = a.size();
@@ -422,9 +412,9 @@ class CoRunner {
   int max_depth_;
   SplitMix64 rng_;
   CacheObliviousReport* report_;
+  const bool timed_;
+  RoleTallies roles_;
   std::vector<std::uint8_t> bit_cache_;  // refinement bits, node-local use
-  std::vector<graph::ColoredEdge> hash_batch_;  // staged records, one batch
-  std::vector<std::uint8_t> hash_bits_;         // their PairBits results
 };
 
 }  // namespace
@@ -447,13 +437,33 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   while ((std::uint64_t{1} << (2 * max_depth)) < m) ++max_depth;
   if (opts.max_depth_override >= 0) max_depth = opts.max_depth_override;
 
-  // One span for the whole recursion: per-node spans would emit millions of
-  // events (the tree has ~E subproblems), so attribution stays at the root.
+  // One span for the whole recursion: per-node spans would emit an event per
+  // subproblem, so the runner tallies each role's time and nodes instead and
+  // they ride on this span as args. Untraced runs read no clock.
   obs::Span span("co.recurse");
   span.AddArg("edges", m);
   span.AddArg("max_depth", static_cast<std::uint64_t>(max_depth));
-  CoRunner runner(ctx, sink, opts, max_depth, report);
+  const bool timed = obs::CurrentTraceCollector() != nullptr;
+  CacheObliviousReport local;
+  if (timed && report == nullptr) report = &local;
+  CoRunner runner(ctx, sink, opts, max_depth, report, timed);
   runner.Recurse(root, {1, 1, 1}, 0);
+  if (!timed) return;
+  const RoleTallies& roles = runner.roles();
+  span.AddArg("high_degree_ns", roles.high_degree.ns);
+  span.AddArg("high_degree_nodes", roles.high_degree.nodes);
+  span.AddArg("lemma1_ns", roles.lemma1.ns);
+  span.AddArg("lemma1_nodes", roles.lemma1.nodes);
+  span.AddArg("partition_ns", roles.partition.ns);
+  span.AddArg("partition_nodes", roles.partition.nodes);
+  span.AddArg("base_ns", roles.base.ns);
+  span.AddArg("base_nodes", roles.base.nodes);
+  span.AddArg("subproblems", report->subproblems);
+  span.AddArg("base_cases", report->base_cases);
+  span.AddArg("high_degree_calls", report->high_degree_calls);
+  span.AddArg("total_child_edges", report->total_child_edges);
+  span.AddArg("max_depth_reached",
+              static_cast<std::uint64_t>(report->max_depth_reached));
 }
 
 }  // namespace trienum::core

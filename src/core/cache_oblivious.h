@@ -9,13 +9,18 @@
 //      xi'(v) = 2*xi(v) - b(v);
 //   3. the 8 child color vectors in {2c0-1,2c0}x{2c1-1,2c1}x{2c2-1,2c2} are
 //      solved recursively on the compatible-edge subsets.
-// Recursion ends at depth log4(E) with Dementiev's sort/scan algorithm
-// (funnelsort flavor) filtered to proper triangles. Triangle enumeration is
-// the (1,1,1)-problem under the constant coloring.
+// Recursion ends at depth log4(E), or once a subproblem has at most
+// base_cutoff edges (default kTinyBase = 64). A base case of at most
+// kTinyBase edges is solved in an O(1) host buffer, a larger one with
+// Dementiev's sort/scan algorithm (funnelsort flavor); both filter to proper
+// triangles. Triangle enumeration is the (1,1,1)-problem under the constant
+// coloring.
 #ifndef TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 #define TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/sink.h"
 #include "graph/normalize.h"
@@ -23,6 +28,11 @@
 namespace trienum::core {
 
 struct CacheObliviousOptions {
+  /// Largest subproblem the base case solves in an O(1)-sized host buffer
+  /// (one charged read, a sort and a wedge probe). A fixed constant, so the
+  /// algorithm stays oblivious to M and B.
+  static constexpr std::size_t kTinyBase = 64;
+
   /// Seed for the per-node refinement bits; 0 means the context's seed.
   std::uint64_t seed = 0;
   /// Ablation: skip a child whose edge set misses one of the three slot
@@ -30,11 +40,18 @@ struct CacheObliviousOptions {
   bool prune_empty_slots = false;
   /// Fall to the base case when a subproblem has at most this many edges,
   /// in addition to the paper's depth-log4(E) rule. The paper's analysis
-  /// already treats constant-size subproblems as free (its degenerate
-  /// high-degree step empties them); terminating them in one wedge join is
-  /// semantically identical and keeps the simulated constants honest.
+  /// charges constant-size subproblems O(1), so a constant cutoff keeps the
+  /// bound and the obliviousness. The default, kTinyBase, is the largest
+  /// cutoff whose leaves all fit the tiny host base case. A smaller cutoff
+  /// keeps splitting nodes of a few dozen edges, each paying two
+  /// high-degree scans, an 8-way partition and often a Lemma 1 call. A
+  /// larger one sends the nodes between kTinyBase and the cutoff to the
+  /// Dementiev/funnel-sort base, which costs far more per edge than
+  /// splitting them. On R-MAT scale 12 (E=16384, M=4096, B=64), a cutoff of
+  /// 16 took 2.4x the wall time of 64 and 9% more I/Os; 96, 128 and 256
+  /// took 2.6x, 3.0x and 7.4x, also with more I/Os.
   /// 0 = paper-exact depth-only termination (ablation bench EXP-AB).
-  std::size_t base_cutoff = 16;
+  std::size_t base_cutoff = kTinyBase;
   /// Override of the maximum recursion depth (< 0 = the paper's log4(E)).
   int max_depth_override = -1;
 };
@@ -53,6 +70,44 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
                              TriangleSink& sink,
                              const CacheObliviousOptions& opts = {},
                              CacheObliviousReport* report = nullptr);
+
+namespace internal {
+
+/// The high-degree step's vertex finder, fed host values so a test can drive
+/// it. Pass 1 (Count) is a Misra-Gries heavy-hitter pass with 31 counters
+/// over the subproblem's 2E endpoints: it keeps every vertex of frequency
+/// > 2E/32, so every vertex of degree >= E/8. Pass 2 (Verify) counts the
+/// surviving candidates' degrees exactly. Both passes are lane sweeps over
+/// 32 uint32 lanes (GCC/Clang vector extensions): a match is a compare to a
+/// bitmask plus ctz, and an occupancy bitmask marks the live counters (lane
+/// 31 never holds one). Counters fill lowest free slot first, so the order
+/// of High() is the slot order of the scalar 31-slot loop.
+class HighDegreeFinder {
+ public:
+  /// Pass 1: offers both endpoints of one edge.
+  void Count(graph::VertexId u, graph::VertexId v);
+  /// Ends pass 1; the occupied slots, in slot order, become the candidates.
+  void BeginVerify();
+  /// Pass 2: adds one edge to its endpoints' exact candidate degrees.
+  void Verify(graph::VertexId u, graph::VertexId v);
+  /// Appends the candidates of exact degree >= threshold, in slot order.
+  void High(std::size_t threshold, std::vector<graph::VertexId>& out) const;
+
+ private:
+  using Lanes = std::uint32_t __attribute__((vector_size(16)));
+  static constexpr int kGroups = 8;  // 8 x 4 = 32 lanes
+  static constexpr std::uint32_t kSlots = 0x7fffffffu;  // 31 counters
+
+  void Offer(graph::VertexId x);
+  /// Bit k is set iff lane k of `lanes` equals x.
+  static std::uint32_t EqMask(const Lanes (&lanes)[kGroups], std::uint32_t x);
+
+  Lanes key_[kGroups] = {};
+  Lanes cnt_[kGroups] = {};
+  std::uint32_t occupied_ = 0;  // bit k: lane k holds a live counter
+};
+
+}  // namespace internal
 
 }  // namespace trienum::core
 

@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 
+#include "common/rng.h"
 #include "core/cache_oblivious.h"
 #include "core/mgt.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -164,6 +171,214 @@ TEST(CacheOblivious, IoDropsWithLargerMemoryWithoutRecompiling) {
   double io3 = measure(1 << 13);
   EXPECT_GT(io1, io2);
   EXPECT_GT(io2, io3);
+}
+
+TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
+  // R-MAT hubs make Lemma 1 fire below the root, so all four roles run.
+  const auto raw = Rmat(10, 6000, 0.57, 0.19, 0.19, 3);
+  core::CacheObliviousOptions opts;
+  opts.seed = 7;
+  core::CacheObliviousReport untraced;
+  const auto expected = RunOblivious(raw, opts, 1 << 12, 16, &untraced);
+
+  obs::TraceCollector tc;
+  core::CacheObliviousReport rep;
+  {
+    obs::ScopedTraceCollector install(tc);
+    EXPECT_EQ(RunOblivious(raw, opts, 1 << 12, 16, &rep), expected);
+  }
+  EXPECT_EQ(rep.subproblems, untraced.subproblems);
+  EXPECT_EQ(rep.total_child_edges, untraced.total_child_edges);
+
+  const std::vector<obs::TraceEvent> evs = tc.events_since(0);
+  auto span = std::find_if(evs.begin(), evs.end(), [](const auto& ev) {
+    return std::string(ev.name) == "co.recurse";
+  });
+  ASSERT_NE(span, evs.end());
+  std::map<std::string, std::uint64_t> args;
+  for (const auto& [k, v] : span->args) args[k] = v;
+  for (const char* key :
+       {"high_degree_ns", "high_degree_nodes", "lemma1_ns", "lemma1_nodes",
+        "partition_ns", "partition_nodes", "base_ns", "base_nodes",
+        "subproblems", "base_cases", "high_degree_calls", "total_child_edges",
+        "max_depth_reached"}) {
+    EXPECT_EQ(args.count(key), 1u) << key;
+  }
+  EXPECT_EQ(args["subproblems"], rep.subproblems);
+  EXPECT_EQ(args["base_cases"], rep.base_cases);
+  EXPECT_EQ(args["high_degree_calls"], rep.high_degree_calls);
+  EXPECT_EQ(args["total_child_edges"], rep.total_child_edges);
+  EXPECT_EQ(args["max_depth_reached"],
+            static_cast<std::uint64_t>(rep.max_depth_reached));
+  EXPECT_EQ(args["base_nodes"], rep.base_cases);
+  EXPECT_GT(args["partition_nodes"], 0u);
+  EXPECT_GE(args["high_degree_nodes"], args["partition_nodes"]);
+  EXPECT_GT(args["lemma1_nodes"], 0u);
+  EXPECT_LE(args["lemma1_nodes"], rep.high_degree_calls);
+  EXPECT_LE(args["high_degree_ns"] + args["lemma1_ns"] +
+                args["partition_ns"] + args["base_ns"],
+            span->dur_ns);
+}
+
+// ---------------------------------------------------------------------------
+// The high-degree finder's lane sweep against the scalar 31-slot loop it
+// replaced, kept here verbatim (on host values) as the reference.
+
+using EdgeStream = std::vector<std::pair<VertexId, VertexId>>;
+
+std::vector<VertexId> ScalarHigh(const EdgeStream& edges,
+                                 std::size_t threshold) {
+  std::vector<VertexId> high;
+  constexpr std::size_t kCounters = 31;
+  constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  std::array<std::uint64_t, kCounters> key;
+  std::array<std::uint32_t, kCounters> cnt{};
+  key.fill(kFree);
+  std::uint32_t free_mask = (1u << kCounters) - 1;
+  auto offer = [&](VertexId v) {
+    const std::uint64_t vv = v;
+    int match = -1;
+    for (int k = 0; k < static_cast<int>(kCounters); ++k) {
+      match = key[k] == vv ? k : match;
+    }
+    if (match >= 0) {
+      ++cnt[match];
+    } else if (free_mask != 0) {
+      int empty = __builtin_ctz(free_mask);  // lowest free slot first
+      key[empty] = vv;
+      cnt[empty] = 1;
+      free_mask &= ~(1u << empty);
+    } else {
+      for (std::size_t k = 0; k < kCounters; ++k) {
+        if (--cnt[k] == 0) {
+          key[k] = kFree;
+          free_mask |= 1u << k;
+        }
+      }
+    }
+  };
+  for (const auto& [u, v] : edges) {
+    offer(u);
+    offer(v);
+  }
+  std::array<VertexId, kCounters> cand_key{};
+  std::array<std::size_t, kCounters> cand_exact{};
+  std::size_t nc = 0;
+  for (std::size_t k = 0; k < kCounters; ++k) {
+    if (cnt[k] != 0) cand_key[nc++] = static_cast<VertexId>(key[k]);
+  }
+  for (const auto& [u, v] : edges) {
+    for (std::size_t k = 0; k < nc; ++k) {
+      cand_exact[k] += (cand_key[k] == u) + (cand_key[k] == v);
+    }
+  }
+  for (std::size_t k = 0; k < nc; ++k) {
+    if (cand_exact[k] >= threshold) high.push_back(cand_key[k]);
+  }
+  return high;
+}
+
+std::vector<VertexId> LaneHigh(const EdgeStream& edges,
+                               std::size_t threshold) {
+  core::internal::HighDegreeFinder finder;
+  for (const auto& [u, v] : edges) finder.Count(u, v);
+  finder.BeginVerify();
+  for (const auto& [u, v] : edges) finder.Verify(u, v);
+  std::vector<VertexId> high;
+  finder.High(threshold, high);
+  return high;
+}
+
+/// Checks the step's own threshold and threshold 1, which lists every
+/// surviving candidate and so pins the whole slot order.
+void ExpectSameAsScalar(const EdgeStream& edges) {
+  const std::size_t threshold = std::max<std::size_t>(1, edges.size() / 8);
+  EXPECT_EQ(LaneHigh(edges, threshold), ScalarHigh(edges, threshold));
+  EXPECT_EQ(LaneHigh(edges, 1), ScalarHigh(edges, 1));
+}
+
+/// A shuffled stream of `len` edges: each (hub, degree) pair gets `degree`
+/// edges to fresh leaves, and disjoint leaf-leaf edges fill the rest.
+EdgeStream WithHubs(std::size_t len,
+                    const std::vector<std::pair<VertexId, std::size_t>>& hubs,
+                    std::uint64_t seed) {
+  EdgeStream edges;
+  VertexId leaf = 1000;
+  for (const auto& [hub, degree] : hubs) {
+    for (std::size_t i = 0; i < degree; ++i) edges.emplace_back(hub, leaf++);
+  }
+  while (edges.size() < len) {
+    edges.emplace_back(leaf, leaf + 1);
+    leaf += 2;
+  }
+  SplitMix64 rng(seed);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.Next() % i]);
+  }
+  return edges;
+}
+
+TEST(HighDegreeFinder, AllDistinctEndpointsDecrementEvery32ndMiss) {
+  EdgeStream edges;
+  for (VertexId i = 0; i < 500; ++i) edges.emplace_back(2 * i + 1, 2 * i + 2);
+  ExpectSameAsScalar(edges);
+  EXPECT_TRUE(LaneHigh(edges, edges.size() / 8).empty());
+}
+
+TEST(HighDegreeFinder, HubAtThresholdKeptAndOneBelowDropped) {
+  const std::size_t len = 800;
+  const EdgeStream edges =
+      WithHubs(len, {{7, len / 8}, {9, len / 8 - 1}}, 11);
+  ExpectSameAsScalar(edges);
+  EXPECT_EQ(LaneHigh(edges, len / 8), std::vector<VertexId>{7});
+}
+
+TEST(HighDegreeFinder, SixteenHubsAtThreshold) {
+  // K_16 has 120 edges and every degree is 15 = 120/8: all 16 qualify.
+  EdgeStream edges;
+  for (VertexId a = 0; a < 16; ++a) {
+    for (VertexId b = a + 1; b < 16; ++b) edges.emplace_back(a, b);
+  }
+  SplitMix64 rng(5);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.Next() % i]);
+  }
+  ExpectSameAsScalar(edges);
+  EXPECT_EQ(LaneHigh(edges, edges.size() / 8).size(), 16u);
+}
+
+TEST(HighDegreeFinder, VertexZeroNeverMatchesUnoccupiedLanes) {
+  EdgeStream edges = {{7, 0}, {0, 3}, {5, 0}};
+  for (VertexId i = 0; i < 100; ++i) edges.emplace_back(0, 10 + i);
+  ExpectSameAsScalar(edges);
+  EXPECT_EQ(LaneHigh(EdgeStream{{7, 0}}, 1), (std::vector<VertexId>{7, 0}));
+}
+
+TEST(HighDegreeFinder, IdsNearTopOfRange) {
+  const VertexId top = 0xffffffffu;
+  EdgeStream edges = WithHubs(400, {{top, 60}, {top - 1, 49}}, 3);
+  for (auto& [u, v] : edges) {
+    if (u != top && u != top - 1) u = top - 2 - u;
+    v = top - 2 - v;
+  }
+  ExpectSameAsScalar(edges);
+  EXPECT_EQ(LaneHigh(edges, 50), std::vector<VertexId>{top});
+}
+
+TEST(HighDegreeFinder, LengthJustAboveTinyBase) {
+  const std::size_t len = core::CacheObliviousOptions::kTinyBase + 1;
+  const EdgeStream edges = WithHubs(len, {{3, len / 8}, {4, 2}}, 17);
+  ExpectSameAsScalar(edges);
+  EXPECT_EQ(LaneHigh(edges, len / 8), std::vector<VertexId>{3});
+}
+
+TEST(HighDegreeFinder, SkewedRandomStreams) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    const auto raw = Rmat(9, 300 * seed, 0.6, 0.15, 0.15, seed);
+    EdgeStream edges;
+    for (const Edge& e : raw) edges.emplace_back(e.u, e.v);
+    ExpectSameAsScalar(edges);
+  }
 }
 
 }  // namespace

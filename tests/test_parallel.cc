@@ -577,25 +577,6 @@ TEST(ParallelInvariance, EngineSortFanOutKeepsOutputAndIoStatsIdentical) {
   EXPECT_GT(par::ThreadPool::Global().spawned_workers(), 0u);
 }
 
-TEST(ParallelInvariance, ObliviousRecursionLargeNodeBatchesFanOut) {
-  // 20000 root edges: the recursion's top nodes exceed the hashing batch
-  // (4096 records), so PairBits evaluation fans out over the pool.
-  const std::vector<graph::Edge> raw =
-      graph::Rmat(12, 20000, 0.45, 0.22, 0.22, 77);
-  const MatrixRun base = RunMatrixCase("ps-cache-oblivious", raw, 1,
-                                       em::StorageKind::kMemory,
-                                       em::ScanMode::kBuffered);
-  const MatrixRun got = RunMatrixCase("ps-cache-oblivious", raw, 7,
-                                      em::StorageKind::kMemory,
-                                      em::ScanMode::kBuffered);
-  ASSERT_FALSE(base.triangles.empty());
-  ASSERT_EQ(got.triangles, base.triangles);
-  EXPECT_EQ(got.io.block_reads, base.io.block_reads);
-  EXPECT_EQ(got.io.block_writes, base.io.block_writes);
-  EXPECT_EQ(got.io.cache_hits, base.io.cache_hits);
-  EXPECT_EQ(got.work, base.work);
-}
-
 TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
   // The matrix graph yields a single color triple. Forcing c = 4 gives 64
   // triples, and alpha = 1/64 cuts every pivot bucket into several 64-edge

@@ -12,6 +12,11 @@ either direction is flagged. That catches an EM cost model drifting from
 what the storage layer actually did — e.g. a merge pass re-reading runs
 it should have streamed once.
 
+The §3 recursion runs as a single `co.recurse` span; its args carry the
+wall time and node count of each recursion role (high-degree scans,
+Lemma 1, partition, base case) plus the recursion-shape report, and the
+summary prints them under the `co.recurse` row.
+
 Usage:
     tools/trace_summary.py t.json
     tools/trace_summary.py --top 10 t.json
@@ -36,6 +41,16 @@ DELTA_KEYS = (
 
 # Measured-vs-predicted disagreement beyond this factor gets flagged.
 FLAG_RATIO = 2.0
+
+# Recursion roles the cache-oblivious engine tallies on its co.recurse span
+# (args <role>_ns and <role>_nodes), and its recursion-shape report args.
+CO_SPAN = "co.recurse"
+CO_ROLES = ("high_degree", "lemma1", "partition", "base")
+CO_SHAPE = ("subproblems", "base_cases", "high_degree_calls",
+            "total_child_edges")
+CO_SUMMED = (
+    tuple(r + s for r in CO_ROLES for s in ("_ns", "_nodes")) + CO_SHAPE
+)
 
 
 def load_events(path):
@@ -64,6 +79,7 @@ def summarize(events):
                 "wall_us": 0.0,
                 "self_wall_us": 0.0,
                 "predicted_ios": 0,
+                "co_args": {},
                 **{k: 0 for k in DELTA_KEYS},
             },
         )
@@ -74,7 +90,36 @@ def summarize(events):
         p["predicted_ios"] += int(args.get("predicted_ios", 0))
         for k in DELTA_KEYS:
             p[k] += int(args.get(k, 0))
+        if name == CO_SPAN:
+            co = p["co_args"]
+            for key in CO_SUMMED:
+                if key in args:
+                    co[key] = co.get(key, 0) + int(args[key])
+            if "max_depth_reached" in args:
+                co["max_depth_reached"] = max(
+                    co.get("max_depth_reached", 0),
+                    int(args["max_depth_reached"]))
     return phases
+
+
+def print_co_roles(p):
+    """Prints the co.recurse role tallies, indented under its row."""
+    co = p["co_args"]
+    if not any(role + "_ns" in co for role in CO_ROLES):
+        return
+    wall_ms = p["wall_us"] / 1000
+    for role in CO_ROLES:
+        ms = co.get(role + "_ns", 0) / 1e6
+        share = ms / wall_ms if wall_ms > 0 else 0.0
+        print(
+            f"  {role:<22} {co.get(role + '_nodes', 0):>6} {ms:>9.2f} "
+            f"{share:>8.1%} of span"
+        )
+    shape = [
+        f"{k} {co[k]}" for k in CO_SHAPE + ("max_depth_reached",) if k in co
+    ]
+    if shape:
+        print("  " + ", ".join(shape))
 
 
 def prediction_flags(phases):
@@ -141,6 +186,8 @@ def main():
             f"{p['block_writes']:>8} {p['cache_hits']:>10} {p['work']:>12} "
             f"{p['read_calls']:>6} {p['write_calls']:>6}"
         )
+        if name == CO_SPAN:
+            print_co_roles(p)
 
     total_br = sum(p["block_reads"] for p in phases.values())
     total_bw = sum(p["block_writes"] for p in phases.values())
