@@ -1,10 +1,8 @@
-// Intersection-kernel benchmarks: the two-regime split (blocked merge vs
-// dense bitmap) measured per kernel variant, plus the end-to-end A/B that
-// the committed BENCH_intersect.json records — the same algorithm run with
-// kernels forced scalar and with the best available vectorized policy.
-// Every kernel mode produces bit-identical results, IoStats, and work
-// counters (tests/test_simd_invariance.cc pins that), so the wall-clock
-// ratio here is the whole story of what the src/simd/ subsystem buys.
+// Intersection-kernel benchmarks: the two-regime split (merge vs dense
+// bitmap) and the flat-map probe batch measured per regime, plus three
+// end-to-end runs of the algorithms whose inner loops call the kernels.
+// The committed BENCH_intersect.json pins the end-to-end rows' block I/Os
+// and work exactly.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,12 +13,9 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "simd/intersect.h"
-#include "simd/kernel_policy.h"
 
 namespace trienum::bench {
 namespace {
-
-using simd::KernelMode;
 
 // Sorted unique u32 set of `n` values with roughly `stride` spacing.
 std::vector<std::uint32_t> MakeSet(std::size_t n, std::uint32_t stride,
@@ -36,28 +31,15 @@ std::vector<std::uint32_t> MakeSet(std::size_t n, std::uint32_t stride,
   return v;
 }
 
-KernelMode ModeOf(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 0: return KernelMode::kScalar;
-    case 1: return KernelMode::kSwar;
-    default: return KernelMode::kAuto;
-  }
-}
-
-void SetVariantLabel(benchmark::State& state) {
-  state.SetLabel(simd::KernelVariantName(simd::ActiveVariant()));
-}
-
-// --- Merge regime: sorted-array intersection per variant --------------------
+// --- Merge regime: sorted-array intersection -------------------------------
 
 void BM_MergeIntersect(benchmark::State& state, std::size_t n,
                        std::uint32_t stride) {
-  simd::ScopedKernelMode kscope(ModeOf(state));
   // Overlapping strides: both sets draw from the same value range, so the
   // match density is data-typical rather than degenerate.
   const std::vector<std::uint32_t> a = MakeSet(n, stride, 0xBEEF01);
   const std::vector<std::uint32_t> b = MakeSet(n, stride, 0xBEEF02);
-  std::vector<std::uint32_t> out(n + simd::kOutSlack);
+  std::vector<std::uint32_t> out(n);
   std::uint64_t acc = 0;
   for (auto _ : state) {
     const simd::IntersectStats st = simd::IntersectSorted(
@@ -68,14 +50,10 @@ void BM_MergeIntersect(benchmark::State& state, std::size_t n,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
                           state.iterations());
-  SetVariantLabel(state);
 }
 
-#define MERGE_BENCH(id, n, stride)                          \
-  BENCHMARK_CAPTURE(BM_MergeIntersect, id, n, stride)       \
-      ->Arg(0)                                              \
-      ->Arg(1)                                              \
-      ->Arg(2)                                              \
+#define MERGE_BENCH(id, n, stride)                    \
+  BENCHMARK_CAPTURE(BM_MergeIntersect, id, n, stride) \
       ->Unit(benchmark::kMicrosecond)
 
 MERGE_BENCH(dense_4k, std::size_t{1} << 12, 2);     // ~50% match rate
@@ -85,10 +63,9 @@ MERGE_BENCH(sparse_64k, std::size_t{1} << 16, 64);
 
 #undef MERGE_BENCH
 
-// --- Dense regime: bitmap probe and popcount-AND per variant ----------------
+// --- Dense regime: bitmap probe --------------------------------------------
 
 void BM_BitmapProbe(benchmark::State& state) {
-  simd::ScopedKernelMode kscope(ModeOf(state));
   // A dense hub set (unit-ish stride) probed by many short runs — the shape
   // ChooseRegime routes to the bitmap.
   const std::size_t hub = std::size_t{1} << 14;
@@ -97,7 +74,7 @@ void BM_BitmapProbe(benchmark::State& state) {
   bitmap.Build(dense.data(), dense.size());
   const std::size_t n = std::size_t{1} << 12;
   const std::vector<std::uint32_t> probe = MakeSet(n, 3, 0xD0D1);
-  std::vector<std::uint32_t> out(n + simd::kOutSlack);
+  std::vector<std::uint32_t> out(n);
   std::uint64_t acc = 0;
   for (auto _ : state) {
     acc += bitmap.Probe(probe.data(), probe.size(), out.data());
@@ -105,36 +82,12 @@ void BM_BitmapProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  SetVariantLabel(state);
 }
-BENCHMARK(BM_BitmapProbe)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
-
-void BM_BitmapCountAnd(benchmark::State& state) {
-  simd::ScopedKernelMode kscope(ModeOf(state));
-  const std::size_t hub = std::size_t{1} << 15;
-  const std::vector<std::uint32_t> a = MakeSet(hub, 1, 0xC0C0);
-  const std::vector<std::uint32_t> b = MakeSet(hub, 1, 0xC0C1);
-  simd::DenseBitmap ba, bb;
-  ba.Build(a.data(), a.size());
-  bb.Build(b.data(), b.size());
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    acc += ba.CountAnd(bb);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(hub) * state.iterations());
-  SetVariantLabel(state);
-}
-BENCHMARK(BM_BitmapCountAnd)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BitmapProbe)->Unit(benchmark::kMicrosecond);
 
 // --- Flat-map probe batches (the pivot-cone hot loop) -----------------------
 
 void BM_FlatMapProbe(benchmark::State& state) {
-  simd::ScopedKernelMode kscope(ModeOf(state));
   // The FlatVertexMap layout: power-of-two table, multiplicative hash,
   // 0xFFFFFFFF marks empty. Half-full, like the resident-chunk role maps.
   const std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -165,14 +118,12 @@ void BM_FlatMapProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  SetVariantLabel(state);
 }
-BENCHMARK(BM_FlatMapProbe)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FlatMapProbe)->Unit(benchmark::kMicrosecond);
 
-// --- End-to-end A/B: kernels off vs on --------------------------------------
+// --- End to end: the algorithms whose inner loops call the kernels ----------
 
 void BM_EndToEndKernels(benchmark::State& state, const std::string& algo) {
-  simd::ScopedKernelMode kscope(ModeOf(state));
   const std::size_t e = std::size_t{1} << 16;
   auto raw = graph::Rmat(14, e, 0.45, 0.22, 0.22, 77);
   RunOutcome out;
@@ -184,14 +135,11 @@ void BM_EndToEndKernels(benchmark::State& state, const std::string& algo) {
   state.counters["ios"] = static_cast<double>(out.io.total_ios());
   state.counters["triangles"] = static_cast<double>(out.triangles);
   state.counters["work"] = static_cast<double>(out.work);
-  SetVariantLabel(state);
 }
 
-#define KERNEL_E2E(id, algo)                       \
-  BENCHMARK_CAPTURE(BM_EndToEndKernels, id, algo)  \
-      ->Arg(0)                                     \
-      ->Arg(2)                                     \
-      ->Iterations(1)                              \
+#define KERNEL_E2E(id, algo)                      \
+  BENCHMARK_CAPTURE(BM_EndToEndKernels, id, algo) \
+      ->Iterations(1)                             \
       ->Unit(benchmark::kMillisecond)
 
 KERNEL_E2E(mgt, "mgt");

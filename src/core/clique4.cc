@@ -64,9 +64,8 @@ class QuadRecursor {
       slots[5].ReadTo(0, slots[5].size(), b34.data());
       // Membership over all six slots: a flat open-addressed set (packed
       // edges are never 0, the empty sentinel), probed four-at-a-time by
-      // the join below. ContainsAll4's batched variant overlaps the four
-      // (usually cache-missing) slot loads; the result — and therefore the
-      // join's emissions — is identical under every kernel policy.
+      // the join below. ContainsAll4 overlaps the four (usually
+      // cache-missing) slot loads.
       simd::FlatU64Set has;
       has.Reset(total);
       std::vector<Edge> tmp;

@@ -49,9 +49,8 @@ void EnumerateEdgeIterator(em::QuerySession& ctx, const graph::EmGraph& g,
   // are staged host-side with scan-exact reads and handed to the merge
   // kernel, whose ascending match output is exactly the old interleaved
   // two-pointer loop's emit order. Work stays the merge's iteration count,
-  // consumed_a + consumed_b - matches: the consumed-at-exhaustion counts
-  // are determined by the data alone, so every kernel variant reproduces
-  // the scalar total exactly (tests/test_intersect_kernels.cc).
+  // consumed_a + consumed_b - matches, which the consumed-at-exhaustion
+  // counts give exactly (tests/test_intersect_kernels.cc).
   obs::Span span("ei.intersect");
   span.AddArg("edges", m);
   std::vector<VertexId> run_a, run_b, matches;
@@ -69,7 +68,7 @@ void EnumerateEdgeIterator(em::QuerySession& ctx, const graph::EmGraph& g,
       if (run_b.size() < lb) run_b.resize(lb);
       nbr.ReadScanInto(i, hi, run_a.data());
       nbr.ReadScanInto(j, j_end, run_b.data());
-      const std::size_t cap = std::min(la, lb) + simd::kOutSlack;
+      const std::size_t cap = std::min(la, lb);
       if (matches.size() < cap) matches.resize(cap);
       const simd::IntersectStats st = simd::IntersectSorted(
           run_a.data(), la, run_b.data(), lb, matches.data());

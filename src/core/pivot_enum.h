@@ -38,10 +38,11 @@
 // cone-stream role probes go through batched flat-map lookups, and the
 // emit phase intersects each resident pivot run against Gamma_3 either by
 // merge kernel or — when Gamma_3 is large and dense (the high-degree-hub
-// shape) — through a per-group offset bitmap. Kernel variant and regime
-// are pure host-performance choices: output order, work totals, and the
-// Peek/Next charge sequence are identical with kernels on or off
-// (tests/test_simd_invariance.cc).
+// shape) — through a per-group offset bitmap. The regime is a pure
+// host-performance choice: both produce the same matches in the same
+// order, and the work totals and the Peek/Next charge sequence do not
+// depend on it (ParallelInvariance.Lemma2EmitLoopFanOutOnDenseCore in
+// tests/test_parallel.cc drives the bitmap regime on K_150).
 #ifndef TRIENUM_CORE_PIVOT_ENUM_H_
 #define TRIENUM_CORE_PIVOT_ENUM_H_
 
@@ -293,9 +294,7 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
       const std::uint32_t* run = vmax + range.first;
       const std::size_t len = range.second - range.first;
       ctx.AddWork(len);
-      if (match.size() < len + simd::kOutSlack) {
-        match.resize(len + simd::kOutSlack);
-      }
+      if (match.size() < len) match.resize(len);
       std::size_t m;
       if (regime == simd::Regime::kBitmap) {
         m = bitmap.Probe(run, len, match.data());

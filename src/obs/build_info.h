@@ -1,12 +1,11 @@
 // Compile-time provenance: which compiler, flags, and optional features a
-// `trienum` binary was actually built with. Today a report cannot tell an
-// AVX2 build from a portable one — build info closes that gap in the
-// `trienum version` subcommand and the --metrics-json build_info block.
+// `trienum` binary was actually built with, so a report can tell a
+// -march=native build from a portable one. Surfaced by the `trienum
+// version` subcommand and the --metrics-json build_info block.
 //
 // The values are injected as compile definitions on the obs target by
 // src/CMakeLists.txt (TRIENUM_BUILD_*); sensible fallbacks keep non-CMake
-// builds compiling. Kernel-variant availability lives in simd/kernel_policy
-// (obs sits below simd and cannot ask it) — the CLI composes the two.
+// builds compiling.
 #ifndef TRIENUM_OBS_BUILD_INFO_H_
 #define TRIENUM_OBS_BUILD_INFO_H_
 

@@ -1,9 +1,9 @@
 // Scoped trace spans with phase-attributed counter deltas, emitted as
 // Chrome trace-event JSON (chrome://tracing, Perfetto).
 //
-// The invariance contract (the same one threads, kernels, and faults
-// obey): tracing on or off is bit-invisible to triangles, emission
-// order, IoStats, and work. Spans achieve this by *reading* existing
+// The invariance contract (the same one threads and faults obey):
+// tracing on or off is bit-invisible to triangles, emission order,
+// IoStats, and work. Spans achieve this by *reading* existing
 // counters at phase boundaries — they never touch the counted charge
 // sequence, never allocate inside it, and compile down to one relaxed
 // atomic load when no collector is installed.

@@ -5,18 +5,15 @@
 // power-of-two flat array (no per-node mallocs, no bucket chasing), key 0
 // reserved as the empty sentinel — packed edges (u << 32 | v with u < v)
 // are never 0. The batched ContainsAll4 services one join candidate's four
-// membership tests: under the scalar policy it short-circuits like the
-// naive `&&` chain; under the vector policies it computes all four hashes
-// up front so the (usually cache-missing) slot loads overlap. Results are
-// identical either way — membership is pure — which is what the kernels
-// on/off differential suite pins.
+// membership tests: it computes all four hashes up front so the (usually
+// cache-missing) slot loads overlap. Membership is pure, so the answer is
+// the naive `&&` chain's.
 #ifndef TRIENUM_SIMD_FLAT_SET_H_
 #define TRIENUM_SIMD_FLAT_SET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "simd/kernel_policy.h"
 
 namespace trienum::simd {
 
@@ -49,9 +46,6 @@ class FlatU64Set {
   /// All four keys present? The join's per-candidate test.
   bool ContainsAll4(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
                     std::uint64_t k3) const {
-    if (ActiveVariant() == KernelVariant::kScalar) {
-      return Contains(k0) && Contains(k1) && Contains(k2) && Contains(k3);
-    }
     // Batched: hash all four before touching the table, so the four slot
     // loads issue back-to-back instead of serializing behind each other.
     const std::size_t h0 = Hash(k0), h1 = Hash(k1), h2 = Hash(k2),

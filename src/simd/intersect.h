@@ -1,34 +1,26 @@
 // Two-regime intersection kernels for sorted u32 sets (adjacency lists).
 //
-// Regime 1 — merge: `IntersectSorted` walks two strictly increasing arrays
-// with the scalar two-pointer's exact semantics, returning the matches plus
-// how far each side was consumed when the other exhausted. The consumed
-// counts let callers reproduce the scalar loop's work accounting to the
-// unit: the scalar merge performs exactly (consumed_a + consumed_b -
-// matches) iterations, and that total is data-determined — every correct
-// merge lands on the same (consumed_a, consumed_b), which the exhaustive
-// harness (tests/test_intersect_kernels.cc) verifies across variants.
+// Regime 1 — merge: `IntersectSorted` is the two-pointer merge of two
+// strictly increasing arrays, returning the matches plus how far each side
+// was consumed when the other exhausted. The consumed counts let callers
+// charge the loop's work to the unit: the merge performs exactly
+// (consumed_a + consumed_b - matches) iterations, and that total is
+// data-determined (tests/test_intersect_kernels.cc checks it against its
+// closed form).
 //
 // Regime 2 — bitmap: `DenseBitmap` rasterizes one side once (offset-based,
-// one bit per value in [min, max]) and answers membership probes and
-// popcount-style AND counts against it. It wins when the rasterized side is
-// large and dense and is reused across many probes — the high-degree-hub
-// shape Latapy and Berry et al. document for real power-law graphs. The
-// `ChooseRegime` dispatcher applies the size/span threshold.
+// one bit per value in [min, max]) and answers membership probes against
+// it. It wins when the rasterized side is large and dense and is reused
+// across many probes — the high-degree-hub shape Latapy and Berry et al.
+// document for real power-law graphs. The `ChooseRegime` dispatcher
+// applies the size/span threshold.
 //
-// Each operation has three implementations selected by the process-wide
-// kernel policy (simd/kernel_policy.h): scalar reference, portable SWAR
-// (64-bit packed half-word tricks, always compiled), and AVX2 (compiled
-// under __AVX2__, i.e. TRIENUM_NATIVE builds). All variants are bit-exact
-// replicas of the scalar reference in results, match order, and consumed
-// counts; only the host instruction stream differs. Nothing here touches
-// the em:: layer, so kernel choice can never move an I/O charge.
+// Each operation has one scalar implementation; every entry point counts
+// one call in simd/kernel_policy.h. Nothing here touches the em:: layer,
+// so the regime choice can never move an I/O charge.
 //
 // Preconditions shared by all entry points: inputs are strictly increasing
-// (sets — adjacency lists have no duplicate neighbours). Output buffers
-// need kOutSlack extra slots beyond the worst-case match count: the
-// vectorized compaction stores full 8-lane groups and advances by the
-// actual match count.
+// (sets — adjacency lists have no duplicate neighbours).
 #ifndef TRIENUM_SIMD_INTERSECT_H_
 #define TRIENUM_SIMD_INTERSECT_H_
 
@@ -36,17 +28,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "simd/kernel_policy.h"
-
 namespace trienum::simd {
 
-/// Extra output capacity (beyond min(na, nb) possible matches) the
-/// vectorized kernels may scribble past the last real match.
-inline constexpr std::size_t kOutSlack = 8;
-
-/// What the scalar two-pointer loop would have done: `matches` values
-/// written to `out` (ascending), and the i/j positions at which the loop
-/// terminated (first side exhausted). The scalar loop's iteration count is
+/// What the two-pointer loop did: `matches` values written to `out`
+/// (ascending), and the i/j positions at which the loop terminated (first
+/// side exhausted). The loop's iteration count is
 /// consumed_a + consumed_b - matches.
 struct IntersectStats {
   std::size_t matches = 0;
@@ -55,27 +41,10 @@ struct IntersectStats {
 };
 
 /// Early-exit merge intersection of two strictly increasing arrays; writes
-/// the common values (ascending) to `out` (capacity >= min(na, nb) +
-/// kOutSlack). Dispatches on the active kernel variant.
+/// the common values (ascending) to `out` (capacity >= min(na, nb)).
 IntersectStats IntersectSorted(const std::uint32_t* a, std::size_t na,
                                const std::uint32_t* b, std::size_t nb,
                                std::uint32_t* out);
-
-namespace internal {
-// Individual variants, exposed for the differential harness (normal code
-// goes through IntersectSorted).
-IntersectStats IntersectScalar(const std::uint32_t* a, std::size_t na,
-                               const std::uint32_t* b, std::size_t nb,
-                               std::uint32_t* out);
-IntersectStats IntersectSwar(const std::uint32_t* a, std::size_t na,
-                             const std::uint32_t* b, std::size_t nb,
-                             std::uint32_t* out);
-#if defined(__AVX2__)
-IntersectStats IntersectAvx2(const std::uint32_t* a, std::size_t na,
-                             const std::uint32_t* b, std::size_t nb,
-                             std::uint32_t* out);
-#endif
-}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // Dense regime.
@@ -87,7 +56,7 @@ enum class Regime { kMerge, kBitmap };
 inline constexpr std::size_t kBitmapMinSize = 64;
 /// ...and be dense: span no more than this many positions per value (the
 /// bitmap costs span/64 words to build and scan; beyond 16x the set size,
-/// the merge kernels win and the bitmap stops fitting the scratch budget).
+/// the merge kernel wins and the bitmap stops fitting the scratch budget).
 inline constexpr std::size_t kBitmapMaxSpanPerValue = 16;
 
 /// Picks the regime for intersections against one reused sorted set of
@@ -122,36 +91,17 @@ class DenseBitmap {
     return (words_[off >> 6] >> (off & 63)) & 1u;
   }
 
-  /// Full-scan probe: writes probe[i] for every member, in probe order, to
-  /// `out` (capacity >= n + kOutSlack); returns the match count. Dispatches
-  /// on the active kernel variant; all variants emit identical output.
+  /// Writes probe[i] for every member, in probe order, to `out` (capacity
+  /// >= n); returns the match count.
   std::size_t Probe(const std::uint32_t* probe, std::size_t n,
                     std::uint32_t* out) const;
 
-  /// |this AND other| via vectorized popcount over the overlapping word
-  /// range (the count-only path of the dense regime).
-  std::uint64_t CountAnd(const DenseBitmap& other) const;
-
  private:
-  std::size_t ProbeScalar(const std::uint32_t* probe, std::size_t n,
-                          std::uint32_t* out) const;
-  std::size_t ProbeSwar(const std::uint32_t* probe, std::size_t n,
-                        std::uint32_t* out) const;
-#if defined(__AVX2__)
-  std::size_t ProbeAvx2(const std::uint32_t* probe, std::size_t n,
-                        std::uint32_t* out) const;
-#endif
-
   std::vector<std::uint64_t> words_;
   std::uint32_t base_ = 0;   // value of bit 0
   std::uint64_t span_ = 0;   // number of addressable positions
   std::size_t count_ = 0;    // values rasterized
 };
-
-/// Population count over a word array — scalar builtin, SWAR bit-slicing,
-/// or AVX2 nibble-LUT (pshufb) per the active variant. Exposed for the
-/// harness and benches; CountAnd uses it internally.
-std::uint64_t PopcountWords(const std::uint64_t* w, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Open-addressed probe batch (the FlatVertexMap hot loop).
@@ -159,9 +109,7 @@ std::uint64_t PopcountWords(const std::uint64_t* w, std::size_t n);
 /// Batched lookups against core's FlatVertexMap layout: linear probing over
 /// power-of-two tables keyed by `key * 0x9E3779B1 & mask`, empty slots
 /// marked by vals[i] == 0xFFFFFFFF. Writes the payload (or the empty
-/// sentinel) for each query. The vectorized variants resolve the common
-/// first-slot hit 8 (AVX2) or 4 (SWAR) probes at a time and fall back to
-/// the scalar walk on collisions; results are identical to per-query Get.
+/// sentinel) for each query.
 void ProbeFlatMapU32(const std::uint32_t* keys, const std::uint32_t* vals,
                      std::uint32_t mask, const std::uint32_t* queries,
                      std::size_t n, std::uint32_t* out);

@@ -23,7 +23,9 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,7 +45,6 @@
 #include "obs/trace.h"
 #include "par/par_config.h"
 #include "query/query.h"
-#include "simd/kernel_policy.h"
 
 namespace {
 
@@ -58,8 +59,8 @@ constexpr char kUsage[] =
     "  enumerate                 like count, but also print the triangles\n"
     "  query                     load the graph once, answer a script of\n"
     "                            queries (--script=<file>), one report each\n"
-    "  version                   build provenance: compiler, flags, compiled\n"
-    "                            and active kernel variants\n"
+    "  version                   build provenance: compiler, flags, build\n"
+    "                            type, -march=native or portable\n"
     "  help                      show this message with the generator table\n"
     "\n"
     "query scripts (one query per line; '#' starts a comment):\n"
@@ -83,11 +84,6 @@ constexpr char kUsage[] =
     "  --threads=<N>             host compute threads (default 1; 0 = all\n"
     "                            hardware cores). Parallelism never changes\n"
     "                            the result or the counted block I/Os\n"
-    "  --kernels=<mode>          intersection kernel policy: auto (default),\n"
-    "                            scalar, swar, or avx2. Pure performance\n"
-    "                            knob: every mode yields identical results,\n"
-    "                            work counters, and block I/Os. avx2 without\n"
-    "                            hardware/build support falls back to swar\n"
     "  --faults=<spec>           deterministic fault-injection schedule, e.g.\n"
     "                            'read:eio:every=7;write:short:every=9'\n"
     "                            (clauses op:kind[:k=v,...]; op in read|write|\n"
@@ -113,18 +109,24 @@ constexpr char kUsage[] =
     "                            (default text)\n"
     "\n"
     "graph generators (`<name>:k1=v1,k2=v2,...`):\n"
-    "  gnm:n=1024,m=4096,seed=1          Erdos-Renyi G(n, m)\n"
+    "  gnm:n=1024,m=4096,seed=1          Erdos-Renyi G(n, m); n >= 2,\n"
+    "                                    m <= n(n-1)/2\n"
     "  clique:k=32                       complete graph K_k\n"
     "  clique-path:k=12,path=50          K_k plus a path periphery\n"
     "  clique-union:k=8,s=12             k disjoint cliques of size s\n"
     "  tripartite:a=8,b=8,c=8            complete tripartite K_{a,b,c}\n"
     "  rmat:scale=10,m=8192,pa=0.45,pb=0.22,pc=0.22,seed=1\n"
-    "                                    R-MAT with skewed degrees\n"
-    "  planted:n=1024,m=2048,t=64,seed=1 random edges + t planted triangles\n"
-    "  ba:n=1024,attach=4,seed=1         Barabasi-Albert preferential attach\n"
-    "  ws:n=1024,k=4,beta=0.1,seed=1     Watts-Strogatz small world\n"
+    "                                    R-MAT with skewed degrees;\n"
+    "                                    1 <= scale <= 30, pa+pb+pc <= 1\n"
+    "  planted:n=1024,m=2048,t=64,seed=1 random edges + t planted triangles;\n"
+    "                                    gnm's limits on n and m, 3t <= n\n"
+    "  ba:n=1024,attach=4,seed=1         Barabasi-Albert preferential attach;\n"
+    "                                    1 <= attach < n\n"
+    "  ws:n=1024,k=4,beta=0.1,seed=1     Watts-Strogatz small world; k >= 1,\n"
+    "                                    n > 2k, 0 <= beta <= 1\n"
     "  bipartite:l=512,r=512,m=2048,seed=1\n"
-    "                                    random bipartite (triangle-free)\n"
+    "                                    random bipartite (triangle-free);\n"
+    "                                    m <= l*r\n"
     "  star:n=1024 | path:n=1024 | cycle:n=1024\n"
     "                                    triangle-free controls\n";
 
@@ -146,7 +148,6 @@ struct Options {
   em::StorageKind backend = em::StorageKind::kMemory;
   std::string temp_dir;
   std::size_t threads = 1;
-  simd::KernelMode kernels = simd::KernelMode::kAuto;
   std::string faults;
   int io_retries = 4;
   int io_retry_backoff_ms = 0;
@@ -222,11 +223,6 @@ Options ParseOptions(int argc, char** argv, bool query_mode = false) {
       opt.temp_dir = value;
     } else if (key == "threads") {
       opt.threads = ParseU64(key, value);
-    } else if (key == "kernels") {
-      if (!simd::ParseKernelMode(value, &opt.kernels)) {
-        Die("--kernels must be auto, scalar, swar, or avx2, got '" + value +
-            "'");
-      }
     } else if (key == "faults") {
       opt.faults = value;
     } else if (key == "io-retries") {
@@ -325,6 +321,18 @@ SpecParams ParseSpecParams(const std::string& name, const std::string& body,
   return p;
 }
 
+/// G(n, m)'s preconditions; `planted` draws its base edges from G(n, m).
+/// Like every generator check in MakeGraph, a bad spec dies with a usage
+/// error instead of tripping the generator's internal TRIENUM_CHECK abort.
+void ValidateGnm(const std::string& name, std::uint64_t n, std::uint64_t m) {
+  if (n < 2) Die(name + " needs n >= 2, got n=" + std::to_string(n));
+  const std::uint64_t max_edges = n * (n - 1) / 2;
+  if (m > max_edges) {
+    Die(name + " with n=" + std::to_string(n) + " has at most n(n-1)/2 = " +
+        std::to_string(max_edges) + " edges, got m=" + std::to_string(m));
+  }
+}
+
 std::vector<graph::Edge> MakeGraph(const Options& opt) {
   using graph::VertexId;
   const std::string& spec = opt.graph;
@@ -342,8 +350,10 @@ std::vector<graph::Edge> MakeGraph(const Options& opt) {
 
   if (name == "gnm") {
     SpecParams p = ParseSpecParams(name, body, {"n", "m", "seed"});
-    return graph::Gnm(vid(p.U64("n", 1024)), p.U64("m", 4096),
-                      p.U64("seed", opt.seed));
+    const VertexId n = vid(p.U64("n", 1024));
+    const std::uint64_t m = p.U64("m", 4096);
+    ValidateGnm(name, n, m);
+    return graph::Gnm(n, m, p.U64("seed", opt.seed));
   }
   if (name == "clique") {
     SpecParams p = ParseSpecParams(name, body, {"k"});
@@ -379,23 +389,45 @@ std::vector<graph::Edge> MakeGraph(const Options& opt) {
   }
   if (name == "planted") {
     SpecParams p = ParseSpecParams(name, body, {"n", "m", "t", "seed"});
-    return graph::PlantedTriangles(vid(p.U64("n", 1024)), p.U64("m", 2048),
-                                   p.U64("t", 64), p.U64("seed", opt.seed));
+    const VertexId n = vid(p.U64("n", 1024));
+    const std::uint64_t m = p.U64("m", 2048), t = p.U64("t", 64);
+    ValidateGnm(name, n, m);
+    if (t > n / 3) {
+      Die("planted needs 3t <= n (its triangles are vertex-disjoint), got t=" +
+          std::to_string(t) + " with n=" + std::to_string(n));
+    }
+    return graph::PlantedTriangles(n, m, t, p.U64("seed", opt.seed));
   }
   if (name == "ba") {
     SpecParams p = ParseSpecParams(name, body, {"n", "attach", "seed"});
-    return graph::BarabasiAlbert(vid(p.U64("n", 1024)), vid(p.U64("attach", 4)),
-                                 p.U64("seed", opt.seed));
+    const VertexId n = vid(p.U64("n", 1024)), attach = vid(p.U64("attach", 4));
+    if (attach < 1 || attach >= n) {
+      Die("ba needs 1 <= attach < n, got attach=" + std::to_string(attach) +
+          " with n=" + std::to_string(n));
+    }
+    return graph::BarabasiAlbert(n, attach, p.U64("seed", opt.seed));
   }
   if (name == "ws") {
     SpecParams p = ParseSpecParams(name, body, {"n", "k", "beta", "seed"});
-    return graph::WattsStrogatz(vid(p.U64("n", 1024)), vid(p.U64("k", 4)),
-                                p.F64("beta", 0.1), p.U64("seed", opt.seed));
+    const VertexId n = vid(p.U64("n", 1024)), k = vid(p.U64("k", 4));
+    const double beta = p.F64("beta", 0.1);
+    if (k < 1 || n <= 2 * std::uint64_t{k}) {
+      Die("ws needs k >= 1 and n > 2k, got k=" + std::to_string(k) +
+          " with n=" + std::to_string(n));
+    }
+    if (!(beta >= 0 && beta <= 1)) Die("ws beta must be in [0, 1]");
+    return graph::WattsStrogatz(n, k, beta, p.U64("seed", opt.seed));
   }
   if (name == "bipartite") {
     SpecParams p = ParseSpecParams(name, body, {"l", "r", "m", "seed"});
-    return graph::BipartiteRandom(vid(p.U64("l", 512)), vid(p.U64("r", 512)),
-                                  p.U64("m", 2048), p.U64("seed", opt.seed));
+    const VertexId l = vid(p.U64("l", 512)), r = vid(p.U64("r", 512));
+    const std::uint64_t m = p.U64("m", 2048);
+    if (m > std::uint64_t{l} * r) {
+      Die("bipartite has at most l*r = " +
+          std::to_string(std::uint64_t{l} * r) + " edges, got m=" +
+          std::to_string(m));
+    }
+    return graph::BipartiteRandom(l, r, m, p.U64("seed", opt.seed));
   }
   if (name == "star") {
     SpecParams p = ParseSpecParams(name, body, {"n"});
@@ -417,6 +449,19 @@ std::vector<graph::Edge> MakeGraph(const Options& opt) {
         " (not a generator name either; see `trienum help`)");
   }
   return *r;
+}
+
+/// MakeGraph, with a spec too large to allocate (an edge-list reserve past
+/// vector::max_size, or more memory than the host has) turned into a usage
+/// error that names the spec.
+std::vector<graph::Edge> BuildGraph(const Options& opt) {
+  try {
+    return MakeGraph(opt);
+  } catch (const std::length_error&) {
+    Die("graph '" + opt.graph + "' has too many edges to build");
+  } catch (const std::bad_alloc&) {
+    Die("graph '" + opt.graph + "' does not fit in host memory");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,8 +513,6 @@ void PrintMeasurements(const query::QueryResult& r, std::size_t num_edges,
       core::PaghSilvestriIoBound(num_edges, memory_words, block_words);
   double lower = core::IoLowerBound(r.triangles, memory_words, block_words);
   std::printf("threads = %zu\n", r.threads_used);
-  std::printf("kernels = %s\n",
-              simd::KernelVariantName(simd::ActiveVariant()));
   std::printf("seed = %llu\n", static_cast<unsigned long long>(r.seed_used));
   std::printf("triangles = %llu\n",
               static_cast<unsigned long long>(r.triangles));
@@ -518,18 +561,6 @@ void PrintMeasurements(const query::QueryResult& r, std::size_t num_edges,
 // ---------------------------------------------------------------------------
 // JSON surfacing: --report=json, --metrics-json, `trienum version`.
 
-/// The compiled-in kernel variants (scalar and SWAR are unconditional; AVX2
-/// only under __AVX2__ builds) and runtime facts, composed from simd/ —
-/// obs/build_info cannot see the kernel layer.
-void WriteKernelInfoJson(obs::JsonWriter& w) {
-  w.Key("kernels_compiled").BeginArray();
-  w.Value("scalar").Value("swar");
-  if (simd::Avx2Compiled()) w.Value("avx2");
-  w.EndArray();
-  w.KV("avx2_runtime", simd::Avx2Available());
-  w.KV("kernels_active", simd::KernelVariantName(simd::ActiveVariant()));
-}
-
 void WriteBuildInfoJson(obs::JsonWriter& w) {
   const obs::BuildInfo& b = obs::GetBuildInfo();
   w.Key("build_info").BeginObject();
@@ -538,7 +569,6 @@ void WriteBuildInfoJson(obs::JsonWriter& w) {
   w.KV("build_type", b.build_type);
   w.KV("native", b.native);
   w.KV("cplusplus", static_cast<std::int64_t>(b.cplusplus));
-  WriteKernelInfoJson(w);
   w.EndObject();
 }
 
@@ -551,7 +581,6 @@ void WriteResultJson(obs::JsonWriter& w, const query::QueryResult& r,
       core::PaghSilvestriIoBound(num_edges, memory_words, block_words);
   const double lower = core::IoLowerBound(r.triangles, memory_words, block_words);
   w.KV("threads", static_cast<std::uint64_t>(r.threads_used));
-  w.KV("kernels", simd::KernelVariantName(simd::ActiveVariant()));
   w.KV("seed", r.seed_used);
   w.KV("triangles", r.triangles);
   w.Key("io").BeginObject();
@@ -685,11 +714,6 @@ int CmdVersion(bool json) {
   std::printf("flags = %s\n", b.flags.c_str());
   std::printf("native = %d\n", b.native ? 1 : 0);
   std::printf("cplusplus = %ld\n", b.cplusplus);
-  std::printf("kernels_compiled = scalar,swar%s\n",
-              simd::Avx2Compiled() ? ",avx2" : "");
-  std::printf("avx2_runtime = %d\n", simd::Avx2Available() ? 1 : 0);
-  std::printf("kernels_active = %s\n",
-              simd::KernelVariantName(simd::ActiveVariant()));
   return 0;
 }
 
@@ -743,7 +767,6 @@ void PrintPayload(const query::Query& q, const query::QueryResult& r,
 }
 
 int CmdRun(const Options& opt, bool enumerate) {
-  simd::SetMode(opt.kernels);
   const bool is_reference = opt.algo == "reference";
   if (!is_reference && core::FindAlgorithm(opt.algo) == nullptr) {
     Die("unknown algorithm '" + opt.algo + "' (see `trienum list`)");
@@ -754,7 +777,7 @@ int CmdRun(const Options& opt, bool enumerate) {
   }
 
   std::fprintf(stderr, "[graph] building '%s'\n", opt.graph.c_str());
-  std::vector<graph::Edge> raw = MakeGraph(opt);
+  std::vector<graph::Edge> raw = BuildGraph(opt);
   std::fprintf(stderr, "[graph] %zu raw edges\n", raw.size());
 
   if (is_reference) {
@@ -961,7 +984,6 @@ std::vector<ScriptQuery> LoadScript(const std::string& path, const Options& opt)
 }
 
 int CmdQuery(const Options& opt) {
-  simd::SetMode(opt.kernels);
   if (opt.script.empty()) {
     Die("`trienum query` needs --script=<file> (one query per line)");
   }
@@ -978,7 +1000,7 @@ int CmdQuery(const Options& opt) {
   }
 
   std::fprintf(stderr, "[graph] building '%s'\n", opt.graph.c_str());
-  std::vector<graph::Edge> raw = MakeGraph(opt);
+  std::vector<graph::Edge> raw = BuildGraph(opt);
   std::fprintf(stderr, "[graph] %zu raw edges\n", raw.size());
   Result<query::LoadedGraph> loaded =
       query::LoadedGraph::FromEdges(MakeEmConfig(opt), raw);
