@@ -1,9 +1,10 @@
-// Hot-path microbenchmarks for the block-buffered Scanner/Writer rebuild:
-// scan/write/merge/clone throughput down the buffered vs the element-wise
-// path (same IoStats, different wall clock — the whole point), the pinned-
-// line zero-copy sweep, and end-to-end enumeration per algorithm in both
-// modes. The `mode_speedup`-style ratios in BENCH_hotpath.json are the
-// committed record of what block-granular transfers buy at each level.
+// Hot-path microbenchmarks for the block-buffered Scanner/Writer:
+// scan/write/filter/merge-sort throughput; the chunked clone and the
+// pinned-line zero-copy sweep, each against a bench-local per-record loop
+// (same IoStats, different wall clock); and end-to-end enumeration per
+// algorithm on both storage backends. The `ios` counters in
+// BENCH_hotpath.json are exact: bench/check_wall_regression.py fails on any
+// change to them.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,15 +28,6 @@ em::Context MakeCtx(em::StorageKind storage = em::StorageKind::kMemory) {
   return em::Context(cfg);
 }
 
-em::ScanMode ModeOf(const benchmark::State& state) {
-  return state.range(0) == 0 ? em::ScanMode::kElementwise
-                             : em::ScanMode::kBuffered;
-}
-
-void SetModeLabel(benchmark::State& state) {
-  state.SetLabel(state.range(0) == 0 ? "elementwise" : "buffered");
-}
-
 // --- Stream micro-throughput ------------------------------------------------
 
 void BM_ScanThroughput(benchmark::State& state) {
@@ -47,7 +39,6 @@ void BM_ScanThroughput(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) host[i] = i * 31;
   a.WriteFrom(0, n, host.data());
   ctx.cache().set_counting(true);
-  em::ScopedScanMode sm(ModeOf(state));
   std::uint64_t acc = 0;
   for (auto _ : state) {
     ctx.cache().Reset();
@@ -57,15 +48,13 @@ void BM_ScanThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
   state.counters["ios"] = static_cast<double>(ctx.cache().stats().total_ios());
-  SetModeLabel(state);
 }
-BENCHMARK(BM_ScanThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_WriteThroughput(benchmark::State& state) {
   const std::size_t n = 1 << 20;
   em::Context ctx = MakeCtx();
   em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
-  em::ScopedScanMode sm(ModeOf(state));
   for (auto _ : state) {
     ctx.cache().Reset();
     em::Writer<std::uint64_t> w(a);
@@ -74,9 +63,8 @@ void BM_WriteThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
   state.counters["ios"] = static_cast<double>(ctx.cache().stats().total_ios());
-  SetModeLabel(state);
 }
-BENCHMARK(BM_WriteThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_FilterThroughput(benchmark::State& state) {
   const std::size_t n = 1 << 20;
@@ -88,7 +76,6 @@ void BM_FilterThroughput(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) host[i] = i;
   a.WriteFrom(0, n, host.data());
   ctx.cache().set_counting(true);
-  em::ScopedScanMode sm(ModeOf(state));
   for (auto _ : state) {
     ctx.cache().Reset();
     std::size_t kept =
@@ -96,9 +83,8 @@ void BM_FilterThroughput(benchmark::State& state) {
     benchmark::DoNotOptimize(kept);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  SetModeLabel(state);
 }
-BENCHMARK(BM_FilterThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FilterThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_MergeSortWall(benchmark::State& state) {
   const std::size_t n = 1 << 18;
@@ -107,7 +93,6 @@ void BM_MergeSortWall(benchmark::State& state) {
   std::vector<std::uint64_t> host(n);
   SplitMix64 rng(42);
   for (std::size_t i = 0; i < n; ++i) host[i] = rng.Next();
-  em::ScopedScanMode sm(ModeOf(state));
   for (auto _ : state) {
     state.PauseTiming();
     ctx.cache().set_counting(false);
@@ -120,9 +105,8 @@ void BM_MergeSortWall(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
   state.counters["ios"] = static_cast<double>(ctx.cache().stats().total_ios());
-  SetModeLabel(state);
 }
-BENCHMARK(BM_MergeSortWall)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MergeSortWall)->Unit(benchmark::kMillisecond);
 
 void BM_CloneThroughput(benchmark::State& state) {
   const std::size_t n = 1 << 19;
@@ -188,13 +172,12 @@ void BM_PinnedLineSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PinnedLineSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// --- End-to-end enumeration, both modes ------------------------------------
+// --- End-to-end enumeration, both backends ---------------------------------
 
 void BM_EndToEnd(benchmark::State& state, const std::string& algo,
                  em::StorageKind storage) {
   const std::size_t e = 1 << 16;
   auto raw = graph::Gnm(static_cast<graph::VertexId>(e / 4), e, 1001);
-  em::ScopedScanMode sm(ModeOf(state));
   RunOutcome out;
   for (auto _ : state) {
     em::EmConfig cfg;
@@ -218,18 +201,13 @@ void BM_EndToEnd(benchmark::State& state, const std::string& algo,
   state.counters["wall_ms"] = out.wall_ms;
   state.counters["ios"] = static_cast<double>(out.io.total_ios());
   state.counters["triangles"] = static_cast<double>(out.triangles);
-  SetModeLabel(state);
 }
 
 #define HOTPATH_E2E(id, algo)                                             \
   BENCHMARK_CAPTURE(BM_EndToEnd, id, algo, em::StorageKind::kMemory)      \
-      ->Arg(0)                                                            \
-      ->Arg(1)                                                            \
       ->Iterations(1)                                                     \
       ->Unit(benchmark::kMillisecond);                                    \
   BENCHMARK_CAPTURE(BM_EndToEnd, id##_file, algo, em::StorageKind::kFile) \
-      ->Arg(0)                                                            \
-      ->Arg(1)                                                            \
       ->Iterations(1)                                                     \
       ->Unit(benchmark::kMillisecond)
 

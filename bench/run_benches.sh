@@ -93,5 +93,5 @@ if [[ -x "${bench_dir}/bench_session" ]]; then
 fi
 
 echo "done. (BENCH_backends.json carries the simulated-vs-real I/O counters;"
-echo " BENCH_hotpath.json the buffered-vs-element-wise wall-clock ratios;"
+echo " BENCH_hotpath.json the Scanner/Writer and end-to-end hot-path rows;"
 echo " BENCH_session_traced.json the tracing-overhead probe.)"

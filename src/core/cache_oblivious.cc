@@ -204,16 +204,19 @@ class CoRunner {
       slots[z][1] += s12 ? 1 : 0;
       slots[z][2] += s02 ? 1 : 0;
     };
+    // A tiny node writes its children record by record (`children`); a
+    // larger one streams them through `writers`.
+    const bool tiny = len < kTinyBase;
+    std::array<em::Array<ColoredEdge>, 8> children;
     std::array<em::Writer<ColoredEdge>, 8> writers;
-    auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
-      writers[z].Push(ce);
-    };
-    if (len < kTinyBase) {
-      // Small-subproblem fast path (reached only with a base_cutoff below
-      // kTinyBase). One charged read brings the records host-side; the
-      // second pass re-charges the scan without re-moving data, and the
-      // refinement bits are computed once and reused. The touch sequence is
-      // identical to the two-scan path.
+    if (tiny) {
+      // Small-subproblem fast path. It runs whenever the high-degree step
+      // leaves fewer than kTinyBase edges, at the default cutoff too, and
+      // for every small node under a base_cutoff below kTinyBase. One
+      // charged read brings the records host-side; the second pass
+      // re-charges the scan without re-moving data, and the refinement bits
+      // are computed once and reused. Each child record is one Set, so the
+      // touch sequence is that of the two-scan path with per-record writes.
       RoleTimer timer(Tally(roles_.partition));
       std::array<ColoredEdge, kTinyBase> ebuf;
       std::array<std::uint8_t, kTinyBase> ebits;
@@ -223,12 +226,15 @@ class CoRunner {
         route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, count_child);
       }
       for (int z = 0; z < 8; ++z) {
-        writers[z] = em::Writer<ColoredEdge>(
-            ctx_.Alloc<ColoredEdge>(child_len[z]), em::ScanMode::kElementwise);
+        children[z] = ctx_.Alloc<ColoredEdge>(child_len[z]);
       }
+      std::array<std::size_t, 8> filled{};
       a.TouchScanRange(0, len);  // the routing pass's read charges
       for (std::size_t i = 0; i < len; ++i) {
-        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, push_child);
+        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1,
+              [&](int z, const ColoredEdge& ce, bool, bool, bool) {
+                children[z].Set(filled[z]++, ce);
+              });
       }
     } else {
       // Refinement bits are GF(2^61-1) polynomial evaluations — the
@@ -260,6 +266,9 @@ class CoRunner {
         writers[z] =
             em::Writer<ColoredEdge>(ctx_.Alloc<ColoredEdge>(child_len[z]));
       }
+      auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
+        writers[z].Push(ce);
+      };
       {
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
         if (cache_bits) {
@@ -284,7 +293,9 @@ class CoRunner {
           (slots[z][0] == 0 || slots[z][1] == 0 || slots[z][2] == 0)) {
         continue;  // a proper triangle needs one edge in each slot class
       }
-      Recurse(writers[z].Written(), cc[z], depth + 1);
+      // A streamed child's tail line is flushed only now, just before the
+      // child recurses.
+      Recurse(tiny ? children[z] : writers[z].Written(), cc[z], depth + 1);
     }
   }
 
@@ -319,11 +330,9 @@ class CoRunner {
     std::vector<VertexId> high;
     {
       RoleTimer timer(Tally(roles_.high_degree));
-      const em::ScanMode mode =
-          len >= 64 ? em::DefaultScanMode() : em::ScanMode::kElementwise;
       internal::HighDegreeFinder finder;
       {
-        em::Scanner<ColoredEdge> in(a.Slice(0, len), mode);
+        em::Scanner<ColoredEdge> in(a.Slice(0, len));
         while (in.HasNext()) {
           ColoredEdge e = in.Next();
           finder.Count(e.u, e.v);
@@ -332,7 +341,7 @@ class CoRunner {
       }
       finder.BeginVerify();
       {
-        em::Scanner<ColoredEdge> in(a.Slice(0, len), mode);
+        em::Scanner<ColoredEdge> in(a.Slice(0, len));
         while (in.HasNext()) {
           ColoredEdge e = in.Next();
           finder.Verify(e.u, e.v);

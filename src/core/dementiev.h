@@ -218,13 +218,9 @@ void WedgeJoinEnumerate(em::QuerySession& ctx, em::Array<EdgeT> edges, Sorter so
       while (j < m && ow.Get(j).s == s) ++j;
       for (std::size_t p = i; p < j; ++p) {
         WedgeOriented ep = ow.Get(p);
-        // The quadratic wedge pass re-scans the group suffix per p; a
-        // buffered Scanner turns those re-reads into host-buffer hits (tiny
-        // suffixes go element-wise — identical charges, no buffer alloc).
-        em::Scanner<WedgeOriented> gsuf(ow, p + 1, j,
-                                        j - p - 1 >= 32
-                                            ? em::DefaultScanMode()
-                                            : em::ScanMode::kElementwise);
+        // The quadratic wedge pass re-scans the group suffix per p; the
+        // Scanner turns those re-reads into host-buffer hits.
+        em::Scanner<WedgeOriented> gsuf(ow, p + 1, j);
         while (gsuf.HasNext()) {
           WedgeOriented eq = gsuf.Next();
           ctx.AddWork(1);

@@ -3,20 +3,18 @@
 //
 // Scanner and Writer are *block-buffered*: they move one B-word-aligned cache
 // line per refill/flush (a single Context::ReadScan/WriteScan call) instead
-// of one transfer per record, while charging the touch sequence the
-// record-by-record path would — coalesced per line. IoStats come out
-// bit-for-bit identical whenever every active stream's current line stays
-// resident between consecutive records (one line per stream — true for the
-// library's scans, filters and bounded-fan-in merges); under capacity
-// pressure the coalescing coarsens LRU recency, so whole-algorithm totals
-// agree only within a small band (see tests/test_hotpath.cc for both
-// contracts). The element-wise path is kept selectable
-// (ScanMode::kElementwise) as the reference implementation for differential
-// tests and benchmarks.
+// of one transfer per record, while charging the touch sequence a
+// record-by-record pass of Array::Get/Set calls would — coalesced per line.
+// The two agree bit-for-bit (reads, writes and hits) whenever every active
+// stream's current line stays resident between consecutive records: one
+// line per stream, true for the library's scans, filters and
+// bounded-fan-in merges (tests/test_hotpath.cc checks it against a Get/Set
+// loop on a twin context). Under capacity pressure, charging per line
+// coarsens LRU recency, so eviction victims can differ; the EM model prices
+// block transfers only, and these streams are the library's one scan path.
 #ifndef TRIENUM_EM_ARRAY_H_
 #define TRIENUM_EM_ARRAY_H_
 
-#include <atomic>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -25,48 +23,6 @@
 #include "em/context.h"
 
 namespace trienum::em {
-
-// ScanMode itself is defined in em/defs.h (so the QuerySession can carry a
-// per-query preference); the process-wide default lives here with the
-// streams that consume it.
-
-namespace internal {
-inline std::atomic<ScanMode>& DefaultScanModeStorage() {
-  static std::atomic<ScanMode> mode{ScanMode::kBuffered};
-  return mode;
-}
-}  // namespace internal
-
-/// Process-wide default mode for newly constructed Scanner/Writer. The
-/// differential suite and benches flip this to run whole algorithms down
-/// either path; IoStats must not change (asserted by tests/test_hotpath.cc).
-/// The storage is atomic so a read never tears against a concurrent flip,
-/// but the mode is process-wide configuration, not per-thread state: pool
-/// workers (src/par/) construct Scanners on recording views and read the
-/// default, so they must neither flip it nor expect a ScopedScanMode on
-/// another thread to be visible mid-region.
-inline ScanMode DefaultScanMode() {
-  return internal::DefaultScanModeStorage().load(std::memory_order_relaxed);
-}
-inline void SetDefaultScanMode(ScanMode m) {
-  internal::DefaultScanModeStorage().store(m, std::memory_order_relaxed);
-}
-
-/// RAII scope flipping the default scan mode (used by tests/benches).
-/// Process-wide, like the default it guards: construct and destroy on the
-/// main thread only — a scoped override must never cross pool workers.
-class ScopedScanMode {
- public:
-  explicit ScopedScanMode(ScanMode m) : saved_(DefaultScanMode()) {
-    SetDefaultScanMode(m);
-  }
-  ~ScopedScanMode() { SetDefaultScanMode(saved_); }
-  ScopedScanMode(const ScopedScanMode&) = delete;
-  ScopedScanMode& operator=(const ScopedScanMode&) = delete;
-
- private:
-  ScanMode saved_;
-};
 
 /// \brief A fixed-size array of trivially-copyable records on the device.
 ///
@@ -127,8 +83,7 @@ class Array {
   }
 
   /// Charges the touch of element `i` without moving data — what a
-  /// Get would cost. The buffered Scanner uses this to keep Peek's
-  /// accounting identical to the element-wise path.
+  /// Get would cost. Scanner::Peek uses this so every Peek costs a Get.
   void TouchGet(std::size_t i) const {
     TRIENUM_CHECK(i < n_);
     ctx_->TouchRange(base_ + i * kWordsPer, kWordsPer, /*write=*/false);
@@ -269,32 +224,28 @@ Array<T> QuerySession::Alloc(std::size_t n) {
 
 /// \brief Forward sequential reader over an Array (one scan = n/B reads).
 ///
-/// Buffered mode refills one cache line at a time: the refill issues a
-/// single ReadScan charging exactly what record-by-record Gets would (the
-/// skipped-ahead records are charged as the cache hits they would have
-/// been), then Next/Peek serve from the host buffer. Peek additionally
-/// charges one touch per call, mirroring the element-wise path where every
-/// Peek is a Get. Skip never touches (a seek is free in the EM model); note
-/// that records already buffered were charged at refill, so a Skip inside a
-/// buffered line does not un-charge them.
+/// Refills one cache line at a time: the refill issues a single ReadScan
+/// charging exactly what record-by-record Gets would (the skipped-ahead
+/// records are charged as the cache hits they would have been), then
+/// Next/Peek serve from the host buffer. Peek additionally charges one touch
+/// per call, what a per-record Get costs. Skip never touches (a seek is free
+/// in the EM model); note that records already buffered were charged at
+/// refill, so a Skip inside a buffered line does not un-charge them.
 template <typename T>
 class Scanner {
  public:
   Scanner() = default;
-  explicit Scanner(Array<T> a, ScanMode mode = DefaultScanMode())
-      : a_(a), mode_(mode) {}
-  Scanner(Array<T> a, std::size_t begin, std::size_t end,
-          ScanMode mode = DefaultScanMode())
-      : a_(a.Slice(begin, end - begin)), mode_(mode) {}
+  explicit Scanner(Array<T> a) : a_(a) {}
+  Scanner(Array<T> a, std::size_t begin, std::size_t end)
+      : a_(a.Slice(begin, end - begin)) {}
 
   bool HasNext() const { return pos_ < a_.size(); }
   std::size_t position() const { return pos_; }
   std::size_t remaining() const { return a_.size() - pos_; }
 
   /// Reads the current element without advancing (charges one touch, like
-  /// the element-wise Get it replaces).
+  /// a Get).
   T Peek() {
-    if (mode_ == ScanMode::kElementwise) return a_.Get(pos_);
     if (pos_ < buf_lo_ || pos_ >= buf_hi_) Refill();
     a_.TouchGet(pos_);
     return buf_[pos_ - buf_lo_];
@@ -302,7 +253,6 @@ class Scanner {
 
   /// Reads and advances.
   T Next() {
-    if (mode_ == ScanMode::kElementwise) return a_.Get(pos_++);
     if (pos_ < buf_lo_ || pos_ >= buf_hi_) Refill();
     return buf_[pos_++ - buf_lo_];
   }
@@ -335,23 +285,20 @@ class Scanner {
   std::size_t buf_lo_ = 0;
   std::size_t buf_hi_ = 0;  // buffered records: [buf_lo_, buf_hi_)
   std::vector<T> buf_;
-  ScanMode mode_ = ScanMode::kBuffered;
 };
 
 /// \brief Forward sequential writer into a pre-allocated Array.
 ///
-/// Buffered mode accumulates records host-side and flushes one cache line
-/// per WriteScan, charged exactly like the record-by-record Sets it
-/// replaces. The buffered data becomes visible to *other* readers of the
-/// target array only at Flush; Written() flushes, and the destructor is a
-/// safety net — code that reads the target array directly while the Writer
-/// is still alive must call Flush() first.
+/// Accumulates records host-side and flushes one cache line per WriteScan,
+/// charged exactly like record-by-record Sets. The buffered data becomes
+/// visible to *other* readers of the target array only at Flush; Written()
+/// flushes, and the destructor is a safety net — code that reads the target
+/// array directly while the Writer is still alive must call Flush() first.
 template <typename T>
 class Writer {
  public:
   Writer() = default;
-  explicit Writer(Array<T> a, ScanMode mode = DefaultScanMode())
-      : a_(a), mode_(mode) {}
+  explicit Writer(Array<T> a) : a_(a) {}
   ~Writer() {
     // Flush can hit a staged-I/O fault; the destructor must not throw. The
     // cache latches the fault (Cache::fault()), which the query layer checks
@@ -363,7 +310,7 @@ class Writer {
   }
   Writer(Writer&& o) noexcept
       : a_(o.a_), pos_(o.pos_), flush_lo_(o.flush_lo_), flush_at_(o.flush_at_),
-        buf_(std::move(o.buf_)), mode_(o.mode_) {
+        buf_(std::move(o.buf_)) {
     o.buf_.clear();
     o.a_ = Array<T>();
   }
@@ -378,7 +325,6 @@ class Writer {
       flush_lo_ = o.flush_lo_;
       flush_at_ = o.flush_at_;
       buf_ = std::move(o.buf_);
-      mode_ = o.mode_;
       o.buf_.clear();
       o.a_ = Array<T>();
     }
@@ -388,10 +334,6 @@ class Writer {
   Writer& operator=(const Writer&) = delete;
 
   void Push(const T& v) {
-    if (mode_ == ScanMode::kElementwise) {
-      a_.Set(pos_++, v);
-      return;
-    }
     TRIENUM_CHECK(pos_ < a_.size());
     if (buf_.empty()) {
       // Flush once the pending run reaches the end of the line its first
@@ -407,7 +349,7 @@ class Writer {
 
   std::size_t count() const { return pos_; }
 
-  /// Writes out any buffered records (no-op in element-wise mode).
+  /// Writes out any buffered records.
   void Flush() {
     if (buf_.empty()) return;
     a_.WriteScanFrom(flush_lo_, flush_lo_ + buf_.size(), buf_.data());
@@ -427,7 +369,6 @@ class Writer {
   std::size_t flush_lo_ = 0;  // first record not yet flushed
   std::size_t flush_at_ = 0;  // record index triggering the next flush
   std::vector<T> buf_;
-  ScanMode mode_ = ScanMode::kBuffered;
 };
 
 /// Copies `src` into a fresh array allocated from `ctx`, staging chunks of

@@ -113,6 +113,10 @@ using ChargeLog = std::vector<Charge>;
 /// matching the EM model's scan semantics); any other miss costs a block read.
 class Cache {
  public:
+  /// Most lines (M/B) one cache can hold: slots link to each other by
+  /// int32_t index, whatever the host's memory.
+  static constexpr std::size_t kMaxLines = INT32_MAX;
+
   /// `staging` selects the mode: nullptr = counting-only (default);
   /// otherwise the cache stages real data against that backend.
   Cache(std::size_t memory_words, std::size_t block_words,

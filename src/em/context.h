@@ -6,12 +6,12 @@
 //     a normalized graph) and serves any number of queries over it.
 //
 //   * QuerySession — query-lifetime state: scratch-memory accounting, the
-//     internal-work counter, the RNG seed and the scan-mode preference of
-//     one measured run. A session borrows a GraphStore and forwards its data
-//     path, so algorithm code sees one handle. Sessions are cheap; reusing
-//     one across queries is equivalent (bit-for-bit, including IoStats) to a
-//     fresh session per query as long as each query starts cold
-//     (Cache::Reset) and releases its device region.
+//     internal-work counter and the RNG seed of one measured run. A session
+//     borrows a GraphStore and forwards its data path, so algorithm code
+//     sees one handle. Sessions are cheap; reusing one across queries is
+//     equivalent (bit-for-bit, including IoStats) to a fresh session per
+//     query as long as each query starts cold (Cache::Reset) and releases
+//     its device region.
 //
 //   * Context — the historical fused object, kept as "a store plus one
 //     session over it": it owns a GraphStore and IS-A QuerySession. Existing
@@ -199,9 +199,9 @@ class GraphStore {
 
   /// Block-buffered stream transfers: move [a, a+words) in one call while
   /// charging the exact touch sequence of a record-by-record pass in
-  /// `elem_words`-word records (see Cache::ScanRange). These back the
-  /// buffered Scanner/Writer in em/array.h: same IoStats as the element-wise
-  /// path, a fraction of the bookkeeping work.
+  /// `elem_words`-word records (see Cache::ScanRange). These back
+  /// Scanner/Writer in em/array.h: the IoStats of per-record Get/Set calls,
+  /// a fraction of the bookkeeping work.
   void ReadScan(Addr a, std::size_t words, std::size_t elem_words, void* out) {
     if (!cache_.staged()) {
       cache_.ScanRange(a, words, elem_words, /*write=*/false);
@@ -214,8 +214,8 @@ class GraphStore {
     }
   }
 
-  /// The charge half of ReadScan alone: registers the element-wise forward
-  /// scan without moving any data (callers already hold the records).
+  /// The charge half of ReadScan alone: registers a per-record forward scan
+  /// without moving any data (callers already hold the records).
   void TouchScan(Addr a, std::size_t words, std::size_t elem_words) {
     cache_.ScanRange(a, words, elem_words, /*write=*/false);
     if (probe_ != nullptr && cache_.counting()) {
@@ -316,10 +316,10 @@ class GraphStore {
 ///
 /// Every EM algorithm in the library takes a QuerySession&: the session
 /// forwards the store's data path unchanged and adds the per-query
-/// accounting — host-scratch leases, the internal-work counter, the RNG
-/// seed, and the preferred scan mode. Reusing one session for many queries
-/// is supported and bit-identical to fresh sessions provided each query
-/// starts cold (see query::RunQuery, which enforces the contract).
+/// accounting — host-scratch leases, the internal-work counter and the RNG
+/// seed. Reusing one session for many queries is supported and
+/// bit-identical to fresh sessions provided each query starts cold (see
+/// query::RunQuery, which enforces the contract).
 class QuerySession {
  public:
   explicit QuerySession(GraphStore& store)
@@ -395,13 +395,6 @@ class QuerySession {
   std::uint64_t seed() const { return seed_; }
   void set_seed(std::uint64_t s) { seed_ = s; }
 
-  /// Preferred Scanner/Writer data path for this query. Advisory: the
-  /// process-wide default (em/array.h) is what Scanner/Writer constructors
-  /// read; query::RunQuery installs this value via ScopedScanMode for the
-  /// duration of the run.
-  ScanMode scan_mode() const { return scan_mode_; }
-  void set_scan_mode(ScanMode m) { scan_mode_ = m; }
-
  private:
   friend class ScratchLease;
 
@@ -409,7 +402,6 @@ class QuerySession {
   std::size_t scratch_used_ = 0;
   std::uint64_t work_ = 0;
   std::uint64_t seed_ = 0;
-  ScanMode scan_mode_ = ScanMode::kBuffered;
 };
 
 namespace internal {

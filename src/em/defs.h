@@ -23,13 +23,6 @@ using Word = std::uint64_t;
 /// Word address in the device's flat address space.
 using Addr = std::uint64_t;
 
-/// How Scanner/Writer (em/array.h) move data: block-buffered (the fast
-/// path) or record-by-record (the reference accounting path, kept for
-/// differential testing and as the before-side of benchmarks). Defined here
-/// so query-lifetime state (em/context.h) can carry a preference without a
-/// cyclic include.
-enum class ScanMode { kBuffered, kElementwise };
-
 /// Which storage backend realizes the external memory (see em/storage.h).
 enum class StorageKind {
   /// RAM-resident flat vector; every I/O is simulated (the default).

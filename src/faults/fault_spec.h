@@ -29,7 +29,9 @@
 // Kind/op compatibility: eio and eintr apply to all ops; short to read and
 // write; flip to read only (and only fires on block-aligned full-line reads,
 // where a torn block is meaningful); enospc to grow only. `grow` counts only
-// EnsureSize calls that would actually extend the store.
+// EnsureSize calls that would actually extend the store. A flip is only
+// accepted together with checksums (faults::ApplyFaultConfig): nothing else
+// can detect it.
 #ifndef TRIENUM_FAULTS_FAULT_SPEC_H_
 #define TRIENUM_FAULTS_FAULT_SPEC_H_
 

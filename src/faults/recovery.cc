@@ -152,6 +152,19 @@ Status ApplyFaultConfig(em::EmConfig& cfg) {
   }
   TRIENUM_ASSIGN_OR_RETURN(std::vector<FaultClause> clauses,
                            ParseFaultSpec(cfg.fault_spec));
+  // Nothing downstream of the store checks the data it reads back, so an
+  // unchecked flip would corrupt the graph silently (or trip an internal
+  // check). Only checksums turn it into a recoverable fault.
+  if (!cfg.verify_checksums) {
+    for (const FaultClause& c : clauses) {
+      if (c.kind == FaultKind::kFlip) {
+        return Status::InvalidArgument(
+            "fault clause 'read:flip' needs checksums (--verify-checksums): "
+            "without them a flipped bit is silent corruption, not a "
+            "recoverable fault");
+      }
+    }
+  }
   if (cfg.io_retries < 0) {
     return Status::InvalidArgument("io_retries must be >= 0");
   }

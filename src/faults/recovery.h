@@ -82,7 +82,10 @@ class RecoveringBackend final : public em::StorageBackend {
 /// Parses cfg.fault_spec and installs cfg.wrap_backend so MakeStorageBackend
 /// builds the decorated stack (injector below, recovery on top). With an
 /// empty spec and verify_checksums off, the hook is cleared and the default
-/// path stays completely unwrapped. Returns InvalidArgument on a bad spec.
+/// path stays completely unwrapped. Returns InvalidArgument on a bad spec,
+/// and on a `flip` clause while verify_checksums is off (only checksums can
+/// detect a flipped bit; tests that want the silent flip build the
+/// decorators directly).
 Status ApplyFaultConfig(em::EmConfig& cfg);
 
 /// Finds the fault injector inside a decorated backend chain (for tests and

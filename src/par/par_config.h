@@ -6,6 +6,8 @@
 // I/O. The knob here is the *only* input the subsystem takes: a
 // process-wide thread count, default 1, so every serial code path — and
 // every existing test — is byte-for-byte unchanged until a caller opts in.
+// It is also the library's only process-global switch; query::RunQuery
+// installs a query's count for the run's duration.
 //
 // Contract (enforced by tests/test_parallel.cc): for any thread count N,
 // every algorithm produces identical triangle output, identical emission
@@ -58,9 +60,9 @@ inline void SetThreads(std::size_t n) {
   internal::ThreadsStorage().store(n, std::memory_order_relaxed);
 }
 
-/// RAII scope flipping the global thread count (tests / benches). Like
-/// em::ScopedScanMode, the override is process-wide state: construct and
-/// destroy it on the main thread only, never inside a pool worker.
+/// RAII scope flipping the global thread count (tests / benches). The
+/// override is process-wide state: construct and destroy it on the main
+/// thread only, never inside a pool worker.
 class ScopedThreads {
  public:
   explicit ScopedThreads(std::size_t n) : saved_(Threads()) { SetThreads(n); }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <new>
+#include <string>
 #include <utility>
 
 #include "core/algorithms.h"
@@ -80,13 +82,10 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                             "' (see `trienum list`)");
   }
 
-  // Install the run's process-wide knobs for the duration (threads and the
-  // Scanner/Writer default mode), and resolve the query seed onto the
-  // session. Neither threads nor scan mode may change results or IoStats;
-  // the differential suite runs the matrix to prove it.
+  // Install the run's thread count (process-wide) for the duration, and
+  // resolve the query seed onto the session. The thread count may not change
+  // results or IoStats; the differential suite runs the matrix to prove it.
   par::ScopedThreads threads(q.threads);
-  em::ScopedScanMode scan(q.scan_mode);
-  session.set_scan_mode(q.scan_mode);
   session.set_seed(q.seed != 0 ? q.seed : session.config().seed);
 
   // Cold-start contract: the query's allocations live in a region opened at
@@ -249,8 +248,27 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
 
 Result<LoadedGraph> LoadedGraph::FromEdges(const em::EmConfig& cfg,
                                            const std::vector<graph::Edge>& raw) {
+  // Reject a geometry no cache can hold before anything is allocated.
+  const std::string geometry = "M=" + std::to_string(cfg.memory_words) +
+                               " words, B=" + std::to_string(cfg.block_words) +
+                               " words";
+  if (cfg.block_words == 0 || cfg.block_words > cfg.memory_words) {
+    return Status::InvalidArgument(geometry + ": need 0 < B <= M");
+  }
+  if (cfg.memory_words / cfg.block_words > em::Cache::kMaxLines) {
+    return Status::InvalidArgument(
+        geometry + ": M/B = " +
+        std::to_string(cfg.memory_words / cfg.block_words) +
+        " cache lines, more than the cache can index (" +
+        std::to_string(em::Cache::kMaxLines) + ")");
+  }
   LoadedGraph lg;
-  lg.store_ = std::make_unique<em::GraphStore>(cfg);
+  try {
+    lg.store_ = std::make_unique<em::GraphStore>(cfg);
+  } catch (const std::bad_alloc&) {
+    return Status::CapacityExceeded(geometry +
+                                    ": the cache does not fit in host memory");
+  }
   TRIENUM_RETURN_NOT_OK(lg.store_->device().backend().init_status());
   lg.session_ = std::make_unique<em::QuerySession>(*lg.store_);
   // Ingest + normalize uncounted, exactly like the single-run drivers: the

@@ -7,7 +7,7 @@
 // Query under the cold-start contract that makes a reused session
 // bit-identical — same triangles in the same order, same IoStats, same
 // internal-work counter — to a fresh em::Context built for that one query
-// (asserted across the full algorithm x backend x scan-mode x threads
+// (asserted across the full algorithm x backend x threads x cache-geometry
 // matrix by tests/test_query_session.cc).
 //
 // The cold-start contract per query:
@@ -17,7 +17,7 @@
 //   3. the work counter and the device peak tracker reset;
 //   4. the session seed resolves to the query's seed (store's master seed
 //      when the query leaves it 0);
-//   5. the thread count and scan mode install for the run's duration;
+//   5. the thread count installs for the run's duration;
 //   6. the algorithm runs, Cache::FlushAll() charges pending output, and
 //      the counters are snapshotted into the QueryResult.
 //
@@ -63,9 +63,6 @@ struct Query {
   /// Host compute threads for the run (0 = all hardware cores). Never
   /// changes results or IoStats.
   std::size_t threads = 1;
-  /// Scanner/Writer data path for the run. Both modes charge identical
-  /// IoStats; kElementwise is the reference path for differential tests.
-  em::ScanMode scan_mode = em::ScanMode::kBuffered;
 };
 
 /// Triangle support of one normalized edge (u < v).
@@ -138,8 +135,11 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
 class LoadedGraph {
  public:
   /// Ingests + normalizes `raw` (uncounted, exactly like the single-run
-  /// drivers) and freezes the result. Fails with kIoError when the backend
-  /// cannot initialize (bad temp dir) or ingest hits a permanent I/O fault.
+  /// drivers) and freezes the result. Fails with kInvalidArgument for a
+  /// geometry no cache can hold (B = 0, B > M, or more than
+  /// em::Cache::kMaxLines lines), kCapacityExceeded when the cache does not
+  /// fit in host memory, and kIoError when the backend cannot initialize
+  /// (bad temp dir) or ingest hits a permanent I/O fault.
   static Result<LoadedGraph> FromEdges(const em::EmConfig& cfg,
                                        const std::vector<graph::Edge>& raw);
 

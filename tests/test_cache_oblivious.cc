@@ -173,6 +173,27 @@ TEST(CacheOblivious, IoDropsWithLargerMemoryWithoutRecompiling) {
   EXPECT_GT(io2, io3);
 }
 
+TEST(CacheOblivious, TinyPartitionPathChargesPinnedIoStats) {
+  // At the default cutoff, a node that the high-degree step leaves with
+  // fewer than kTinyBase edges partitions on the small-subproblem path,
+  // which writes its children with one Set per record. Pinned exactly
+  // (reads, writes and hits): writing those children through buffered
+  // Writers instead moves the block writes at this point.
+  em::Context ctx = test::MakeContext(1 << 10, 16, 2014);
+  EmGraph g = BuildEmGraph(ctx, Rmat(10, 8192, 0.45, 0.22, 0.22, 2014));
+  ctx.cache().Reset();
+  core::CountingSink sink;
+  core::CacheObliviousReport rep;
+  core::EnumerateCacheOblivious(ctx, g, sink, {}, &rep);
+  ctx.cache().FlushAll();
+  EXPECT_EQ(sink.count(), 10511u);
+  EXPECT_GT(rep.high_degree_calls, 0u);
+  const em::IoStats io = ctx.cache().stats();
+  EXPECT_EQ(io.block_reads, 144748u);
+  EXPECT_EQ(io.block_writes, 131456u);
+  EXPECT_EQ(io.cache_hits, 5576392u);
+}
+
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
   // R-MAT hubs make Lemma 1 fire below the root, so all four roles run.
   const auto raw = Rmat(10, 6000, 0.57, 0.19, 0.19, 3);

@@ -304,6 +304,27 @@ TEST(CliSmoke, MemoryBelowAFixedScratchLeaseFailsCleanly) {
   }
 }
 
+TEST(CliSmoke, MemoryBeyondTheCacheLineLimitFailsCleanly) {
+  // 1e12 words in 64-word lines is more lines than the cache can index: a
+  // usage error before any allocation is tried, not a bad_alloc abort.
+  EXPECT_EQ(RunCli("count --algo=mgt --graph=clique:k=5 --memory=1000000000000",
+                   /*expected_status=*/2),
+            "");
+}
+
+TEST(CliSmoke, FlipFaultWithoutChecksumsFailsCleanly) {
+  // Without --verify-checksums a flipped bit would reach normalization as
+  // silent corruption; the spec is a usage error on both backends.
+  for (const char* backend : {"memory", "file"}) {
+    EXPECT_EQ(RunCli(std::string("count --graph=rmat:scale=8,m=2000") +
+                         " --backend=" + backend +
+                         " --faults=read:flip:every=1",
+                     /*expected_status=*/2),
+              "")
+        << backend;
+  }
+}
+
 TEST(CliSmoke, MergeFanInFitsItsLeaseAtSmallMemory) {
   // M=136, B=4: M/(2B) = 17 would pad to a 32-leaf loser tree whose lease
   // exceeds M. The capped fan-in must run and match the reference.

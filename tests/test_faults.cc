@@ -4,9 +4,9 @@
 // (FaultInjection), and the retry/checksum decorator (Recovery). Integration
 // (Faults): the hard contract that under any transient fault schedule a
 // query's triangles, emission order, and counted IoStats are bit-identical
-// to a clean run — across the full algorithm x backend x scan-mode x threads
-// matrix — while a permanent fault fails only that query (kIoError) and the
-// session survives to answer the next one bit-for-bit.
+// to a clean run — across the full algorithm x backend x threads matrix —
+// while a permanent fault fails only that query (kIoError) and the session
+// survives to answer the next one bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -343,6 +343,23 @@ TEST(Recovery, ApplyFaultConfigValidatesAndComposesNames) {
   EXPECT_EQ(plain.wrap_backend, nullptr);
 }
 
+TEST(Recovery, ApplyFaultConfigRejectsFlipWithoutChecksums) {
+  // Only checksums can see a flipped bit, so an unchecked flip clause is a
+  // usage error, wherever it sits in the spec. The decorators themselves
+  // still flip silently (WithoutChecksumsTheFlipIsSilent builds them
+  // directly).
+  em::EmConfig cfg;
+  cfg.fault_spec = "read:eio:every=7;read:flip:every=5";
+  Status st = faults::ApplyFaultConfig(cfg);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("checksums"), std::string::npos) << st.ToString();
+  EXPECT_EQ(cfg.wrap_backend, nullptr) << "a rejected spec installs nothing";
+
+  cfg.verify_checksums = true;
+  ASSERT_TRUE(faults::ApplyFaultConfig(cfg).ok());
+  EXPECT_NE(cfg.wrap_backend, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Integration: the bit-identity contract through the query layer.
 
@@ -368,7 +385,7 @@ constexpr char kTransientSpec[] =
 
 TEST(Faults, TransientSchedulesLeaveEveryQueryBitIdentical) {
   // The tentpole contract, across the whole matrix: algorithm x backend x
-  // scan mode x threads. The faulted store answers every query with the
+  // threads. The faulted store answers every query with the
   // same triangles (values AND emission order), the same counted IoStats,
   // and the same internal work as the clean store, with all recovery
   // traffic reported separately.
@@ -387,34 +404,27 @@ TEST(Faults, TransientSchedulesLeaveEveryQueryBitIdentical) {
 
     std::uint64_t total_retries = 0;
     for (const core::AlgorithmInfo& algo : core::AllAlgorithms()) {
-      for (em::ScanMode scan :
-           {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-          SCOPED_TRACE(algo.name + (scan == em::ScanMode::kBuffered
-                                        ? "/buffered/"
-                                        : "/elementwise/") +
-                       std::to_string(threads) + "t");
-          query::Query q;
-          q.kind = query::QueryKind::kEnumerate;
-          q.algo = algo.name;
-          q.scan_mode = scan;
-          q.threads = threads;
-          auto clean = clean_lg->Run(q);
-          auto faulted = fault_lg->Run(q);
-          ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-          ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
-          EXPECT_EQ(faulted->triangles, clean->triangles);
-          EXPECT_EQ(faulted->list, clean->list)
-              << "emission order must survive fault recovery";
-          EXPECT_EQ(faulted->io.block_reads, clean->io.block_reads);
-          EXPECT_EQ(faulted->io.block_writes, clean->io.block_writes);
-          EXPECT_EQ(faulted->io.cache_hits, clean->io.cache_hits);
-          EXPECT_EQ(faulted->work, clean->work);
-          EXPECT_EQ(clean->recovery.retries, 0u);
-          EXPECT_EQ(faulted->recovery.retries,
-                    faulted->recovery.faults_injected);
-          total_retries += faulted->recovery.retries;
-        }
+      for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(algo.name + "/" + std::to_string(threads) + "t");
+        query::Query q;
+        q.kind = query::QueryKind::kEnumerate;
+        q.algo = algo.name;
+        q.threads = threads;
+        auto clean = clean_lg->Run(q);
+        auto faulted = fault_lg->Run(q);
+        ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+        ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+        EXPECT_EQ(faulted->triangles, clean->triangles);
+        EXPECT_EQ(faulted->list, clean->list)
+            << "emission order must survive fault recovery";
+        EXPECT_EQ(faulted->io.block_reads, clean->io.block_reads);
+        EXPECT_EQ(faulted->io.block_writes, clean->io.block_writes);
+        EXPECT_EQ(faulted->io.cache_hits, clean->io.cache_hits);
+        EXPECT_EQ(faulted->work, clean->work);
+        EXPECT_EQ(clean->recovery.retries, 0u);
+        EXPECT_EQ(faulted->recovery.retries,
+                  faulted->recovery.faults_injected);
+        total_retries += faulted->recovery.retries;
       }
     }
     EXPECT_GT(total_retries, 0u)

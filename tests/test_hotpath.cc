@@ -1,28 +1,20 @@
 // The block-buffered hot path's contract (em/array.h):
 //
-//  1. Stream primitives (Scanner/Writer and everything built on them) charge
-//     IoStats *bit-for-bit identical* to the element-wise reference path —
-//     reads, writes AND hits — whenever the streams' working set fits in
-//     internal memory (one line per active stream), which is every scan,
-//     filter, copy and bounded-fan-in merge in the library.
-//  2. Whole algorithms produce identical triangle sets in both modes on both
-//     storage backends; their simulated I/O totals agree within a small band
-//     (coalescing charges at line granularity coarsens LRU recency, so under
-//     capacity pressure eviction victims — and therefore re-fetches — can
-//     differ slightly; the EM model charges at block granularity, so both
-//     are faithful accountings).
-//  3. Memory and file backends stay bit-for-bit identical to each other in
-//     either mode (the PR-2 guarantee, extended to the buffered path).
-//  4. Cache line pinning: pinned lines are never evicted, pins nest, and
+//  1. Scanner/Writer charge IoStats *bit-for-bit identical* to the same
+//     pass made of per-record Array::Get/Set calls — reads, writes AND hits
+//     — whenever the streams' working set fits in internal memory (one line
+//     per active stream). The per-record reference runs on a twin context.
+//  2. Scan ops and ExternalMergeSort, which are built on Scanner/Writer,
+//     reproduce pinned IoStats, on both storage backends for the sort.
+//  3. Cache line pinning: pinned lines are never evicted, pins nest, and
 //     write-pinned data reaches the backend after unpin.
-//  5. The line->slot map behaves identically in its dense and sparse
+//  4. The line->slot map behaves identically in its dense and sparse
 //     regimes, so file-backed devices far beyond the dense limit account
 //     (and stage) exactly like small ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -31,7 +23,6 @@
 #include "em/cache.h"
 #include "em/storage.h"
 #include "extsort/ext_merge_sort.h"
-#include "extsort/funnel_sort.h"
 #include "extsort/scan_ops.h"
 #include "test_util.h"
 
@@ -52,8 +43,9 @@ std::string StatsStr(const em::IoStats& s) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Stream-primitive exactness: run the same workload down both paths and
-// require identical values and identical IoStats.
+// 1. Stream-primitive exactness: run the same workload through the streams
+// and as per-record Get/Set calls, and require identical values and
+// identical IoStats.
 
 /// Three record shapes: one word packed, multi-word packed, and padded (the
 /// tail word carries deterministic zero padding).
@@ -68,23 +60,23 @@ struct PaddedRec {
   }
 };
 
-template <typename T, typename MakeT>
-void StreamRoundTrip(em::ScanMode mode, em::StorageKind storage, std::size_t n,
-                     std::size_t m_words, std::size_t b_words, MakeT make,
-                     em::IoStats* out_stats, std::uint64_t* out_digest) {
-  em::ScopedScanMode sm(mode);
-  em::Context ctx = test::MakeContext(m_words, b_words, 0x5EED, storage);
-  em::Array<T> a = ctx.Alloc<T>(n);
-  em::Array<T> b = ctx.Alloc<T>(n);
-  ctx.cache().Reset();
+template <typename T>
+void MixDigest(const T& v, std::uint64_t* digest) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  for (unsigned char c : bytes) *digest = *digest * 1099511628211ULL + c;
+}
 
+/// Writes `a`, copies it into `b` with a Peek-before-Next consumer (the
+/// merge-join access pattern), then scans `b` once more into a digest.
+template <typename T, typename MakeT>
+std::uint64_t StreamRoundTrip(em::Array<T> a, em::Array<T> b, std::size_t n,
+                              MakeT make) {
   {
     em::Writer<T> w(a);
     for (std::size_t i = 0; i < n; ++i) w.Push(make(i));
     w.Flush();
   }
-  // Copy through a scanner with a Peek-before-Next consumer (the merge-join
-  // access pattern), then scan once more accumulating a digest.
   {
     em::Scanner<T> in(a);
     em::Writer<T> w(b);
@@ -97,18 +89,26 @@ void StreamRoundTrip(em::ScanMode mode, em::StorageKind storage, std::size_t n,
     w.Flush();
   }
   std::uint64_t digest = 0;
-  {
-    em::Scanner<T> in(b);
-    while (in.HasNext()) {
-      T v = in.Next();
-      unsigned char bytes[sizeof(T)];
-      std::memcpy(bytes, &v, sizeof(T));
-      for (unsigned char c : bytes) digest = digest * 1099511628211ULL + c;
-    }
+  em::Scanner<T> in(b);
+  while (in.HasNext()) MixDigest(in.Next(), &digest);
+  return digest;
+}
+
+/// The same round trip as per-record Get/Set calls: a Peek and a Next are
+/// each one Get, a Push is one Set.
+template <typename T, typename MakeT>
+std::uint64_t PerRecordRoundTrip(em::Array<T> a, em::Array<T> b, std::size_t n,
+                                 MakeT make) {
+  for (std::size_t i = 0; i < n; ++i) a.Set(i, make(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    T peeked = a.Get(i);
+    T got = a.Get(i);
+    EXPECT_TRUE(peeked == got);
+    b.Set(i, got);
   }
-  ctx.cache().FlushAll();
-  *out_stats = ctx.cache().stats();
-  *out_digest = digest;
+  std::uint64_t digest = 0;
+  for (std::size_t i = 0; i < n; ++i) MixDigest(b.Get(i), &digest);
+  return digest;
 }
 
 template <typename T, typename MakeT>
@@ -116,16 +116,24 @@ void ExpectStreamParity(std::size_t n, std::size_t m_words, std::size_t b_words,
                         MakeT make) {
   for (em::StorageKind storage :
        {em::StorageKind::kMemory, em::StorageKind::kFile}) {
-    em::IoStats se, sb;
-    std::uint64_t de, db;
-    StreamRoundTrip<T>(em::ScanMode::kElementwise, storage, n, m_words, b_words,
-                       make, &se, &de);
-    StreamRoundTrip<T>(em::ScanMode::kBuffered, storage, n, m_words, b_words,
-                       make, &sb, &db);
-    EXPECT_EQ(de, db) << "values diverged";
-    EXPECT_TRUE(SameStats(se, sb))
+    em::IoStats stats[2];
+    std::uint64_t digest[2];
+    for (int per_record = 0; per_record < 2; ++per_record) {
+      em::Context ctx = test::MakeContext(m_words, b_words, 0x5EED, storage);
+      em::Array<T> a = ctx.Alloc<T>(n);
+      em::Array<T> b = ctx.Alloc<T>(n);
+      ctx.cache().Reset();
+      digest[per_record] = per_record != 0
+                               ? PerRecordRoundTrip<T>(a, b, n, make)
+                               : StreamRoundTrip<T>(a, b, n, make);
+      ctx.cache().FlushAll();
+      stats[per_record] = ctx.cache().stats();
+    }
+    EXPECT_EQ(digest[0], digest[1]) << "values diverged";
+    EXPECT_TRUE(SameStats(stats[0], stats[1]))
         << "n=" << n << " M=" << m_words << " B=" << b_words
-        << " elementwise=" << StatsStr(se) << " buffered=" << StatsStr(sb);
+        << " streams=" << StatsStr(stats[0])
+        << " per_record=" << StatsStr(stats[1]);
   }
 }
 
@@ -160,78 +168,88 @@ TEST(HotPathStreams, ParityWhenRecordsCrossLineBoundaries) {
   }
 }
 
-TEST(HotPathStreams, ScanOpsChargeIdenticallyAcrossModes) {
+// ---------------------------------------------------------------------------
+// 2. Stream-built operations reproduce pinned IoStats: exactly what the same
+// operations charge as per-record Get/Set passes.
+
+TEST(HotPathStreams, ScanOpsChargePinnedIoStats) {
   // Filter (aliasing, writes trail reads), Transform, UniqueConsecutive and
-  // CountIf over both modes: same results, same IoStats. M is sized so the
-  // aliasing filter's read-ahead/write-behind gap stays resident (exactness
-  // is only promised without capacity pressure; the banded matrix test
-  // below covers the pressured regime).
-  auto workload = [](em::ScanMode mode, em::IoStats* stats) {
-    em::ScopedScanMode sm(mode);
-    em::Context ctx = test::MakeContext(1 << 13, 16);
-    const std::size_t n = 3000;
-    em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
-    em::Array<std::uint64_t> b = ctx.Alloc<std::uint64_t>(n);
-    ctx.cache().Reset();
-    {
-      em::Writer<std::uint64_t> w(a);
-      for (std::size_t i = 0; i < n; ++i) w.Push((i * 37) % 501);
-      w.Flush();
+  // CountIf. M is sized so the aliasing filter's read-ahead/write-behind gap
+  // stays resident.
+  em::Context ctx = test::MakeContext(1 << 13, 16);
+  const std::size_t n = 3000;
+  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
+  em::Array<std::uint64_t> b = ctx.Alloc<std::uint64_t>(n);
+  ctx.cache().Reset();
+  std::vector<std::uint64_t> want(n);
+  {
+    em::Writer<std::uint64_t> w(a);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = (i * 37) % 501;
+      w.Push(want[i]);
     }
-    extsort::Transform(a, b, [](std::uint64_t v) { return v / 3; });
-    std::size_t kept =
-        extsort::Filter(b, b, [](std::uint64_t v) { return v % 2 == 0; });
-    std::size_t uniq = extsort::UniqueConsecutive(
-        b.Slice(0, kept), [](std::uint64_t x, std::uint64_t y) { return x == y; });
-    std::size_t odd = extsort::CountIf(
-        b.Slice(0, uniq), [](std::uint64_t v) { return v % 2 == 1; });
-    EXPECT_EQ(odd, 0u);
-    ctx.cache().FlushAll();
-    *stats = ctx.cache().stats();
-  };
-  em::IoStats se, sb;
-  workload(em::ScanMode::kElementwise, &se);
-  workload(em::ScanMode::kBuffered, &sb);
-  EXPECT_TRUE(SameStats(se, sb))
-      << "elementwise=" << StatsStr(se) << " buffered=" << StatsStr(sb);
+    w.Flush();
+  }
+  extsort::Transform(a, b, [](std::uint64_t v) { return v / 3; });
+  std::size_t kept =
+      extsort::Filter(b, b, [](std::uint64_t v) { return v % 2 == 0; });
+  std::size_t uniq = extsort::UniqueConsecutive(
+      b.Slice(0, kept), [](std::uint64_t x, std::uint64_t y) { return x == y; });
+  std::size_t odd = extsort::CountIf(
+      b.Slice(0, uniq), [](std::uint64_t v) { return v % 2 == 1; });
+  ctx.cache().FlushAll();
+  const em::IoStats stats = ctx.cache().stats();
+
+  for (std::uint64_t& v : want) v /= 3;
+  want.erase(std::remove_if(want.begin(), want.end(),
+                            [](std::uint64_t v) { return v % 2 != 0; }),
+             want.end());
+  EXPECT_EQ(kept, want.size());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(uniq, want.size());
+  ctx.cache().set_counting(false);
+  std::vector<std::uint64_t> got(uniq);
+  b.ReadTo(0, uniq, got.data());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(odd, 0u);
+
+  EXPECT_EQ(stats.block_reads, 0u) << StatsStr(stats);
+  EXPECT_EQ(stats.block_writes, 376u) << StatsStr(stats);
+  EXPECT_EQ(stats.cache_hits, 17660u) << StatsStr(stats);
 }
 
-TEST(HotPathStreams, MergeSortParityAcrossModesAndBackends) {
-  // Bounded-fan-in multiway merge: every stream owns one resident line, so
-  // buffered and element-wise paths must agree exactly.
+TEST(HotPathStreams, MergeSortChargesPinnedIoStatsOnBothBackends) {
+  // Bounded-fan-in multiway merge: every stream owns one resident line.
   for (em::StorageKind storage :
        {em::StorageKind::kMemory, em::StorageKind::kFile}) {
-    em::IoStats stats[2];
-    std::vector<std::uint64_t> sorted[2];
-    int idx = 0;
-    for (em::ScanMode mode :
-         {em::ScanMode::kElementwise, em::ScanMode::kBuffered}) {
-      em::ScopedScanMode sm(mode);
-      em::Context ctx = test::MakeContext(1 << 10, 16, 0xABCD, storage);
-      const std::size_t n = 5000;
-      em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
-      ctx.cache().Reset();
-      SplitMix64 rng(99);
-      {
-        em::Writer<std::uint64_t> w(a);
-        for (std::size_t i = 0; i < n; ++i) w.Push(rng.Next() % 100000);
-        w.Flush();
+    SCOPED_TRACE(storage == em::StorageKind::kFile ? "file" : "memory");
+    em::Context ctx = test::MakeContext(1 << 10, 16, 0xABCD, storage);
+    const std::size_t n = 5000;
+    em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
+    ctx.cache().Reset();
+    SplitMix64 rng(99);
+    std::vector<std::uint64_t> want(n);
+    {
+      em::Writer<std::uint64_t> w(a);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = rng.Next() % 100000;
+        w.Push(want[i]);
       }
-      extsort::ExternalMergeSort(ctx, a,
-                                 [](std::uint64_t x, std::uint64_t y) { return x < y; });
-      sorted[idx].resize(n);
-      ctx.cache().set_counting(false);
-      a.ReadTo(0, n, sorted[idx].data());
-      ctx.cache().set_counting(true);
-      ctx.cache().FlushAll();
-      stats[idx] = ctx.cache().stats();
-      ++idx;
+      w.Flush();
     }
-    EXPECT_EQ(sorted[0], sorted[1]);
-    EXPECT_TRUE(std::is_sorted(sorted[1].begin(), sorted[1].end()));
-    EXPECT_TRUE(SameStats(stats[0], stats[1]))
-        << "elementwise=" << StatsStr(stats[0])
-        << " buffered=" << StatsStr(stats[1]);
+    extsort::ExternalMergeSort(ctx, a,
+                               [](std::uint64_t x, std::uint64_t y) { return x < y; });
+    std::vector<std::uint64_t> sorted(n);
+    ctx.cache().set_counting(false);
+    a.ReadTo(0, n, sorted.data());
+    ctx.cache().set_counting(true);
+    ctx.cache().FlushAll();
+    const em::IoStats stats = ctx.cache().stats();
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(sorted, want);
+    EXPECT_EQ(stats.block_reads, 937u) << StatsStr(stats);
+    EXPECT_EQ(stats.block_writes, 1252u) << StatsStr(stats);
+    EXPECT_EQ(stats.cache_hits, 23437u) << StatsStr(stats);
   }
 }
 
@@ -251,84 +269,9 @@ TEST(HotPathStreams, CloneArrayCopiesChunkedAndExact) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// 2+3. Whole-algorithm differential: modes x backends x specs.
-
-struct AlgoRun {
-  std::vector<Triangle> triangles;
-  em::IoStats io;
-};
-
-AlgoRun RunAlgo(const std::string& algo, const std::vector<Edge>& raw,
-                em::ScanMode mode, em::StorageKind storage, std::size_t m_words,
-                std::size_t b_words) {
-  em::ScopedScanMode sm(mode);
-  em::Context ctx = test::MakeContext(m_words, b_words, 0xD1FF, storage);
-  EmGraph g = BuildEmGraph(ctx, raw);
-  ctx.cache().Reset();
-  core::CollectingSink sink;
-  core::FindAlgorithm(algo)->run(ctx, g, sink);
-  ctx.cache().FlushAll();
-  AlgoRun out;
-  out.triangles = sink.triangles();
-  std::sort(out.triangles.begin(), out.triangles.end());
-  out.io = ctx.cache().stats();
-  return out;
-}
-
-TEST(HotPathDifferential, AlgorithmMatrixModesAndBackends) {
-  // Every registered algorithm on both backends, both scan modes. Triangle
-  // sets must match exactly; mode-vs-mode simulated totals must stay inside
-  // a 12% band (line-granular charging coarsens LRU recency under capacity
-  // pressure; see the file comment); backend-vs-backend must be bit-for-bit
-  // within each mode.
-  struct Spec {
-    std::string name;
-    std::vector<Edge> edges;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"gnm", Gnm(512, 2048, 7)});
-  specs.push_back({"rmat", Rmat(9, 1500, 0.45, 0.22, 0.22, 13)});
-  specs.push_back({"planted", PlantedTriangles(300, 600, 40, 99)});
-  const std::size_t m = 1 << 10, b = 16;
-  for (const Spec& spec : specs) {
-    for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
-      SCOPED_TRACE(spec.name + " / " + a.name);
-      AlgoRun mem_e = RunAlgo(a.name, spec.edges, em::ScanMode::kElementwise,
-                              em::StorageKind::kMemory, m, b);
-      AlgoRun mem_b = RunAlgo(a.name, spec.edges, em::ScanMode::kBuffered,
-                              em::StorageKind::kMemory, m, b);
-      AlgoRun file_b = RunAlgo(a.name, spec.edges, em::ScanMode::kBuffered,
-                               em::StorageKind::kFile, m, b);
-      AlgoRun file_e = RunAlgo(a.name, spec.edges, em::ScanMode::kElementwise,
-                               em::StorageKind::kFile, m, b);
-      // Same triangles everywhere.
-      EXPECT_EQ(mem_e.triangles, mem_b.triangles);
-      EXPECT_EQ(mem_b.triangles, file_b.triangles);
-      // Backend-independence is exact in both modes.
-      EXPECT_TRUE(SameStats(mem_b.io, file_b.io))
-          << "buffered mem=" << StatsStr(mem_b.io)
-          << " file=" << StatsStr(file_b.io);
-      EXPECT_TRUE(SameStats(mem_e.io, file_e.io))
-          << "elementwise mem=" << StatsStr(mem_e.io)
-          << " file=" << StatsStr(file_e.io);
-      // Mode-vs-mode block totals within the band.
-      double te = static_cast<double>(mem_e.io.total_ios());
-      double tb = static_cast<double>(mem_b.io.total_ios());
-      if (te > 0) {
-        EXPECT_LE(std::abs(te - tb) / te, 0.12)
-            << "elementwise=" << StatsStr(mem_e.io)
-            << " buffered=" << StatsStr(mem_b.io);
-      } else {
-        EXPECT_EQ(te, tb);
-      }
-    }
-  }
-}
-
 TEST(HotPathDifferential, StandardCasesProduceIdenticalTriangles) {
-  // Cheap correctness sweep over the whole menagerie in buffered mode
-  // against the host reference (the element-wise path is covered above).
+  // Cheap correctness sweep over the whole menagerie against the host
+  // reference.
   for (const test::GraphCase& gc : test::StandardGraphCases()) {
     std::vector<Triangle> want = test::ReferenceNormalized(gc.edges);
     for (const char* algo : {"ps-cache-aware", "ps-cache-oblivious", "mgt"}) {
@@ -340,7 +283,7 @@ TEST(HotPathDifferential, StandardCasesProduceIdenticalTriangles) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Pin/unpin invariants.
+// 3. Pin/unpin invariants.
 
 TEST(CachePinning, PinnedLineSurvivesCapacityPressure) {
   // Counting-only cache with 4 slots; pin one line, then touch far more
@@ -432,7 +375,7 @@ TEST(CachePinning, ContextPinnedLineGivesWritableView) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. LineMap dense/sparse regimes.
+// 4. LineMap dense/sparse regimes.
 
 TEST(LineMapRegimes, SparseRegimeCountsExactlyLikeDense) {
   // The same (relative) touch sequence must produce identical IoStats

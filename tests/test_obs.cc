@@ -1,7 +1,8 @@
 // The observability invariance contract, pinned: installing a
 // TraceCollector (spans sampled, histograms windowed) must be bit-invisible
 // to triangles, emission order, IoStats, internal work, and the resolved
-// seed, across the full algorithm x backend x scan-mode x threads matrix.
+// seed, across the full algorithm x backend x threads x cache-geometry
+// matrix.
 // Plus the subsystem's own unit surface: histogram bucket geometry and
 // windowed deltas, registry snapshot consistency under concurrent writers,
 // span-imbalance death, exclusive-delta telescoping, and Chrome-JSON
@@ -30,10 +31,12 @@ constexpr std::size_t kMemWords = 2048;
 constexpr std::size_t kBlockWords = 32;
 constexpr std::uint64_t kMasterSeed = 0x0B5;
 
-em::EmConfig TestConfig(em::StorageKind storage) {
+em::EmConfig TestConfig(em::StorageKind storage,
+                        std::size_t memory_words = kMemWords,
+                        std::size_t block_words = kBlockWords) {
   em::EmConfig cfg;
-  cfg.memory_words = kMemWords;
-  cfg.block_words = kBlockWords;
+  cfg.memory_words = memory_words;
+  cfg.block_words = block_words;
   cfg.seed = kMasterSeed;
   cfg.storage = storage;
   return cfg;
@@ -328,20 +331,20 @@ TEST(ObsBuildInfo, ReportsCompilerAndStandard) {
 struct Cell {
   std::string algo;
   em::StorageKind storage;
-  em::ScanMode scan_mode;
   std::size_t threads;
+  std::size_t memory_words;
+  std::size_t block_words;
 };
 
 class ObsInvarianceMatrix : public ::testing::TestWithParam<Cell> {};
 
 query::QueryResult RunOnce(const Cell& c, const std::vector<graph::Edge>& raw,
                            bool traced, std::uint64_t* trace_events) {
-  query::LoadedGraph lg =
-      *query::LoadedGraph::FromEdges(TestConfig(c.storage), raw);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(c.storage, c.memory_words, c.block_words), raw);
   query::Query q;
   q.kind = query::QueryKind::kEnumerate;
   q.algo = c.algo;
-  q.scan_mode = c.scan_mode;
   q.threads = c.threads;
 
   if (!traced) return *lg.Run(q);
@@ -376,14 +379,21 @@ TEST_P(ObsInvarianceMatrix, TracedRunIsBitIdenticalToUntraced) {
 }
 
 std::vector<Cell> AllCells() {
+  // The fixture geometry, and a small one (64 lines of 8 words) on which the
+  // cache-aware engines split the graph into more colors, chunks and
+  // partitions, opening two to four times as many spans per run.
+  struct Geometry {
+    std::size_t memory_words, block_words;
+  };
+  const Geometry geometries[] = {{kMemWords, kBlockWords}, {512, 8}};
   std::vector<Cell> cells;
   for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
     for (em::StorageKind storage :
          {em::StorageKind::kMemory, em::StorageKind::kFile}) {
-      for (em::ScanMode mode :
-           {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-          cells.push_back(Cell{a.name, storage, mode, threads});
+      for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        for (const Geometry& g : geometries) {
+          cells.push_back(
+              Cell{a.name, storage, threads, g.memory_words, g.block_words});
         }
       }
     }
@@ -396,13 +406,14 @@ std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   std::string name = c.algo;
   std::replace(name.begin(), name.end(), '-', '_');
   name += c.storage == em::StorageKind::kFile ? "_file" : "_memory";
-  name +=
-      c.scan_mode == em::ScanMode::kElementwise ? "_elementwise" : "_buffered";
   name += "_t" + std::to_string(c.threads);
+  name += "_M" + std::to_string(c.memory_words);
+  name += "_B" + std::to_string(c.block_words);
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithmsBackendsModes, ObsInvarianceMatrix,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithmsBackendsThreadsGeometries,
+                         ObsInvarianceMatrix,
                          ::testing::ValuesIn(AllCells()), CellName);
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@
 //     stable partition) against std::stable_sort at threads in {1, 2, 7},
 //     down every record-width path;
 //   * the full algorithm matrix — threads in {1, 2, 7} x both storage
-//     backends x both scan modes, asserting byte-identical triangle output
-//     (same triangles IN THE SAME ORDER), identical IoStats, and identical
-//     host work counters against the threads=1 run.
+//     backends, asserting byte-identical triangle output (same triangles IN
+//     THE SAME ORDER), identical IoStats, and identical host work counters
+//     against the threads=1 run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -438,7 +438,7 @@ TEST(SortRunParallel, BelowGrainLoadsStaySerialAndCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// The algorithm matrix: threads x backend x scan mode, byte-identical runs.
+// The algorithm matrix: threads x backend, byte-identical runs.
 
 struct MatrixRun {
   std::vector<graph::Triangle> triangles;  // in EMISSION order
@@ -448,10 +448,8 @@ struct MatrixRun {
 
 MatrixRun RunMatrixCase(const std::string& algo,
                         const std::vector<graph::Edge>& raw,
-                        std::size_t threads, em::StorageKind storage,
-                        em::ScanMode mode) {
+                        std::size_t threads, em::StorageKind storage) {
   ScopedThreads tscope(threads);
-  em::ScopedScanMode mscope(mode);
   em::Context ctx = test::MakeContext(1 << 11, 32, 0x7001, storage);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
@@ -470,8 +468,8 @@ MatrixRun RunMatrixCase(const std::string& algo,
 
 TEST(ParallelInvariance, FullAlgorithmMatrixIsThreadCountInvariant) {
   // Every registered engine the parallel kernels feed into, over both
-  // backends and both scan modes: threads in {2, 7} must reproduce the
-  // threads=1 run byte-for-byte — same triangles in the same order, same
+  // backends: threads in {2, 7} must reproduce the threads=1 run
+  // byte-for-byte — same triangles in the same order, same
   // IoStats (reads, writes AND hits), same host work counter.
   const std::vector<graph::Edge> raw =
       graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31);
@@ -479,25 +477,20 @@ TEST(ParallelInvariance, FullAlgorithmMatrixIsThreadCountInvariant) {
                          "ps-deterministic", "dementiev"};
   const em::StorageKind backends[] = {em::StorageKind::kMemory,
                                       em::StorageKind::kFile};
-  const em::ScanMode modes[] = {em::ScanMode::kBuffered,
-                                em::ScanMode::kElementwise};
   for (const char* algo : algos) {
     for (em::StorageKind storage : backends) {
-      for (em::ScanMode mode : modes) {
-        const MatrixRun base = RunMatrixCase(algo, raw, 1, storage, mode);
-        ASSERT_FALSE(base.triangles.empty()) << algo;
-        for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-          const MatrixRun got = RunMatrixCase(algo, raw, threads, storage, mode);
-          const std::string label =
-              std::string(algo) + " threads=" + std::to_string(threads) +
-              (storage == em::StorageKind::kFile ? " file" : " memory") +
-              (mode == em::ScanMode::kElementwise ? " elementwise" : " buffered");
-          ASSERT_EQ(got.triangles, base.triangles) << label;
-          EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
-          EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
-          EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
-          EXPECT_EQ(got.work, base.work) << label;
-        }
+      const MatrixRun base = RunMatrixCase(algo, raw, 1, storage);
+      ASSERT_FALSE(base.triangles.empty()) << algo;
+      for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+        const MatrixRun got = RunMatrixCase(algo, raw, threads, storage);
+        const std::string label =
+            std::string(algo) + " threads=" + std::to_string(threads) +
+            (storage == em::StorageKind::kFile ? " file" : " memory");
+        ASSERT_EQ(got.triangles, base.triangles) << label;
+        EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
+        EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
+        EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
+        EXPECT_EQ(got.work, base.work) << label;
       }
     }
   }
@@ -507,12 +500,8 @@ TEST(ParallelInvariance, HighThreadCountOnDenseGraph) {
   // A dense core gives every Lemma 2 chunk task large Gamma_v groups; run
   // it at a thread count far above the core count.
   const std::vector<graph::Edge> raw = graph::Clique(40);
-  const MatrixRun base =
-      RunMatrixCase("mgt", raw, 1, em::StorageKind::kMemory,
-                    em::ScanMode::kBuffered);
-  const MatrixRun got =
-      RunMatrixCase("mgt", raw, 16, em::StorageKind::kMemory,
-                    em::ScanMode::kBuffered);
+  const MatrixRun base = RunMatrixCase("mgt", raw, 1, em::StorageKind::kMemory);
+  const MatrixRun got = RunMatrixCase("mgt", raw, 16, em::StorageKind::kMemory);
   ASSERT_EQ(base.triangles.size(), 40u * 39u * 38u / 6u);
   EXPECT_EQ(got.triangles, base.triangles);
   EXPECT_EQ(got.io.block_reads, base.io.block_reads);
@@ -693,12 +682,10 @@ TEST(ParallelInvariance, PinnedIoRegressionsUnchangedUnderThreads) {
   // move when the pool is active: re-measure one of them at threads=7.
   const std::vector<graph::Edge> raw =
       graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 2014);
-  const MatrixRun serial = RunMatrixCase("ps-cache-aware", raw, 1,
-                                         em::StorageKind::kMemory,
-                                         em::ScanMode::kBuffered);
-  const MatrixRun par7 = RunMatrixCase("ps-cache-aware", raw, 7,
-                                       em::StorageKind::kMemory,
-                                       em::ScanMode::kBuffered);
+  const MatrixRun serial =
+      RunMatrixCase("ps-cache-aware", raw, 1, em::StorageKind::kMemory);
+  const MatrixRun par7 =
+      RunMatrixCase("ps-cache-aware", raw, 7, em::StorageKind::kMemory);
   EXPECT_EQ(par7.io.block_reads, serial.io.block_reads);
   EXPECT_EQ(par7.io.block_writes, serial.io.block_writes);
   EXPECT_EQ(par7.triangles, serial.triangles);

@@ -3,8 +3,8 @@
 // the same emission order, same IoStats (reads, writes AND hits), same
 // internal-work counter — to the same query answered by a fresh em::Context
 // built for that one run. Exercised across the full algorithm x backend x
-// scan-mode x threads matrix, plus consistency checks for the per-vertex and
-// per-edge query kinds and the Cache::ResetCounters residency contract.
+// threads x cache-geometry matrix, plus consistency checks for the per-vertex
+// and per-edge query kinds and the Cache::ResetCounters residency contract.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -26,10 +26,12 @@ constexpr std::size_t kMemWords = 2048;
 constexpr std::size_t kBlockWords = 32;
 constexpr std::uint64_t kMasterSeed = 0x7001;
 
-em::EmConfig TestConfig(em::StorageKind storage) {
+em::EmConfig TestConfig(em::StorageKind storage,
+                        std::size_t memory_words = kMemWords,
+                        std::size_t block_words = kBlockWords) {
   em::EmConfig cfg;
-  cfg.memory_words = kMemWords;
-  cfg.block_words = kBlockWords;
+  cfg.memory_words = memory_words;
+  cfg.block_words = block_words;
   cfg.seed = kMasterSeed;
   cfg.storage = storage;
   return cfg;
@@ -69,10 +71,11 @@ void ExpectBitIdentical(const query::QueryResult& reused,
 /// One matrix cell: three queries (enumerate, seeded count, enumerate again)
 /// through one reused session, each compared against a fresh context.
 void RunCell(const std::string& algo, em::StorageKind storage,
-             em::ScanMode scan_mode, std::size_t threads) {
+             std::size_t threads, std::size_t memory_words,
+             std::size_t block_words) {
   const std::vector<graph::Edge> raw = FixtureEdges();
-  query::LoadedGraph lg =
-      *query::LoadedGraph::FromEdges(TestConfig(storage), raw);
+  const em::EmConfig cfg = TestConfig(storage, memory_words, block_words);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(cfg, raw);
 
   std::vector<query::Query> queries(3);
   queries[0].kind = query::QueryKind::kEnumerate;
@@ -81,18 +84,17 @@ void RunCell(const std::string& algo, em::StorageKind storage,
   queries[2].kind = query::QueryKind::kEnumerate;
   for (query::Query& q : queries) {
     q.algo = algo;
-    q.scan_mode = scan_mode;
     q.threads = threads;
   }
 
   const std::string cell =
-      algo + (storage == em::StorageKind::kFile ? "/file" : "/memory") +
-      (scan_mode == em::ScanMode::kElementwise ? "/elementwise" : "/buffered") +
-      "/t" + std::to_string(threads);
+      algo + (storage == em::StorageKind::kFile ? "/file" : "/memory") + "/t" +
+      std::to_string(threads) + "/M" + std::to_string(memory_words) + "/B" +
+      std::to_string(block_words);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     Result<query::QueryResult> reused = lg.Run(queries[i]);
     ASSERT_TRUE(reused.ok()) << cell;
-    query::QueryResult fresh = FreshRun(TestConfig(storage), raw, queries[i]);
+    query::QueryResult fresh = FreshRun(cfg, raw, queries[i]);
     ExpectBitIdentical(*reused, fresh,
                        cell + " query " + std::to_string(i + 1));
   }
@@ -103,26 +105,34 @@ void RunCell(const std::string& algo, em::StorageKind storage,
 struct Cell {
   std::string algo;
   em::StorageKind storage;
-  em::ScanMode scan_mode;
   std::size_t threads;
+  std::size_t memory_words;
+  std::size_t block_words;
 };
 
 class QuerySessionMatrix : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(QuerySessionMatrix, ReusedSessionMatchesFreshContext) {
   const Cell& c = GetParam();
-  RunCell(c.algo, c.storage, c.scan_mode, c.threads);
+  RunCell(c.algo, c.storage, c.threads, c.memory_words, c.block_words);
 }
 
 std::vector<Cell> AllCells() {
+  // The fixture geometry, and a cache eight times larger with 64-word lines,
+  // on which the engines run far shallower plans (ps-cache-aware does a
+  // seventh of the block I/Os): the contract must hold for both plans.
+  struct Geometry {
+    std::size_t memory_words, block_words;
+  };
+  const Geometry geometries[] = {{kMemWords, kBlockWords}, {16384, 64}};
   std::vector<Cell> cells;
   for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
     for (em::StorageKind storage :
          {em::StorageKind::kMemory, em::StorageKind::kFile}) {
-      for (em::ScanMode mode :
-           {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-          cells.push_back(Cell{a.name, storage, mode, threads});
+      for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        for (const Geometry& g : geometries) {
+          cells.push_back(
+              Cell{a.name, storage, threads, g.memory_words, g.block_words});
         }
       }
     }
@@ -135,12 +145,14 @@ std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   std::string name = c.algo;
   std::replace(name.begin(), name.end(), '-', '_');
   name += c.storage == em::StorageKind::kFile ? "_file" : "_memory";
-  name += c.scan_mode == em::ScanMode::kElementwise ? "_elementwise" : "_buffered";
   name += "_t" + std::to_string(c.threads);
+  name += "_M" + std::to_string(c.memory_words);
+  name += "_B" + std::to_string(c.block_words);
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithmsBackendsModes, QuerySessionMatrix,
+INSTANTIATE_TEST_SUITE_P(AllAlgorithmsBackendsThreadsGeometries,
+                         QuerySessionMatrix,
                          ::testing::ValuesIn(AllCells()), CellName);
 
 // ---------------------------------------------------------------------------
@@ -284,6 +296,33 @@ TEST(QueryErrors, ScratchOverBudgetFailsOnlyThatQuery) {
     ExpectBitIdentical(*after, FreshRun(cfg, raw, good),
                        storage == em::StorageKind::kFile ? "file" : "memory");
   }
+}
+
+TEST(QueryErrors, GeometryNoCacheCanHoldFailsTheLoadBeforeAllocating) {
+  // M/B above em::Cache::kMaxLines can never work (the slots are int32
+  // linked), whatever the host: InvalidArgument naming M and B, before any
+  // allocation is tried. B = 0 and B > M fail the same way.
+  em::EmConfig cfg = TestConfig(em::StorageKind::kMemory);
+  cfg.memory_words = 1000000000000;  // 1e12 words in B=32 lines: 3.1e10
+  Result<query::LoadedGraph> lg =
+      query::LoadedGraph::FromEdges(cfg, graph::Clique(4));
+  ASSERT_FALSE(lg.ok());
+  EXPECT_EQ(lg.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(lg.status().message().find("M=1000000000000 words, B=32 words"),
+            std::string::npos)
+      << lg.status().ToString();
+
+  cfg.memory_words = em::Cache::kMaxLines * cfg.block_words + cfg.block_words;
+  EXPECT_EQ(query::LoadedGraph::FromEdges(cfg, graph::Clique(4)).status().code(),
+            StatusCode::kInvalidArgument)
+      << "one line past the limit";
+  cfg.memory_words = 64;
+  cfg.block_words = 0;
+  EXPECT_EQ(query::LoadedGraph::FromEdges(cfg, graph::Clique(4)).status().code(),
+            StatusCode::kInvalidArgument);
+  cfg.block_words = 128;
+  EXPECT_EQ(query::LoadedGraph::FromEdges(cfg, graph::Clique(4)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@
 // and the whole ExternalMergeSort against a reference implementation built
 // the pre-engine way (comparison-sorted runs + a (value, stream) heap) that
 // issues the identical I/O sequence — on duplicates-heavy, presorted,
-// reverse-sorted, all-equal and random inputs, over both storage backends,
-// both ScanModes, and non-power-of-two B, asserting identical output AND
-// identical IoStats.
+// reverse-sorted, all-equal and random inputs of two sizes, over both storage
+// backends and non-power-of-two B, asserting identical output AND identical
+// IoStats.
 //
 // The engine-wide determinism contract pinned here: every sort path is
 // stable, so ExternalMergeSort and FunnelSort both reproduce the
@@ -385,7 +385,6 @@ struct EngineParam {
   std::size_t m_words;
   std::size_t b_words;  // includes a non-power-of-two B
   em::StorageKind storage;
-  em::ScanMode mode;
 };
 
 class SortEngineDifferentialTest
@@ -399,7 +398,6 @@ TEST_P(SortEngineDifferentialTest, EngineMatchesReferenceOutputAndIo) {
     input[i] = PatternValue(p.pattern, i, p.n, rng);
   }
 
-  em::ScopedScanMode sm(p.mode);
   auto run = [&](auto sort_fn, std::vector<std::uint64_t>* out,
                  em::IoStats* io) {
     em::Context ctx = test::MakeContext(p.m_words, p.b_words, 0x7001, p.storage);
@@ -440,13 +438,15 @@ std::vector<EngineParam> EngineParams() {
   };
   // M=256 forces many merge passes; B=48 is the non-power-of-two line size.
   const Cfg cfgs[] = {{1 << 10, 16}, {1 << 10, 48}, {256, 16}};
-  for (Pattern p : kAllPatterns) {
-    for (const Cfg& c : cfgs) {
-      for (em::StorageKind st :
-           {em::StorageKind::kMemory, em::StorageKind::kFile}) {
-        for (em::ScanMode mode :
-             {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-          out.push_back(EngineParam{5000, p, c.m, c.b, st, mode});
+  // 5000 items merge in one group at M=1024. 21001 (odd, a ragged last run)
+  // needs several fan-in groups in its first pass at every Cfg: two passes at
+  // M=1024 and three at M=256.
+  for (std::size_t n : {std::size_t{5000}, std::size_t{21001}}) {
+    for (Pattern p : kAllPatterns) {
+      for (const Cfg& c : cfgs) {
+        for (em::StorageKind st :
+             {em::StorageKind::kMemory, em::StorageKind::kFile}) {
+          out.push_back(EngineParam{n, p, c.m, c.b, st});
         }
       }
     }
@@ -457,12 +457,13 @@ std::vector<EngineParam> EngineParams() {
 std::string EngineName(const ::testing::TestParamInfo<EngineParam>& info) {
   const EngineParam& p = info.param;
   std::string out = PatternName(p.pattern);
+  out += "_n";
+  out += std::to_string(p.n);
   out += "_M";
   out += std::to_string(p.m_words);
   out += "_B";
   out += std::to_string(p.b_words);
   out += p.storage == em::StorageKind::kMemory ? "_mem" : "_file";
-  out += p.mode == em::ScanMode::kBuffered ? "_buf" : "_elem";
   return out;
 }
 

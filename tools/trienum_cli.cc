@@ -71,7 +71,8 @@ constexpr char kUsage[] =
     "  --algo=<name>             algorithm name from `trienum list`, or\n"
     "                            `reference` for the host ground truth\n"
     "  --graph=<spec>            generator spec or edge-list file path\n"
-    "  --memory=<M>              internal memory in words   (default 4096)\n"
+    "  --memory=<M>              internal memory in words   (default 4096;\n"
+    "                            M/B at most 2^31-1 cache lines)\n"
     "  --block=<B>               block size in words        (default 64)\n"
     "  --seed=<S>                master seed                (default 2014)\n"
     "  --limit=<N>               max triangles to print     (enumerate only)\n"
@@ -91,7 +92,8 @@ constexpr char kUsage[] =
     "                            see README 'Fault injection & recovery').\n"
     "                            Transient faults are retried; triangles and\n"
     "                            counted block I/Os stay bit-identical to a\n"
-    "                            clean run\n"
+    "                            clean run. A flip clause needs\n"
+    "                            --verify-checksums (nothing else detects it)\n"
     "  --io-retries=<N>          retry budget per I/O operation (default 4)\n"
     "  --io-retry-backoff-ms=<T> base backoff between retries, doubling per\n"
     "                            attempt (default 0: retry immediately)\n"
