@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -92,6 +93,38 @@ struct RoleTallies {
   RoleTally high_degree, lemma1, partition, base;
 };
 
+/// Nodes, input edges and exclusive block I/Os of one recursion depth,
+/// tallied only while a trace collector is installed.
+struct LevelTally {
+  std::uint64_t nodes = 0;
+  std::uint64_t edges = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+};
+
+/// Span args keep their key pointers until the trace is written, so the
+/// "level<d>_<field>" keys live in a static table. max_depth = ceil(log4 E)
+/// stays below 32 for any E below 2^62; deeper levels, reachable only with
+/// max_depth_override, share the last row.
+constexpr int kLevelRows = 32;
+constexpr const char* kLevelFields[4] = {"nodes", "edges", "reads", "writes"};
+
+const char* LevelKey(int depth, int field) {
+  static const auto keys = [] {
+    std::array<std::array<std::string, 4>, kLevelRows> k;
+    for (int d = 0; d < kLevelRows; ++d) {
+      for (int f = 0; f < 4; ++f) {
+        k[d][f] = "level";
+        k[d][f] += std::to_string(d);
+        k[d][f] += '_';
+        k[d][f] += kLevelFields[f];
+      }
+    }
+    return k;
+  }();
+  return keys[std::min(depth, kLevelRows - 1)][field].c_str();
+}
+
 /// Adds the scope's steady_clock time and one node to `tally`; a null tally
 /// reads no clock.
 class RoleTimer {
@@ -126,10 +159,13 @@ class CoRunner {
         max_depth_(max_depth),
         rng_(opts.seed != 0 ? opts.seed : ctx.seed()),
         report_(report),
-        timed_(timed) {}
+        timed_(timed) {
+    if (timed_) level_mark_ = ctx_.cache().stats();
+  }
 
   void Recurse(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col,
                int depth) {
+    const em::Array<ColoredEdge> input = a;
     std::size_t len = a.size();
     // A proper triangle needs all three of its edges inside the subproblem,
     // so fewer than three edges cannot contain one (the paper's "E empty"
@@ -138,6 +174,11 @@ class CoRunner {
     if (report_ != nullptr) {
       ++report_->subproblems;
       report_->max_depth_reached = std::max(report_->max_depth_reached, depth);
+    }
+    if (timed_) {
+      SwitchLevel(depth);
+      ++levels_[level_].nodes;
+      levels_[level_].edges += len;
     }
     if (depth >= max_depth_ ||
         (opts_.base_cutoff != 0 && len <= opts_.base_cutoff)) {
@@ -287,6 +328,11 @@ class CoRunner {
         }
       }
     }
+    // The input is never read again, yet it stays allocated until the
+    // parent's region is released: its lines leave the cache without
+    // write-back, so the children keep their slots.
+    ctx_.DropLines(input.base(),
+                   input.size() * em::Array<ColoredEdge>::kWordsPer);
     for (int z = 0; z < 8; ++z) {
       if (report_ != nullptr) report_->total_child_edges += child_len[z];
       if (opts_.prune_empty_slots &&
@@ -296,11 +342,19 @@ class CoRunner {
       // A streamed child's tail line is flushed only now, just before the
       // child recurses.
       Recurse(tiny ? children[z] : writers[z].Written(), cc[z], depth + 1);
+      SwitchLevel(depth);
     }
   }
 
   /// Per-role wall time and node counts, filled only when timed.
   const RoleTallies& roles() const { return roles_; }
+
+  /// Per-depth tallies, filled only when timed. Charges the I/O since the
+  /// last switch first, so read them once the recursion has returned.
+  const std::array<LevelTally, kLevelRows>& levels() {
+    SwitchLevel(level_);
+    return levels_;
+  }
 
  private:
   static constexpr std::size_t kTinyBase = CacheObliviousOptions::kTinyBase;
@@ -312,6 +366,18 @@ class CoRunner {
   static constexpr std::size_t kBitCacheMax = std::size_t{1} << 20;
 
   RoleTally* Tally(RoleTally& t) { return timed_ ? &t : nullptr; }
+
+  /// Charges the block I/Os since the last switch to the current level and
+  /// makes `depth` current. Reads counters only, never a clock; a no-op
+  /// untraced.
+  void SwitchLevel(int depth) {
+    if (!timed_) return;
+    const em::IoStats now = ctx_.cache().stats();
+    levels_[level_].reads += now.block_reads - level_mark_.block_reads;
+    levels_[level_].writes += now.block_writes - level_mark_.block_writes;
+    level_mark_ = now;
+    level_ = std::min(depth, kLevelRows - 1);
+  }
 
   /// Enumerates proper triangles through vertices of degree >= E/8 within
   /// the subproblem and removes those vertices' edges; returns the new
@@ -423,6 +489,9 @@ class CoRunner {
   CacheObliviousReport* report_;
   const bool timed_;
   RoleTallies roles_;
+  std::array<LevelTally, kLevelRows> levels_{};
+  int level_ = 0;          // the depth charged at the next switch
+  em::IoStats level_mark_;  // counters at the last switch
   std::vector<std::uint8_t> bit_cache_;  // refinement bits, node-local use
 };
 
@@ -447,8 +516,9 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   if (opts.max_depth_override >= 0) max_depth = opts.max_depth_override;
 
   // One span for the whole recursion: per-node spans would emit an event per
-  // subproblem, so the runner tallies each role's time and nodes instead and
-  // they ride on this span as args. Untraced runs read no clock.
+  // subproblem, so the runner tallies each role's time and nodes, and each
+  // depth's nodes, edges and exclusive block I/Os, instead, and they ride on
+  // this span as args. Untraced runs read no clock and no counter.
   obs::Span span("co.recurse");
   span.AddArg("edges", m);
   span.AddArg("max_depth", static_cast<std::uint64_t>(max_depth));
@@ -473,6 +543,13 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   span.AddArg("total_child_edges", report->total_child_edges);
   span.AddArg("max_depth_reached",
               static_cast<std::uint64_t>(report->max_depth_reached));
+  const std::array<LevelTally, kLevelRows>& levels = runner.levels();
+  for (int d = 0; d <= std::min(report->max_depth_reached, kLevelRows - 1);
+       ++d) {
+    const LevelTally& t = levels[d];
+    const std::uint64_t values[4] = {t.nodes, t.edges, t.reads, t.writes};
+    for (int f = 0; f < 4; ++f) span.AddArg(LevelKey(d, f), values[f]);
+  }
 }
 
 }  // namespace trienum::core

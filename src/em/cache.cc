@@ -92,6 +92,7 @@ std::int32_t Cache::GrabSlot() {
   while (s >= 0 && slots_[s].pins > 0) s = slots_[s].prev;
   TRIENUM_CHECK_MSG(s >= 0, "every cache line is pinned; cannot evict");
   Unlink(s);
+  --resident_;
   // Unmap before the write-back: StagedWrite can throw IoFault, and the
   // unwind may run more cache ops (Writer flushes) — the map and list must
   // already be consistent. A throw here leaks slot s until Discard().
@@ -135,6 +136,7 @@ std::int32_t Cache::TouchLine(std::int64_t line, bool write, bool aligned_write,
       slots_[s].dirty = write;
     }
     PushFront(s);
+    ++resident_;
     if (staging_ != nullptr && fetch) {
       // Real block fetch, after the slot is fully linked so an IoFault here
       // leaves the LRU state consistent. Deliberately independent of the
@@ -405,14 +407,57 @@ void Cache::WriteRange(Addr addr, std::size_t words, const void* in) {
   }
 }
 
+template <typename F>
+void Cache::ForEachResident(std::int64_t begin, std::int64_t end, F&& f) {
+  if (begin >= end) return;
+  if (static_cast<std::uint64_t>(end - begin) <= resident_) {
+    for (std::int64_t line = begin; line < end; ++line) {
+      const std::int32_t s = Lookup(line);
+      if (s >= 0) f(s);
+    }
+    return;
+  }
+  for (std::int32_t s = head_; s >= 0;) {
+    const std::int32_t next = slots_[s].next;
+    if (slots_[s].line >= begin && slots_[s].line < end) f(s);
+    s = next;
+  }
+}
+
+void Cache::DropDirty(std::int64_t begin, std::int64_t end) {
+  TRIENUM_CHECK_MSG(log_ == nullptr, "a recording cache cannot drop lines");
+  if (!fault_.ok()) return;
+  ForEachResident(begin, end, [this](std::int32_t s) {
+    if (slots_[s].pins == 0) slots_[s].dirty = false;
+  });
+}
+
+void Cache::DropLines(std::int64_t begin, std::int64_t end) {
+  TRIENUM_CHECK_MSG(log_ == nullptr, "a recording cache cannot drop lines");
+  if (!fault_.ok()) return;
+  ForEachResident(begin, end, [this](std::int32_t s) {
+    Slot& slot = slots_[s];
+    if (slot.pins > 0) return;
+    Unlink(s);
+    --resident_;
+    where_.Set(slot.line, -1);
+    if (slot.line == last_line_) last_line_ = -1;
+    slot.line = -1;
+    slot.dirty = false;
+    slot.prev = -1;
+    slot.next = free_head_;
+    free_head_ = s;
+  });
+}
+
 void Cache::FlushAll() {
   TRIENUM_CHECK_MSG(pinned_lines_ == 0, "FlushAll with lines still pinned");
   for (std::int32_t s = head_; s >= 0;) {
     std::int32_t next = slots_[s].next;
     if (slots_[s].dirty) {
       if (staging_ != nullptr) {
-        // Data is never dropped, even when the flush itself is uncounted
-        // (e.g. Reset between phases).
+        // Live data is never dropped, even when the flush itself is
+        // uncounted (e.g. Reset between phases).
         StagedWrite(static_cast<Addr>(slots_[s].line) * block_words_,
                     block_words_, line_buf(s));
       }
@@ -428,6 +473,7 @@ void Cache::FlushAll() {
   }
   head_ = tail_ = -1;
   last_line_ = -1;
+  resident_ = 0;
 }
 
 void Cache::Reset() {
@@ -454,6 +500,7 @@ void Cache::Discard() {
   free_head_ = 0;
   head_ = tail_ = -1;
   last_line_ = -1;
+  resident_ = 0;
   pinned_lines_ = 0;
   where_.Clear();
   stats_ = IoStats{};

@@ -2,10 +2,12 @@
 //
 // Internal memory holds M/B lines of B words. Each word touch either hits a
 // resident line or faults it in (one block read); evicting a dirty line costs
-// one block write. The paper's cache-oblivious analysis is stated for an
-// optimal replacement policy and transfers to LRU by [Frigo et al. 2012,
-// Lemma 6.4]; measuring under LRU is therefore the standard way to evaluate
-// a cache-oblivious algorithm at arbitrary (M, B).
+// one block write, with two exceptions for dead data: a line whose words were
+// all released (DropDirty) is clean, and a line its owner will never read
+// again leaves without write-back (DropLines). The paper's cache-oblivious
+// analysis is stated for an optimal replacement policy and transfers to LRU
+// by [Frigo et al. 2012, Lemma 6.4]; measuring under LRU is therefore the
+// standard way to evaluate a cache-oblivious algorithm at arbitrary (M, B).
 //
 // The cache runs in one of two modes, fixed at construction:
 //
@@ -208,12 +210,27 @@ class Cache {
   /// counting is disabled, like the calls themselves.
   void Replay(const ChargeLog& log);
 
+  /// Dead-line operations on the line ids [begin, end) of this cache's line
+  /// size. Neither charges an I/O or touches a pinned line. Both reject a
+  /// recording cache, and both are no-ops once a fault is latched (Discard
+  /// follows). Cost O(min(end - begin, resident lines)).
+  ///
+  /// DropDirty: the lines hold released words. Resident ones lose their
+  /// dirty bit, so they are not written back unless a later write dirties
+  /// them again, but keep their slot and their LRU position: no later read
+  /// or hit changes.
+  void DropDirty(std::int64_t begin, std::int64_t end);
+  /// DropLines: the lines will never be read again. Resident ones leave the
+  /// cache without write-back (a staged buffer is abandoned) and their slots
+  /// are reused before any line is evicted.
+  void DropLines(std::int64_t begin, std::int64_t end);
+
   /// Writes back all dirty lines (counting block writes) and empties the
   /// cache. Call at the end of a measured run so pending output is charged.
   void FlushAll();
 
   /// Empties the cache and zeroes all counters; the next run starts cold.
-  /// (Staged dirty data is written back, never dropped.)
+  /// (Staged dirty data is live data, so it is written back, never dropped.)
   void Reset();
 
   /// Crash-consistency reset: drops every line *without* write-back, clears
@@ -236,13 +253,8 @@ class Cache {
   /// re-baselining accounting over a deliberately warm store.
   void ResetCounters() { stats_ = IoStats{}; }
 
-  /// Number of lines currently resident (in the LRU list), for tests that
-  /// assert ResetCounters leaves residency alone.
-  std::size_t resident_lines() const {
-    std::size_t n = 0;
-    for (std::int32_t s = head_; s >= 0; s = slots_[s].next) ++n;
-    return n;
-  }
+  /// Number of lines currently resident (in the LRU list).
+  std::size_t resident_lines() const { return resident_; }
 
   /// Enables/disables accounting. While disabled, touches are no-ops; used
   /// when building inputs or verifying outputs outside the measured region.
@@ -294,6 +306,11 @@ class Cache {
   /// staged op behaves the same way: fail fast, never touch the backend.
   void StagedRead(Addr addr, std::size_t words, Word* out);
   void StagedWrite(Addr addr, std::size_t words, const Word* in);
+  /// Calls f(slot) for every resident line in [begin, end), probing the
+  /// range or walking the LRU list, whichever is shorter. f may unlink the
+  /// slot it is given.
+  template <typename F>
+  void ForEachResident(std::int64_t begin, std::int64_t end, F&& f);
   std::int32_t GrabSlot();           // free (or unpinned LRU) slot
   void MoveToFront(std::int32_t s);
   void PushFront(std::int32_t s);
@@ -324,6 +341,7 @@ class Cache {
   std::int32_t tail_ = -1;           // LRU
   std::int32_t free_head_ = -1;
   std::int64_t last_line_ = -1;      // fast path for streaming access
+  std::size_t resident_ = 0;         // slots in the LRU list
   std::size_t pinned_lines_ = 0;
 
   StorageBackend* staging_ = nullptr;  // non-null = staged data mode

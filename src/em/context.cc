@@ -104,6 +104,31 @@ ScratchLease& ScratchLease::operator=(ScratchLease&& o) noexcept {
 DeviceRegion::DeviceRegion(GraphStore* store)
     : store_(store), mark_(store->device().Mark()) {}
 
-DeviceRegion::~DeviceRegion() { store_->device().Release(mark_); }
+DeviceRegion::~DeviceRegion() { store_->Release(mark_); }
+
+void GraphStore::Release(Addr mark) {
+  const Addr top = device_.Mark();
+  if (mark < top) {
+    // Lines starting at or above the mark; the top line's tail is dead too.
+    auto clean = [mark, top](Cache& c) {
+      const Addr b = c.block_words();
+      c.DropDirty(static_cast<std::int64_t>((mark + b - 1) / b),
+                  static_cast<std::int64_t>((top + b - 1) / b));
+    };
+    clean(cache_);
+    if (probe_ != nullptr) clean(*probe_);
+  }
+  device_.Release(mark);
+}
+
+void GraphStore::DropLines(Addr addr, std::size_t words) {
+  auto drop = [addr, end = addr + words](Cache& c) {
+    const Addr b = c.block_words();
+    c.DropLines(static_cast<std::int64_t>((addr + b - 1) / b),
+                static_cast<std::int64_t>(end / b));
+  };
+  drop(cache_);
+  if (probe_ != nullptr) drop(*probe_);
+}
 
 }  // namespace trienum::em

@@ -301,6 +301,18 @@ class GraphStore {
   /// Opens a device allocation region (freed when the returned object dies).
   DeviceRegion Region() { return DeviceRegion(this); }
 
+  /// Pops every allocation made since `mark` (DeviceRegion's release). The
+  /// popped words are dead, so resident lines lying wholly at or above the
+  /// mark lose their dirty bit in the cache and the probe (Cache::DropDirty).
+  /// They stay resident: the next allocation reuses these addresses at once,
+  /// so evicting them would cost reads.
+  void Release(Addr mark);
+
+  /// Declares [addr, addr+words) never read again while it stays allocated:
+  /// the lines wholly inside it leave the cache and the probe without
+  /// write-back (Cache::DropLines). A line shared with a neighbour is kept.
+  void DropLines(Addr addr, std::size_t words);
+
  private:
   /// The RecordingView constructor: an alias of `source`'s data with a
   /// one-line recording cache of `line_words`.
@@ -356,6 +368,9 @@ class QuerySession {
     store_->WriteScan(a, words, elem_words, in);
   }
   Word* DirectData(Addr a) { return store_->DirectData(a); }
+  void DropLines(Addr addr, std::size_t words) {
+    store_->DropLines(addr, words);
+  }
   PinnedLine PinLine(Addr addr, bool write) {
     return store_->PinLine(addr, write);
   }

@@ -177,8 +177,10 @@ TEST(CacheOblivious, TinyPartitionPathChargesPinnedIoStats) {
   // At the default cutoff, a node that the high-degree step leaves with
   // fewer than kTinyBase edges partitions on the small-subproblem path,
   // which writes its children with one Set per record. Pinned exactly
-  // (reads, writes and hits): writing those children through buffered
-  // Writers instead moves the block writes at this point.
+  // (reads, writes and hits), so any change to that path's charges shows:
+  // writing the children through Writers flushed after the routing pass
+  // moves the hits here, and through Writers flushed just before each child
+  // recurses, as on the large path, the reads and writes too.
   em::Context ctx = test::MakeContext(1 << 10, 16, 2014);
   EmGraph g = BuildEmGraph(ctx, Rmat(10, 8192, 0.45, 0.22, 0.22, 2014));
   ctx.cache().Reset();
@@ -189,9 +191,9 @@ TEST(CacheOblivious, TinyPartitionPathChargesPinnedIoStats) {
   EXPECT_EQ(sink.count(), 10511u);
   EXPECT_GT(rep.high_degree_calls, 0u);
   const em::IoStats io = ctx.cache().stats();
-  EXPECT_EQ(io.block_reads, 144748u);
-  EXPECT_EQ(io.block_writes, 131456u);
-  EXPECT_EQ(io.cache_hits, 5576392u);
+  EXPECT_EQ(io.block_reads, 133904u);
+  EXPECT_EQ(io.block_writes, 69458u);
+  EXPECT_EQ(io.cache_hits, 5588290u);
 }
 
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
@@ -199,23 +201,60 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
   const auto raw = Rmat(10, 6000, 0.57, 0.19, 0.19, 3);
   core::CacheObliviousOptions opts;
   opts.seed = 7;
-  core::CacheObliviousReport untraced;
-  const auto expected = RunOblivious(raw, opts, 1 << 12, 16, &untraced);
-
+  struct Run {
+    std::vector<Triangle> tris;
+    core::CacheObliviousReport rep;
+    em::IoStats io;
+    std::uint64_t work = 0;
+  };
+  // Runs the recursion on a cold cache. With a collector, a sampler over
+  // this context's counters gives the span its inclusive I/O delta.
+  auto run = [&](obs::TraceCollector* tc) {
+    em::Context ctx = test::MakeContext(1 << 12, 16);
+    EmGraph g = BuildEmGraph(ctx, raw);
+    ctx.cache().Reset();
+    ctx.ResetWork();
+    Run r;
+    core::CollectingSink sink;
+    if (tc != nullptr) {
+      tc->set_sampler([&ctx] {
+        obs::CounterSample s;
+        s.block_reads = ctx.cache().stats().block_reads;
+        s.block_writes = ctx.cache().stats().block_writes;
+        s.cache_hits = ctx.cache().stats().cache_hits;
+        s.work = ctx.work();
+        return s;
+      });
+      obs::ScopedTraceCollector install(*tc);
+      core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
+      tc->clear_sampler();
+    } else {
+      core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
+    }
+    ctx.cache().FlushAll();
+    r.io = ctx.cache().stats();
+    r.work = ctx.work();
+    r.tris = sink.triangles();
+    return r;
+  };
+  const Run untraced = run(nullptr);
   obs::TraceCollector tc;
-  core::CacheObliviousReport rep;
-  {
-    obs::ScopedTraceCollector install(tc);
-    EXPECT_EQ(RunOblivious(raw, opts, 1 << 12, 16, &rep), expected);
-  }
-  EXPECT_EQ(rep.subproblems, untraced.subproblems);
-  EXPECT_EQ(rep.total_child_edges, untraced.total_child_edges);
+  const Run traced = run(&tc);
+  const core::CacheObliviousReport& rep = traced.rep;
+  EXPECT_EQ(traced.tris, untraced.tris);  // emission order included
+  EXPECT_EQ(rep.subproblems, untraced.rep.subproblems);
+  EXPECT_EQ(rep.total_child_edges, untraced.rep.total_child_edges);
+  EXPECT_EQ(traced.io.block_reads, untraced.io.block_reads);
+  EXPECT_EQ(traced.io.block_writes, untraced.io.block_writes);
+  EXPECT_EQ(traced.io.cache_hits, untraced.io.cache_hits);
+  EXPECT_EQ(traced.work, untraced.work);
 
   const std::vector<obs::TraceEvent> evs = tc.events_since(0);
   auto span = std::find_if(evs.begin(), evs.end(), [](const auto& ev) {
     return std::string(ev.name) == "co.recurse";
   });
   ASSERT_NE(span, evs.end());
+  ASSERT_TRUE(span->has_delta);
   std::map<std::string, std::uint64_t> args;
   for (const auto& [k, v] : span->args) args[k] = v;
   for (const char* key :
@@ -239,6 +278,30 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
   EXPECT_LE(args["high_degree_ns"] + args["lemma1_ns"] +
                 args["partition_ns"] + args["base_ns"],
             span->dur_ns);
+
+  // One row per depth reached: the nodes sum to the subproblems, the root
+  // row holds the whole input, and the exclusive reads and writes sum to
+  // the I/O charged inside the span.
+  std::uint64_t nodes = 0, reads = 0, writes = 0;
+  for (int d = 0; d <= rep.max_depth_reached; ++d) {
+    const std::string level = "level" + std::to_string(d);
+    for (const char* field : {"_nodes", "_edges", "_reads", "_writes"}) {
+      EXPECT_EQ(args.count(level + field), 1u) << level << field;
+    }
+    EXPECT_GT(args[level + "_nodes"], 0u) << level;
+    nodes += args[level + "_nodes"];
+    reads += args[level + "_reads"];
+    writes += args[level + "_writes"];
+  }
+  EXPECT_EQ(args.count("level" + std::to_string(rep.max_depth_reached + 1) +
+                       "_nodes"),
+            0u);
+  EXPECT_EQ(args["level0_nodes"], 1u);
+  EXPECT_EQ(args["level0_edges"], args["edges"]);
+  EXPECT_EQ(nodes, rep.subproblems);
+  EXPECT_GT(reads + writes, 0u);
+  EXPECT_EQ(reads, span->inclusive.block_reads);
+  EXPECT_EQ(writes, span->inclusive.block_writes);
 }
 
 // ---------------------------------------------------------------------------

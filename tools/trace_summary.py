@@ -14,8 +14,10 @@ it should have streamed once.
 
 The §3 recursion runs as a single `co.recurse` span; its args carry the
 wall time and node count of each recursion role (high-degree scans,
-Lemma 1, partition, base case) plus the recursion-shape report, and the
-summary prints them under the `co.recurse` row.
+Lemma 1, partition, base case), the recursion-shape report, and for each
+depth d the nodes, input edges and exclusive block reads and writes
+(`level<d>_{nodes,edges,reads,writes}`). The summary prints the roles,
+the shape and one row per level under the `co.recurse` row.
 
 Usage:
     tools/trace_summary.py t.json
@@ -51,6 +53,18 @@ CO_SHAPE = ("subproblems", "base_cases", "high_degree_calls",
 CO_SUMMED = (
     tuple(r + s for r in CO_ROLES for s in ("_ns", "_nodes")) + CO_SHAPE
 )
+# Per-depth args: level<d>_<field>.
+CO_LEVEL_FIELDS = ("nodes", "edges", "reads", "writes")
+
+
+def level_key(key):
+    """(depth, field) of a `level<d>_<field>` co.recurse arg, else None."""
+    if not key.startswith("level"):
+        return None
+    depth, _, field = key[len("level"):].partition("_")
+    if not depth.isdigit() or field not in CO_LEVEL_FIELDS:
+        return None
+    return int(depth), field
 
 
 def load_events(path):
@@ -92,9 +106,9 @@ def summarize(events):
             p[k] += int(args.get(k, 0))
         if name == CO_SPAN:
             co = p["co_args"]
-            for key in CO_SUMMED:
-                if key in args:
-                    co[key] = co.get(key, 0) + int(args[key])
+            for key, value in args.items():
+                if key in CO_SUMMED or level_key(key) is not None:
+                    co[key] = co.get(key, 0) + int(value)
             if "max_depth_reached" in args:
                 co["max_depth_reached"] = max(
                     co.get("max_depth_reached", 0),
@@ -120,6 +134,31 @@ def print_co_roles(p):
     ]
     if shape:
         print("  " + ", ".join(shape))
+    print_co_levels(co)
+
+
+def print_co_levels(co):
+    """Prints one row per recursion depth: nodes, input edges, exclusive
+    block reads and writes, and the depth's share of the span's I/O."""
+    depths = sorted({lk[0] for lk in map(level_key, co) if lk is not None})
+    if not depths:
+        return
+    rows = [
+        {f: co.get(f"level{d}_{f}", 0) for f in CO_LEVEL_FIELDS}
+        for d in depths
+    ]
+    total = sum(r["reads"] + r["writes"] for r in rows)
+    print(
+        f"  {'level':<7} {'nodes':>8} {'edges':>10} {'reads':>9} "
+        f"{'writes':>9} {'share':>7}"
+    )
+    for d, r in zip(depths, rows):
+        ios = r["reads"] + r["writes"]
+        share = ios / total if total > 0 else 0.0
+        print(
+            f"  {d:<7} {r['nodes']:>8} {r['edges']:>10} {r['reads']:>9} "
+            f"{r['writes']:>9} {share:>7.1%}"
+        )
 
 
 def prediction_flags(phases):
