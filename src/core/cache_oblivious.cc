@@ -50,6 +50,7 @@ void HighDegreeFinder::Offer(graph::VertexId x) {
 void HighDegreeFinder::Count(graph::VertexId u, graph::VertexId v) {
   Offer(u);
   Offer(v);
+  ++counted_;
 }
 
 void HighDegreeFinder::BeginVerify() {
@@ -163,8 +164,11 @@ class CoRunner {
     if (timed_) level_mark_ = ctx_.cache().stats();
   }
 
+  /// Solves the (col)-problem on `a`. `counted` is Misra-Gries pass 1 of the
+  /// high-degree step over `a`'s records in order, fed by whoever wrote `a`
+  /// (the root's transform, or the parent's routing scan) iff RunsStep holds.
   void Recurse(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col,
-               int depth) {
+               int depth, const internal::HighDegreeFinder& counted) {
     const em::Array<ColoredEdge> input = a;
     std::size_t len = a.size();
     // A proper triangle needs all three of its edges inside the subproblem,
@@ -180,26 +184,23 @@ class CoRunner {
       ++levels_[level_].nodes;
       levels_[level_].edges += len;
     }
-    if (depth >= max_depth_ ||
-        (opts_.base_cutoff != 0 && len <= opts_.base_cutoff)) {
+    if (IsBase(len, depth)) {
       RoleTimer timer(Tally(roles_.base));
       BaseCase(a, col);
       return;
     }
 
-    // ---- Step 1: local high-degree vertices ---------------------------------
-    len = HighDegreeStep(a, col, len);
-    if (len < 3) return;
-    a = a.Slice(0, len);
+    // Step 2's hash is drawn before step 1, from a copy of the generator, so
+    // that step 1's verify scan can count the children too. rng_ advances
+    // only where the hash is used, so a node the filter empties draws
+    // nothing.
+    SplitMix64 next = rng_;
+    const hashing::FourWiseHash bh(next.Next());
 
-    // ---- Step 2: refine the coloring with one fresh 4-wise random bit -------
-    hashing::FourWiseHash bh(rng_.Next());
-
-    // ---- Step 3: the 8 child color vectors ----------------------------------
-    // All eight compatible-edge subsets are materialized with two scans of
-    // the parent (count, then write) rather than one scan per child; the
-    // recursion itself stays depth-first.
-    em::DeviceRegion region = ctx_.Region();
+    // Step 3's 8 child color vectors. All eight compatible-edge subsets are
+    // materialized with two passes over the parent (count, then write)
+    // rather than one scan per child; the recursion itself stays
+    // depth-first.
     std::array<std::array<std::uint32_t, 3>, 8> cc;
     std::array<std::size_t, 8> child_len{};
     std::array<std::array<std::uint64_t, 3>, 8> slots{};
@@ -212,10 +213,10 @@ class CoRunner {
     // candidate children per slot class. Equivalent to comparing (nu, nv)
     // against all eight cc[z] rows, at a fraction of the work. Bit z of
     // `hit` marks child z and byte z of `flags` holds its slot classes, so
-    // only the (at most six) hit children are visited, in ascending z.
+    // only the (at most six) hit children are visited, in ascending z. Each
+    // pass over the parent charges its 2 units of work per record itself.
     auto route = [&](const ColoredEdge& e, std::uint32_t bu, std::uint32_t bv,
                      auto&& per_child) {
-      ctx_.AddWork(2);
       const std::uint32_t s01 = e.cu == col[0] && e.cv == col[1];
       const std::uint32_t s12 = e.cu == col[1] && e.cv == col[2];
       const std::uint32_t s02 = e.cu == col[0] && e.cv == col[2];
@@ -245,23 +246,76 @@ class CoRunner {
       slots[z][1] += s12 ? 1 : 0;
       slots[z][2] += s02 ? 1 : 0;
     };
+    // Refinement bits are GF(2^61-1) polynomial evaluations — the
+    // recursion's hottest host work. Each record's two bits are evaluated
+    // once (one batched two-point evaluation on the counting pass) and
+    // replayed on the write scan from a host-side bit cache, instead of
+    // re-deriving them per pass. The cache is 2 bits per record packed in a
+    // byte, capped by a fixed (M-independent, so still oblivious) constant;
+    // nodes beyond the cap fall back to re-evaluating on the write scan.
+    // Either way both passes stay real Scanner passes, so the bit cache
+    // never changes an I/O charge. One buffer is shared down the whole
+    // recursion: children reuse it only after the parent's write scan has
+    // drained it.
+    const bool cache_bits = len <= kBitCacheMax;
+    std::vector<std::uint8_t>& bits = bit_cache_;
+    if (cache_bits && bits.size() < len) bits.resize(len);
+    std::size_t nbits = 0;
+    auto count_record = [&](const ColoredEdge& e) {
+      const std::uint32_t pb = bh.PairBits(e.u, e.v);
+      if (cache_bits) bits[nbits++] = static_cast<std::uint8_t>(pb);
+      route(e, pb & 1u, pb >> 1, count_child);
+    };
+
+    // ---- Step 1: local high-degree vertices ---------------------------------
+    // Its verify scan is also the children's counting pass. If no vertex
+    // qualifies, the node's records are final, and so are the counts and
+    // the cached bits; otherwise Lemma 1 removes edges, and the counts are
+    // thrown away and redone on the filtered array below.
+    bool counts_final = false;
+    if (RunsStep(len, depth)) {
+      const std::size_t before = len;
+      len = HighDegreeStep(a, col, len, counted, count_record);
+      counts_final = len == before;
+      if (len < 3) return;
+      a = a.Slice(0, len);
+    }
+
+    // ---- Step 2: refine the coloring with one fresh 4-wise random bit -------
+    rng_ = next;
+
+    // ---- Step 3: write the 8 children ---------------------------------------
+    // The routing pass feeds each child that will run the step its pass-1
+    // finder, in the child's own record order.
+    em::DeviceRegion region = ctx_.Region();
+    std::array<internal::HighDegreeFinder, 8> finders;
+    std::uint32_t feed = 0;  // bit z: child z runs the step
+    auto feed_children = [&] {
+      for (int z = 0; z < 8; ++z) {
+        if (RunsStep(child_len[z], depth + 1)) feed |= 1u << z;
+      }
+    };
     // A tiny node writes its children record by record (`children`); a
     // larger one streams them through `writers`.
     const bool tiny = len < kTinyBase;
     std::array<em::Array<ColoredEdge>, 8> children;
     std::array<em::Writer<ColoredEdge>, 8> writers;
     if (tiny) {
-      // Small-subproblem fast path. It runs whenever the high-degree step
-      // leaves fewer than kTinyBase edges, at the default cutoff too, and
-      // for every small node under a base_cutoff below kTinyBase. One
-      // charged read brings the records host-side; the second pass
-      // re-charges the scan without re-moving data, and the refinement bits
-      // are computed once and reused. Each child record is one Set, so the
-      // touch sequence is that of the two-scan path with per-record writes.
+      // Small-subproblem fast path. At the default cutoff it runs only when
+      // Lemma 1 leaves fewer than kTinyBase edges; under a base_cutoff below
+      // kTinyBase it runs for every small node. One charged read brings the
+      // records host-side; the second pass re-charges the scan without
+      // re-moving data, and the refinement bits are computed once and
+      // reused. Each child record is one Set, so the touch sequence is that
+      // of the two-scan path with per-record writes. The path always counts
+      // the children itself, so counts from a verify scan are reset first.
       RoleTimer timer(Tally(roles_.partition));
       std::array<ColoredEdge, kTinyBase> ebuf;
       std::array<std::uint8_t, kTinyBase> ebits;
+      child_len = {};
+      slots = {};
       a.ReadScanInto(0, len, ebuf.data());
+      ctx_.AddWork(2 * len);
       for (std::size_t i = 0; i < len; ++i) {
         ebits[i] = static_cast<std::uint8_t>(bh.PairBits(ebuf[i].u, ebuf[i].v));
         route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, count_child);
@@ -269,62 +323,50 @@ class CoRunner {
       for (int z = 0; z < 8; ++z) {
         children[z] = ctx_.Alloc<ColoredEdge>(child_len[z]);
       }
+      feed_children();
       std::array<std::size_t, 8> filled{};
       a.TouchScanRange(0, len);  // the routing pass's read charges
+      ctx_.AddWork(2 * len);
       for (std::size_t i = 0; i < len; ++i) {
         route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1,
               [&](int z, const ColoredEdge& ce, bool, bool, bool) {
                 children[z].Set(filled[z]++, ce);
+                if ((feed >> z) & 1u) finders[z].Count(ce.u, ce.v);
               });
       }
     } else {
-      // Refinement bits are GF(2^61-1) polynomial evaluations — the
-      // recursion's hottest host work. Each record's two bits are evaluated
-      // once (one batched two-point evaluation on the counting scan) and
-      // replayed on the write scan from a host-side bit cache, instead of
-      // re-deriving them per pass. The cache is 2 bits per record packed in
-      // a byte, capped by a fixed (M-independent, so still oblivious)
-      // constant; nodes beyond the cap fall back to re-evaluating on the
-      // second scan. Either way both scans stay real Scanner passes — the
-      // I/O charge sequence is untouched.
-      // One buffer shared down the whole recursion (children reuse it only
-      // after the parent's second scan has drained it).
       RoleTimer timer(Tally(roles_.partition));
-      const bool cache_bits = len <= kBitCacheMax;
-      std::vector<std::uint8_t>& bits = bit_cache_;
-      if (cache_bits && bits.size() < len) bits.resize(len);
-      {
+      if (!counts_final) {
+        child_len = {};
+        slots = {};
+        nbits = 0;
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
-        std::size_t i = 0;
-        while (in.HasNext()) {
-          ColoredEdge e = in.Next();
-          const std::uint32_t pb = bh.PairBits(e.u, e.v);
-          if (cache_bits) bits[i++] = static_cast<std::uint8_t>(pb);
-          route(e, pb & 1u, pb >> 1, count_child);
-        }
+        while (in.HasNext()) count_record(in.Next());
       }
+      ctx_.AddWork(2 * len);  // the counting pass, fused or not
       for (int z = 0; z < 8; ++z) {
         writers[z] =
             em::Writer<ColoredEdge>(ctx_.Alloc<ColoredEdge>(child_len[z]));
       }
+      feed_children();
       auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
         writers[z].Push(ce);
+        if ((feed >> z) & 1u) finders[z].Count(ce.u, ce.v);
       };
-      {
-        em::Scanner<ColoredEdge> in(a.Slice(0, len));
-        if (cache_bits) {
-          std::size_t i = 0;
-          while (in.HasNext()) {
-            ColoredEdge e = in.Next();
-            const std::uint32_t pb = bits[i++];
-            route(e, pb & 1u, pb >> 1, push_child);
-          }
-        } else {
-          while (in.HasNext()) {
-            ColoredEdge e = in.Next();
-            const std::uint32_t pb = bh.PairBits(e.u, e.v);
-            route(e, pb & 1u, pb >> 1, push_child);
-          }
+      em::Scanner<ColoredEdge> in(a.Slice(0, len));
+      ctx_.AddWork(2 * len);
+      if (cache_bits) {
+        std::size_t i = 0;
+        while (in.HasNext()) {
+          ColoredEdge e = in.Next();
+          const std::uint32_t pb = bits[i++];
+          route(e, pb & 1u, pb >> 1, push_child);
+        }
+      } else {
+        while (in.HasNext()) {
+          ColoredEdge e = in.Next();
+          const std::uint32_t pb = bh.PairBits(e.u, e.v);
+          route(e, pb & 1u, pb >> 1, push_child);
         }
       }
     }
@@ -341,7 +383,8 @@ class CoRunner {
       }
       // A streamed child's tail line is flushed only now, just before the
       // child recurses.
-      Recurse(tiny ? children[z] : writers[z].Written(), cc[z], depth + 1);
+      Recurse(tiny ? children[z] : writers[z].Written(), cc[z], depth + 1,
+              finders[z]);
       SwitchLevel(depth);
     }
   }
@@ -358,10 +401,12 @@ class CoRunner {
 
  private:
   static constexpr std::size_t kTinyBase = CacheObliviousOptions::kTinyBase;
+  /// Smallest subproblem that runs the high-degree step.
+  static constexpr std::size_t kStepMin = 24;
 
-  /// Largest subproblem whose refinement bits are cached between the two
-  /// materialization scans (2 bits/record, 1 MiB of host metadata at the
-  /// cap). A fixed constant — the oblivious code path still never consults
+  /// Largest subproblem whose refinement bits are cached between the
+  /// counting pass and the write scan (2 bits/record, 1 MiB of host
+  /// metadata at the cap). A fixed constant — the oblivious code path still never consults
   /// M or B.
   static constexpr std::size_t kBitCacheMax = std::size_t{1} << 20;
 
@@ -379,39 +424,51 @@ class CoRunner {
     level_ = std::min(depth, kLevelRows - 1);
   }
 
-  /// Enumerates proper triangles through vertices of degree >= E/8 within
-  /// the subproblem and removes those vertices' edges; returns the new
-  /// length of `a`.
-  std::size_t HighDegreeStep(em::Array<ColoredEdge> a,
-                             std::array<std::uint32_t, 3> col, std::size_t len) {
+  /// Whether a node of `len` edges at `depth` is solved by the base case.
+  bool IsBase(std::size_t len, int depth) const {
+    return depth >= max_depth_ ||
+           (opts_.base_cutoff != 0 && len <= opts_.base_cutoff);
+  }
+
+  /// Whether a node of `len` edges at `depth` runs the high-degree step. The
+  /// writer of a node's array feeds its pass-1 finder exactly when this
+  /// holds, and the node checks that it got one.
+  bool RunsStep(std::size_t len, int depth) const {
     // For subproblems so small that the degree threshold E/8 is a trivial
     // constant, the step is vacuous for the analysis (it exists to cap the
     // maximum degree in the variance argument); skip it.
-    if (len < 24) return len;
+    return len >= kStepMin && !IsBase(len, depth);
+  }
 
-    // At most 2E/(E/8) = 16 vertices can qualify; two scans with O(1)
+  /// Enumerates proper triangles through vertices of degree >= E/8 within
+  /// the subproblem and removes those vertices' edges; returns the new
+  /// length of `a`, which is `len` exactly when no vertex qualifies (a
+  /// qualifying vertex has edges, and the filter removes them). Its one
+  /// scan hands every record to `visit` as well.
+  template <typename Visit>
+  std::size_t HighDegreeStep(em::Array<ColoredEdge> a,
+                             std::array<std::uint32_t, 3> col, std::size_t len,
+                             const internal::HighDegreeFinder& counted,
+                             Visit&& visit) {
+    // At most 2E/(E/8) = 16 vertices can qualify; two passes with O(1)
     // internal memory find them (see internal::HighDegreeFinder), which is
-    // cheaper than the endpoint sort and still oblivious.
+    // cheaper than the endpoint sort and still oblivious. Pass 1 ran while
+    // the array was written, so the node itself makes only the verify scan.
+    // A finder fed a different number of records would silently skip
+    // Lemma 1 here.
+    TRIENUM_CHECK(counted.counted() == len);
+    ctx_.AddWork(2 * len);  // pass 1's work
     const std::size_t threshold = std::max<std::size_t>(1, len / 8);
     std::vector<VertexId> high;
     {
       RoleTimer timer(Tally(roles_.high_degree));
-      internal::HighDegreeFinder finder;
-      {
-        em::Scanner<ColoredEdge> in(a.Slice(0, len));
-        while (in.HasNext()) {
-          ColoredEdge e = in.Next();
-          finder.Count(e.u, e.v);
-          ctx_.AddWork(2);
-        }
-      }
+      internal::HighDegreeFinder finder = counted;
       finder.BeginVerify();
-      {
-        em::Scanner<ColoredEdge> in(a.Slice(0, len));
-        while (in.HasNext()) {
-          ColoredEdge e = in.Next();
-          finder.Verify(e.u, e.v);
-        }
+      em::Scanner<ColoredEdge> in(a.Slice(0, len));
+      while (in.HasNext()) {
+        ColoredEdge e = in.Next();
+        finder.Verify(e.u, e.v);
+        visit(e);
       }
       finder.High(threshold, high);
     }
@@ -505,9 +562,12 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   if (m < 3) return;
   auto region = ctx.Region();
 
-  // The (1,1,1)-problem under the constant coloring xi = 1.
+  // The (1,1,1)-problem under the constant coloring xi = 1. The transform
+  // that writes the root also makes the root's high-degree pass 1.
   em::Array<ColoredEdge> root = ctx.Alloc<ColoredEdge>(m);
-  extsort::Transform(g.edges, root, [](const graph::Edge& e) {
+  internal::HighDegreeFinder counted;
+  extsort::Transform(g.edges, root, [&counted](const graph::Edge& e) {
+    counted.Count(e.u, e.v);
     return ColoredEdge{e.u, e.v, 1, 1};
   });
 
@@ -521,12 +581,13 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   // this span as args. Untraced runs read no clock and no counter.
   obs::Span span("co.recurse");
   span.AddArg("edges", m);
+  span.AddArg("record_words", em::Array<ColoredEdge>::kWordsPer);
   span.AddArg("max_depth", static_cast<std::uint64_t>(max_depth));
   const bool timed = obs::CurrentTraceCollector() != nullptr;
   CacheObliviousReport local;
   if (timed && report == nullptr) report = &local;
   CoRunner runner(ctx, sink, opts, max_depth, report, timed);
-  runner.Recurse(root, {1, 1, 1}, 0);
+  runner.Recurse(root, {1, 1, 1}, 0, counted);
   if (!timed) return;
   const RoleTallies& roles = runner.roles();
   span.AddArg("high_degree_ns", roles.high_degree.ns);

@@ -4,11 +4,18 @@
 // The generalized (c0,c1,c2)-enumeration problem is solved recursively:
 //   1. triangles through "local high degree" vertices (degree >= E/8 within
 //      the subproblem; at most 16 of them) are enumerated with Lemma 1
-//      (using funnelsort) and those vertices' edges removed;
+//      (using funnelsort) and those vertices' edges removed. Their
+//      Misra-Gries candidates are counted while the subproblem's array is
+//      written (by the root's transform or the parent's routing scan), so
+//      the node itself makes one verify scan, which also counts the
+//      children of step 3;
 //   2. one fresh 4-wise-independent random bit refines the coloring,
 //      xi'(v) = 2*xi(v) - b(v);
 //   3. the 8 child color vectors in {2c0-1,2c0}x{2c1-1,2c1}x{2c2-1,2c2} are
-//      solved recursively on the compatible-edge subsets.
+//      solved recursively on the compatible-edge subsets, which one routing
+//      scan writes. A node above the base case whose step 1 removes no
+//      edge thus reads its input twice; when step 1 removes edges, the
+//      filtered array is counted again before the routing scan.
 // Recursion ends at depth log4(E), or once a subproblem has at most
 // base_cutoff edges (default kTinyBase = 64). A base case of at most
 // kTinyBase edges is solved in an O(1) host buffer, a larger one with
@@ -43,8 +50,8 @@ struct CacheObliviousOptions {
   /// charges constant-size subproblems O(1), so a constant cutoff keeps the
   /// bound and the obliviousness. The default, kTinyBase, is the largest
   /// cutoff whose leaves all fit the tiny host base case. A smaller cutoff
-  /// keeps splitting nodes of a few dozen edges, each paying two
-  /// high-degree scans, an 8-way partition and often a Lemma 1 call. A
+  /// keeps splitting nodes of a few dozen edges, each paying a high-degree
+  /// verify scan, an 8-way partition and often a Lemma 1 call. A
   /// larger one sends the nodes between kTinyBase and the cutoff to the
   /// Dementiev/funnel-sort base, which costs far more per edge than
   /// splitting them. On R-MAT scale 12 (E=16384, M=4096, B=64), a cutoff of
@@ -76,16 +83,21 @@ namespace internal {
 /// The high-degree step's vertex finder, fed host values so a test can drive
 /// it. Pass 1 (Count) is a Misra-Gries heavy-hitter pass with 31 counters
 /// over the subproblem's 2E endpoints: it keeps every vertex of frequency
-/// > 2E/32, so every vertex of degree >= E/8. Pass 2 (Verify) counts the
-/// surviving candidates' degrees exactly. Both passes are lane sweeps over
-/// 32 uint32 lanes (GCC/Clang vector extensions): a match is a compare to a
-/// bitmask plus ctz, and an occupancy bitmask marks the live counters (lane
-/// 31 never holds one). Counters fill lowest free slot first, so the order
-/// of High() is the slot order of the scalar 31-slot loop.
+/// > 2E/32, so every vertex of degree >= E/8. The recursion makes pass 1
+/// while it writes the subproblem's array, record by record in array order,
+/// so it costs no scan of its own. Pass 2 (Verify) counts the surviving
+/// candidates' degrees exactly, on the subproblem's one verify scan. Both
+/// passes are lane sweeps over 32 uint32 lanes (GCC/Clang vector
+/// extensions): a match is a compare to a bitmask plus ctz, and an occupancy
+/// bitmask marks the live counters (lane 31 never holds one). Counters fill
+/// lowest free slot first, so the order of High() is the slot order of the
+/// scalar 31-slot loop.
 class HighDegreeFinder {
  public:
   /// Pass 1: offers both endpoints of one edge.
   void Count(graph::VertexId u, graph::VertexId v);
+  /// The number of Count calls so far.
+  std::size_t counted() const { return counted_; }
   /// Ends pass 1; the occupied slots, in slot order, become the candidates.
   void BeginVerify();
   /// Pass 2: adds one edge to its endpoints' exact candidate degrees.
@@ -105,6 +117,7 @@ class HighDegreeFinder {
   Lanes key_[kGroups] = {};
   Lanes cnt_[kGroups] = {};
   std::uint32_t occupied_ = 0;  // bit k: lane k holds a live counter
+  std::size_t counted_ = 0;
 };
 
 }  // namespace internal

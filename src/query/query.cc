@@ -147,6 +147,9 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   Status run_status;
   try {
     obs::Span root_span("query.run");
+    // The operating point, so a trace reader can turn words into lines.
+    root_span.AddArg("memory_words", session.memory_words());
+    root_span.AddArg("block_words", session.block_words());
     info->run(session, g, *sink);
     session.cache().FlushAll();
   } catch (const IoFault& fault) {

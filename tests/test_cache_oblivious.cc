@@ -95,7 +95,10 @@ TEST(CacheOblivious, PruneEmptySlotsAblationSameAnswerFewerNodes) {
 TEST(CacheOblivious, BaseCutoffAblationSameAnswer) {
   auto raw = Gnm(150, 1200, 17);
   auto expected = test::ReferenceNormalized(raw);
-  for (std::size_t cutoff : {8u, 64u, 100000u}) {
+  // 0 is the paper's depth-only rule. Under 24 the step's floor decides
+  // which children the parent feeds a pass-1 finder, and below kTinyBase
+  // the tiny partition path feeds them.
+  for (std::size_t cutoff : {0u, 8u, 16u, 24u, 64u, 100000u}) {
     core::CacheObliviousOptions opts;
     opts.seed = 5;
     opts.base_cutoff = cutoff;
@@ -191,9 +194,77 @@ TEST(CacheOblivious, TinyPartitionPathChargesPinnedIoStats) {
   EXPECT_EQ(sink.count(), 10511u);
   EXPECT_GT(rep.high_degree_calls, 0u);
   const em::IoStats io = ctx.cache().stats();
-  EXPECT_EQ(io.block_reads, 133904u);
+  EXPECT_EQ(io.block_reads, 101749u);
   EXPECT_EQ(io.block_writes, 69458u);
-  EXPECT_EQ(io.cache_hits, 5588290u);
+  EXPECT_EQ(io.cache_hits, 4604587u);
+}
+
+/// One run of the recursion on a cold cache.
+struct CoRun {
+  std::vector<Triangle> tris;
+  core::CacheObliviousReport rep;
+  em::IoStats io;
+  std::uint64_t work = 0;
+};
+
+/// Runs the recursion on `raw` on a cold cache of M = `m`, B = `b` words.
+/// With a collector, a sampler over this context's counters gives the
+/// co.recurse span its inclusive I/O delta.
+CoRun RunCoRecurse(const std::vector<Edge>& raw,
+                   const core::CacheObliviousOptions& opts, std::size_t m,
+                   std::size_t b, std::uint64_t seed,
+                   obs::TraceCollector* tc) {
+  em::Context ctx = test::MakeContext(m, b, seed);
+  EmGraph g = BuildEmGraph(ctx, raw);
+  ctx.cache().Reset();
+  ctx.ResetWork();
+  CoRun r;
+  core::CollectingSink sink;
+  if (tc != nullptr) {
+    tc->set_sampler([&ctx] {
+      obs::CounterSample s;
+      s.block_reads = ctx.cache().stats().block_reads;
+      s.block_writes = ctx.cache().stats().block_writes;
+      s.cache_hits = ctx.cache().stats().cache_hits;
+      s.work = ctx.work();
+      return s;
+    });
+    obs::ScopedTraceCollector install(*tc);
+    core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
+    tc->clear_sampler();
+  } else {
+    core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
+  }
+  ctx.cache().FlushAll();
+  r.io = ctx.cache().stats();
+  r.work = ctx.work();
+  r.tris = sink.triangles();
+  return r;
+}
+
+/// Tracing must not move a single charge or emission.
+void ExpectSameRun(const CoRun& traced, const CoRun& untraced) {
+  EXPECT_EQ(traced.tris, untraced.tris);  // emission order included
+  EXPECT_EQ(traced.rep.subproblems, untraced.rep.subproblems);
+  EXPECT_EQ(traced.rep.total_child_edges, untraced.rep.total_child_edges);
+  EXPECT_EQ(traced.io.block_reads, untraced.io.block_reads);
+  EXPECT_EQ(traced.io.block_writes, untraced.io.block_writes);
+  EXPECT_EQ(traced.io.cache_hits, untraced.io.cache_hits);
+  EXPECT_EQ(traced.work, untraced.work);
+}
+
+/// The co.recurse span among `evs`, or null.
+const obs::TraceEvent* CoRecurseSpan(const std::vector<obs::TraceEvent>& evs) {
+  auto span = std::find_if(evs.begin(), evs.end(), [](const auto& ev) {
+    return std::string(ev.name) == "co.recurse";
+  });
+  return span == evs.end() ? nullptr : &*span;
+}
+
+std::map<std::string, std::uint64_t> ArgsOf(const obs::TraceEvent& ev) {
+  std::map<std::string, std::uint64_t> args;
+  for (const auto& [k, v] : ev.args) args[k] = v;
+  return args;
 }
 
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
@@ -201,62 +272,18 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
   const auto raw = Rmat(10, 6000, 0.57, 0.19, 0.19, 3);
   core::CacheObliviousOptions opts;
   opts.seed = 7;
-  struct Run {
-    std::vector<Triangle> tris;
-    core::CacheObliviousReport rep;
-    em::IoStats io;
-    std::uint64_t work = 0;
-  };
-  // Runs the recursion on a cold cache. With a collector, a sampler over
-  // this context's counters gives the span its inclusive I/O delta.
-  auto run = [&](obs::TraceCollector* tc) {
-    em::Context ctx = test::MakeContext(1 << 12, 16);
-    EmGraph g = BuildEmGraph(ctx, raw);
-    ctx.cache().Reset();
-    ctx.ResetWork();
-    Run r;
-    core::CollectingSink sink;
-    if (tc != nullptr) {
-      tc->set_sampler([&ctx] {
-        obs::CounterSample s;
-        s.block_reads = ctx.cache().stats().block_reads;
-        s.block_writes = ctx.cache().stats().block_writes;
-        s.cache_hits = ctx.cache().stats().cache_hits;
-        s.work = ctx.work();
-        return s;
-      });
-      obs::ScopedTraceCollector install(*tc);
-      core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
-      tc->clear_sampler();
-    } else {
-      core::EnumerateCacheOblivious(ctx, g, sink, opts, &r.rep);
-    }
-    ctx.cache().FlushAll();
-    r.io = ctx.cache().stats();
-    r.work = ctx.work();
-    r.tris = sink.triangles();
-    return r;
-  };
-  const Run untraced = run(nullptr);
+  const CoRun untraced =
+      RunCoRecurse(raw, opts, 1 << 12, 16, 0x7001, nullptr);
   obs::TraceCollector tc;
-  const Run traced = run(&tc);
+  const CoRun traced = RunCoRecurse(raw, opts, 1 << 12, 16, 0x7001, &tc);
   const core::CacheObliviousReport& rep = traced.rep;
-  EXPECT_EQ(traced.tris, untraced.tris);  // emission order included
-  EXPECT_EQ(rep.subproblems, untraced.rep.subproblems);
-  EXPECT_EQ(rep.total_child_edges, untraced.rep.total_child_edges);
-  EXPECT_EQ(traced.io.block_reads, untraced.io.block_reads);
-  EXPECT_EQ(traced.io.block_writes, untraced.io.block_writes);
-  EXPECT_EQ(traced.io.cache_hits, untraced.io.cache_hits);
-  EXPECT_EQ(traced.work, untraced.work);
+  ExpectSameRun(traced, untraced);
 
   const std::vector<obs::TraceEvent> evs = tc.events_since(0);
-  auto span = std::find_if(evs.begin(), evs.end(), [](const auto& ev) {
-    return std::string(ev.name) == "co.recurse";
-  });
-  ASSERT_NE(span, evs.end());
+  const obs::TraceEvent* span = CoRecurseSpan(evs);
+  ASSERT_NE(span, nullptr);
   ASSERT_TRUE(span->has_delta);
-  std::map<std::string, std::uint64_t> args;
-  for (const auto& [k, v] : span->args) args[k] = v;
+  std::map<std::string, std::uint64_t> args = ArgsOf(*span);
   for (const char* key :
        {"high_degree_ns", "high_degree_nodes", "lemma1_ns", "lemma1_nodes",
         "partition_ns", "partition_nodes", "base_ns", "base_nodes",
@@ -302,6 +329,36 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
   EXPECT_GT(reads + writes, 0u);
   EXPECT_EQ(reads, span->inclusive.block_reads);
   EXPECT_EQ(writes, span->inclusive.block_writes);
+}
+
+TEST(CacheOblivious, NodesAboveMemoryReadTheirInputTwice) {
+  // The co-rmat12 point: R-MAT scale 12 under M = 4,096 and B = 64 words.
+  // Nodes at depths 0 and 1 span far more than M, so none of a node's input
+  // is still cached when a pass over it starts: every pass misses once per
+  // line. A node reads its input in the verify scan, which also counts the
+  // children, and in the routing scan; pass 1 of the high-degree step rides
+  // on the transform or routing scan that wrote the array. Separate pass-1
+  // and child-counting scans would make the root read 4 passes (2,048).
+  const auto raw = Rmat(12, 16384, 0.45, 0.22, 0.22, 2014);
+  const std::size_t m = 4096, b = 64;
+  const CoRun untraced = RunCoRecurse(raw, {}, m, b, 2014, nullptr);
+  obs::TraceCollector tc;
+  const CoRun traced = RunCoRecurse(raw, {}, m, b, 2014, &tc);
+  ExpectSameRun(traced, untraced);
+
+  const std::vector<obs::TraceEvent> evs = tc.events_since(0);
+  const obs::TraceEvent* span = CoRecurseSpan(evs);
+  ASSERT_NE(span, nullptr);
+  std::map<std::string, std::uint64_t> args = ArgsOf(*span);
+  ASSERT_EQ(args["record_words"], 2u);
+  auto lines = [&](std::uint64_t edges) {
+    return (edges * args["record_words"] + b - 1) / b;
+  };
+  ASSERT_EQ(lines(args["level0_edges"]), 512u);
+  EXPECT_EQ(args["level0_reads"], 1024u);
+  // A depth-1 array may straddle one line more than its edges fill.
+  EXPECT_LE(args["level1_reads"],
+            2 * (lines(args["level1_edges"]) + args["level1_nodes"]));
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +423,7 @@ std::vector<VertexId> LaneHigh(const EdgeStream& edges,
                                std::size_t threshold) {
   core::internal::HighDegreeFinder finder;
   for (const auto& [u, v] : edges) finder.Count(u, v);
+  EXPECT_EQ(finder.counted(), edges.size());
   finder.BeginVerify();
   for (const auto& [u, v] : edges) finder.Verify(u, v);
   std::vector<VertexId> high;

@@ -561,6 +561,9 @@ TEST(CliObs, TraceAndMetricsFilesAreWrittenAndLeaveResultsUnchanged) {
   EXPECT_NE(trace_doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace_doc.find("\"graph.load\""), std::string::npos);
   EXPECT_NE(trace_doc.find("\"query.run\""), std::string::npos);
+  // The query's operating point rides on its root span.
+  EXPECT_NE(trace_doc.find("\"memory_words\":2048"), std::string::npos);
+  EXPECT_NE(trace_doc.find("\"block_words\":32"), std::string::npos);
 
   std::string metrics_doc = Slurp(metrics_path);
   ExpectBalancedJsonObject(metrics_doc);

@@ -108,7 +108,7 @@ TEST(IoBounds, PinnedRegressionCacheAware) {
 }
 
 TEST(IoBounds, PinnedRegressionCacheOblivious) {
-  ExpectPinnedIos("ps-cache-oblivious", 71, 600730.0);
+  ExpectPinnedIos("ps-cache-oblivious", 71, 456578.0);
 }
 
 TEST(IoBounds, PinnedRegressionHoldsOnFileBackend) {

@@ -13,11 +13,16 @@ what the storage layer actually did — e.g. a merge pass re-reading runs
 it should have streamed once.
 
 The §3 recursion runs as a single `co.recurse` span; its args carry the
-wall time and node count of each recursion role (high-degree scans,
-Lemma 1, partition, base case), the recursion-shape report, and for each
-depth d the nodes, input edges and exclusive block reads and writes
+wall time and node count of each recursion role (the high-degree verify
+scan, which also counts the children, Lemma 1, partition, base case),
+the recursion-shape report, and for each depth d the nodes, input edges
+and exclusive block reads and writes
 (`level<d>_{nodes,edges,reads,writes}`). The summary prints the roles,
-the shape and one row per level under the `co.recurse` row.
+the shape and one row per level under the `co.recurse` row. When the trace
+also carries the span's `record_words` and the `query.run` span's
+`block_words`, each level row adds the lines its input spans,
+ceil(edges * record_words / block_words), and the read passes over them,
+reads / lines; above M a node that reads its input twice shows 2.0.
 
 Usage:
     tools/trace_summary.py t.json
@@ -55,6 +60,8 @@ CO_SUMMED = (
 )
 # Per-depth args: level<d>_<field>.
 CO_LEVEL_FIELDS = ("nodes", "edges", "reads", "writes")
+# The query's root span carries the operating point as args.
+QUERY_SPAN = "query.run"
 
 
 def level_key(key):
@@ -80,8 +87,10 @@ def load_events(path):
 
 
 def summarize(events):
-    """Aggregates complete ('X') events by span name, insertion order."""
+    """Aggregates complete ('X') events by span name, insertion order.
+    Returns the phases and the trace's `block_words` (None if absent)."""
     phases = {}
+    block_words = None
     for ev in events:
         if ev.get("ph") != "X":
             continue
@@ -104,19 +113,20 @@ def summarize(events):
         p["predicted_ios"] += int(args.get("predicted_ios", 0))
         for k in DELTA_KEYS:
             p[k] += int(args.get(k, 0))
+        if name == QUERY_SPAN and "block_words" in args:
+            block_words = int(args["block_words"])
         if name == CO_SPAN:
             co = p["co_args"]
             for key, value in args.items():
                 if key in CO_SUMMED or level_key(key) is not None:
                     co[key] = co.get(key, 0) + int(value)
-            if "max_depth_reached" in args:
-                co["max_depth_reached"] = max(
-                    co.get("max_depth_reached", 0),
-                    int(args["max_depth_reached"]))
-    return phases
+            for key in ("max_depth_reached", "record_words"):
+                if key in args:
+                    co[key] = max(co.get(key, 0), int(args[key]))
+    return phases, block_words
 
 
-def print_co_roles(p):
+def print_co_roles(p, block_words):
     """Prints the co.recurse role tallies, indented under its row."""
     co = p["co_args"]
     if not any(role + "_ns" in co for role in CO_ROLES):
@@ -134,12 +144,14 @@ def print_co_roles(p):
     ]
     if shape:
         print("  " + ", ".join(shape))
-    print_co_levels(co)
+    print_co_levels(co, block_words)
 
 
-def print_co_levels(co):
+def print_co_levels(co, block_words):
     """Prints one row per recursion depth: nodes, input edges, exclusive
-    block reads and writes, and the depth's share of the span's I/O."""
+    block reads and writes, and the depth's share of the span's I/O; plus
+    the input's lines and the read passes over them when the trace carries
+    the record and block sizes."""
     depths = sorted({lk[0] for lk in map(level_key, co) if lk is not None})
     if not depths:
         return
@@ -148,17 +160,27 @@ def print_co_levels(co):
         for d in depths
     ]
     total = sum(r["reads"] + r["writes"] for r in rows)
-    print(
+    record_words = co.get("record_words", 0)
+    show_passes = record_words > 0 and bool(block_words)
+    header = (
         f"  {'level':<7} {'nodes':>8} {'edges':>10} {'reads':>9} "
         f"{'writes':>9} {'share':>7}"
     )
+    if show_passes:
+        header += f" {'lines':>9} {'passes':>7}"
+    print(header)
     for d, r in zip(depths, rows):
         ios = r["reads"] + r["writes"]
         share = ios / total if total > 0 else 0.0
-        print(
+        row = (
             f"  {d:<7} {r['nodes']:>8} {r['edges']:>10} {r['reads']:>9} "
             f"{r['writes']:>9} {share:>7.1%}"
         )
+        if show_passes:
+            lines = -(-r["edges"] * record_words // block_words)
+            ratio = r["reads"] / lines if lines > 0 else 0.0
+            row += f" {lines:>9} {ratio:>7.1f}"
+        print(row)
 
 
 def prediction_flags(phases):
@@ -204,7 +226,7 @@ def main():
     )
     opts = ap.parse_args()
 
-    phases = summarize(load_events(opts.trace))
+    phases, block_words = summarize(load_events(opts.trace))
     if not phases:
         sys.exit(f"trace_summary: '{opts.trace}' contains no complete spans")
 
@@ -226,7 +248,7 @@ def main():
             f"{p['read_calls']:>6} {p['write_calls']:>6}"
         )
         if name == CO_SPAN:
-            print_co_roles(p)
+            print_co_roles(p, block_words)
 
     total_br = sum(p["block_reads"] for p in phases.values())
     total_bw = sum(p["block_writes"] for p in phases.values())
