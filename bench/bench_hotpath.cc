@@ -1,7 +1,5 @@
 // Hot-path microbenchmarks for the block-buffered Scanner/Writer:
-// scan/write/filter/merge-sort throughput; the chunked clone and the
-// pinned-line zero-copy sweep, each against a bench-local per-record loop
-// (same IoStats, different wall clock); and end-to-end enumeration per
+// scan/write/filter/merge-sort throughput, and end-to-end enumeration per
 // algorithm on both storage backends. The `ios` counters in
 // BENCH_hotpath.json are exact: bench/check_wall_regression.py fails on any
 // change to them.
@@ -107,70 +105,6 @@ void BM_MergeSortWall(benchmark::State& state) {
   state.counters["ios"] = static_cast<double>(ctx.cache().stats().total_ios());
 }
 BENCHMARK(BM_MergeSortWall)->Unit(benchmark::kMillisecond);
-
-void BM_CloneThroughput(benchmark::State& state) {
-  const std::size_t n = 1 << 19;
-  em::Context ctx = MakeCtx();
-  em::Array<std::uint64_t> src = ctx.Alloc<std::uint64_t>(n);
-  ctx.cache().set_counting(false);
-  std::vector<std::uint64_t> host(n);
-  for (std::size_t i = 0; i < n; ++i) host[i] = i ^ 0xABCD;
-  src.WriteFrom(0, n, host.data());
-  ctx.cache().set_counting(true);
-  const bool chunked = state.range(0) == 1;
-  for (auto _ : state) {
-    ctx.cache().Reset();
-    auto region = ctx.Region();
-    if (chunked) {
-      em::Array<std::uint64_t> dst = em::CloneArray(ctx, src);
-      benchmark::DoNotOptimize(dst.base());
-    } else {
-      // The old record-at-a-time clone, kept as the before-side.
-      em::Array<std::uint64_t> dst = ctx.Alloc<std::uint64_t>(n);
-      for (std::size_t i = 0; i < n; ++i) dst.Set(i, src.Get(i));
-      benchmark::DoNotOptimize(dst.base());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  state.SetLabel(chunked ? "chunked" : "per_record");
-}
-BENCHMARK(BM_CloneThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_PinnedLineSweep(benchmark::State& state) {
-  // Reading one line's records through a pinned pointer vs per-record Gets:
-  // identical charges (one touch per record), no per-record copy chain.
-  const std::size_t n = 1 << 18;
-  em::Context ctx = MakeCtx();
-  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
-  ctx.cache().set_counting(false);
-  std::vector<std::uint64_t> host(n);
-  for (std::size_t i = 0; i < n; ++i) host[i] = i;
-  a.WriteFrom(0, n, host.data());
-  ctx.cache().set_counting(true);
-  const std::size_t b = ctx.block_words();
-  const bool pinned = state.range(0) == 1;
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    ctx.cache().Reset();
-    if (pinned) {
-      for (std::size_t lo = 0; lo < n; lo += b) {
-        em::PinnedLine pin = ctx.PinLine(a.AddrOf(lo), /*write=*/false);
-        for (std::size_t i = 1; i < b; ++i) {
-          ctx.TouchRange(pin.base() + i, 1, false);
-        }
-        const em::Word* words = pin.data();
-        for (std::size_t i = 0; i < b; ++i) acc += words[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) acc += a.Get(i);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-  state.counters["ios"] = static_cast<double>(ctx.cache().stats().total_ios());
-  state.SetLabel(pinned ? "pinned_line" : "per_record_get");
-}
-BENCHMARK(BM_PinnedLineSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- End-to-end enumeration, both backends ---------------------------------
 

@@ -12,6 +12,11 @@
 namespace trienum::core {
 namespace {
 
+/// Resident edge chunk: alpha*M edges.
+constexpr double kChunkFraction = 1.0 / 8.0;
+/// In-memory path buffer: this fraction of M, two words per path.
+constexpr double kCandidateFraction = 1.0 / 8.0;
+
 struct PathCand {
   graph::VertexId v1, v2, v3;
 };
@@ -43,18 +48,18 @@ void FlushCandidates(em::QuerySession& ctx, const graph::EmGraph& g,
 
 }  // namespace
 
-void EnumerateBnl(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& sink,
-                  const BnlOptions& opts) {
+void EnumerateBnl(em::QuerySession& ctx, const graph::EmGraph& g,
+                  TriangleSink& sink) {
   using graph::VertexId;
   const std::size_t m = g.num_edges();
   if (m < 3) return;
 
   std::size_t chunk_items = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(ctx.memory_words()) *
-                                  opts.chunk_fraction));
+                                  kChunkFraction));
   std::size_t cand_cap = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(ctx.memory_words()) *
-                                  opts.candidate_fraction / 2));
+                                  kCandidateFraction / 2));
 
   for (std::size_t c0 = 0; c0 < m; c0 += chunk_items) {
     std::size_t c1 = std::min(m, c0 + chunk_items);
@@ -89,12 +94,11 @@ void EnumerateBnl(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& 
   }
 }
 
-double BnlIoBound(std::size_t num_edges, std::size_t m, std::size_t b,
-                  const BnlOptions& opts) {
+double BnlIoBound(std::size_t num_edges, std::size_t m, std::size_t b) {
   double e = static_cast<double>(num_edges);
   double mm = static_cast<double>(m);
-  double chunk = std::max(1.0, mm * opts.chunk_fraction);
-  double cand_cap = std::max(1.0, mm * opts.candidate_fraction / 2);
+  double chunk = std::max(1.0, mm * kChunkFraction);
+  double cand_cap = std::max(1.0, mm * kCandidateFraction / 2);
   double chunks = std::ceil(e / chunk);
   // Paths generated per chunk are at most chunk * max_v deg(v) <= chunk * E;
   // the worst-case flush count is paths / cand_cap, each costing a scan.

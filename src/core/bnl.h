@@ -14,17 +14,11 @@
 
 namespace trienum::core {
 
-struct BnlOptions {
-  double chunk_fraction = 1.0 / 8.0;      ///< resident edge chunk, alpha*M
-  double candidate_fraction = 1.0 / 8.0;  ///< in-memory path buffer size
-};
-
-void EnumerateBnl(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& sink,
-                  const BnlOptions& opts = {});
+void EnumerateBnl(em::QuerySession& ctx, const graph::EmGraph& g,
+                  TriangleSink& sink);
 
 /// Worst-case prediction O(E^3/(M^2 B)) with implementation constants.
-double BnlIoBound(std::size_t num_edges, std::size_t m, std::size_t b,
-                  const BnlOptions& opts = {});
+double BnlIoBound(std::size_t num_edges, std::size_t m, std::size_t b);
 
 }  // namespace trienum::core
 

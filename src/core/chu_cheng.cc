@@ -16,6 +16,9 @@ namespace {
 using graph::Edge;
 using graph::VertexId;
 
+/// Fraction of M available to one extended subgraph.
+constexpr double kPartFraction = 1.0 / 4.0;
+
 std::uint64_t PackEdge(VertexId a, VertexId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
@@ -125,11 +128,11 @@ class PartitionRunner {
 }  // namespace
 
 void EnumerateChuCheng(em::QuerySession& ctx, const graph::EmGraph& g,
-                       TriangleSink& sink, const ChuChengOptions& opts) {
+                       TriangleSink& sink) {
   if (g.num_edges() < 3) return;
   const std::size_t capacity = std::max<std::size_t>(
       64, static_cast<std::size_t>(static_cast<double>(ctx.memory_words()) *
-                                   opts.part_fraction));
+                                   kPartFraction));
   PartitionRunner runner(ctx, g, sink, capacity);
 
   // Greedy partition into consecutive ranges of incident-edge mass <= the

@@ -19,13 +19,8 @@
 
 namespace trienum::core {
 
-struct ChuChengOptions {
-  /// Fraction of M available to one extended subgraph.
-  double part_fraction = 1.0 / 4.0;
-};
-
 void EnumerateChuCheng(em::QuerySession& ctx, const graph::EmGraph& g,
-                       TriangleSink& sink, const ChuChengOptions& opts = {});
+                       TriangleSink& sink);
 
 }  // namespace trienum::core
 

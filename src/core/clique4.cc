@@ -21,6 +21,9 @@ namespace {
 using graph::Edge;
 using graph::VertexId;
 
+/// Fraction of M available to one in-memory subproblem.
+constexpr double kCapacityFraction = 1.0 / 3;
+
 std::uint64_t PackEdge(VertexId a, VertexId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
@@ -165,11 +168,11 @@ class QuadRecursor {
 }  // namespace
 
 void EnumerateFourCliques(em::QuerySession& ctx, const graph::EmGraph& g,
-                          CliqueSink& sink, const Clique4Options& opts) {
+                          CliqueSink& sink) {
   const std::size_t m0 = g.num_edges();
   if (m0 < 6) return;
   auto region = ctx.Region();
-  SplitMix64 rng(opts.seed != 0 ? opts.seed : ctx.seed() ^ 0x4C14);
+  SplitMix64 rng(ctx.seed() ^ 0x4C14);
 
   em::Array<Edge> work = ctx.Alloc<Edge>(m0);
   extsort::Copy(g.edges, work);
@@ -257,7 +260,7 @@ void EnumerateFourCliques(em::QuerySession& ctx, const graph::EmGraph& g,
   // ---- Step 3: all ordered color 4-tuples ------------------------------------
   std::size_t capacity = std::max<std::size_t>(
       16, static_cast<std::size_t>(static_cast<double>(ctx.memory_words()) *
-                                   opts.capacity_fraction) -
+                                   kCapacityFraction) -
               16);
   QuadRecursor recursor(ctx, sink, capacity, &rng);
   for (std::uint32_t t1 = 0; t1 < c; ++t1) {

@@ -63,14 +63,10 @@ class CollectingCliqueSink : public CliqueSink {
   std::vector<std::array<graph::VertexId, 4>> cliques_;
 };
 
-struct Clique4Options {
-  std::uint64_t seed = 0;              ///< 0 = the context's master seed
-  double capacity_fraction = 1.0 / 3;  ///< in-memory subproblem budget
-};
-
-/// Enumerates every 4-clique of the normalized graph exactly once.
+/// Enumerates every 4-clique of the normalized graph exactly once. The
+/// coloring and splitting bits are drawn from the session seed.
 void EnumerateFourCliques(em::QuerySession& ctx, const graph::EmGraph& g,
-                          CliqueSink& sink, const Clique4Options& opts = {});
+                          CliqueSink& sink);
 
 /// Host-memory reference count (verification).
 std::uint64_t CountFourCliquesHost(const std::vector<graph::Edge>& edges);

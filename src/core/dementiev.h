@@ -269,8 +269,6 @@ void WedgeJoinEnumerate(em::QuerySession& ctx, em::Array<EdgeT> edges, Sorter so
   }
 }
 
-struct DementievOptions {};
-
 /// Standalone Dementiev baseline over a normalized graph (cache-aware sort,
 /// no filter): O(sort(E^{3/2})) I/Os.
 void EnumerateDementiev(em::QuerySession& ctx, const graph::EmGraph& g,

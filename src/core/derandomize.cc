@@ -14,6 +14,12 @@ namespace {
 using graph::ColoredEdge;
 using graph::VertexId;
 
+/// Cap on candidates inspected per round; if none satisfies (4) the best
+/// seen is used (the final X_xi is still verified by tests/benches).
+constexpr std::size_t kMaxCandidates = 64;
+/// Field degree m of the AGHP family over GF(2^m).
+constexpr int kAghpFieldBits = 12;
+
 /// One endpoint incidence within a color class (side 0: v is the smaller
 /// endpoint of the edge; side 1: the larger).
 struct IncRec {
@@ -197,8 +203,8 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
   if (levels == 0 || edges.empty()) {
     return DeterministicColoring(c, std::vector<std::uint64_t>{});
   }
-  const double alpha =
-      opts.alpha > 0 ? opts.alpha : 1.0 / static_cast<double>(levels);
+  // The slack of (4): the paper's alpha = 1/log2(c).
+  const double alpha = 1.0 / static_cast<double>(levels);
 
   auto region = ctx.Region();
   const std::size_t m = edges.size();
@@ -223,7 +229,7 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
   // field), so it must outlive the coloring object.
   std::shared_ptr<hashing::AghpFamily> aghp;
   if (opts.use_aghp_family) {
-    aghp = std::make_shared<hashing::AghpFamily>(opts.aghp_m);
+    aghp = std::make_shared<hashing::AghpFamily>(kAghpFieldBits);
   }
   auto candidate = [&](int round, std::size_t j) -> DeterministicColoring::BitFn {
     if (aghp != nullptr) {
@@ -246,7 +252,7 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
     DeterministicColoring::BitFn best_fn;
     std::uint64_t best_seed = 0;
     double best_phi = -1.0;
-    for (std::size_t j = 0; j < opts.max_candidates; ++j) {
+    for (std::size_t j = 0; j < kMaxCandidates; ++j) {
       DeterministicColoring::BitFn bh = candidate(round, j);
       ++tried;
       LevelStats cand = CandidateStats(ctx, ce, inc, bh);

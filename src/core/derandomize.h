@@ -29,17 +29,11 @@
 namespace trienum::core {
 
 struct DerandOptions {
-  /// Cap on candidates inspected per round; if none satisfies (4) the best
-  /// seen is used (the final X_xi is still verified by tests/benches).
-  std::size_t max_candidates = 64;
-  /// Slack alpha in (4); <= 0 means the paper's 1/log2(c).
-  double alpha = -1.0;
   /// Draw candidates from the genuine AGHP epsilon-biased family over
-  /// GF(2^aghp_m) (the paper's Lemma 6 source) instead of the fast 4-wise
+  /// GF(2^12) (the paper's Lemma 6 source) instead of the fast 4-wise
   /// schedule. Evaluation is O(log V) field multiplications per vertex, so
   /// this is practical for small inputs only.
   bool use_aghp_family = false;
-  int aghp_m = 12;
 };
 
 /// \brief The deterministic coloring xi : V -> [0, c) of §4.

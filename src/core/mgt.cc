@@ -6,24 +6,22 @@
 
 namespace trienum::core {
 
-void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& sink,
-                  const MgtOptions& opts) {
+void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g,
+                  TriangleSink& sink) {
   obs::Span span("mgt.pivot_enum");
   span.AddArg("edges", g.num_edges());
-  PivotEnumOptions popts;
-  popts.chunk_fraction = opts.chunk_fraction;
   // Lemma 2 with the pivot set equal to the whole edge set: every triangle
   // has its (unique) pivot edge somewhere in E, so all are enumerated. The
   // adjacency intersections (resident pivot runs vs Gamma_3) run on the
   // src/simd/ two-regime kernels inside PivotEnumerate, and at threads > 1
   // its chunks run as one ordered run on the pool.
-  PivotEnumerate<graph::Edge>(ctx, g.edges, g.edges, g.edges, sink, popts);
+  PivotEnumerate<graph::Edge>(ctx, g.edges, g.edges, g.edges, sink);
 }
 
-double MgtIoBound(std::size_t num_edges, std::size_t m, std::size_t b,
-                  double chunk_fraction) {
+double MgtIoBound(std::size_t num_edges, std::size_t m, std::size_t b) {
   double e = static_cast<double>(num_edges);
-  double chunk = std::max(1.0, static_cast<double>(m) * chunk_fraction);
+  double chunk = std::max(
+      1.0, static_cast<double>(m) * PivotEnumOptions{}.chunk_fraction);
   double chunks = std::ceil(e / chunk);
   // Each chunk costs one scan of E (cone stream) plus reading the chunk.
   return chunks * (e / static_cast<double>(b) + chunk / static_cast<double>(b)) +

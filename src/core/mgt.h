@@ -17,19 +17,14 @@
 
 namespace trienum::core {
 
-struct MgtOptions {
-  /// Fraction alpha of internal memory holding the resident pivot chunk.
-  double chunk_fraction = 1.0 / 8.0;
-};
-
-/// Enumerates every triangle of the normalized graph `g`.
-void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& sink,
-                  const MgtOptions& opts = {});
+/// Enumerates every triangle of the normalized graph `g`, with resident
+/// pivot chunks of PivotEnumOptions' default fraction alpha = 1/8 of M.
+void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g,
+                  TriangleSink& sink);
 
 /// Predicted I/O cost O(E/B + E^2/(MB)) with the implementation's constants
 /// (for bound tests and benches).
-double MgtIoBound(std::size_t num_edges, std::size_t m, std::size_t b,
-                  double chunk_fraction = 1.0 / 8.0);
+double MgtIoBound(std::size_t num_edges, std::size_t m, std::size_t b);
 
 }  // namespace trienum::core
 

@@ -2,8 +2,8 @@
 // streaming Scanner/Writer helpers used throughout the algorithms.
 //
 // Scanner and Writer are *block-buffered*: they move one B-word-aligned cache
-// line per refill/flush (a single Context::ReadScan/WriteScan call) instead
-// of one transfer per record, while charging the touch sequence a
+// line per refill/flush (a single GraphStore::ReadScan/WriteScan call)
+// instead of one transfer per record, while charging the touch sequence a
 // record-by-record pass of Array::Get/Set calls would — coalesced per line.
 // The two agree bit-for-bit (reads, writes and hits) whenever every active
 // stream's current line stays resident between consecutive records: one
@@ -31,10 +31,10 @@ namespace trienum::em {
 /// padded to whole words; an Edge (two 32-bit ids) is one word, matching the
 /// paper's "an edge requires one memory word" accounting.
 ///
-/// All data moves through Context::ReadWords/WriteWords (or their scan-exact
-/// bulk duals ReadScan/WriteScan), so an Array works identically — same
-/// values, same IoStats — over the in-memory and the file-backed storage
-/// backend (see em/storage.h).
+/// All data moves through GraphStore::ReadWords/WriteWords (or their
+/// scan-exact bulk duals ReadScan/WriteScan), so an Array works identically
+/// — same values, same IoStats — over the in-memory and the file-backed
+/// storage backend (see em/storage.h).
 template <typename T>
 class Array {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -111,8 +111,6 @@ class Array {
       return p == nullptr ? nullptr : reinterpret_cast<T*>(p);
     }
   }
-  /// Record stride, in Words, of the MemRef view (== 1 record when packed).
-  static constexpr std::size_t kStrideWords = kWordsPer;
 
   /// Subrange view [off, off+len).
   Array Slice(std::size_t off, std::size_t len) const {
@@ -370,26 +368,6 @@ class Writer {
   std::size_t flush_at_ = 0;  // record index triggering the next flush
   std::vector<T> buf_;
 };
-
-/// Copies `src` into a fresh array allocated from `ctx`, staging chunks of
-/// at most M/4 words of host scratch (a sequential block-granular scan; the
-/// old record-at-a-time copy cost the same block I/Os but B× the touches).
-template <typename T>
-Array<T> CloneArray(QuerySession& ctx, const Array<T>& src) {
-  Array<T> dst = ctx.Alloc<T>(src.size());
-  if (src.empty()) return dst;
-  constexpr std::size_t w = Array<T>::kWordsPer;
-  std::size_t chunk = std::max<std::size_t>(1, ctx.memory_words() / (4 * w));
-  chunk = std::min(chunk, src.size());
-  ScratchLease lease = ctx.LeaseScratch(chunk * w);
-  std::vector<T> buf(chunk);
-  for (std::size_t lo = 0; lo < src.size(); lo += chunk) {
-    const std::size_t hi = std::min(src.size(), lo + chunk);
-    src.ReadTo(lo, hi, buf.data());
-    dst.WriteFrom(lo, hi, buf.data());
-  }
-  return dst;
-}
 
 }  // namespace trienum::em
 

@@ -44,7 +44,6 @@ Cache::Cache(std::size_t memory_words, std::size_t block_words,
   for (std::size_t i = 0; i < num_slots_; ++i) {
     slots_[i].line = -1;
     slots_[i].dirty = false;
-    slots_[i].pins = 0;
     slots_[i].next = static_cast<std::int32_t>(i) + 1;
     slots_[i].prev = -1;
   }
@@ -87,10 +86,10 @@ std::int32_t Cache::GrabSlot() {
     free_head_ = slots_[s].next;
     return s;
   }
-  // Evict the least-recently-used *unpinned* line.
-  std::int32_t s = tail_;
-  while (s >= 0 && slots_[s].pins > 0) s = slots_[s].prev;
-  TRIENUM_CHECK_MSG(s >= 0, "every cache line is pinned; cannot evict");
+  // Evict the least-recently-used line. A slot leaked by a failed
+  // write-back (below) is in neither list, so a tiny cache can run out.
+  const std::int32_t s = tail_;
+  TRIENUM_CHECK_MSG(s >= 0, "no cache line left to evict");
   Unlink(s);
   --resident_;
   // Unmap before the write-back: StagedWrite can throw IoFault, and the
@@ -295,30 +294,6 @@ void Cache::WriteScan(Addr addr, std::size_t words, std::size_t elem_words,
   ScanOp(addr, words, elem_words, ScanOpKind::kWrite, nullptr, in);
 }
 
-std::int32_t Cache::Pin(Addr addr, bool write) {
-  TRIENUM_CHECK_MSG(counting_,
-                    "Pin requires counting; uncounted phases use the "
-                    "ReadRange/WriteRange bypass");
-  std::int32_t s = TouchLine(LineOf(addr), write, /*aligned_write=*/false,
-                             /*fetch=*/true);
-  if (slots_[s].pins == 0) ++pinned_lines_;
-  ++slots_[s].pins;
-  TRIENUM_CHECK_MSG(pinned_lines_ < num_slots_ || num_slots_ == 1,
-                    "pinning would leave no evictable line");
-  return s;
-}
-
-void Cache::Unpin(std::int32_t slot) {
-  TRIENUM_CHECK(slot >= 0 && static_cast<std::size_t>(slot) < num_slots_);
-  TRIENUM_CHECK_MSG(slots_[slot].pins > 0, "Unpin of an unpinned slot");
-  if (--slots_[slot].pins == 0) --pinned_lines_;
-}
-
-bool Cache::IsPinned(Addr addr) const {
-  std::int32_t s = Lookup(LineOf(addr));
-  return s >= 0 && slots_[s].pins > 0;
-}
-
 void Cache::ReadRange(Addr addr, std::size_t words, void* out) {
   TRIENUM_CHECK_MSG(staging_ != nullptr, "ReadRange requires staged mode");
   if (words == 0) return;
@@ -427,9 +402,8 @@ void Cache::ForEachResident(std::int64_t begin, std::int64_t end, F&& f) {
 void Cache::DropDirty(std::int64_t begin, std::int64_t end) {
   TRIENUM_CHECK_MSG(log_ == nullptr, "a recording cache cannot drop lines");
   if (!fault_.ok()) return;
-  ForEachResident(begin, end, [this](std::int32_t s) {
-    if (slots_[s].pins == 0) slots_[s].dirty = false;
-  });
+  ForEachResident(begin, end,
+                  [this](std::int32_t s) { slots_[s].dirty = false; });
 }
 
 void Cache::DropLines(std::int64_t begin, std::int64_t end) {
@@ -437,7 +411,6 @@ void Cache::DropLines(std::int64_t begin, std::int64_t end) {
   if (!fault_.ok()) return;
   ForEachResident(begin, end, [this](std::int32_t s) {
     Slot& slot = slots_[s];
-    if (slot.pins > 0) return;
     Unlink(s);
     --resident_;
     where_.Set(slot.line, -1);
@@ -451,7 +424,6 @@ void Cache::DropLines(std::int64_t begin, std::int64_t end) {
 }
 
 void Cache::FlushAll() {
-  TRIENUM_CHECK_MSG(pinned_lines_ == 0, "FlushAll with lines still pinned");
   for (std::int32_t s = head_; s >= 0;) {
     std::int32_t next = slots_[s].next;
     if (slots_[s].dirty) {
@@ -492,7 +464,6 @@ void Cache::Discard() {
   for (std::size_t i = 0; i < num_slots_; ++i) {
     slots_[i].line = -1;
     slots_[i].dirty = false;
-    slots_[i].pins = 0;
     slots_[i].next = static_cast<std::int32_t>(i) + 1;
     slots_[i].prev = -1;
   }
@@ -501,7 +472,6 @@ void Cache::Discard() {
   head_ = tail_ = -1;
   last_line_ = -1;
   resident_ = 0;
-  pinned_lines_ = 0;
   where_.Clear();
   stats_ = IoStats{};
   fault_ = Status::OK();

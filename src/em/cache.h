@@ -83,9 +83,6 @@ class LineMap {
     sparse_.clear();
   }
 
-  std::size_t dense_limit() const { return dense_limit_; }
-  std::size_t sparse_entries() const { return sparse_.size(); }
-
  private:
   std::size_t dense_limit_;
   std::vector<std::int32_t> dense_;
@@ -176,23 +173,6 @@ class Cache {
   void WriteScan(Addr addr, std::size_t words, std::size_t elem_words,
                  const void* in);
 
-  /// Pins the line containing `addr`, charging exactly like Touch(addr,
-  /// write), and returns its slot. A pinned line is never chosen for
-  /// eviction; pins nest (each Pin needs one Unpin). Requires counting to be
-  /// enabled (uncounted phases use the ReadRange/WriteRange bypass instead).
-  /// In staged mode `slot_buffer` exposes the line's B-word buffer; write
-  /// pins mark the line dirty, so the data placed in the buffer is written
-  /// back on eventual eviction or flush.
-  std::int32_t Pin(Addr addr, bool write);
-  void Unpin(std::int32_t slot);
-  /// Direct pointer to a (pinned) slot's B-word line buffer; staged only.
-  Word* slot_buffer(std::int32_t s) {
-    TRIENUM_CHECK(staging_ != nullptr);
-    return line_buf(s);
-  }
-  bool IsPinned(Addr addr) const;
-  std::size_t pinned_lines() const { return pinned_lines_; }
-
   /// True if this cache stages real data (file-backed device).
   bool staged() const { return staging_ != nullptr; }
 
@@ -211,9 +191,9 @@ class Cache {
   void Replay(const ChargeLog& log);
 
   /// Dead-line operations on the line ids [begin, end) of this cache's line
-  /// size. Neither charges an I/O or touches a pinned line. Both reject a
-  /// recording cache, and both are no-ops once a fault is latched (Discard
-  /// follows). Cost O(min(end - begin, resident lines)).
+  /// size. Neither charges an I/O. Both reject a recording cache, and both
+  /// are no-ops once a fault is latched (Discard follows). Cost
+  /// O(min(end - begin, resident lines)).
   ///
   /// DropDirty: the lines hold released words. Resident ones lose their
   /// dirty bit, so they are not written back unless a later write dirties
@@ -234,7 +214,7 @@ class Cache {
   void Reset();
 
   /// Crash-consistency reset: drops every line *without* write-back, clears
-  /// pins, counters, and the latched fault. After a failed query the dirty
+  /// counters and the latched fault. After a failed query the dirty
   /// lines hold scratch data from an abandoned plan — writing them back could
   /// itself fault, and nothing will ever read them (the query's region is
   /// released). The frozen graph pages are clean by construction, so
@@ -246,8 +226,8 @@ class Cache {
   /// during unwinding (Writer destructors) still fails the query.
   const Status& fault() const { return fault_; }
 
-  /// Zeroes the IoStats counters only, leaving residency, recency, dirty
-  /// bits and pins untouched — per-session counting reset without
+  /// Zeroes the IoStats counters only, leaving residency, recency and dirty
+  /// bits untouched — per-session counting reset without
   /// disturbing resident lines. A query that must match a fresh context
   /// bit-for-bit still needs a cold cache (Reset); ResetCounters is for
   /// re-baselining accounting over a deliberately warm store.
@@ -275,7 +255,6 @@ class Cache {
     std::int32_t prev;
     std::int32_t next;
     std::int64_t line;   // line id, or -1 if free
-    std::int32_t pins;   // >0 = never evicted
     bool dirty;
   };
 
@@ -311,7 +290,7 @@ class Cache {
   /// slot it is given.
   template <typename F>
   void ForEachResident(std::int64_t begin, std::int64_t end, F&& f);
-  std::int32_t GrabSlot();           // free (or unpinned LRU) slot
+  std::int32_t GrabSlot();           // free slot, else evicts the LRU line
   void MoveToFront(std::int32_t s);
   void PushFront(std::int32_t s);
   void Unlink(std::int32_t s);
@@ -342,7 +321,6 @@ class Cache {
   std::int32_t free_head_ = -1;
   std::int64_t last_line_ = -1;      // fast path for streaming access
   std::size_t resident_ = 0;         // slots in the LRU list
-  std::size_t pinned_lines_ = 0;
 
   StorageBackend* staging_ = nullptr;  // non-null = staged data mode
   std::vector<Word> line_data_;        // num_slots_ * block_words_ (staged)

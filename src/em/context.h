@@ -7,11 +7,11 @@
 //
 //   * QuerySession — query-lifetime state: scratch-memory accounting, the
 //     internal-work counter and the RNG seed of one measured run. A session
-//     borrows a GraphStore and forwards its data path, so algorithm code
-//     sees one handle. Sessions are cheap; reusing one across queries is
-//     equivalent (bit-for-bit, including IoStats) to a fresh session per
-//     query as long as each query starts cold (Cache::Reset) and releases
-//     its device region.
+//     borrows a GraphStore and forwards its cache, device and allocator, so
+//     algorithm code sees one handle. Sessions are cheap; reusing one across
+//     queries is equivalent (bit-for-bit, including IoStats) to a fresh
+//     session per query as long as each query starts cold (Cache::Reset) and
+//     releases its device region.
 //
 //   * Context — the historical fused object, kept as "a store plus one
 //     session over it": it owns a GraphStore and IS-A QuerySession. Existing
@@ -68,60 +68,6 @@ class ScratchLease {
 
  private:
   QuerySession* session_ = nullptr;
-  std::size_t words_ = 0;
-};
-
-/// \brief RAII pin of one cache line, giving zero-copy access to its B
-/// words.
-///
-/// While alive, the line is exempt from eviction, so `data()` stays valid:
-/// it points at the staged line buffer (file backend) or straight into the
-/// MemoryBackend's view. Obtained via GraphStore::PinLine, which charges
-/// exactly one word touch; any further per-record charging is the caller's
-/// job (via TouchRange), keeping IoStats independent of how the data is
-/// physically reached. Do not allocate device memory while holding a pin (a
-/// MemoryBackend grow may move the view).
-class PinnedLine {
- public:
-  PinnedLine() = default;
-  PinnedLine(Cache* cache, std::int32_t slot, Word* data, Addr base,
-             std::size_t words)
-      : cache_(cache), slot_(slot), data_(data), base_(base), words_(words) {}
-  ~PinnedLine() {
-    if (cache_ != nullptr) cache_->Unpin(slot_);
-  }
-  PinnedLine(PinnedLine&& o) noexcept
-      : cache_(o.cache_), slot_(o.slot_), data_(o.data_), base_(o.base_),
-        words_(o.words_) {
-    o.cache_ = nullptr;
-  }
-  PinnedLine& operator=(PinnedLine&& o) noexcept {
-    if (this != &o) {
-      if (cache_ != nullptr) cache_->Unpin(slot_);
-      cache_ = o.cache_;
-      slot_ = o.slot_;
-      data_ = o.data_;
-      base_ = o.base_;
-      words_ = o.words_;
-      o.cache_ = nullptr;
-    }
-    return *this;
-  }
-  PinnedLine(const PinnedLine&) = delete;
-  PinnedLine& operator=(const PinnedLine&) = delete;
-
-  /// The line's B words.
-  Word* data() const { return data_; }
-  /// Word address of data()[0].
-  Addr base() const { return base_; }
-  /// Line size in words (= B).
-  std::size_t size_words() const { return words_; }
-
- private:
-  Cache* cache_ = nullptr;
-  std::int32_t slot_ = -1;
-  Word* data_ = nullptr;
-  Addr base_ = 0;
   std::size_t words_ = 0;
 };
 
@@ -237,24 +183,12 @@ class GraphStore {
   }
 
   /// Memory-backend pointer to device word `a` (the raw simulator view), or
-  /// nullptr when the device stages real data. Callers pair it with explicit
-  /// TouchRange charges to keep IoStats exact while skipping the per-record
-  /// copy chain (see Array::MemRef). Invalidated by Alloc.
+  /// nullptr when the device stages real data. Array::MemRef is the one
+  /// caller: it pairs the pointer with explicit TouchRange charges to keep
+  /// IoStats exact while skipping the per-record copy chain. Invalidated by
+  /// Alloc.
   Word* DirectData(Addr a) {
     return cache_.staged() ? nullptr : device_.direct_view() + a;
-  }
-
-  /// Pins the cache line containing `addr` and returns a handle exposing its
-  /// B-word buffer (see PinnedLine). Charges like Touch(addr, write); a write
-  /// pin marks the line dirty so buffer edits reach the backend on eventual
-  /// write-back. Counting must be enabled.
-  PinnedLine PinLine(Addr addr, bool write) {
-    std::int32_t s = cache_.Pin(addr, write);
-    const Addr base = addr - addr % cfg_.block_words;
-    Word* data = cache_.staged() ? cache_.slot_buffer(s)
-                                 : device_.direct_view() + base;
-    if (probe_ != nullptr) probe_->Touch(addr, write);
-    return PinnedLine(&cache_, s, data, base, cfg_.block_words);
   }
 
   /// Attaches a second, passive LRU cache observing the same access stream —
@@ -327,7 +261,8 @@ class GraphStore {
 /// \brief Query-lifetime state over a borrowed GraphStore.
 ///
 /// Every EM algorithm in the library takes a QuerySession&: the session
-/// forwards the store's data path unchanged and adds the per-query
+/// forwards the store's cache, device and allocator unchanged (arrays move
+/// their data through the store itself) and adds the per-query
 /// accounting — host-scratch leases, the internal-work counter and the RNG
 /// seed. Reusing one session for many queries is supported and
 /// bit-identical to fresh sessions provided each query starts cold (see
@@ -351,28 +286,8 @@ class QuerySession {
   void TouchRange(Addr addr, std::size_t words, bool write) {
     store_->TouchRange(addr, words, write);
   }
-  void ReadWords(Addr a, std::size_t words, void* out) {
-    store_->ReadWords(a, words, out);
-  }
-  void WriteWords(Addr a, std::size_t words, const void* in) {
-    store_->WriteWords(a, words, in);
-  }
-  void ReadScan(Addr a, std::size_t words, std::size_t elem_words, void* out) {
-    store_->ReadScan(a, words, elem_words, out);
-  }
-  void TouchScan(Addr a, std::size_t words, std::size_t elem_words) {
-    store_->TouchScan(a, words, elem_words);
-  }
-  void WriteScan(Addr a, std::size_t words, std::size_t elem_words,
-                 const void* in) {
-    store_->WriteScan(a, words, elem_words, in);
-  }
-  Word* DirectData(Addr a) { return store_->DirectData(a); }
   void DropLines(Addr addr, std::size_t words) {
     store_->DropLines(addr, words);
-  }
-  PinnedLine PinLine(Addr addr, bool write) {
-    return store_->PinLine(addr, write);
   }
   void AttachProbe(std::size_t memory_words, std::size_t block_words) {
     store_->AttachProbe(memory_words, block_words);

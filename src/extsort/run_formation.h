@@ -3,11 +3,11 @@
 // `FunnelSort`'s base case.
 //
 // Keyed comparators (see sort_key.h) go down an LSD byte-radix on the
-// extracted 64-bit keys — narrow records are scattered directly, wide ones
-// through an index-permute gather — with passes whose byte is constant
-// across the load skipped outright (the common case: 32-bit vertex ids
-// leave half the key bytes empty). Prefix keys finish equal-key runs with
-// the comparator; keyless comparators fall back to a comparison sort.
+// extracted 64-bit keys that scatters the records themselves, with passes
+// whose byte is constant across the load skipped outright (the common case:
+// 32-bit vertex ids leave half the key bytes empty). Prefix keys finish
+// equal-key runs with the comparator; keyless comparators fall back to
+// std::stable_sort.
 //
 // Every path is stable, so SortRun(rec, n, less) == std::stable_sort(rec,
 // rec + n, less) record-for-record — the determinism contract the
@@ -30,7 +30,6 @@
 #include <cstring>
 #include <vector>
 
-#include "extsort/merge_runs.h"
 #include "extsort/sort_key.h"
 #include "par/thread_pool.h"
 
@@ -42,12 +41,11 @@ namespace internal {
 /// — this path runs once per funnel base case) takes over.
 inline constexpr std::size_t kRadixMinRecords = 48;
 
-/// Records up to this size are moved directly through the scatter passes
-/// (with constant-byte skipping, usually ~4 of them); wider ones are
-/// radixed as 16-byte (key, index) pairs and permuted in place at the end.
+/// Widest keyed record SortRun accepts: records are moved directly through
+/// the scatter passes (with constant-byte skipping, usually ~4 of them).
 /// 24 bytes covers every record type in the library (wedge and incidence
-/// records), and keeps the direct path's scratch at one run of records —
-/// the amount the run-formation scratch lease accounts for.
+/// records), and keeps the scatter scratch at one run of records — the
+/// amount the run-formation scratch lease accounts for.
 inline constexpr std::size_t kDirectScatterMaxBytes = 24;
 
 /// Stable insertion sort for tiny loads.
@@ -63,13 +61,6 @@ void InsertionSort(T* rec, std::size_t n, Less less) {
     rec[j] = v;
   }
 }
-
-/// Radix element for the index-permute path.
-struct KeyIdx {
-  std::uint64_t k = 0;
-  std::uint32_t i = 0;
-  std::uint32_t pad = 0;
-};
 
 /// Records per pool partition below which the parallel radix cannot recoup
 /// its per-pass fork/join handshakes; loads smaller than 2x this stay on
@@ -189,8 +180,6 @@ void RadixSortByKey(Rec* a, std::size_t n, std::vector<Rec>& scratch,
 template <typename T>
 struct RunScratch {
   std::vector<T> recs;
-  std::vector<internal::KeyIdx> keys;
-  std::vector<internal::KeyIdx> keys_tmp;
 };
 
 /// \brief Sorts the host load [rec, rec + n) under `less`.
@@ -203,78 +192,23 @@ void SortRun(T* rec, std::size_t n, RunScratch<T>& rs, Less less) {
   using Traits = SortKeyTraits<Less, T>;
   if (n < 2) return;
   if constexpr (!Traits::kHasKey) {
-    // Keyless comparator: comparison sort. Under par::SetThreads(N > 1) a
-    // large load splits into stable-sorted chunks merged by the key-space-
-    // partitioned loser-tree merge — chunk i precedes chunk j in the
-    // original order and the merge breaks ties toward the lower chunk, so
-    // the composition equals one std::stable_sort record for record
-    // (tests/test_sort_engine.cc, MergeRuns*).
-    const std::size_t parts =
-        par::PartsFor(n, par::Threads(), internal::kParGrainRecords);
-    if (parts <= 1) {
-      std::stable_sort(rec, rec + n, less);
-    } else {
-      par::ParallelFor(parts, 1, [&](std::size_t q0, std::size_t q1) {
-        for (std::size_t q = q0; q < q1; ++q) {
-          const par::Range r = par::PartRange(n, parts, q);
-          std::stable_sort(rec + r.lo, rec + r.hi, less);
-        }
-      });
-      std::vector<RunView<T>> views(parts);
-      for (std::size_t q = 0; q < parts; ++q) {
-        const par::Range r = par::PartRange(n, parts, q);
-        views[q] = RunView<T>{rec + r.lo, r.hi - r.lo};
-      }
-      if (rs.recs.size() < n) rs.recs.resize(n);
-      MergeSortedRuns(views, rs.recs.data(), less);
-      std::copy(rs.recs.begin(), rs.recs.begin() + static_cast<std::ptrdiff_t>(n), rec);
-    }
+    std::stable_sort(rec, rec + n, less);
   } else {
+    static_assert(sizeof(T) <= internal::kDirectScatterMaxBytes,
+                  "keyed records wider than kDirectScatterMaxBytes");
     if (n < internal::kRadixMinRecords) {
       internal::InsertionSort(rec, n, less);
       return;
     }
-    if constexpr (sizeof(T) <= internal::kDirectScatterMaxBytes) {
-      internal::RadixSortByKey(rec, n, rs.recs,
-                               [](const T& r) { return Traits::Key(r); });
-    } else {
-      // Index-permute gather: move 16-byte (key, index) pairs through the
-      // scatter passes, then apply the permutation to the wide records in
-      // place (cycle-following, O(1) record scratch). The pair arrays are 4
-      // words per record — at most the records' own width on this path — so
-      // the caller's 2x-run scratch lease covers the whole working set.
-      if (rs.keys.size() < n) rs.keys.resize(n);
-      par::ParallelFor(n, internal::kParGrainRecords,
-                       [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) {
-                           rs.keys[i].k = Traits::Key(rec[i]);
-                           rs.keys[i].i = static_cast<std::uint32_t>(i);
-                         }
-                       });
-      internal::RadixSortByKey(rs.keys.data(), n, rs.keys_tmp,
-                               [](const internal::KeyIdx& e) { return e.k; });
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t j = rs.keys[i].i;
-        if (j == static_cast<std::uint32_t>(i)) continue;
-        T t = rec[i];
-        std::size_t cur = i;
-        while (j != static_cast<std::uint32_t>(i)) {
-          rec[cur] = rec[j];
-          rs.keys[cur].i = static_cast<std::uint32_t>(cur);  // mark done
-          cur = j;
-          j = rs.keys[cur].i;
-        }
-        rec[cur] = t;
-        rs.keys[cur].i = static_cast<std::uint32_t>(cur);
-      }
-    }
+    internal::RadixSortByKey(rec, n, rs.recs,
+                             [](const T& r) { return Traits::Key(r); });
     if constexpr (!Traits::kComplete) {
       // Prefix key: finish equal-key runs with the full comparator (stable,
       // so the composition equals one stable_sort under `less`). Small runs
-      // insertion-sort in place — no temp, and the scratch buffers stay
+      // insertion-sort in place — no temp, and the scratch buffer stays
       // warm for the next load. A large run (one key class spanning much of
       // the load) goes through std::stable_sort, whose internal temp can
-      // reach a full run; the now-dead radix buffers are released first so
+      // reach a full run; the now-dead radix buffer is released first so
       // the peak working set stays at load buffer + temp — within the
       // caller's 2x-run lease — even when one class spans everything.
       bool released = false;
@@ -289,8 +223,6 @@ void SortRun(T* rec, std::size_t n, RunScratch<T>& rs, Less less) {
           } else {
             if (!released) {
               rs.recs = std::vector<T>();
-              rs.keys = std::vector<internal::KeyIdx>();
-              rs.keys_tmp = std::vector<internal::KeyIdx>();
               released = true;
             }
             std::stable_sort(rec + lo, rec + hi, less);

@@ -96,10 +96,4 @@ Result<std::vector<Edge>> ReadEdgeListAuto(const std::string& path) {
   return ReadEdgeListText(path);
 }
 
-Status ConvertEdgeList(const std::string& src, const std::string& dst) {
-  TRIENUM_ASSIGN_OR_RETURN(std::vector<Edge> edges, ReadEdgeListAuto(src));
-  if (IsBinaryPath(dst)) return WriteEdgeListBinary(dst, edges);
-  return WriteEdgeListText(dst, edges);
-}
-
 }  // namespace trienum::graph

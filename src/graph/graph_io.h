@@ -29,10 +29,6 @@ Status WriteEdgeListBinary(const std::string& path, const std::vector<Edge>& edg
 /// binary format, everything else the text format.
 Result<std::vector<Edge>> ReadEdgeListAuto(const std::string& path);
 
-/// Converts between the two on-disk formats (each side dispatched by
-/// extension via ReadEdgeListAuto / the matching writer).
-Status ConvertEdgeList(const std::string& src, const std::string& dst);
-
 }  // namespace trienum::graph
 
 #endif  // TRIENUM_GRAPH_GRAPH_IO_H_

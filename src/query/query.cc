@@ -166,7 +166,7 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   }
   if (!run_status.ok()) {
     // Crash-consistent failure: the query dies, the session survives. Leases
-    // and pins were released by unwinding (RAII); Discard drops the
+    // were released by unwinding (RAII); Discard drops the
     // abandoned scratch lines without write-back and clears the latch, and
     // the region destructor pops the device back to the frozen mark — so
     // the next query runs the cold-start contract from a clean slate,

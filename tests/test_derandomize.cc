@@ -138,7 +138,6 @@ TEST(Derandomize, AghpFamilySourceAlsoMeetsTheBound) {
   EmGraph g = BuildEmGraph(ctx, Gnm(120, 900, 4));
   core::DerandOptions opts;
   opts.use_aghp_family = true;
-  opts.aghp_m = 12;
   core::DeterministicColoring det =
       core::BuildDeterministicColoring(ctx, g.edges, 4, opts);
   EXPECT_LT(det.final_potential(),
@@ -153,6 +152,29 @@ TEST(Derandomize, AghpFamilySourceAlsoMeetsTheBound) {
   core::ColoringStats stats = core::ComputeColoringStats(
       ctx, g.edges, [&det](VertexId v) { return det.Color(v); }, 4);
   EXPECT_DOUBLE_EQ(stats.x_total, det.final_potential());
+}
+
+TEST(Derandomize, AghpFamilyColoringIsDeterministic) {
+  // The AGHP candidate source over GF(2^12) has no randomness either: two
+  // builds accept the same candidates in every round, within the per-round
+  // cap of 64 inspected candidates.
+  em::Context ctx = test::MakeContext(1 << 8, 16);
+  EmGraph g = BuildEmGraph(ctx, Gnm(120, 900, 4));
+  core::DerandOptions opts;
+  opts.use_aghp_family = true;
+  core::DeterministicColoring a =
+      core::BuildDeterministicColoring(ctx, g.edges, 4, opts);
+  core::DeterministicColoring b =
+      core::BuildDeterministicColoring(ctx, g.edges, 4, opts);
+  ASSERT_EQ(a.round_seeds().size(), 2u);
+  EXPECT_EQ(a.round_seeds(), b.round_seeds());
+  EXPECT_EQ(a.candidates_tried(), b.candidates_tried());
+  EXPECT_LE(a.candidates_tried(), 64u * a.round_seeds().size());
+  EXPECT_DOUBLE_EQ(a.final_potential(), b.final_potential());
+  for (VertexId v = 0; v < g.num_vertices; ++v) {
+    ASSERT_LT(a.Color(v), 4u);
+    ASSERT_EQ(a.Color(v), b.Color(v)) << "vertex " << v;
+  }
 }
 
 }  // namespace

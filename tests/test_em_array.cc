@@ -1,7 +1,9 @@
-// Typed array views, multi-word records, slices, scanners and writers.
+// Typed array views, multi-word records, slices, scanners, writers and
+// copies.
 #include <gtest/gtest.h>
 
 #include "em/array.h"
+#include "extsort/scan_ops.h"
 #include "graph/types.h"
 #include "test_util.h"
 
@@ -98,14 +100,38 @@ TEST(Writer, TracksCountAndWrittenView) {
   EXPECT_EQ(v.Get(1), 22u);
 }
 
-TEST(Array, CloneCopiesContents) {
+TEST(Array, CopyFillsTheFrontOfALargerArray) {
+  // extsort::Copy writes src.size() records to the front of dst and leaves
+  // the rest alone; a destination shorter than the source aborts.
+  for (em::StorageKind kind : {em::StorageKind::kMemory,
+                               em::StorageKind::kFile}) {
+    SCOPED_TRACE(kind == em::StorageKind::kFile ? "file" : "memory");
+    em::Context ctx = test::MakeContext(1 << 12, 16, 0x7001, kind);
+    em::Array<ThreeWordRec> src = ctx.Alloc<ThreeWordRec>(40);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      src.Set(i, ThreeWordRec{i, i + 100, ~i});
+    }
+    em::Array<ThreeWordRec> dst = ctx.Alloc<ThreeWordRec>(48);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      dst.Set(i, ThreeWordRec{7, 7, 7});
+    }
+    extsort::Copy(src, dst);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      const ThreeWordRec r = dst.Get(i);
+      if (i < src.size()) {
+        EXPECT_EQ(r.a, i);
+        EXPECT_EQ(r.b, i + 100);
+        EXPECT_EQ(r.c, ~i);
+      } else {
+        EXPECT_EQ(r.a, 7u) << "record " << i << " past the copy";
+        EXPECT_EQ(r.c, 7u) << "record " << i << " past the copy";
+      }
+    }
+  }
   em::Context ctx = test::MakeContext();
-  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(16);
-  for (std::size_t i = 0; i < 16; ++i) a.Set(i, i + 100);
-  em::Array<std::uint64_t> b = em::CloneArray(ctx, a);
-  ASSERT_EQ(b.size(), a.size());
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(b.Get(i), i + 100);
-  EXPECT_NE(a.base(), b.base());
+  em::Array<std::uint64_t> src = ctx.Alloc<std::uint64_t>(8);
+  em::Array<std::uint64_t> short_dst = ctx.Alloc<std::uint64_t>(7);
+  EXPECT_DEATH(extsort::Copy(src, short_dst), "CHECK");
 }
 
 TEST(Array, OutOfBoundsAborts) {

@@ -1,7 +1,8 @@
 // LRU cache simulator semantics: miss/hit accounting, eviction order,
 // write-allocate policy, flush/reset, the scan-cost identity n/B that the
-// entire I/O methodology rests on, and the two dead-line operations
-// (released regions are cleaned in place, spent arrays leave the cache).
+// entire I/O methodology rests on, the two dead-line operations (released
+// regions are cleaned in place, spent arrays leave the cache), and Discard
+// after a failed write-back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,6 +136,47 @@ TEST(Cache, StraddlingRecordTouchesBothLines) {
   ctx.cache().Reset();
   ctx.cache().TouchRange(a.AddrOf(15), 2, /*write=*/false);  // words 15,16
   EXPECT_EQ(ctx.cache().stats().block_reads, 2u);
+}
+
+TEST(Cache, OneLineCacheEvictsOnEveryNewLine) {
+  // M = B: the one resident line is both LRU head and tail, and every touch
+  // of another line evicts it.
+  em::Cache cache(/*memory_words=*/16, /*block_words=*/16);
+  ASSERT_EQ(cache.num_lines(), 1u);
+  for (int round = 0; round < 5; ++round) {
+    cache.Touch(3, /*write=*/true);    // line 0, mid-line: fetched
+    cache.Touch(20, /*write=*/false);  // line 1: evicts dirty line 0
+  }
+  EXPECT_EQ(cache.stats().block_reads, 10u);
+  EXPECT_EQ(cache.stats().block_writes, 5u);
+  EXPECT_EQ(cache.stats().cache_hits, 0u);
+  EXPECT_EQ(cache.resident_lines(), 1u);
+  EXPECT_TRUE(cache.IsResident(20));
+  EXPECT_FALSE(cache.IsResident(3));
+  cache.FlushAll();
+  EXPECT_EQ(cache.stats().block_writes, 5u);  // line 1 was clean
+}
+
+TEST(Cache, FlushAllWritesEachDirtyLineOnceAndEmptiesTheCache) {
+  em::Cache cache(/*memory_words=*/128, /*block_words=*/16);  // 8 lines
+  for (em::Addr line = 0; line < 6; ++line) {
+    cache.Touch(line * 16 + 1, /*write=*/line % 2 == 0);  // 0, 2, 4 dirty
+  }
+  cache.Touch(5, /*write=*/true);  // line 0 again: still one dirty line
+  const em::IoStats before = cache.stats();
+  EXPECT_EQ(before.block_reads, 6u);
+  EXPECT_EQ(before.block_writes, 0u);
+  cache.FlushAll();
+  EXPECT_EQ(cache.stats().block_writes, 3u);
+  EXPECT_EQ(cache.stats().block_reads, before.block_reads);
+  EXPECT_EQ(cache.resident_lines(), 0u);
+  EXPECT_FALSE(cache.IsResident(0));
+  cache.FlushAll();
+  EXPECT_EQ(cache.stats().block_writes, 3u);  // nothing left to write
+  // Every slot is free again: eight fresh lines fit without an eviction.
+  for (em::Addr line = 10; line < 18; ++line) cache.Touch(line * 16, true);
+  EXPECT_EQ(cache.resident_lines(), 8u);
+  EXPECT_EQ(cache.stats().block_writes, 3u);
 }
 
 TEST(Cache, DataRoundTripThroughDevice) {
@@ -285,34 +327,82 @@ TEST(CacheDeadLines, DropLinesEvictsWithoutWriteBack) {
   }
 }
 
-TEST(CacheDeadLines, DropLinesKeepsPinnedLines) {
-  em::Context ctx = test::MakeContext(/*m=*/128, /*b=*/16);
-  em::Array<std::uint64_t> spent = ctx.Alloc<std::uint64_t>(48);
-  ctx.cache().Reset();
-  for (std::size_t i = 0; i < spent.size(); ++i) spent.Set(i, i);
-  {
-    em::PinnedLine pin = ctx.PinLine(spent.AddrOf(20), /*write=*/true);
-    ctx.DropLines(spent.base(), spent.size());
-    EXPECT_TRUE(ctx.cache().IsPinned(spent.AddrOf(20)));
-    EXPECT_FALSE(ctx.cache().IsResident(spent.AddrOf(0)));
-    EXPECT_FALSE(ctx.cache().IsResident(spent.AddrOf(47)));
-    EXPECT_EQ(ctx.cache().resident_lines(), 1u);
+TEST(CacheDeadLines, EvictionKeepsLruOrderAfterDropLines) {
+  // Dropping lines from the middle or from both ends of the LRU list leaves
+  // the survivors in order: the freed slots fill first, then evictions take
+  // the oldest survivor.
+  struct Drop {
+    std::int64_t begin, end;
+  };
+  const std::vector<std::vector<Drop>> cases = {
+      {{1, 3}},           // the middle two lines
+      {{0, 1}, {3, 4}},   // the LRU tail and the MRU head
+  };
+  for (const std::vector<Drop>& drops : cases) {
+    em::Cache cache(/*memory_words=*/64, /*block_words=*/16);  // 4 lines
+    for (em::Addr line = 0; line < 4; ++line) cache.Touch(line * 16, false);
+    std::vector<em::Addr> survivors;
+    for (em::Addr line = 0; line < 4; ++line) survivors.push_back(line);
+    for (const Drop& d : drops) {
+      cache.DropLines(d.begin, d.end);
+      survivors.erase(
+          std::remove_if(survivors.begin(), survivors.end(),
+                         [&](em::Addr l) {
+                           return static_cast<std::int64_t>(l) >= d.begin &&
+                                  static_cast<std::int64_t>(l) < d.end;
+                         }),
+          survivors.end());
+    }
+    ASSERT_EQ(survivors.size(), 2u);
+    EXPECT_EQ(cache.resident_lines(), 2u);
+    cache.Touch(4 * 16, false);
+    cache.Touch(5 * 16, false);  // the two freed slots
+    EXPECT_TRUE(cache.IsResident(survivors[0] * 16));
+    EXPECT_TRUE(cache.IsResident(survivors[1] * 16));
+    cache.Touch(6 * 16, false);  // evicts the older survivor
+    EXPECT_FALSE(cache.IsResident(survivors[0] * 16));
+    EXPECT_TRUE(cache.IsResident(survivors[1] * 16));
+    cache.Touch(7 * 16, false);  // then the younger one
+    EXPECT_FALSE(cache.IsResident(survivors[1] * 16));
+    for (em::Addr line = 4; line < 8; ++line) {
+      EXPECT_TRUE(cache.IsResident(line * 16)) << "line " << line;
+    }
+    EXPECT_EQ(cache.stats().block_reads, 8u);
+    EXPECT_EQ(cache.stats().block_writes, 0u);
   }
-  EXPECT_EQ(FlushWrites(ctx.cache()), 1u);  // the pinned line stayed dirty
 }
 
-TEST(CacheDeadLines, ReleaseKeepsPinnedLinesDirty) {
-  em::Context ctx = test::MakeContext(/*m=*/128, /*b=*/16);
-  ctx.cache().Reset();
-  std::int32_t slot = -1;
-  {
-    em::DeviceRegion region = ctx.Region();
-    em::Array<std::uint64_t> dead = ctx.Alloc<std::uint64_t>(32);
-    for (std::size_t i = 0; i < dead.size(); ++i) dead.Set(i, i);
-    slot = ctx.cache().Pin(dead.AddrOf(0), /*write=*/true);
+TEST(CacheDeadLines, RewriteAfterReleaseReachesTheBackend) {
+  // A released line stays resident and clean; a later write to its words
+  // dirties it again, so the new data is written back and charged.
+  for (em::StorageKind kind : {em::StorageKind::kMemory,
+                               em::StorageKind::kFile}) {
+    SCOPED_TRACE(kind == em::StorageKind::kFile ? "file" : "memory");
+    em::Context ctx = test::MakeContext(/*m=*/256, /*b=*/16, 0x7001, kind);
+    ctx.cache().Reset();
+    em::Addr dead_base = 0;
+    {
+      em::DeviceRegion region = ctx.Region();
+      em::Array<std::uint64_t> dead = ctx.Alloc<std::uint64_t>(32);
+      for (std::size_t i = 0; i < dead.size(); ++i) dead.Set(i, i);
+      dead_base = dead.base();
+    }
+    em::Array<std::uint64_t> reused = ctx.Alloc<std::uint64_t>(32);
+    ASSERT_EQ(reused.base(), dead_base);
+    const std::uint64_t calls0 =
+        ctx.device().backend().telemetry().write_calls;
+    for (std::size_t i = 0; i < reused.size(); ++i) reused.Set(i, 1000 + i);
+    EXPECT_EQ(ctx.cache().stats().block_reads, 0u);  // still resident
+    EXPECT_EQ(FlushWrites(ctx.cache()), 2u);
+    const std::uint64_t calls =
+        ctx.device().backend().telemetry().write_calls - calls0;
+    EXPECT_EQ(calls, kind == em::StorageKind::kFile ? 2u : 0u);
+    ctx.cache().set_counting(false);
+    for (std::size_t i = 0; i < reused.size(); ++i) {
+      EXPECT_EQ(reused.Get(i), 1000 + i) << i;
+    }
+    ctx.cache().set_counting(true);
   }
-  ctx.cache().Unpin(slot);
-  EXPECT_EQ(FlushWrites(ctx.cache()), 1u);
 }
 
 TEST(CacheDeadLines, FreedSlotsAreReusedBeforeEviction) {
@@ -383,9 +473,9 @@ TEST(CacheDeadLines, RecordingCacheRejectsBoth) {
       "recording");
 }
 
-/// A memory store whose reads can be switched to fail, to latch a fault in
-/// a staged cache.
-class FailingReadBackend final : public em::StorageBackend {
+/// A memory store whose reads or writes can be switched to fail, to latch a
+/// fault in a staged cache.
+class FailingBackend final : public em::StorageBackend {
  public:
   Status EnsureSize(std::size_t words) override {
     if (words > words_.size()) words_.resize(words, 0);
@@ -400,19 +490,21 @@ class FailingReadBackend final : public em::StorageBackend {
   }
   Status WriteWords(em::Addr addr, std::size_t words,
                     const em::Word* in) override {
+    if (fail_writes) return Status::IoError("injected write failure");
     std::copy_n(in, words, words_.begin() + addr);
     return Status::OK();
   }
   const char* name() const override { return "failing"; }
 
   bool fail_reads = false;
+  bool fail_writes = false;
 
  private:
   std::vector<em::Word> words_;
 };
 
 TEST(CacheDeadLines, LatchedFaultMakesBothNoOps) {
-  FailingReadBackend backend;
+  FailingBackend backend;
   ASSERT_TRUE(backend.EnsureSize(256).ok());
   em::Cache cache(/*memory_words=*/128, /*block_words=*/16, &backend);
   const std::vector<em::Word> line(16, 7);
@@ -430,6 +522,47 @@ TEST(CacheDeadLines, LatchedFaultMakesBothNoOps) {
   // Lines 0 and 1 are still dirty, so the flush meets the latched fault.
   EXPECT_THROW(cache.FlushAll(), IoFault);
   cache.Discard();
+}
+
+TEST(CacheFaults, DiscardRecoversASlotLeakedByAFailedWriteBack) {
+  // An eviction whose write-back fails has already unlinked its slot, so
+  // the slot is in neither list. Discard rebuilds the slot array: every
+  // slot is usable again, and the dirty lines it drops never reach the
+  // backend.
+  FailingBackend backend;
+  ASSERT_TRUE(backend.EnsureSize(256).ok());
+  em::Cache cache(/*memory_words=*/32, /*block_words=*/16, &backend);
+  ASSERT_EQ(cache.num_lines(), 2u);
+  const std::vector<em::Word> line(16, 7);
+  cache.WriteRange(0, 16, line.data());   // line 0, dirty
+  cache.WriteRange(16, 16, line.data());  // line 1, dirty
+  backend.fail_writes = true;
+  std::vector<em::Word> out(16);
+  EXPECT_THROW(cache.ReadRange(32, 16, out.data()), IoFault);
+  ASSERT_FALSE(cache.fault().ok());
+  EXPECT_EQ(cache.resident_lines(), 1u);  // line 1; line 0's slot leaked
+  EXPECT_FALSE(cache.IsResident(0));
+
+  cache.Discard();
+  backend.fail_writes = false;
+  EXPECT_TRUE(cache.fault().ok());
+  EXPECT_EQ(cache.resident_lines(), 0u);
+  EXPECT_EQ(cache.stats().total_ios(), 0u);
+  // Both slots take fresh lines without an eviction.
+  const std::vector<em::Word> fresh(16, 9);
+  cache.WriteRange(64, 16, fresh.data());
+  cache.WriteRange(80, 16, fresh.data());
+  EXPECT_EQ(cache.resident_lines(), 2u);
+  EXPECT_EQ(cache.stats().block_writes, 0u);
+  cache.FlushAll();
+  EXPECT_EQ(cache.stats().block_writes, 2u);
+  for (em::Addr a : {em::Addr{64}, em::Addr{80}}) {
+    ASSERT_TRUE(backend.ReadWords(a, 16, out.data()).ok());
+    EXPECT_EQ(out, fresh) << "line at " << a;
+  }
+  // The dropped dirty line 1 was never written back.
+  ASSERT_TRUE(backend.ReadWords(16, 16, out.data()).ok());
+  EXPECT_EQ(out, std::vector<em::Word>(16, 0));
 }
 
 }  // namespace

@@ -6,9 +6,7 @@
 //     per active stream). The per-record reference runs on a twin context.
 //  2. Scan ops and ExternalMergeSort, which are built on Scanner/Writer,
 //     reproduce pinned IoStats, on both storage backends for the sort.
-//  3. Cache line pinning: pinned lines are never evicted, pins nest, and
-//     write-pinned data reaches the backend after unpin.
-//  4. The line->slot map behaves identically in its dense and sparse
+//  3. The line->slot map behaves identically in its dense and sparse
 //     regimes, so file-backed devices far beyond the dense limit account
 //     (and stage) exactly like small ones.
 #include <gtest/gtest.h>
@@ -253,20 +251,33 @@ TEST(HotPathStreams, MergeSortChargesPinnedIoStatsOnBothBackends) {
   }
 }
 
-TEST(HotPathStreams, CloneArrayCopiesChunkedAndExact) {
-  em::Context ctx = test::MakeContext(1 << 10, 16);
+TEST(HotPathStreams, CopyChargesOneTransferPerLineOnBothBackends) {
+  // extsort::Copy of multi-word records far larger than M: every source
+  // line is read once and every (block-aligned) destination line is
+  // allocated without a fetch and written back once.
   const std::size_t n = 2500;
-  em::Array<Rec3> a = ctx.Alloc<Rec3>(n);
-  for (std::size_t i = 0; i < n; ++i) a.Set(i, Rec3{i, i ^ 7, i * 11});
-  ctx.cache().Reset();
-  em::Array<Rec3> b = em::CloneArray(ctx, a);
-  // Chunked DMA: one read + one write touch per covered line, so total block
-  // I/Os are ~2n*w/B instead of the old per-record churn.
   const std::size_t lines = (n * 3 + 15) / 16;
-  EXPECT_LE(ctx.cache().stats().total_ios(), 2 * lines + 4);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(a.Get(i) == b.Get(i)) << i;
+  std::vector<em::IoStats> stats;
+  for (em::StorageKind kind : {em::StorageKind::kMemory,
+                               em::StorageKind::kFile}) {
+    SCOPED_TRACE(kind == em::StorageKind::kFile ? "file" : "memory");
+    em::Context ctx = test::MakeContext(1 << 10, 16, 0x7001, kind);
+    em::Array<Rec3> a = ctx.Alloc<Rec3>(n);
+    for (std::size_t i = 0; i < n; ++i) a.Set(i, Rec3{i, i ^ 7, i * 11});
+    em::Array<Rec3> b = ctx.Alloc<Rec3>(n);
+    ctx.cache().Reset();
+    extsort::Copy(a, b);
+    ctx.cache().FlushAll();
+    EXPECT_EQ(ctx.cache().stats().block_reads, lines);
+    EXPECT_EQ(ctx.cache().stats().block_writes, lines);
+    stats.push_back(ctx.cache().stats());
+    ctx.cache().set_counting(false);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(a.Get(i) == b.Get(i)) << i;
+    }
   }
+  EXPECT_TRUE(SameStats(stats[0], stats[1]))
+      << StatsStr(stats[0]) << " vs " << StatsStr(stats[1]);
 }
 
 TEST(HotPathDifferential, StandardCasesProduceIdenticalTriangles) {
@@ -283,99 +294,7 @@ TEST(HotPathDifferential, StandardCasesProduceIdenticalTriangles) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Pin/unpin invariants.
-
-TEST(CachePinning, PinnedLineSurvivesCapacityPressure) {
-  // Counting-only cache with 4 slots; pin one line, then touch far more
-  // distinct lines than the cache holds. The pinned line must stay resident
-  // (never chosen for eviction) the whole time.
-  em::Cache cache(64, 16);  // 4 slots
-  cache.Touch(0, /*write=*/false);
-  std::int32_t slot = cache.Pin(0, /*write=*/false);
-  for (em::Addr a = 16; a < 16 * 200; a += 16) {
-    cache.Touch(a, /*write=*/false);
-    ASSERT_TRUE(cache.IsResident(0)) << "pinned line evicted at line " << a / 16;
-  }
-  EXPECT_TRUE(cache.IsPinned(0));
-  cache.Unpin(slot);
-  EXPECT_FALSE(cache.IsPinned(0));
-  // Now unpinned: enough fresh lines push it out.
-  for (em::Addr a = 16 * 200; a < 16 * 300; a += 16) cache.Touch(a, false);
-  EXPECT_FALSE(cache.IsResident(0));
-}
-
-TEST(CachePinning, PinsNest) {
-  em::Cache cache(64, 16);
-  std::int32_t s1 = cache.Pin(0, false);
-  std::int32_t s2 = cache.Pin(5, false);  // same line (B=16)
-  EXPECT_EQ(s1, s2);
-  cache.Unpin(s1);
-  EXPECT_TRUE(cache.IsPinned(0)) << "one unpin must not release a nested pin";
-  cache.Unpin(s2);
-  EXPECT_FALSE(cache.IsPinned(0));
-}
-
-TEST(CachePinning, WritePinnedDataReachesBackendAfterUnpin) {
-  // Staged cache over a file backend: write through the pinned buffer, force
-  // eviction after unpinning, and read the data back from the backend.
-  em::FileBackend backend;
-  backend.EnsureSize(16 * 64);
-  em::Cache cache(64, 16, &backend);  // 4 slots, staged
-  std::int32_t s = cache.Pin(32, /*write=*/true);
-  em::Word* buf = cache.slot_buffer(s);
-  for (std::size_t i = 0; i < 16; ++i) buf[i] = 0xC0FFEE00ULL + i;
-  cache.Unpin(s);
-  cache.FlushAll();  // dirty line written back
-  std::vector<em::Word> got(16);
-  backend.ReadWords(32, 16, got.data());
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(got[i], 0xC0FFEE00ULL + i) << i;
-}
-
-TEST(CachePinning, PinChargesLikeATouch) {
-  em::Cache a(256, 16), b(256, 16);
-  a.Touch(40, false);
-  b.Pin(40, false);
-  EXPECT_EQ(a.stats().block_reads, b.stats().block_reads);
-  EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
-  a.Touch(41, true);
-  std::int32_t s = b.Pin(41, true);
-  EXPECT_EQ(a.stats().block_reads, b.stats().block_reads);
-  EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
-  b.Unpin(s);
-  // Unpin itself charges nothing.
-  EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
-}
-
-TEST(CachePinning, ContextPinnedLineGivesWritableView) {
-  // Memory backend: the pinned pointer is the device view itself.
-  em::Context ctx = test::MakeContext(1 << 10, 16);
-  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(64);
-  for (std::size_t i = 0; i < 64; ++i) a.Set(i, i);
-  {
-    em::PinnedLine pin = ctx.PinLine(a.AddrOf(16), /*write=*/true);
-    EXPECT_EQ(pin.base(), a.AddrOf(16));
-    EXPECT_EQ(pin.size_words(), 16u);
-    ASSERT_NE(pin.data(), nullptr);
-    pin.data()[0] = 4242;
-  }
-  EXPECT_EQ(a.Get(16), 4242u);
-
-  // File backend: the pinned pointer is the staged line buffer, and edits
-  // survive write-back.
-  em::Context fctx = test::MakeFileContext(1 << 10, 16);
-  em::Array<std::uint64_t> fa = fctx.Alloc<std::uint64_t>(64);
-  for (std::size_t i = 0; i < 64; ++i) fa.Set(i, i);
-  {
-    em::PinnedLine pin = fctx.PinLine(fa.AddrOf(32), /*write=*/true);
-    ASSERT_NE(pin.data(), nullptr);
-    pin.data()[0] = 777;
-  }
-  fctx.cache().FlushAll();
-  EXPECT_EQ(fa.Get(32), 777u);
-}
-
-// ---------------------------------------------------------------------------
-// 4. LineMap dense/sparse regimes.
+// 3. LineMap dense/sparse regimes.
 
 TEST(LineMapRegimes, SparseRegimeCountsExactlyLikeDense) {
   // The same (relative) touch sequence must produce identical IoStats

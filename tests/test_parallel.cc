@@ -6,8 +6,8 @@
 //   * RunOrdered unit tests — commit order on the caller, the look-ahead
 //     bound, and a throwing task or commit;
 //   * SortRun differentials — the parallel radix (histogram + scatter per
-//     stable partition) against std::stable_sort at threads in {1, 2, 7},
-//     down every record-width path;
+//     stable partition), and the keyless std::stable_sort path for wide
+//     records, against std::stable_sort at threads in {1, 2, 7};
 //   * the full algorithm matrix — threads in {1, 2, 7} x both storage
 //     backends, asserting byte-identical triangle output (same triangles IN
 //     THE SAME ORDER), identical IoStats, and identical host work counters
@@ -363,6 +363,8 @@ struct StableRecLess {
   }
 };
 
+/// 32-byte record under a keyless comparator: too wide for the radix, so
+/// SortRun takes std::stable_sort at every thread count.
 struct Wide32 {
   std::uint64_t key = 0;
   std::uint64_t x = 0, y = 0, z = 0;
@@ -371,8 +373,6 @@ struct Wide32 {
   }
 };
 struct Wide32Less {
-  static constexpr bool kKeyComplete = true;
-  static std::uint64_t Key(const Wide32& r) { return r.key; }
   bool operator()(const Wide32& a, const Wide32& b) const {
     return a.key < b.key;
   }
@@ -403,7 +403,7 @@ TEST(SortRunParallel, DirectScatterPathMatchesStableSort) {
       });
 }
 
-TEST(SortRunParallel, WideRecordIndexPermutePathMatchesStableSort) {
+TEST(SortRunParallel, WideKeylessRecordsMatchStableSort) {
   SplitMix64 rng(0x51DE);
   CheckSortRunAcrossThreads<Wide32>(
       (std::size_t{1} << 15) + 1237, Wide32Less{}, [&](std::size_t i) {

@@ -285,7 +285,6 @@ TEST(QueryErrors, ScratchOverBudgetFailsOnlyThatQuery) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
         << r.status().ToString();
     EXPECT_EQ(lg.session().scratch_in_use(), 0u);
-    EXPECT_EQ(lg.store().cache().pinned_lines(), 0u);
     EXPECT_EQ(lg.store().device().Mark(), lg.frozen_mark());
 
     query::Query good;
@@ -295,6 +294,34 @@ TEST(QueryErrors, ScratchOverBudgetFailsOnlyThatQuery) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     ExpectBitIdentical(*after, FreshRun(cfg, raw, good),
                        storage == em::StorageKind::kFile ? "file" : "memory");
+  }
+}
+
+TEST(QueryErrors, FailedQueryLeavesAnEmptyColdCache) {
+  // Discard drops the failed plan's lines without write-back: after each
+  // failure the cache holds nothing, its counters are zero and no fault is
+  // latched, however often the failure repeats.
+  const std::vector<graph::Edge> raw = FixtureEdges();
+  for (em::StorageKind storage :
+       {em::StorageKind::kMemory, em::StorageKind::kFile}) {
+    SCOPED_TRACE(storage == em::StorageKind::kFile ? "file" : "memory");
+    em::EmConfig cfg = TestConfig(storage);
+    cfg.memory_words = 128;
+    cfg.block_words = 8;
+    query::LoadedGraph lg = *query::LoadedGraph::FromEdges(cfg, raw);
+    query::Query bad;
+    bad.algo = "ps-cache-oblivious";  // leases more than M (see above)
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      Result<query::QueryResult> r = lg.Run(bad);
+      ASSERT_FALSE(r.ok()) << "attempt " << attempt;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      const em::Cache& cache = lg.store().cache();
+      EXPECT_EQ(cache.resident_lines(), 0u) << "attempt " << attempt;
+      EXPECT_EQ(cache.stats().total_ios(), 0u) << "attempt " << attempt;
+      EXPECT_EQ(cache.stats().cache_hits, 0u) << "attempt " << attempt;
+      EXPECT_TRUE(cache.fault().ok()) << "attempt " << attempt;
+      EXPECT_EQ(lg.store().device().Mark(), lg.frozen_mark());
+    }
   }
 }
 

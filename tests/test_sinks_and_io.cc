@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
 
 #include "core/sink.h"
 #include "graph/graph_io.h"
@@ -60,7 +61,11 @@ TEST(Sinks, CallbackForwardsInOrder) {
 class GraphIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "trienum_io_test";
+    // One directory per test: ctest runs the tests of this fixture as
+    // concurrent processes, and TearDown removes the whole directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("trienum_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -104,6 +109,30 @@ TEST_F(GraphIoTest, BinaryRoundTrip) {
     ASSERT_FALSE(bad.ok()) << name;
     EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << name;
   }
+}
+
+TEST_F(GraphIoTest, AutoReadDispatchesOnTheExtension) {
+  // .bin and .bedges are binary, anything else text; converting a file is
+  // one ReadEdgeListAuto plus the writer for the other format.
+  auto edges = Gnm(60, 150, 6);
+  ASSERT_TRUE(WriteEdgeListText(Path("g.txt"), edges).ok());
+  ASSERT_TRUE(WriteEdgeListBinary(Path("g.bin"), edges).ok());
+  ASSERT_TRUE(WriteEdgeListBinary(Path("g.bedges"), edges).ok());
+  for (const char* name : {"g.txt", "g.bin", "g.bedges"}) {
+    auto back = ReadEdgeListAuto(Path(name));
+    ASSERT_TRUE(back.ok()) << name << ": " << back.status().ToString();
+    EXPECT_EQ(*back, edges) << name;
+  }
+  // A binary file behind a text name does not parse as text.
+  std::filesystem::copy_file(Path("g.bin"), Path("g.edges"));
+  EXPECT_FALSE(ReadEdgeListAuto(Path("g.edges")).ok());
+
+  auto text = ReadEdgeListAuto(Path("g.txt"));
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(WriteEdgeListBinary(Path("converted.bin"), *text).ok());
+  auto converted = ReadEdgeListAuto(Path("converted.bin"));
+  ASSERT_TRUE(converted.ok());
+  EXPECT_EQ(*converted, edges);
 }
 
 TEST_F(GraphIoTest, TextCommentsAndBlanksSkipped) {

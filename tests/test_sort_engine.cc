@@ -1,6 +1,6 @@
 // Adversarial differential suite for the layered sort engine.
 //
-// Layer by layer: SortRun (radix / index-gather / fallback) against
+// Layer by layer: SortRun (radix / fallback) against
 // std::stable_sort, the LoserTree against a stable k-way merge reference,
 // and the whole ExternalMergeSort against a reference implementation built
 // the pre-engine way (comparison-sorted runs + a (value, stream) heap) that
@@ -23,7 +23,6 @@
 #include "extsort/funnel_sort.h"
 #include "extsort/io_bounds.h"
 #include "extsort/loser_tree.h"
-#include "extsort/merge_runs.h"
 #include "extsort/run_formation.h"
 #include "extsort/sort_key.h"
 #include "par/par_config.h"
@@ -87,7 +86,8 @@ struct Mid24Less {
   }
 };
 
-/// 32-byte record: takes the (key, index) + in-place-permute path.
+/// 32-byte record under a keyless comparator: wider than any keyed record
+/// SortRun accepts, so it sorts through std::stable_sort.
 struct WideRec {
   std::uint64_t key = 0;
   std::uint64_t x = 0, y = 0, z = 0;
@@ -95,9 +95,7 @@ struct WideRec {
     return a.key == b.key && a.x == b.x && a.y == b.y && a.z == b.z;
   }
 };
-struct WideLess {
-  static constexpr bool kKeyComplete = true;
-  static std::uint64_t Key(const WideRec& r) { return r.key; }
+struct WideKeylessLess {
   bool operator()(const WideRec& a, const WideRec& b) const {
     return a.key < b.key;
   }
@@ -115,6 +113,7 @@ struct PlainLess {
   bool operator()(std::uint64_t a, std::uint64_t b) const { return a > b; }
 };
 static_assert(!SortKeyTraits<PlainLess, std::uint64_t>::kHasKey);
+static_assert(!SortKeyTraits<WideKeylessLess, WideRec>::kHasKey);
 
 // ---------------------------------------------------------------------------
 // Input patterns.
@@ -214,10 +213,12 @@ TEST(SortRun, BoundaryWidthRecordsScatterDirectly) {
       });
 }
 
-TEST(SortRun, WideRecordsGoThroughIndexPermute) {
-  static_assert(sizeof(WideRec) > 24, "must exercise the index-permute path");
+TEST(SortRun, WideKeylessRecordsFallBackStable) {
+  static_assert(sizeof(WideRec) > extsort::internal::kDirectScatterMaxBytes,
+                "must be wider than any keyed record SortRun accepts");
   HostDifferential<WideRec>(
-      WideLess{}, [](Pattern p, std::size_t i, std::size_t n, SplitMix64& rng) {
+      WideKeylessLess{},
+      [](Pattern p, std::size_t i, std::size_t n, SplitMix64& rng) {
         std::uint64_t v = PatternValue(p, i, n, rng);
         return WideRec{v % 11, i, ~i, i * 3};
       });
@@ -555,99 +556,15 @@ TEST(SortEngine, IoBoundHeaderPricesTheEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// 7. Host-side k-way run merge: the key-space-partitioned parallel merge
-// must reproduce the serial stable merge bit-for-bit at every thread
-// count — including on the inputs that stress the splitter logic
-// (dup-heavy keys, presorted runs, all keys equal, skewed run lengths,
-// empty runs). Provenance tags make any reordering of equal keys visible.
-
-/// Sorted runs of (key, tag) records where tag encodes (run, position) —
-/// one byte pattern per record, so equality is exact provenance.
-std::vector<std::vector<KeyedPayload>> MakeTaggedRuns(
-    Pattern p, std::size_t k, std::size_t per_run, std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  std::vector<std::vector<KeyedPayload>> runs(k);
-  for (std::size_t r = 0; r < k; ++r) {
-    // Skew: run 0 is long, later runs shrink (run lengths differ so the
-    // splitters come from a genuinely dominant run).
-    const std::size_t len = per_run / (r + 1);
-    runs[r].resize(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      runs[r][i].k = static_cast<std::uint32_t>(
-          PatternValue(p, i, len, rng) % 97);
-      runs[r][i].tag = static_cast<std::uint32_t>((r << 20) | i);
-    }
-    std::stable_sort(runs[r].begin(), runs[r].end(), KeyedPayloadLess{});
-  }
-  return runs;
-}
-
-TEST(MergeRuns, ParallelEqualsSerialStableMergeAcrossThreads) {
-  for (Pattern p : {Pattern::kDupHeavy, Pattern::kSorted, Pattern::kAllEqual,
-                    Pattern::kRandom}) {
-    for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const auto owned = MakeTaggedRuns(p, k, 9000, 0xD00D ^ k);
-      std::vector<extsort::RunView<KeyedPayload>> runs(k);
-      std::size_t total = 0;
-      for (std::size_t r = 0; r < k; ++r) {
-        runs[r] = {owned[r].data(), owned[r].size()};
-        total += owned[r].size();
-      }
-      std::vector<KeyedPayload> expect(total);
-      extsort::MergeRunsSerial(runs, expect.data(), KeyedPayloadLess{});
-      // The serial reference is itself a stable merge: equal keys come out
-      // in run order, and within a run in position order.
-      ASSERT_TRUE(std::is_sorted(expect.begin(), expect.end(),
-                                 [](const KeyedPayload& a,
-                                    const KeyedPayload& b) {
-                                   return a.k != b.k ? a.k < b.k
-                                                     : a.tag < b.tag;
-                                 }))
-          << PatternName(p) << " k=" << k;
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        par::ScopedThreads scope(threads);
-        std::vector<KeyedPayload> got(total,
-                                      KeyedPayload{0xFFFFFFFFu, 0xFFFFFFFFu});
-        extsort::MergeSortedRuns(runs, got.data(), KeyedPayloadLess{});
-        ASSERT_EQ(got, expect)
-            << PatternName(p) << " k=" << k << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(MergeRuns, EmptyAndDegenerateRuns) {
-  par::ScopedThreads scope(7);
-  // All runs empty.
-  std::vector<extsort::RunView<KeyedPayload>> empty(3);
-  extsort::MergeSortedRuns(empty, static_cast<KeyedPayload*>(nullptr),
-                           KeyedPayloadLess{});
-  // One run empty among real ones, total large enough to fan out.
-  const auto owned = MakeTaggedRuns(Pattern::kDupHeavy, 4, 40000, 0xD11D);
-  std::vector<extsort::RunView<KeyedPayload>> runs(5);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < 4; ++r) {
-    runs[r] = {owned[r].data(), owned[r].size()};
-    total += owned[r].size();
-  }
-  runs[4] = {nullptr, 0};
-  std::vector<KeyedPayload> expect(total), got(total);
-  extsort::MergeRunsSerial(runs, expect.data(), KeyedPayloadLess{});
-  extsort::MergeSortedRuns(runs, got.data(), KeyedPayloadLess{});
-  EXPECT_EQ(got, expect);
-}
-
-// ---------------------------------------------------------------------------
-// 8. The keyless SortRun path (chunked parallel stable sorts + run merge)
-// against std::stable_sort, and the end-to-end keyless external sort:
-// output AND IoStats must be thread-count invariant (run formation is pure
-// host compute between the engine's charged passes).
+// 7. The keyless SortRun path against std::stable_sort, and the end-to-end
+// keyless external sort: output AND IoStats must be thread-count invariant
+// (run formation is pure host compute between the engine's charged passes).
 
 TEST(SortRunParallel, KeylessFallbackMatchesStableSortAcrossThreads) {
   for (Pattern p : {Pattern::kDupHeavy, Pattern::kSorted, Pattern::kAllEqual,
                     Pattern::kRandom}) {
-    // Above the parallel grain so the chunked path actually engages.
+    // Small and large loads: either way one std::stable_sort, whatever the
+    // thread count.
     for (std::size_t n : {std::size_t{300}, std::size_t{40000}}) {
       SplitMix64 rng(0xBEEF ^ n);
       std::vector<std::uint64_t> input(n);
@@ -669,8 +586,8 @@ TEST(SortRunParallel, KeylessFallbackMatchesStableSortAcrossThreads) {
 }
 
 TEST(SortRunParallel, KeylessExternalSortKeepsOutputAndIoStatsIdentical) {
-  // M = 2^16 words: 65536-record loads, well above the merge grain, so the
-  // keyless run formation chunks and merges in parallel at threads > 1.
+  // M = 2^16 words: 65536-record loads, each one std::stable_sort whatever
+  // the thread count.
   const std::size_t n = 1 << 17, m = 1 << 16, b = 64;
   auto run = [&](std::size_t threads) {
     par::ScopedThreads scope(threads);
