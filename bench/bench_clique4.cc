@@ -4,8 +4,6 @@
 // the M sweep (one power of M stronger than the triangle case).
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include "core/clique4.h"
 #include "em/context.h"
 #include "graph/generators.h"

@@ -4,8 +4,6 @@
 // the I/O cost of each plan.
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include "common/rng.h"
 #include "join/relation.h"
 #include "join/triangle_join.h"

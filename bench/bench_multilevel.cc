@@ -4,8 +4,6 @@
 // program, optimal everywhere, which no single cache-aware tuning achieves.
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include "core/cache_aware.h"
 #include "core/cache_oblivious.h"
 #include "core/sink.h"

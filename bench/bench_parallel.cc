@@ -3,13 +3,11 @@
 // block I/Os (asserted here via the checksum/io counters) while wall_ms
 // drops with the core count.
 //
-// Three stages at the engine's reference operating point (E = 2^16 edges,
-// M = 2^14 words, B = 64):
-//   * BM_RunFormation — the parallel radix kernel alone, sorting one
-//     E-record host load (the sort engine's hottest host loop);
-//   * BM_MgtEndToEnd / BM_CacheAwareEndToEnd — whole-algorithm scaling,
-//     where the Lemma 2 pivot chunks (mgt, ps-cache-aware) run as ordered
-//     pool tasks and run formation fans out.
+// BM_MgtEndToEnd / BM_CacheAwareEndToEnd run whole algorithms at the
+// engine's reference operating point (E = 2^16 edges, M = 2^14 words,
+// B = 64) on a session of that many threads, where the Lemma 2 pivot chunks
+// (mgt, ps-cache-aware) run as ordered pool tasks. Run formation stays
+// serial at every thread count.
 //
 // `ios` must stay flat across the thread counts on any machine. The
 // committed baseline comes from a 4-vCPU VM shared with other tenants: it is
@@ -20,10 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "extsort/run_formation.h"
 #include "graph/types.h"
-#include "par/par_config.h"
 
 namespace trienum::bench {
 namespace {
@@ -32,36 +27,13 @@ constexpr std::size_t kM = 1 << 14;
 constexpr std::size_t kB = 64;
 constexpr std::size_t kE = 1 << 16;
 
-void BM_RunFormation(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  par::ScopedThreads scope(threads);
-  SplitMix64 rng(0x60D);
-  std::vector<graph::Edge> input(kE);
-  for (auto& e : input) {
-    e.u = static_cast<graph::VertexId>(rng.Next() % (kE / 4));
-    e.v = static_cast<graph::VertexId>(rng.Next() % (kE / 4));
-  }
-  extsort::RunScratch<graph::Edge> rs;
-  std::vector<graph::Edge> load;
-  for (auto _ : state) {
-    state.PauseTiming();
-    load = input;
-    state.ResumeTiming();
-    extsort::SortRun(load.data(), load.size(), rs, graph::LexLess{});
-    benchmark::DoNotOptimize(load.data());
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["records"] = static_cast<double>(kE);
-}
-
 void RunAlgoScaling(benchmark::State& state, const char* algo) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  par::ScopedThreads scope(threads);
   const std::vector<graph::Edge> raw =
       graph::Rmat(14, kE, 0.45, 0.22, 0.22, 2014);
   RunOutcome out;
   for (auto _ : state) {
-    out = MeasureAlgorithm(algo, raw, kM, kB);
+    out = MeasureAlgorithm(algo, raw, kM, kB, /*seed=*/0xB0B, threads);
   }
   ReportIo(state, out, 0.0);
   state.counters["threads"] = static_cast<double>(threads);
@@ -76,10 +48,6 @@ void BM_CacheAwareEndToEnd(benchmark::State& state) {
   RunAlgoScaling(state, "ps-cache-aware");
 }
 
-BENCHMARK(BM_RunFormation)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MgtEndToEnd)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Iterations(1)

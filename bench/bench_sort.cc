@@ -10,8 +10,6 @@
 // bench/baselines/BENCH_sort.json.
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include "common/rng.h"
 #include "em/array.h"
 #include "extsort/ext_merge_sort.h"

@@ -8,8 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include <chrono>
 #include <string>
 #include <vector>
@@ -33,16 +31,19 @@ struct RunOutcome {
 };
 
 /// Builds the graph (uncounted), resets the cache cold, runs the named
-/// algorithm once, flushes, and returns the measured I/O statistics.
+/// algorithm once on `threads` host threads, flushes, and returns the
+/// measured I/O statistics.
 inline RunOutcome MeasureAlgorithm(const std::string& algo_name,
                                    const std::vector<graph::Edge>& raw,
                                    std::size_t m_words, std::size_t b_words,
-                                   std::uint64_t seed = 0xB0B) {
+                                   std::uint64_t seed = 0xB0B,
+                                   std::size_t threads = 1) {
   em::EmConfig cfg;
   cfg.memory_words = m_words;
   cfg.block_words = b_words;
   cfg.seed = seed;
   em::Context ctx(cfg);
+  ctx.set_threads(threads);
   ctx.cache().set_counting(false);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   ctx.cache().set_counting(true);

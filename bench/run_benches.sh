@@ -7,10 +7,10 @@
 #   $ cmake --build build -j
 #   $ bench/run_benches.sh [build-dir] [out-dir] [extra benchmark args...]
 #
-# Every emitted JSON's context records the host core count and the default
-# par-pool thread count (TRIENUM_BENCH_THREADS, default 1) so the committed
-# trajectory stays comparable across machines; bench_parallel additionally
-# sweeps explicit per-case thread counts as a `threads` counter.
+# Every emitted JSON's context records the host core count so the committed
+# trajectory stays comparable across machines. Benches run one thread unless
+# a case says otherwise: bench_parallel sweeps per-case thread counts and
+# reports each as a `threads` counter.
 set -euo pipefail
 
 build_dir="${1:-build}"
@@ -48,13 +48,11 @@ scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 for b in doc.get("benchmarks", []):
     if "wall_ms" not in b:
         b["wall_ms"] = b.get("real_time", 0.0) * scale.get(b.get("time_unit", "ns"), 1e-6)
-# Parallel-scaling provenance: how many cores this machine has and what the
-# pool default was (per-case sweeps report their own `threads` counter).
-# `traced` records whether a TraceCollector was installed for the run
-# (TRIENUM_BENCH_TRACE=1).
+# Parallel-scaling provenance: how many cores this machine has (per-case
+# sweeps report their own `threads` counter). `traced` records whether a
+# TraceCollector was installed for the run (TRIENUM_BENCH_TRACE=1).
 ctx = doc.setdefault("context", {})
 ctx["host_cores"] = os.cpu_count() or 1
-ctx["threads"] = int(os.environ.get("TRIENUM_BENCH_THREADS", "1"))
 ctx["traced"] = int(os.environ.get("TRIENUM_BENCH_TRACE", "0") not in ("", "0"))
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)

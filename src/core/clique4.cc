@@ -12,6 +12,7 @@
 #include "extsort/scan_ops.h"
 #include "graph/host_graph.h"
 #include "hashing/kwise.h"
+#include "par/partition.h"
 #include "par/thread_pool.h"
 #include "simd/flat_set.h"
 
@@ -79,10 +80,11 @@ class QuadRecursor {
       }
       // The pair join is pure host work on the staged copies — everything
       // below runs after the slots' charged reads and emits straight to the
-      // sink, so it fans out over the par pool: contiguous b12 row blocks
-      // per worker, per-worker emit buffers flushed in partition order.
-      // Emission order and the work counter are identical to the fused
-      // serial loop (kept below for the default threads=1).
+      // sink, so at the session's thread count it fans out over the par
+      // pool: one contiguous block of b12 rows per part, per-part emit
+      // buffers flushed in partition order. Emission order and the work
+      // counter are identical to the fused serial loop (kept below for the
+      // default threads=1).
       ctx_.AddWork(b12.size() * b34.size());
       auto match = [&](const Edge& e12, const Edge& e34) {
         return e12.v < e34.u &&  // enforce v2 < v3
@@ -90,8 +92,9 @@ class QuadRecursor {
                    PackEdge(e12.u, e34.u), PackEdge(e12.u, e34.v),
                    PackEdge(e12.v, e34.u), PackEdge(e12.v, e34.v));
       };
-      const std::size_t parts = par::PartsFor(
-          b12.size() * b34.size(), par::Threads(), kJoinGrainPairs);
+      const std::size_t threads = ctx_.threads();
+      const std::size_t parts =
+          par::PartsFor(b12.size() * b34.size(), threads, kJoinGrainPairs);
       if (parts <= 1) {
         for (const Edge& e12 : b12) {
           for (const Edge& e34 : b34) {
@@ -101,14 +104,12 @@ class QuadRecursor {
         return;
       }
       std::vector<std::vector<std::array<VertexId, 4>>> bufs(parts);
-      par::ParallelFor(parts, 1, [&](std::size_t k0, std::size_t k1) {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const par::Range rows = par::PartRange(b12.size(), parts, k);
-          for (std::size_t i = rows.lo; i < rows.hi; ++i) {
-            for (const Edge& e34 : b34) {
-              if (match(b12[i], e34)) {
-                bufs[k].push_back({b12[i].u, b12[i].v, e34.u, e34.v});
-              }
+      par::ThreadPool::Global().Run(parts, threads, [&](std::size_t k) {
+        const par::Range rows = par::PartRange(b12.size(), parts, k);
+        for (std::size_t i = rows.lo; i < rows.hi; ++i) {
+          for (const Edge& e34 : b34) {
+            if (match(b12[i], e34)) {
+              bufs[k].push_back({b12[i].u, b12[i].v, e34.u, e34.v});
             }
           }
         }

@@ -4,10 +4,10 @@
 // paper improves on by a factor min(sqrt(E/M), sqrt(M)).
 //
 // The Lemma 2 chunks, which dominate mgt's wall clock, run on the src/par/
-// pool when par::SetThreads(N > 1) is active on a memory-resident store;
-// their charges are replayed in serial order, so the I/O charge sequence —
-// and therefore MgtIoBound's accounting — is unaffected at any thread count
-// (see pivot_enum.h).
+// pool when the session's thread count is above 1 on a memory-resident
+// store; their charges are replayed in serial order, so the I/O charge
+// sequence — and therefore MgtIoBound's accounting — is unaffected at any
+// thread count (see pivot_enum.h).
 #ifndef TRIENUM_CORE_MGT_H_
 #define TRIENUM_CORE_MGT_H_
 

@@ -19,17 +19,17 @@
 // Each chunk (load, then cone scan) is independent of every other, and so
 // is each call. Two engines run the same per-chunk code
 // (ResidentChunk::Load plus ScanConesSerial):
-//   * serial (threads=1, the default, and every staged store): the chunks
-//     in order on the calling thread;
-//   * ordered (threads > 1 over a memory-resident store): each chunk is a
-//     par::RunOrdered task. A pool worker runs it against a recording view
-//     of the store (em::GraphStore::RecordingView), which reads the words
-//     through the direct view and appends every charge to a per-task charge
-//     log; the triangles go to an emit buffer and the work to a count. The
-//     caller commits the tasks strictly in serial order: it takes the
-//     chunk's lease, replays the logs into the real LRU cache (and probe)
-//     under the same pivot.chunk_load / pivot.cone_scan spans, adds the
-//     work and flushes the emits to the sink. Triangles, emission order,
+//   * serial (a session at threads=1, the default, and every staged
+//     store): the chunks in order on the calling thread;
+//   * ordered (ctx.threads() > 1 over a memory-resident store): each chunk
+//     is a par::RunOrdered task. A pool worker runs it against a recording
+//     view of the store (em::GraphStore::RecordingView), which reads the
+//     words through the direct view and appends every charge to a per-task
+//     charge log; the triangles go to an emit buffer and the work to a
+//     count. The caller commits the tasks strictly in serial order: it
+//     takes the chunk's lease, replays the logs into the real LRU cache (and
+//     probe) under the same pivot.chunk_load / pivot.cone_scan spans, adds
+//     the work and flushes the emits to the sink. Triangles, emission order,
 //     IoStats (reads, writes and hits), work and the phase table therefore
 //     match threads=1 by construction (pinned by tests/test_parallel.cc).
 //     Sinks see every emission on the calling thread.
@@ -368,13 +368,13 @@ struct ChunkSlot {
 
 }  // namespace internal
 
-/// True when Lemma 2 chunks run on pool workers: more than one thread, and
-/// a store a worker can read without going through the cache. A staged
-/// store (the file backend, the fault decorators) moves its data through
-/// the LRU cache itself, so reads cannot be separated from charges and it
-/// keeps the serial loop.
+/// True when Lemma 2 chunks run on pool workers: more than one thread in
+/// the session, and a store a worker can read without going through the
+/// cache. A staged store (the file backend, the fault decorators) moves its
+/// data through the LRU cache itself, so reads cannot be separated from
+/// charges and it keeps the serial loop.
 inline bool PivotChunksRunOrdered(em::QuerySession& ctx) {
-  return par::Threads() > 1 && !ctx.cache().staged();
+  return ctx.threads() > 1 && !ctx.cache().staged();
 }
 
 /// \brief Runs `calls` exactly as PivotEnumerate on each in turn would —
@@ -406,7 +406,7 @@ void PivotEnumerateOrdered(em::QuerySession& ctx,
     }
   }
 
-  const std::size_t threads = par::Threads();
+  const std::size_t threads = ctx.threads();
   std::vector<internal::ChunkSlot<EdgeT>> slots(par::OrderedWindow(threads));
   for (internal::ChunkSlot<EdgeT>& s : slots) {
     s.view = store.RecordingView();

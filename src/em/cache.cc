@@ -86,15 +86,15 @@ std::int32_t Cache::GrabSlot() {
     free_head_ = slots_[s].next;
     return s;
   }
-  // Evict the least-recently-used line. A slot leaked by a failed
-  // write-back (below) is in neither list, so a tiny cache can run out.
+  // Evict the least-recently-used line. Every slot is either free or
+  // resident, so a tail exists whenever the free list is empty.
   const std::int32_t s = tail_;
   TRIENUM_CHECK_MSG(s >= 0, "no cache line left to evict");
   Unlink(s);
   --resident_;
   // Unmap before the write-back: StagedWrite can throw IoFault, and the
   // unwind may run more cache ops (Writer flushes) — the map and list must
-  // already be consistent. A throw here leaks slot s until Discard().
+  // already be consistent.
   const std::int64_t evicted = slots_[s].line;
   const bool was_dirty = slots_[s].dirty;
   where_.Set(evicted, -1);
@@ -103,8 +103,17 @@ std::int32_t Cache::GrabSlot() {
   if (was_dirty) {
     ++stats_.block_writes;
     if (staging_ != nullptr) {
-      StagedWrite(static_cast<Addr>(evicted) * block_words_, block_words_,
-                  line_buf(s));
+      try {
+        StagedWrite(static_cast<Addr>(evicted) * block_words_, block_words_,
+                    line_buf(s));
+      } catch (const IoFault&) {
+        // The slot goes back on the free list before the fault propagates,
+        // or a one-line cache would have no line for the unwind's flushes.
+        slots_[s].prev = -1;
+        slots_[s].next = free_head_;
+        free_head_ = s;
+        throw;
+      }
     }
   }
   return s;
@@ -458,9 +467,8 @@ void Cache::Reset() {
 
 void Cache::Discard() {
   // Rebuild the slot array wholesale rather than walking the lists: a fault
-  // can abandon the cache in a partial state (a grabbed-but-unlinked slot, a
-  // half-flushed LRU chain), and this reconstruction is correct from any of
-  // them.
+  // can abandon the cache in a partial state (a half-flushed LRU chain), and
+  // this reconstruction is correct from any of them.
   for (std::size_t i = 0; i < num_slots_; ++i) {
     slots_[i].line = -1;
     slots_[i].dirty = false;

@@ -262,9 +262,9 @@ class GraphStore {
 ///
 /// Every EM algorithm in the library takes a QuerySession&: the session
 /// forwards the store's cache, device and allocator unchanged (arrays move
-/// their data through the store itself) and adds the per-query
-/// accounting — host-scratch leases, the internal-work counter and the RNG
-/// seed. Reusing one session for many queries is supported and
+/// their data through the store itself) and adds the per-query state —
+/// host-scratch leases, the internal-work counter, the RNG seed and the host
+/// thread count. Reusing one session for many queries is supported and
 /// bit-identical to fresh sessions provided each query starts cold (see
 /// query::RunQuery, which enforces the contract).
 class QuerySession {
@@ -325,6 +325,14 @@ class QuerySession {
   std::uint64_t seed() const { return seed_; }
   void set_seed(std::uint64_t s) { seed_ = s; }
 
+  /// Host compute threads for this session's parallel phases (Lemma 2
+  /// chunks, clique4's pair join); 1, the default, and 0 run serially. It
+  /// never moves an I/O. query::RunQuery sets it from Query::threads. The
+  /// worker pool is process-wide and runs one region at a time, so sessions
+  /// on different host threads must not fan out at once.
+  std::size_t threads() const { return threads_; }
+  void set_threads(std::size_t n) { threads_ = n; }
+
  private:
   friend class ScratchLease;
 
@@ -332,6 +340,7 @@ class QuerySession {
   std::size_t scratch_used_ = 0;
   std::uint64_t work_ = 0;
   std::uint64_t seed_ = 0;
+  std::size_t threads_ = 1;
 };
 
 namespace internal {

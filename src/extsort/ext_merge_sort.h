@@ -59,11 +59,10 @@ void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
     span.AddArg("items", n);
     span.AddArg("predicted_ios", pass_predicted_ios);
     // 2x the run — together exactly M, the model's internal-memory budget —
-    // covering the load buffer plus run formation's scratch down every
-    // path: the direct-scatter ping-pong copy (records <= 24 B), the
-    // (key, index) pair arrays of the wide-record path (4 words/record, at
-    // most the records' own width there; the permutation applies in place),
-    // or std::stable_sort's internal temp buffer on the keyless fallback.
+    // covering the load buffer plus run formation's scratch down either
+    // path: the radix's ping-pong copy of the records (keyed records of at
+    // most 24 B) or std::stable_sort's internal temp buffer (keyless
+    // comparators, and a prefix key's large tie runs).
     em::ScratchLease lease = ctx.LeaseScratch(2 * run_items * words_per);
     std::vector<T> buf(std::min(run_items, n));
     RunScratch<T> rs;

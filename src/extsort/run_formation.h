@@ -15,23 +15,19 @@
 // the device: run formation changes host work only, never the I/O charge
 // sequence around it.
 //
-// Under par::SetThreads(N > 1), large loads run the radix passes in
-// parallel: per-partition histograms and scatters over the stable splits of
-// partition.h, with scatter cursors laid out so the merged result is the
-// serial LSD order bit-for-bit (tests/test_parallel.cc pins SortRun against
-// std::stable_sort at several thread counts). Runs are still emitted
-// serially by the caller through the same WriteScan charges.
+// Run formation is serial at every thread count: a radix with per-partition
+// histograms and scatters measured slower than this one at 2, 4 and 8
+// threads on a 65,536-record load. The query's thread count goes to whole
+// subproblems instead (core/pivot_enum.h).
 #ifndef TRIENUM_EXTSORT_RUN_FORMATION_H_
 #define TRIENUM_EXTSORT_RUN_FORMATION_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "extsort/sort_key.h"
-#include "par/thread_pool.h"
 
 namespace trienum::extsort {
 namespace internal {
@@ -62,72 +58,6 @@ void InsertionSort(T* rec, std::size_t n, Less less) {
   }
 }
 
-/// Records per pool partition below which the parallel radix cannot recoup
-/// its per-pass fork/join handshakes; loads smaller than 2x this stay on
-/// the serial single-histogram path. 4096 keeps the reference operating
-/// point's 8192-record loads (M = 2^14 words of one-word edges) eligible
-/// for a 2-way split while a partition still carries tens of microseconds
-/// of histogram + scatter work per pass.
-inline constexpr std::size_t kParGrainRecords = std::size_t{1} << 12;
-
-/// Parallel LSD byte-radix: bit-identical to the serial RadixSortByKey.
-///
-/// Per pass: a parallel per-partition histogram of that byte over the
-/// array's *current* order, one serial 256 x parts prefix walk turning
-/// counts into scatter cursors laid out byte-major then partition-major —
-/// exactly the order the serial scan visits records — and a parallel
-/// per-partition scatter where each worker advances only its own cursors.
-/// Stability (and therefore the std::stable_sort contract) follows from the
-/// cursor layout; no two workers ever write the same destination slot.
-/// Constant bytes are detected from the pass histogram and skipped like the
-/// serial path (skipping a constant byte's scatter is the identity
-/// permutation, so output is unchanged either way).
-template <typename Rec, typename KeyOf>
-void RadixSortByKeyParallel(Rec* a, std::size_t n, std::vector<Rec>& scratch,
-                            KeyOf key_of, std::size_t parts) {
-  if (scratch.size() < n) scratch.resize(n);
-  Rec* src = a;
-  Rec* dst = scratch.data();
-  std::vector<std::array<std::uint32_t, 256>> cnt(parts);
-  for (int p = 0; p < 8; ++p) {
-    const int shift = 8 * p;
-    par::ParallelFor(parts, 1, [&](std::size_t q0, std::size_t q1) {
-      for (std::size_t q = q0; q < q1; ++q) {
-        auto& c = cnt[q];
-        c.fill(0);
-        const par::Range r = par::PartRange(n, parts, q);
-        for (std::size_t i = r.lo; i < r.hi; ++i) {
-          ++c[(key_of(src[i]) >> shift) & 0xFF];
-        }
-      }
-    });
-    const std::uint32_t b0 =
-        static_cast<std::uint32_t>((key_of(src[0]) >> shift) & 0xFF);
-    std::uint64_t b0_total = 0;
-    for (std::size_t q = 0; q < parts; ++q) b0_total += cnt[q][b0];
-    if (b0_total == n) continue;  // constant byte: scatter would be identity
-    std::uint32_t run = 0;
-    for (int b = 0; b < 256; ++b) {
-      for (std::size_t q = 0; q < parts; ++q) {
-        const std::uint32_t c = cnt[q][b];
-        cnt[q][b] = run;  // count -> this partition's scatter cursor
-        run += c;
-      }
-    }
-    par::ParallelFor(parts, 1, [&](std::size_t q0, std::size_t q1) {
-      for (std::size_t q = q0; q < q1; ++q) {
-        auto& pos = cnt[q];
-        const par::Range r = par::PartRange(n, parts, q);
-        for (std::size_t i = r.lo; i < r.hi; ++i) {
-          dst[pos[(key_of(src[i]) >> shift) & 0xFF]++] = src[i];
-        }
-      }
-    });
-    std::swap(src, dst);
-  }
-  if (src != a) std::memcpy(a, src, n * sizeof(Rec));
-}
-
 /// LSD byte-radix over `a` by `key_of(a[i])`. Stable. One histogram pass
 /// builds all eight tables; scatter passes whose byte is constant across
 /// the whole load are skipped (a multiset property, so the first element of
@@ -136,15 +66,6 @@ template <typename Rec, typename KeyOf>
 void RadixSortByKey(Rec* a, std::size_t n, std::vector<Rec>& scratch,
                     KeyOf key_of) {
   if (n < 2) return;
-  // Pool fan-out when the load is large enough and threads are configured;
-  // the parallel path reproduces this function's output bit-for-bit (see
-  // tests/test_parallel.cc, SortRunParallel.*).
-  const std::size_t parts =
-      par::PartsFor(n, par::Threads(), kParGrainRecords);
-  if (parts > 1) {
-    RadixSortByKeyParallel(a, n, scratch, key_of, parts);
-    return;
-  }
   std::uint32_t cnt[8][256] = {};
   const std::uint64_t k0 = key_of(a[0]);
   for (std::size_t i = 0; i < n; ++i) {

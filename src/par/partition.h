@@ -1,17 +1,16 @@
 // Stable range splitting: the determinism substrate of the par subsystem.
 //
-// Every parallel kernel in the library decomposes its input into contiguous
-// partitions of [0, n), hands partition i to some worker, and merges the
-// per-partition results *in partition order*. Because the split depends only
-// on (n, parts) — never on thread scheduling — the merged result reproduces
-// the serial left-to-right order exactly, which is what makes threads=N
-// bit-for-bit equivalent to threads=1 (triangle output, enumeration order,
-// radix stability) throughout.
+// A fork/join kernel (clique4's in-memory pair join) decomposes its input
+// into contiguous partitions of [0, n), hands partition i to some worker,
+// and merges the per-partition results *in partition order*. Because the
+// split depends only on (n, parts) — never on thread scheduling — the merged
+// result reproduces the serial left-to-right order exactly, which is what
+// makes threads=N bit-for-bit equivalent to threads=1 (triangle output and
+// enumeration order).
 #ifndef TRIENUM_PAR_PARTITION_H_
 #define TRIENUM_PAR_PARTITION_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace trienum::par {
 
@@ -45,16 +44,6 @@ inline Range PartRange(std::size_t n, std::size_t parts, std::size_t i) {
   const std::size_t lo = i * base + (i < extra ? i : extra);
   const std::size_t len = base + (i < extra ? 1 : 0);
   return Range{lo, lo + len};
-}
-
-/// All partitions of SplitRange order, materialized (callers that iterate
-/// the whole decomposition).
-inline std::vector<Range> SplitRange(std::size_t n, std::size_t parts) {
-  std::vector<Range> out;
-  if (n == 0 || parts == 0) return out;
-  out.reserve(parts);
-  for (std::size_t i = 0; i < parts; ++i) out.push_back(PartRange(n, parts, i));
-  return out;
 }
 
 }  // namespace trienum::par

@@ -8,7 +8,7 @@ namespace trienum::par {
 namespace {
 
 /// Set while the current thread executes a part of some region; consulted by
-/// the nested fan-out rejection in ParallelFor / ParallelReduce.
+/// Run's nested fan-out rejection.
 thread_local bool tls_in_region = false;
 
 /// RAII flip of the region flag around one task invocation.
@@ -23,8 +23,6 @@ ThreadPool& ThreadPool::Global() {
   static ThreadPool pool;
   return pool;
 }
-
-bool ThreadPool::InParallelRegion() { return tls_in_region; }
 
 std::size_t ThreadPool::spawned_workers() const {
   std::lock_guard<std::mutex> lk(mu_);
@@ -48,18 +46,21 @@ void ThreadPool::EnsureWorkers(std::size_t want) {
       // Named tracks in --trace output: pool helpers show as their own
       // tids, so fan-out width and load balance are visible in the viewer.
       obs::SetCurrentThreadName("par-worker-" + std::to_string(id));
-      WorkerLoop();
+      WorkerLoop(id);
     });
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(std::size_t id) {
   std::unique_lock<std::mutex> lk(mu_);
   std::uint64_t seen = 0;
   for (;;) {
     cv_work_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
     if (shutdown_) return;
     seen = generation_;
+    // A region runs on its caller and its first helpers_ workers only, so
+    // workers a wider region spawned never widen a narrower one.
+    if (id >= helpers_) continue;
     // Claim parts one at a time. Every claim re-checks the generation under
     // the lock, so a worker that drained the queue can never run a stale
     // task pointer against the next region's counters. Parts are coarse
@@ -88,8 +89,9 @@ void ThreadPool::Run(std::size_t parts, std::size_t threads,
                      const std::function<void(std::size_t)>& task,
                      bool caller_first) {
   TRIENUM_CHECK(parts > 0);
-  // One region at a time: Run is only entered from the (single) main
-  // thread — nested fan-out from workers is rejected before reaching here.
+  // One region at a time: a part that called Run again would overwrite the
+  // region this pool is running.
+  TRIENUM_CHECK_MSG(!tls_in_region, "nested fan-out inside a pool worker");
   // The caller participates as one executor, so at most parts - 1 helpers
   // can ever claim a part.
   const std::size_t helpers =
@@ -97,6 +99,7 @@ void ThreadPool::Run(std::size_t parts, std::size_t threads,
   EnsureWorkers(helpers);
   std::unique_lock<std::mutex> lk(mu_);
   task_ = &task;
+  helpers_ = helpers;
   parts_ = parts;
   next_ = caller_first ? 1 : 0;
   done_ = 0;

@@ -1,28 +1,27 @@
-// Fixed-size host thread pool with deterministic fork/join helpers and an
-// ordered pipeline.
+// Fixed-size host thread pool: one fork/join primitive and an ordered
+// pipeline.
 //
 // The pool parallelizes host compute without moving an I/O charge, in two
 // shapes:
-//   * fork/join (ParallelFor / ParallelReduce) over *pure host compute
-//     between charges* — radix histograms and scatters over run buffers,
-//     batched GF(2^61-1) refinement bits. These workers never touch the em::
-//     layer; every Scanner/Writer charge stays on the calling thread.
+//   * fork/join (ThreadPool::Run) over *pure host compute between
+//     charges* — clique4's in-memory pair join, split into stable partitions
+//     (partition.h) whose results the caller merges in partition order.
+//     These workers never touch the em:: layer; every charge stays on the
+//     calling thread.
 //   * the ordered pipeline (RunOrdered) for whole subproblems — Lemma 2
 //     pivot chunks. A worker runs counted code against an em recording view
 //     and hands back a charge log; the caller replays the logs into the real
 //     cache strictly in task order (see core/pivot_enum.h).
 // Either way the caller issues the serial charge sequence, which is why
 // IoStats are invariant in the thread count by construction (and pinned by
-// tests/test_parallel.cc).
+// tests/test_parallel.cc). The thread count is the caller's argument,
+// taken from its em::QuerySession.
 //
 // Shape: one process-wide pool (Global()), lazily spawning up to N-1
-// workers the first time a parallel region actually fans out; the caller
+// workers the first time a region actually fans out; the caller
 // participates as worker N. One region runs at a time; nested fan-out is a
-// library bug and is rejected with a TRIENUM_CHECK. Determinism comes from
-// partition.h: ParallelFor splits [0, n) into stable contiguous ranges and
-// ParallelReduce combines partial results in partition order, so results
-// reproduce the serial left-to-right computation exactly regardless of
-// which worker ran which partition when. RunOrdered commits in task order.
+// library bug and is rejected with a TRIENUM_CHECK. RunOrdered commits in
+// task order.
 #ifndef TRIENUM_PAR_THREAD_POOL_H_
 #define TRIENUM_PAR_THREAD_POOL_H_
 
@@ -37,15 +36,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "par/par_config.h"
-#include "par/partition.h"
 
 namespace trienum::par {
 
 /// \brief The process-wide worker pool.
-///
-/// Use through ParallelFor / ParallelReduce; Run is the low-level fork/join
-/// primitive they share.
 class ThreadPool {
  public:
   /// The singleton pool. Workers are not spawned until the first Run that
@@ -53,20 +47,17 @@ class ThreadPool {
   static ThreadPool& Global();
 
   /// Executes task(i) once for every i in [0, parts), distributing parts
-  /// over up to `threads` threads (the caller participates), and blocks
+  /// over at most `threads` threads (the caller participates), and blocks
   /// until every part has finished. Part-to-worker assignment is dynamic —
   /// callers must make parts independent and merge any results in part
   /// order to stay deterministic. With `caller_first`, part 0 runs on the
   /// caller before it claims any other part (RunOrdered's commit loop);
   /// workers claim parts in index order. `task` must not throw and must
-  /// not touch the em:: accounting layer.
+  /// not touch the em:: accounting layer. Calling Run from inside a part
+  /// (nested fan-out) is rejected with a TRIENUM_CHECK.
   void Run(std::size_t parts, std::size_t threads,
            const std::function<void(std::size_t)>& task,
            bool caller_first = false);
-
-  /// True while the current thread is executing inside a parallel region
-  /// (used to reject nested fan-out).
-  static bool InParallelRegion();
 
   /// Workers spawned so far (test / telemetry hook; grows lazily, never
   /// shrinks until process exit).
@@ -80,72 +71,20 @@ class ThreadPool {
   ~ThreadPool();
 
   void EnsureWorkers(std::size_t want);
-  void WorkerLoop();
+  void WorkerLoop(std::size_t id);
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;  // workers: a new generation is posted
   std::condition_variable cv_done_;  // caller: all parts of the region done
   std::vector<std::thread> workers_;
   const std::function<void(std::size_t)>* task_ = nullptr;
+  std::size_t helpers_ = 0;  // workers allowed to claim parts of the region
   std::size_t parts_ = 0;
   std::size_t next_ = 0;  // next unclaimed part
   std::size_t done_ = 0;  // completed parts
   std::uint64_t generation_ = 0;
   bool shutdown_ = false;
 };
-
-/// \brief Runs fn(lo, hi) over a stable contiguous partition of [0, n).
-///
-/// Grain control: no partition holds fewer than `grain` items, and at most
-/// Threads() partitions are made; when that leaves a single partition (small
-/// n, or Threads() == 1 — the default) fn runs inline on the caller with no
-/// pool interaction at all, so the serial path is exactly the pre-subsystem
-/// code. Nested fan-out (a ParallelFor that would use the pool from inside a
-/// worker) is rejected; a nested call that resolves to one partition runs
-/// inline, which keeps small helper loops composable.
-template <typename Fn>
-void ParallelFor(std::size_t n, std::size_t grain, Fn&& fn) {
-  const std::size_t parts = PartsFor(n, Threads(), grain);
-  if (parts == 0) return;
-  if (parts == 1) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  TRIENUM_CHECK_MSG(!ThreadPool::InParallelRegion(),
-                    "nested ParallelFor fan-out inside a pool worker");
-  const std::function<void(std::size_t)> task = [&](std::size_t i) {
-    const Range r = PartRange(n, parts, i);
-    fn(r.lo, r.hi);
-  };
-  ThreadPool::Global().Run(parts, Threads(), task);
-}
-
-/// \brief Deterministic ordered reduction over [0, n).
-///
-/// map(lo, hi) produces one partial result per stable partition;
-/// combine(acc, partial) folds them *in partition order*, so the result is
-/// identical to map(0, n) whenever combine is associative over adjacent
-/// ranges (concatenation, sums, counters) — regardless of thread schedule.
-template <typename T, typename Map, typename Combine>
-T ParallelReduce(std::size_t n, std::size_t grain, T init, Map map,
-                 Combine combine) {
-  const std::size_t parts = PartsFor(n, Threads(), grain);
-  if (parts == 0) return init;
-  if (parts == 1) return combine(std::move(init), map(std::size_t{0}, n));
-  TRIENUM_CHECK_MSG(!ThreadPool::InParallelRegion(),
-                    "nested ParallelReduce fan-out inside a pool worker");
-  std::vector<T> partials(parts);
-  const std::function<void(std::size_t)> task = [&](std::size_t i) {
-    const Range r = PartRange(n, parts, i);
-    partials[i] = map(r.lo, r.hi);
-  };
-  ThreadPool::Global().Run(parts, Threads(), task);
-  T acc = std::move(init);
-  for (std::size_t i = 0; i < parts; ++i) {
-    acc = combine(std::move(acc), std::move(partials[i]));
-  }
-  return acc;
-}
 
 /// Number of slots RunOrdered uses at `threads`, which is also how many
 /// tasks may be computed but not yet committed: twice the thread count, so
@@ -176,8 +115,6 @@ void RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
     }
     return;
   }
-  TRIENUM_CHECK_MSG(!ThreadPool::InParallelRegion(),
-                    "nested RunOrdered inside a pool worker");
   const std::size_t window = OrderedWindow(threads);
   constexpr std::size_t kNone = ~std::size_t{0};
   std::mutex mu;

@@ -82,11 +82,13 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                             "' (see `trienum list`)");
   }
 
-  // Install the run's thread count (process-wide) for the duration, and
-  // resolve the query seed onto the session. The thread count may not change
-  // results or IoStats; the differential suite runs the matrix to prove it.
-  par::ScopedThreads threads(q.threads);
+  // Resolve the query's seed and thread count (0 = all hardware cores,
+  // clamped at par::kMaxThreads) onto the session. The thread count may not
+  // change results or IoStats; the differential suite runs the matrix to
+  // prove it.
   session.set_seed(q.seed != 0 ? q.seed : session.config().seed);
+  session.set_threads(std::min(
+      q.threads != 0 ? q.threads : par::HardwareThreads(), par::kMaxThreads));
 
   // Cold-start contract: the query's allocations live in a region opened at
   // the current (frozen) top, the cache starts empty with zeroed counters,
@@ -186,7 +188,7 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                   std::chrono::duration<double, std::milli>>(t1 - t0)
                   .count();
   r.seed_used = session.seed();
-  r.threads_used = par::Threads();
+  r.threads_used = session.threads();
 
   if (tc != nullptr) {
     // Phase table: aggregate the run's sampled spans by name, first

@@ -16,9 +16,9 @@
 //   2. Cache::Reset() — the query starts cold, counters zeroed;
 //   3. the work counter and the device peak tracker reset;
 //   4. the session seed resolves to the query's seed (store's master seed
-//      when the query leaves it 0);
-//   5. the thread count installs for the run's duration;
-//   6. the algorithm runs, Cache::FlushAll() charges pending output, and
+//      when the query leaves it 0), and the session thread count to the
+//      query's (all hardware cores when it is 0);
+//   5. the algorithm runs, Cache::FlushAll() charges pending output, and
 //      the counters are snapshotted into the QueryResult.
 //
 // See README.md "Query sessions" for the full lifetime discussion.
@@ -60,8 +60,8 @@ struct Query {
   /// 0 = keep all). The sink still sees every emission, so the cap never
   /// changes IoStats.
   std::size_t limit = 0;
-  /// Host compute threads for the run (0 = all hardware cores). Never
-  /// changes results or IoStats.
+  /// Host compute threads for the run (0 = all hardware cores, at most
+  /// par::kMaxThreads). Never changes results or IoStats.
   std::size_t threads = 1;
 };
 

@@ -1,8 +1,8 @@
 // LRU cache simulator semantics: miss/hit accounting, eviction order,
 // write-allocate policy, flush/reset, the scan-cost identity n/B that the
 // entire I/O methodology rests on, the two dead-line operations (released
-// regions are cleaned in place, spent arrays leave the cache), and Discard
-// after a failed write-back.
+// regions are cleaned in place, spent arrays leave the cache), and a failed
+// write-back (its slot returns to the free list; Discard empties the cache).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -524,11 +524,39 @@ TEST(CacheDeadLines, LatchedFaultMakesBothNoOps) {
   cache.Discard();
 }
 
-TEST(CacheFaults, DiscardRecoversASlotLeakedByAFailedWriteBack) {
-  // An eviction whose write-back fails has already unlinked its slot, so
-  // the slot is in neither list. Discard rebuilds the slot array: every
-  // slot is usable again, and the dirty lines it drops never reach the
-  // backend.
+TEST(CacheFaults, FailedWriteBackReturnsItsSlotToTheFreeList) {
+  // A one-line cache whose only line fails its write-back on eviction. The
+  // slot goes back on the free list before the fault propagates, so the
+  // next line (a Writer flushing while the fault unwinds) still finds one.
+  FailingBackend backend;
+  ASSERT_TRUE(backend.EnsureSize(64).ok());
+  em::Cache cache(/*memory_words=*/16, /*block_words=*/16, &backend);
+  ASSERT_EQ(cache.num_lines(), 1u);
+  const std::vector<em::Word> line(16, 7);
+  cache.WriteRange(0, 16, line.data());  // line 0, dirty
+  backend.fail_writes = true;
+  std::vector<em::Word> out(16);
+  EXPECT_THROW(cache.ReadRange(16, 16, out.data()), IoFault);
+  ASSERT_FALSE(cache.fault().ok());
+  EXPECT_EQ(cache.resident_lines(), 0u);
+  EXPECT_FALSE(cache.IsResident(0));
+  EXPECT_FALSE(cache.IsResident(16));
+  // A full-line write takes the returned slot: no eviction, no fetch.
+  cache.WriteRange(32, 16, line.data());
+  EXPECT_EQ(cache.resident_lines(), 1u);
+  EXPECT_TRUE(cache.IsResident(32));
+  // The flush meets the latched fault; Discard drops the line unwritten.
+  EXPECT_THROW(cache.FlushAll(), IoFault);
+  cache.Discard();
+  backend.fail_writes = false;
+  ASSERT_TRUE(backend.ReadWords(32, 16, out.data()).ok());
+  EXPECT_EQ(out, std::vector<em::Word>(16, 0));
+}
+
+TEST(CacheFaults, DiscardAfterAFailedWriteBackDropsTheDirtyLines) {
+  // An eviction whose write-back fails returns its slot to the free list,
+  // so the cache keeps every slot. Discard then empties it: every slot is
+  // usable again, and the dirty lines it drops never reach the backend.
   FailingBackend backend;
   ASSERT_TRUE(backend.EnsureSize(256).ok());
   em::Cache cache(/*memory_words=*/32, /*block_words=*/16, &backend);
@@ -540,7 +568,7 @@ TEST(CacheFaults, DiscardRecoversASlotLeakedByAFailedWriteBack) {
   std::vector<em::Word> out(16);
   EXPECT_THROW(cache.ReadRange(32, 16, out.data()), IoFault);
   ASSERT_FALSE(cache.fault().ok());
-  EXPECT_EQ(cache.resident_lines(), 1u);  // line 1; line 0's slot leaked
+  EXPECT_EQ(cache.resident_lines(), 1u);  // line 1; line 0's slot is free
   EXPECT_FALSE(cache.IsResident(0));
 
   cache.Discard();

@@ -574,5 +574,113 @@ TEST(Faults, RecoveryStatsDeltaIsPerQuery) {
   EXPECT_EQ(a->recovery.faults_injected, b->recovery.faults_injected);
 }
 
+// ---------------------------------------------------------------------------
+// A permanent write fault on a one-line cache. The failing write-back is an
+// eviction, and the Writers of the failing plan flush while the fault
+// unwinds: each flush needs a cache line, and a one-line cache has only the
+// one whose write-back just failed.
+
+TEST(Faults, WriterFlushingDuringTheUnwindFindsACacheLine) {
+  em::EmConfig cfg;
+  cfg.memory_words = 16;
+  cfg.block_words = 16;
+  cfg.storage = em::StorageKind::kFile;
+  cfg.fault_spec = "write:eio:at=1,perm=1";
+  ASSERT_TRUE(faults::ApplyFaultConfig(cfg).ok());
+  em::Context ctx(cfg);
+  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(64);
+  em::Array<std::uint64_t> b = ctx.Alloc<std::uint64_t>(64);
+  auto plan = [&] {
+    em::Writer<std::uint64_t> w(a);
+    // 24 records: the first line is flushed and dirty, 8 stay buffered.
+    for (std::uint64_t i = 0; i < 24; ++i) w.Push(i);
+    // Touching b evicts a's dirty line, and its write-back fails; w's
+    // destructor then flushes the buffered records during the unwind.
+    b.Set(0, 1);
+  };
+  EXPECT_THROW(plan(), IoFault);
+  EXPECT_EQ(ctx.cache().fault().code(), StatusCode::kIoError);
+  EXPECT_TRUE(ctx.cache().IsResident(a.base() + 16))
+      << "the unwinding flush found no line";
+  ctx.cache().Discard();
+  faults::FindInjector(ctx.device().backend())->set_armed(false);
+  b.Set(0, 5);
+  ctx.cache().FlushAll();
+  EXPECT_EQ(b.Get(0), 5u);
+}
+
+struct WriteBackFaultCase {
+  const char* algo;
+  std::size_t block_words;  // M = B: a one-line cache
+};
+
+class WriteBackFault : public ::testing::TestWithParam<WriteBackFaultCase> {};
+
+TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
+  // Plants the permanent fault at each of the query's first 32 block
+  // writes. Every one must fail the query with IoError, and the same
+  // session must then answer a clean query exactly as a fresh store does.
+  const WriteBackFaultCase& c = GetParam();
+  em::EmConfig base;
+  base.memory_words = c.block_words;
+  base.block_words = c.block_words;
+  base.seed = 2014;
+  base.storage = em::StorageKind::kFile;
+  query::Query q;
+  q.kind = query::QueryKind::kEnumerate;
+  q.algo = c.algo;
+
+  auto ref_lg = query::LoadedGraph::FromEdges(base, FixtureEdges());
+  ASSERT_TRUE(ref_lg.ok());
+  auto ref = ref_lg->Run(q);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  em::EmConfig probe_cfg = base;
+  probe_cfg.fault_spec = "write:eio:at=1000000000";  // installed, never fires
+  ASSERT_TRUE(faults::ApplyFaultConfig(probe_cfg).ok());
+  auto probe = query::LoadedGraph::FromEdges(probe_cfg, FixtureEdges());
+  ASSERT_TRUE(probe.ok());
+  const std::uint64_t after_load =
+      faults::FindInjector(probe->store().device().backend())
+          ->op_count(faults::FaultOp::kWrite);
+  ASSERT_GE(ref->io.block_writes, 32u) << "too few writes to plant a fault";
+
+  for (std::uint64_t k = 1; k <= 32; ++k) {
+    SCOPED_TRACE("query write " + std::to_string(k));
+    em::EmConfig cfg = base;
+    cfg.fault_spec =
+        "write:eio:at=" + std::to_string(after_load + k) + ",perm=1";
+    ASSERT_TRUE(faults::ApplyFaultConfig(cfg).ok());
+    auto lg = query::LoadedGraph::FromEdges(cfg, FixtureEdges());
+    ASSERT_TRUE(lg.ok()) << "the fault must not fire during load";
+    auto failed = lg->Run(q);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(lg->store().device().Mark(), lg->frozen_mark());
+
+    faults::FindInjector(lg->store().device().backend())->set_armed(false);
+    auto again = lg->Run(q);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->list, ref->list);
+    EXPECT_EQ(again->io.block_reads, ref->io.block_reads);
+    EXPECT_EQ(again->io.block_writes, ref->io.block_writes);
+    EXPECT_EQ(again->io.cache_hits, ref->io.cache_hits);
+    EXPECT_EQ(again->work, ref->work);
+  }
+}
+
+// §3 leases 136 words of scratch on this graph, so it gets a wider line.
+INSTANTIATE_TEST_SUITE_P(
+    OneLineCache, WriteBackFault,
+    ::testing::Values(WriteBackFaultCase{"edge-iterator", 16},
+                      WriteBackFaultCase{"dementiev", 16},
+                      WriteBackFaultCase{"ps-cache-aware", 16},
+                      WriteBackFaultCase{"ps-cache-oblivious", 256}),
+    [](const ::testing::TestParamInfo<WriteBackFaultCase>& info) {
+      std::string name = info.param.algo;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
 }  // namespace
 }  // namespace trienum

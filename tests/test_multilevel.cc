@@ -9,7 +9,6 @@
 
 #include "core/cache_oblivious.h"
 #include "core/mgt.h"
-#include "par/par_config.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -138,8 +137,8 @@ TEST(Multilevel, ProbeIoStatsAreThreadCountInvariant) {
   for (const char* algo : {"ps-cache-aware", "mgt"}) {
     for (Level probe : {Level{1 << 9, 8}, Level{24 * 32, 24}}) {
       auto run = [&](std::size_t threads) {
-        par::ScopedThreads scope(threads);
         em::Context ctx = test::MakeContext(1 << 12, 32);
+        ctx.set_threads(threads);
         ctx.AttachProbe(probe.m, probe.b);
         EmGraph g = BuildEmGraph(ctx, raw);
         ctx.cache().Reset();

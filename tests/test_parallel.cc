@@ -1,23 +1,26 @@
 // The par subsystem's determinism contract, adversarially pinned.
 //
-// Four layers:
-//   * pool unit tests — stable range splitting, grain edge cases, empty
-//     ranges, ordered reduction, nested fan-out rejection, ScopedThreads;
+// Five layers:
+//   * pool unit tests — stable range splitting, grain edge cases,
+//     ThreadPool::Run's part coverage, its thread cap and its nested fan-out
+//     rejection;
 //   * RunOrdered unit tests — commit order on the caller, the look-ahead
 //     bound, and a throwing task or commit;
-//   * SortRun differentials — the parallel radix (histogram + scatter per
-//     stable partition), and the keyless std::stable_sort path for wide
-//     records, against std::stable_sort at threads in {1, 2, 7};
+//   * the session's thread count — per context, resolved by RunQuery;
 //   * the full algorithm matrix — threads in {1, 2, 7} x both storage
 //     backends, asserting byte-identical triangle output (same triangles IN
 //     THE SAME ORDER), identical IoStats, and identical host work counters
-//     against the threads=1 run.
+//     against the threads=1 run;
+//   * sorts, which run serially at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,36 +30,35 @@
 #include "common/rng.h"
 #include "core/cache_aware.h"
 #include "core/clique4.h"
+#include "core/pivot_enum.h"
 #include "em/array.h"
 #include "extsort/ext_merge_sort.h"
+#include "obs/trace.h"
 #include "par/par_config.h"
 #include "par/partition.h"
 #include "par/thread_pool.h"
+#include "query/query.h"
 #include "test_util.h"
 
 namespace trienum {
 namespace {
 
-using par::ParallelFor;
-using par::ParallelReduce;
 using par::PartRange;
 using par::PartsFor;
 using par::Range;
-using par::ScopedThreads;
-using par::SplitRange;
+using par::ThreadPool;
 
 // ---------------------------------------------------------------------------
 // partition.h: stable splitting.
 
-TEST(Partition, SplitRangeCoversContiguouslyWithBalancedSizes) {
+TEST(Partition, PartRangeCoversContiguouslyWithBalancedSizes) {
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                         std::size_t{64}, std::size_t{1000}, std::size_t{1001}}) {
     for (std::size_t parts = 1; parts <= 9; ++parts) {
-      std::vector<Range> rs = SplitRange(n, parts);
-      ASSERT_EQ(rs.size(), parts);
       std::size_t expect_lo = 0;
       std::size_t min_sz = n, max_sz = 0;
-      for (const Range& r : rs) {
+      for (std::size_t i = 0; i < parts; ++i) {
+        const Range r = PartRange(n, parts, i);
         EXPECT_EQ(r.lo, expect_lo);
         expect_lo = r.hi;
         min_sz = std::min(min_sz, r.size());
@@ -66,11 +68,6 @@ TEST(Partition, SplitRangeCoversContiguouslyWithBalancedSizes) {
       EXPECT_LE(max_sz - min_sz, 1u) << "n=" << n << " parts=" << parts;
     }
   }
-}
-
-TEST(Partition, SplitRangeEmpty) {
-  EXPECT_TRUE(SplitRange(0, 4).empty());
-  EXPECT_TRUE(SplitRange(10, 0).empty());
 }
 
 TEST(Partition, PartsForGrainControl) {
@@ -83,140 +80,84 @@ TEST(Partition, PartsForGrainControl) {
 }
 
 // ---------------------------------------------------------------------------
-// par_config.h.
+// thread_pool.h: ThreadPool::Run.
 
-TEST(ParConfig, DefaultIsSerialAndScopedRestores) {
-  EXPECT_EQ(par::Threads(), 1u);
-  {
-    ScopedThreads scope(7);
-    EXPECT_EQ(par::Threads(), 7u);
-    {
-      ScopedThreads inner(2);
-      EXPECT_EQ(par::Threads(), 2u);
-    }
-    EXPECT_EQ(par::Threads(), 7u);
-  }
-  EXPECT_EQ(par::Threads(), 1u);
-}
-
-TEST(ParConfig, ZeroMeansHardwareConcurrencyAndHugeClamps) {
-  ScopedThreads save(1);
-  par::SetThreads(0);
-  EXPECT_EQ(par::Threads(), par::HardwareThreads());
-  EXPECT_GE(par::Threads(), 1u);
-  par::SetThreads(std::size_t{1} << 40);
-  EXPECT_EQ(par::Threads(), par::kMaxThreads);
-}
-
-// ---------------------------------------------------------------------------
-// thread_pool.h: ParallelFor / ParallelReduce.
-
-TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
+TEST(ThreadPool, RunVisitsEveryPartExactlyOnce) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    ScopedThreads scope(threads);
-    const std::size_t n = 10000;
-    std::vector<std::atomic<int>> hits(n);
+    const std::size_t parts = 10000;
+    std::vector<std::atomic<int>> hits(parts);
     for (auto& h : hits) h.store(0);
-    ParallelFor(n, 64, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+    ThreadPool::Global().Run(parts, threads,
+                             [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < parts; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "part " << i << " threads " << threads;
     }
   }
 }
 
-TEST(ThreadPool, ParallelForEmptyRangeNeverInvokes) {
-  ScopedThreads scope(4);
-  bool called = false;
-  ParallelFor(0, 1, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
+TEST(ThreadPool, RunAtOneThreadRunsEveryPartOnTheCallerInOrder) {
+  // Grow the pool first: its idle workers must still stay out of a
+  // one-thread region.
+  ThreadPool::Global().Run(8, 8, [](std::size_t) {});
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool::Global().Run(99, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 99u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, ParallelForGrainKeepsSmallRangesInline) {
-  ScopedThreads scope(8);
-  // 99 items under grain 100: must run as ONE inline invocation on the
-  // calling thread (no pool interaction, no split).
+TEST(ThreadPool, RunOfOnePartRunsOnTheCaller) {
   int calls = 0;
-  std::thread::id caller = std::this_thread::get_id();
-  ParallelFor(99, 100, [&](std::size_t lo, std::size_t hi) {
-    ++calls;
-    EXPECT_EQ(lo, 0u);
-    EXPECT_EQ(hi, 99u);
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool::Global().Run(1, 4, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
     EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
   });
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, ParallelForSingleItem) {
-  ScopedThreads scope(4);
-  int sum = 0;
-  ParallelFor(1, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sum += 1;
+TEST(ThreadPool, RunNeverUsesMoreThreadsThanAsked) {
+  // A region at 7 threads leaves 6 workers behind; a later region at 2
+  // (another session's count) must run on the caller plus one of them.
+  ThreadPool::Global().Run(64, 7, [](std::size_t) {});
+  ASSERT_GE(ThreadPool::Global().spawned_workers(), 6u);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  ThreadPool::Global().Run(256, 2, [&](std::size_t) {
+    // Long enough parts that every awake worker would get some.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::lock_guard<std::mutex> lk(mu);
+    seen.insert(std::this_thread::get_id());
   });
-  EXPECT_EQ(sum, 1);
-}
-
-TEST(ThreadPool, ParallelReduceIsOrderedAndDeterministic) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    ScopedThreads scope(threads);
-    const std::size_t n = 5000;
-    // Concatenation is order-sensitive: any out-of-order combine or lost
-    // partition shows up immediately.
-    std::vector<std::uint32_t> cat = ParallelReduce(
-        n, 16, std::vector<std::uint32_t>{},
-        [](std::size_t lo, std::size_t hi) {
-          std::vector<std::uint32_t> part;
-          for (std::size_t i = lo; i < hi; ++i) {
-            part.push_back(static_cast<std::uint32_t>(i));
-          }
-          return part;
-        },
-        [](std::vector<std::uint32_t> acc, std::vector<std::uint32_t> part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        });
-    ASSERT_EQ(cat.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(cat[i], i) << "threads " << threads;
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelReduceEmptyReturnsInit) {
-  ScopedThreads scope(4);
-  const int out = ParallelReduce(
-      0, 1, 42, [](std::size_t, std::size_t) { return 7; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(out, 42);
+  EXPECT_LE(seen.size(), 2u);
 }
 
 TEST(ThreadPoolDeathTest, NestedFanOutIsRejected) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ASSERT_DEATH(
       {
-        par::SetThreads(4);
-        ParallelFor(1000, 1, [&](std::size_t, std::size_t) {
-          // A nested region that would fan out again must trip the check.
-          ParallelFor(1000, 1, [](std::size_t, std::size_t) {});
+        ThreadPool::Global().Run(4, 4, [](std::size_t) {
+          // A part that fans out again must trip the check.
+          ThreadPool::Global().Run(2, 2, [](std::size_t) {});
         });
       },
-      "nested ParallelFor");
+      "nested fan-out");
 }
 
-TEST(ThreadPool, NestedSerialResolutionRunsInline) {
-  // A nested call that resolves to a single partition (here: under one
-  // grain) is allowed — that keeps grain-guarded helper loops composable.
-  ScopedThreads scope(4);
-  std::atomic<int> inner_calls{0};
-  ParallelFor(8, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      ParallelFor(3, 100, [&](std::size_t l2, std::size_t h2) {
-        inner_calls.fetch_add(static_cast<int>(h2 - l2));
-      });
-    }
+TEST(ThreadPool, NestedSerialRunOrderedRunsInline) {
+  // RunOrdered at one thread never enters the pool, so a part may use it:
+  // that is how a Lemma 2 worker's one-thread session stays composable.
+  std::atomic<int> inner_commits{0};
+  ThreadPool::Global().Run(8, 4, [&](std::size_t) {
+    par::RunOrdered(
+        3, 1, [](std::size_t, std::size_t) {},
+        [&](std::size_t, std::size_t) { inner_commits.fetch_add(1); });
   });
-  EXPECT_EQ(inner_calls.load(), 8 * 3);
+  EXPECT_EQ(inner_commits.load(), 8 * 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,95 +287,121 @@ TEST(OrderedRun, ThrowingCommitStopsTheRunAndThePoolStaysUsable) {
 }
 
 // ---------------------------------------------------------------------------
-// SortRun: the parallel radix must be bit-identical to std::stable_sort.
+// The session's thread count.
 
-struct StableRec {
-  std::uint32_t k = 0;
-  std::uint32_t tag = 0;  // makes stability observable
-  friend bool operator==(const StableRec& a, const StableRec& b) {
-    return a.k == b.k && a.tag == b.tag;
+/// Pool parts that ran on a worker while `run` executed: each one records a
+/// par.task span under an installed collector (the caller's own parts do
+/// not).
+std::size_t WorkerTasks(const std::function<void()>& run) {
+  obs::TraceCollector tc;
+  obs::ScopedTraceCollector install(tc);
+  run();
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : tc.events_since(0)) {
+    if (std::string(ev.name) == "par.task") ++n;
   }
-};
-struct StableRecLess {
-  static constexpr bool kKeyComplete = true;
-  static std::uint64_t Key(const StableRec& r) { return r.k; }
-  bool operator()(const StableRec& a, const StableRec& b) const {
-    return a.k < b.k;
-  }
-};
-
-/// 32-byte record under a keyless comparator: too wide for the radix, so
-/// SortRun takes std::stable_sort at every thread count.
-struct Wide32 {
-  std::uint64_t key = 0;
-  std::uint64_t x = 0, y = 0, z = 0;
-  friend bool operator==(const Wide32& a, const Wide32& b) {
-    return a.key == b.key && a.x == b.x && a.y == b.y && a.z == b.z;
-  }
-};
-struct Wide32Less {
-  bool operator()(const Wide32& a, const Wide32& b) const {
-    return a.key < b.key;
-  }
-};
-
-template <typename T, typename Less, typename Gen>
-void CheckSortRunAcrossThreads(std::size_t n, Less less, Gen gen) {
-  std::vector<T> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = gen(i);
-  std::vector<T> expect = input;
-  std::stable_sort(expect.begin(), expect.end(), less);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    ScopedThreads scope(threads);
-    std::vector<T> got = input;
-    extsort::SortRun(got.data(), got.size(), less);
-    ASSERT_EQ(got, expect) << "n=" << n << " threads=" << threads;
-  }
+  return n;
 }
 
-TEST(SortRunParallel, DirectScatterPathMatchesStableSort) {
-  SplitMix64 rng(0x9A17);
-  // Duplicate-heavy keys with tags: exercises stability through the
-  // per-partition scatter cursors.
-  CheckSortRunAcrossThreads<StableRec>(
-      std::size_t{1} << 16, StableRecLess{}, [&](std::size_t i) {
-        return StableRec{static_cast<std::uint32_t>(rng.Next() % 97),
-                         static_cast<std::uint32_t>(i)};
-      });
+TEST(SessionThreads, TwoContextsKeepTheirOwnThreadCounts) {
+  const std::vector<graph::Edge> raw = graph::Clique(40);
+  em::Context wide = test::MakeContext(1 << 12, 32);
+  em::Context narrow = test::MakeContext(1 << 12, 32);
+  wide.set_threads(4);
+  EXPECT_EQ(wide.threads(), 4u);
+  EXPECT_EQ(narrow.threads(), 1u);  // the default
+  EXPECT_TRUE(core::PivotChunksRunOrdered(wide));
+  EXPECT_FALSE(core::PivotChunksRunOrdered(narrow));
+  const graph::EmGraph wg = graph::BuildEmGraph(wide, raw);
+  const graph::EmGraph ng = graph::BuildEmGraph(narrow, raw);
+  auto run = [](em::Context& ctx, const graph::EmGraph& g) {
+    ctx.cache().Reset();
+    core::CollectingSink sink;
+    core::FindAlgorithm("mgt")->run(ctx, g, sink);
+    ctx.cache().FlushAll();
+    return std::make_pair(sink.triangles(), ctx.cache().stats());
+  };
+  std::pair<std::vector<graph::Triangle>, em::IoStats> w, n;
+  // Lemma 2 chunks go to pool workers for the wide context only, even
+  // when the two run back to back in one process.
+  EXPECT_GT(WorkerTasks([&] { w = run(wide, wg); }), 0u);
+  EXPECT_EQ(WorkerTasks([&] { n = run(narrow, ng); }), 0u);
+  EXPECT_EQ(wide.threads(), 4u);
+  EXPECT_EQ(narrow.threads(), 1u);
+  ASSERT_EQ(w.first.size(), 40u * 39u * 38u / 6u);
+  EXPECT_EQ(w.first, n.first);
+  EXPECT_EQ(w.second.block_reads, n.second.block_reads);
+  EXPECT_EQ(w.second.block_writes, n.second.block_writes);
+  EXPECT_EQ(w.second.cache_hits, n.second.cache_hits);
 }
 
-TEST(SortRunParallel, WideKeylessRecordsMatchStableSort) {
-  SplitMix64 rng(0x51DE);
-  CheckSortRunAcrossThreads<Wide32>(
-      (std::size_t{1} << 15) + 1237, Wide32Less{}, [&](std::size_t i) {
-        return Wide32{rng.Next() % 513, i, i * 3, ~i};
-      });
+/// A loaded file-backed graph: its staged store keeps Lemma 2 serial at any
+/// thread count, so a query there never fans out.
+Result<query::LoadedGraph> LoadFileGraph() {
+  em::EmConfig cfg;
+  cfg.memory_words = 1 << 11;
+  cfg.block_words = 32;
+  cfg.storage = em::StorageKind::kFile;
+  return query::LoadedGraph::FromEdges(
+      cfg, graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31));
 }
 
-TEST(SortRunParallel, PresortedReversedAllEqualPatterns) {
-  const std::size_t n = std::size_t{1} << 15;
-  CheckSortRunAcrossThreads<StableRec>(
-      n, StableRecLess{}, [&](std::size_t i) {
-        return StableRec{static_cast<std::uint32_t>(i), 0};  // presorted
-      });
-  CheckSortRunAcrossThreads<StableRec>(
-      n, StableRecLess{}, [&](std::size_t i) {
-        return StableRec{static_cast<std::uint32_t>(n - i), 0};  // reversed
-      });
-  CheckSortRunAcrossThreads<StableRec>(
-      n, StableRecLess{}, [&](std::size_t i) {
-        return StableRec{7, static_cast<std::uint32_t>(i)};  // all equal
-      });
+TEST(SessionThreads, RunQueryResolvesZeroToTheHardwareConcurrency) {
+  auto lg = LoadFileGraph();
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.algo = "mgt";
+  q.threads = 0;
+  auto r = lg->Run(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->threads_used, par::HardwareThreads());
+  EXPECT_GE(r->threads_used, 1u);
+  EXPECT_EQ(lg->session().threads(), par::HardwareThreads());
 }
 
-TEST(SortRunParallel, BelowGrainLoadsStaySerialAndCorrect) {
-  // Small loads never fan out (PartsFor returns 1) but must still sort.
-  SplitMix64 rng(0x77);
-  CheckSortRunAcrossThreads<StableRec>(
-      500, StableRecLess{}, [&](std::size_t i) {
-        return StableRec{static_cast<std::uint32_t>(rng.Next() % 17),
-                         static_cast<std::uint32_t>(i)};
-      });
+TEST(SessionThreads, RunQueryClampsAtMaxThreads) {
+  auto lg = LoadFileGraph();
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.algo = "mgt";
+  auto serial = lg->Run(q);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  q.threads = std::size_t{1} << 40;
+  Result<query::QueryResult> huge = Status::Internal("not run");
+  EXPECT_EQ(WorkerTasks([&] { huge = lg->Run(q); }), 0u);
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge->threads_used, par::kMaxThreads);
+  EXPECT_EQ(huge->triangles, serial->triangles);
+  EXPECT_EQ(huge->io.block_reads, serial->io.block_reads);
+  EXPECT_EQ(huge->io.block_writes, serial->io.block_writes);
+}
+
+TEST(SessionThreads, EachQuerySetsTheSessionThreadCount) {
+  // The count lives on the session, so a query must set it rather than
+  // inherit the previous query's.
+  em::EmConfig cfg;
+  cfg.memory_words = 1 << 12;
+  cfg.block_words = 32;
+  auto lg = query::LoadedGraph::FromEdges(cfg, graph::Clique(40));
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.kind = query::QueryKind::kEnumerate;
+  q.algo = "mgt";
+  q.threads = 4;
+  Result<query::QueryResult> wide = Status::Internal("not run");
+  Result<query::QueryResult> narrow = Status::Internal("not run");
+  EXPECT_GT(WorkerTasks([&] { wide = lg->Run(q); }), 0u);
+  q.threads = 1;
+  EXPECT_EQ(WorkerTasks([&] { narrow = lg->Run(q); }), 0u);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  EXPECT_EQ(wide->threads_used, 4u);
+  EXPECT_EQ(narrow->threads_used, 1u);
+  EXPECT_EQ(lg->session().threads(), 1u);
+  EXPECT_EQ(narrow->list, wide->list);
+  EXPECT_EQ(narrow->io.block_reads, wide->io.block_reads);
+  EXPECT_EQ(narrow->io.block_writes, wide->io.block_writes);
+  EXPECT_EQ(narrow->io.cache_hits, wide->io.cache_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,8 +416,8 @@ struct MatrixRun {
 MatrixRun RunMatrixCase(const std::string& algo,
                         const std::vector<graph::Edge>& raw,
                         std::size_t threads, em::StorageKind storage) {
-  ScopedThreads tscope(threads);
   em::Context ctx = test::MakeContext(1 << 11, 32, 0x7001, storage);
+  ctx.set_threads(threads);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
   ctx.ResetWork();
@@ -511,11 +478,13 @@ TEST(ParallelInvariance, HighThreadCountOnDenseGraph) {
 }
 
 TEST(ParallelInvariance, Clique4EnumerationIsThreadCountInvariant) {
-  // The 4-clique engine's refine loop also batches PairBits over the pool.
-  const std::vector<graph::Edge> raw = graph::CliqueUnion(4, 9);
+  // The 4-clique engine's in-memory pair join fans out over the pool: on
+  // K_40 at M = 2^11 its largest subproblems hold more candidate pairs than
+  // two join partitions' grain.
+  const std::vector<graph::Edge> raw = graph::Clique(40);
   auto run = [&](std::size_t threads) {
-    ScopedThreads scope(threads);
     em::Context ctx = test::MakeContext(1 << 11, 32);
+    ctx.set_threads(threads);
     graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
     ctx.cache().Reset();
     core::CollectingCliqueSink sink;
@@ -524,7 +493,7 @@ TEST(ParallelInvariance, Clique4EnumerationIsThreadCountInvariant) {
     return std::make_pair(sink.cliques(), ctx.cache().stats());
   };
   const auto [base_quads, base_io] = run(1);
-  EXPECT_FALSE(base_quads.empty());
+  EXPECT_EQ(base_quads.size(), 40u * 39u * 38u * 37u / 24u);
   for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
     const auto [quads, io] = run(threads);
     EXPECT_EQ(quads, base_quads) << "threads " << threads;
@@ -534,22 +503,24 @@ TEST(ParallelInvariance, Clique4EnumerationIsThreadCountInvariant) {
   }
 }
 
-TEST(ParallelInvariance, EngineSortFanOutKeepsOutputAndIoStatsIdentical) {
-  // Operating point chosen so run formation actually fans out: M = 2^16
-  // words gives 32768-record loads, 4x the parallel radix grain. The full
-  // external sort at threads=7 must reproduce the threads=1 array AND the
-  // threads=1 charge sequence.
+TEST(ParallelInvariance, EngineSortNeverFansOut) {
+  // Run formation is serial at every thread count: at M = 2^16 words
+  // (32768-record loads) a sort on a 7-thread session hands no part to a
+  // pool worker, and reproduces the one-thread array and charge sequence.
   const std::size_t n = std::size_t{1} << 17;
   auto run = [&](std::size_t threads) {
-    ScopedThreads scope(threads);
     em::Context ctx = test::MakeContext(1 << 16, 64, 0xE5);
+    ctx.set_threads(threads);
     em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
     ctx.cache().set_counting(false);
     SplitMix64 rng(0xFEED);
     for (std::size_t i = 0; i < n; ++i) a.Set(i, rng.Next() % 5000);
     ctx.cache().set_counting(true);
     ctx.cache().Reset();
-    extsort::ExternalMergeSort(ctx, a, std::less<std::uint64_t>{});
+    std::size_t tasks = WorkerTasks([&] {
+      extsort::ExternalMergeSort(ctx, a, std::less<std::uint64_t>{});
+    });
+    EXPECT_EQ(tasks, 0u) << "threads " << threads;
     ctx.cache().FlushAll();
     std::vector<std::uint64_t> out(n);
     a.ReadTo(0, n, out.data());
@@ -562,8 +533,6 @@ TEST(ParallelInvariance, EngineSortFanOutKeepsOutputAndIoStatsIdentical) {
   EXPECT_EQ(got_io.block_reads, base_io.block_reads);
   EXPECT_EQ(got_io.block_writes, base_io.block_writes);
   EXPECT_EQ(got_io.cache_hits, base_io.cache_hits);
-  // Fan-out genuinely engaged: the pool had to spawn workers.
-  EXPECT_GT(par::ThreadPool::Global().spawned_workers(), 0u);
 }
 
 TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
@@ -574,8 +543,8 @@ TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
   const std::vector<graph::Edge> raw =
       graph::Rmat(11, 12000, 0.45, 0.22, 0.22, 97);
   auto run = [&](std::size_t threads) {
-    ScopedThreads scope(threads);
     em::Context ctx = test::MakeContext(1 << 12, 32, 0xCA4);
+    ctx.set_threads(threads);
     graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
     ctx.cache().Reset();
     ctx.ResetWork();
@@ -610,8 +579,8 @@ TEST(ParallelInvariance, Lemma2EmitLoopFanOutOnDenseCore) {
   // flush them in byte-identical emission order.
   const std::vector<graph::Edge> raw = graph::Clique(150);
   auto run = [&](std::size_t threads) {
-    ScopedThreads scope(threads);
     em::Context ctx = test::MakeContext(1 << 15, 64, 0x150);
+    ctx.set_threads(threads);
     graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
     ctx.cache().Reset();
     ctx.ResetWork();
@@ -657,8 +626,8 @@ TEST(OrderedRun, FailedLemma2RunUnwindsAndTheContextStaysUsable) {
   const MatrixRun serial = clean_run(serial_ctx, serial_g);
   ASSERT_EQ(serial.triangles.size(), 60u * 59u * 58u / 6u);
 
-  ScopedThreads scope(4);
   em::Context ctx = test::MakeContext(1 << 12, 32);
+  ctx.set_threads(4);
   const graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   std::size_t emitted = 0;
   core::CallbackSink failing(

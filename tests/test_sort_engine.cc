@@ -25,7 +25,6 @@
 #include "extsort/loser_tree.h"
 #include "extsort/run_formation.h"
 #include "extsort/sort_key.h"
-#include "par/par_config.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -152,8 +151,10 @@ std::uint64_t PatternValue(Pattern p, std::size_t i, std::size_t n,
 template <typename T, typename Less, typename Make>
 void HostDifferential(Less less, Make make) {
   for (Pattern p : kAllPatterns) {
-    // Sizes straddling the insertion-sort threshold and the radix path.
-    for (std::size_t n : {0ul, 1ul, 2ul, 31ul, 47ul, 48ul, 257ul, 5000ul}) {
+    // Sizes straddling the insertion-sort threshold and the radix path, up
+    // to a 65,536-record load.
+    for (std::size_t n :
+         {0ul, 1ul, 2ul, 31ul, 47ul, 48ul, 257ul, 5000ul, 65536ul}) {
       SplitMix64 rng(0xC0FFEE ^ n);
       std::vector<T> input(n);
       for (std::size_t i = 0; i < n; ++i) input[i] = make(p, i, n, rng);
@@ -556,42 +557,15 @@ TEST(SortEngine, IoBoundHeaderPricesTheEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// 7. The keyless SortRun path against std::stable_sort, and the end-to-end
-// keyless external sort: output AND IoStats must be thread-count invariant
-// (run formation is pure host compute between the engine's charged passes).
+// 7. The keyless external sort ignores the session's thread count: run
+// formation is serial, so output AND IoStats match at every count.
 
-TEST(SortRunParallel, KeylessFallbackMatchesStableSortAcrossThreads) {
-  for (Pattern p : {Pattern::kDupHeavy, Pattern::kSorted, Pattern::kAllEqual,
-                    Pattern::kRandom}) {
-    // Small and large loads: either way one std::stable_sort, whatever the
-    // thread count.
-    for (std::size_t n : {std::size_t{300}, std::size_t{40000}}) {
-      SplitMix64 rng(0xBEEF ^ n);
-      std::vector<std::uint64_t> input(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        input[i] = PatternValue(p, i, n, rng);
-      }
-      std::vector<std::uint64_t> expect = input;
-      std::stable_sort(expect.begin(), expect.end(), PlainLess{});
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        par::ScopedThreads scope(threads);
-        std::vector<std::uint64_t> got = input;
-        SortRun(got.data(), got.size(), PlainLess{});
-        ASSERT_EQ(got, expect)
-            << PatternName(p) << " n=" << n << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(SortRunParallel, KeylessExternalSortKeepsOutputAndIoStatsIdentical) {
-  // M = 2^16 words: 65536-record loads, each one std::stable_sort whatever
-  // the thread count.
+TEST(SortEngine, KeylessExternalSortIgnoresTheSessionThreadCount) {
+  // M = 2^16 words: 65536-record loads, each one std::stable_sort.
   const std::size_t n = 1 << 17, m = 1 << 16, b = 64;
   auto run = [&](std::size_t threads) {
-    par::ScopedThreads scope(threads);
     em::Context ctx = test::MakeContext(m, b);
+    ctx.set_threads(threads);
     em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
     SplitMix64 rng(0xFACE);
     ctx.cache().set_counting(false);

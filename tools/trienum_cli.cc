@@ -43,7 +43,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/par_config.h"
 #include "query/query.h"
 
 namespace {
