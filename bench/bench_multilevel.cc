@@ -34,9 +34,8 @@ void BM_ObliviousTwoLevels(benchmark::State& state) {
     ctx.cache().Reset();
     ctx.probe()->Reset();
     core::CountingSink sink;
-    core::CacheObliviousOptions opts;
-    opts.seed = 4242;
-    core::EnumerateCacheOblivious(ctx, g, sink, opts);
+    ctx.set_seed(4242);
+    core::EnumerateCacheOblivious(ctx, g, sink);
     ctx.cache().FlushAll();
     ctx.probe()->FlushAll();
     l1 = ctx.probe()->stats().total_ios();

@@ -35,9 +35,7 @@ const std::vector<AlgorithmInfo>& AllAlgorithms() {
         "deterministic O(E^1.5/(sqrt(M)B)) I/Os",
         /*cache_aware=*/true, /*randomized=*/false,
         [](em::QuerySession& ctx, const graph::EmGraph& g, TriangleSink& sink) {
-          CacheAwareOptions opts;
-          opts.deterministic_coloring = true;
-          EnumerateCacheAware(ctx, g, sink, opts);
+          EnumerateDeterministic(ctx, g, sink);
         }});
     v->push_back(AlgorithmInfo{
         "mgt",

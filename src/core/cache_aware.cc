@@ -13,9 +13,11 @@
 #include "obs/trace.h"
 
 namespace trienum::core {
+namespace {
 
-void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
-                         TriangleSink& sink, const CacheAwareOptions& opts) {
+/// §2's body; `deterministic` picks §4's coloring over the random one.
+void Enumerate(em::QuerySession& ctx, const graph::EmGraph& g,
+               TriangleSink& sink, bool deterministic) {
   using graph::ColoredEdge;
   using graph::Edge;
   using graph::VertexId;
@@ -24,15 +26,14 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
   if (m0 < 3) return;
   auto region = ctx.Region();
 
-  // Working copy of the edge set; shrinks as high-degree vertices are pulled
-  // out.
-  em::Array<Edge> work = ctx.Alloc<Edge>(m0);
-  extsort::Copy(g.edges, work);
-  std::size_t wlen = m0;
-
   // ---- Step 1: triangles with a high-degree vertex (Lemma 1 each) ----------
-  if (opts.high_degree_step) {
+  // Its working copy of the edge set shrinks as high-degree vertices are
+  // pulled out.
+  em::Array<Edge> work = ctx.Alloc<Edge>(m0);
+  std::size_t wlen = m0;
+  {
     obs::Span span("ca.high_degree");
+    extsort::Copy(g.edges, work);
     const double threshold = std::sqrt(static_cast<double>(m0) *
                                        static_cast<double>(ctx.memory_words()));
     // Ids are in non-decreasing degree order, so V_h is a suffix.
@@ -63,15 +64,13 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
   // ---- Step 2: coloring and bucketing ---------------------------------------
   std::uint32_t c = 1;
   while (static_cast<std::uint64_t>(c) * c * ctx.memory_words() < wlen) c <<= 1;
-  if (opts.force_colors != 0) c = opts.force_colors;
 
   ColorFn color;
-  if (opts.deterministic_coloring) {
+  if (deterministic) {
     DeterministicColoring det = BuildDeterministicColoring(ctx, low, c);
     color = [det](VertexId v) { return det.Color(v); };
   } else {
-    std::uint64_t seed = opts.seed != 0 ? opts.seed : ctx.seed();
-    hashing::FourWiseHash h(seed);
+    hashing::FourWiseHash h(ctx.seed());
     std::uint32_t cc = c;
     color = [h, cc](VertexId v) { return h.Color(v, cc); };
   }
@@ -148,8 +147,6 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
   };
   obs::Span span("ca.color_triples");
   span.AddArg("colors", c);
-  PivotEnumOptions popts;
-  popts.chunk_fraction = opts.chunk_fraction;
   auto charged_bound = [&](std::size_t key) {
     return static_cast<std::size_t>(offsets.Get(key));
   };
@@ -157,7 +154,7 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
     for_each_triple(charged_bound, [&](em::Array<Edge> cone_a,
                                        em::Array<Edge> cone_b,
                                        em::Array<Edge> pivot) {
-      PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink, popts);
+      PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink);
     });
     return;
   }
@@ -181,8 +178,20 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
             cone_a, cone_b, pivot, [&charge, ks = keys] { charge(ks); }});
         keys.clear();
       });
-  PivotEnumerateOrdered<Edge>(ctx, calls, sink, popts);
+  PivotEnumerateOrdered<Edge>(ctx, calls, sink);
   charge(keys);
+}
+
+}  // namespace
+
+void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
+                         TriangleSink& sink) {
+  Enumerate(ctx, g, sink, /*deterministic=*/false);
+}
+
+void EnumerateDeterministic(em::QuerySession& ctx, const graph::EmGraph& g,
+                            TriangleSink& sink) {
+  Enumerate(ctx, g, sink, /*deterministic=*/true);
 }
 
 double PaghSilvestriIoBound(std::size_t num_edges, std::size_t m, std::size_t b) {

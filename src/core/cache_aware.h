@@ -15,31 +15,22 @@
 #ifndef TRIENUM_CORE_CACHE_AWARE_H_
 #define TRIENUM_CORE_CACHE_AWARE_H_
 
-#include <cstdint>
+#include <cstddef>
 
 #include "core/sink.h"
 #include "graph/normalize.h"
 
 namespace trienum::core {
 
-struct CacheAwareOptions {
-  /// Seed of the random coloring; 0 means "use the context's master seed".
-  std::uint64_t seed = 0;
-  /// Use the §4 greedy derandomized coloring (Theorem 2) instead of the
-  /// random 4-wise one.
-  bool deterministic_coloring = false;
-  /// Ablation: disable the high-degree-vertex step (step 1).
-  bool high_degree_step = true;
-  /// Fraction alpha of M used for pivot chunks in Lemma 2.
-  double chunk_fraction = 1.0 / 8.0;
-  /// Force the number of colors (power of two); 0 = the paper's
-  /// sqrt(E/M) rounded up.
-  std::uint32_t force_colors = 0;
-};
-
-/// Enumerates all triangles of the normalized graph `g`.
+/// Enumerates all triangles of the normalized graph `g`, coloring with a
+/// 4-wise independent hash seeded from ctx.seed().
 void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
-                         TriangleSink& sink, const CacheAwareOptions& opts = {});
+                         TriangleSink& sink);
+
+/// The same algorithm with the §4 greedy derandomized coloring (Theorem 2):
+/// no randomness, the worst-case bound.
+void EnumerateDeterministic(em::QuerySession& ctx, const graph::EmGraph& g,
+                            TriangleSink& sink);
 
 /// The paper's bound E^{3/2} / (sqrt(M) B) (no constants): the yardstick all
 /// EXP-* benches normalize measured I/Os against.

@@ -103,10 +103,20 @@ struct LevelTally {
   std::uint64_t writes = 0;
 };
 
+/// The recursion's shape, reported as co.recurse args.
+struct Shape {
+  std::uint64_t subproblems = 0;        ///< recursion nodes entered
+  std::uint64_t base_cases = 0;         ///< base cases solved
+  std::uint64_t high_degree_calls = 0;  ///< Lemma 1 invocations
+  std::uint64_t total_child_edges = 0;  ///< sum of child edge-set sizes
+  int max_depth_reached = 0;
+};
+
 /// Span args keep their key pointers until the trace is written, so the
 /// "level<d>_<field>" keys live in a static table. max_depth = ceil(log4 E)
-/// stays below 32 for any E below 2^62; deeper levels, reachable only with
-/// max_depth_override, share the last row.
+/// stays below 32 for any E below 2^62; deeper levels, reachable only
+/// through a larger cap of internal::EnumerateCacheObliviousToDepth, share
+/// the last row.
 constexpr int kLevelRows = 32;
 constexpr const char* kLevelFields[4] = {"nodes", "edges", "reads", "writes"};
 
@@ -151,15 +161,12 @@ class RoleTimer {
 
 class CoRunner {
  public:
-  CoRunner(em::QuerySession& ctx, TriangleSink& sink,
-           const CacheObliviousOptions& opts, int max_depth,
-           CacheObliviousReport* report, bool timed)
+  CoRunner(em::QuerySession& ctx, TriangleSink& sink, int max_depth,
+           bool timed)
       : ctx_(ctx),
         sink_(sink),
-        opts_(opts),
         max_depth_(max_depth),
-        rng_(opts.seed != 0 ? opts.seed : ctx.seed()),
-        report_(report),
+        rng_(ctx.seed()),
         timed_(timed) {
     if (timed_) level_mark_ = ctx_.cache().stats();
   }
@@ -175,10 +182,8 @@ class CoRunner {
     // so fewer than three edges cannot contain one (the paper's "E empty"
     // base, tightened to the trivially sound constant).
     if (len < 3) return;
-    if (report_ != nullptr) {
-      ++report_->subproblems;
-      report_->max_depth_reached = std::max(report_->max_depth_reached, depth);
-    }
+    ++shape_.subproblems;
+    shape_.max_depth_reached = std::max(shape_.max_depth_reached, depth);
     if (timed_) {
       SwitchLevel(depth);
       ++levels_[level_].nodes;
@@ -203,7 +208,6 @@ class CoRunner {
     // depth-first.
     std::array<std::array<std::uint32_t, 3>, 8> cc;
     std::array<std::size_t, 8> child_len{};
-    std::array<std::array<std::uint64_t, 3>, 8> slots{};
     for (int z = 0; z < 8; ++z) {
       cc[z] = {2 * col[0] - ((z >> 0) & 1), 2 * col[1] - ((z >> 1) & 1),
                2 * col[2] - ((z >> 2) & 1)};
@@ -212,9 +216,9 @@ class CoRunner {
     // bits (z's bit k is position k's refinement bit), leaving exactly two
     // candidate children per slot class. Equivalent to comparing (nu, nv)
     // against all eight cc[z] rows, at a fraction of the work. Bit z of
-    // `hit` marks child z and byte z of `flags` holds its slot classes, so
-    // only the (at most six) hit children are visited, in ascending z. Each
-    // pass over the parent charges its 2 units of work per record itself.
+    // `hit` marks child z, so only the (at most six) hit children are
+    // visited, in ascending z. Each pass over the parent charges its 2 units
+    // of work per record itself.
     auto route = [&](const ColoredEdge& e, std::uint32_t bu, std::uint32_t bv,
                      auto&& per_child) {
       const std::uint32_t s01 = e.cu == col[0] && e.cv == col[1];
@@ -226,26 +230,12 @@ class CoRunner {
       const std::uint32_t hit = (s01 << z01) | (s01 << (z01 | 4)) |
                                 (s12 << z12) | (s12 << (z12 | 1)) |
                                 (s02 << z02) | (s02 << (z02 | 2));
-      const std::uint64_t flags = (std::uint64_t{s01} << (8 * z01)) |
-                                  (std::uint64_t{s01} << (8 * (z01 | 4))) |
-                                  (std::uint64_t{s12} << (8 * z12 + 1)) |
-                                  (std::uint64_t{s12} << (8 * (z12 | 1) + 1)) |
-                                  (std::uint64_t{s02} << (8 * z02 + 2)) |
-                                  (std::uint64_t{s02} << (8 * (z02 | 2) + 2));
       const ColoredEdge ce{e.u, e.v, 2 * e.cu - bu, 2 * e.cv - bv};
       for (std::uint32_t m = hit; m != 0; m &= m - 1) {
-        const int z = __builtin_ctz(m);
-        const auto f = static_cast<std::uint32_t>(flags >> (8 * z));
-        per_child(z, ce, (f & 1) != 0, (f & 2) != 0, (f & 4) != 0);
+        per_child(__builtin_ctz(m), ce);
       }
     };
-    auto count_child = [&](int z, const ColoredEdge&, bool s01, bool s12,
-                           bool s02) {
-      ++child_len[z];
-      slots[z][0] += s01 ? 1 : 0;
-      slots[z][1] += s12 ? 1 : 0;
-      slots[z][2] += s02 ? 1 : 0;
-    };
+    auto count_child = [&](int z, const ColoredEdge&) { ++child_len[z]; };
     // Refinement bits are GF(2^61-1) polynomial evaluations — the
     // recursion's hottest host work. Each record's two bits are evaluated
     // once (one batched two-point evaluation on the counting pass) and
@@ -289,67 +279,23 @@ class CoRunner {
     // finder, in the child's own record order.
     em::DeviceRegion region = ctx_.Region();
     std::array<internal::HighDegreeFinder, 8> finders;
-    std::uint32_t feed = 0;  // bit z: child z runs the step
-    auto feed_children = [&] {
-      for (int z = 0; z < 8; ++z) {
-        if (RunsStep(child_len[z], depth + 1)) feed |= 1u << z;
-      }
-    };
-    // A tiny node writes its children record by record (`children`); a
-    // larger one streams them through `writers`.
-    const bool tiny = len < kTinyBase;
-    std::array<em::Array<ColoredEdge>, 8> children;
     std::array<em::Writer<ColoredEdge>, 8> writers;
-    if (tiny) {
-      // Small-subproblem fast path. At the default cutoff it runs only when
-      // Lemma 1 leaves fewer than kTinyBase edges; under a base_cutoff below
-      // kTinyBase it runs for every small node. One charged read brings the
-      // records host-side; the second pass re-charges the scan without
-      // re-moving data, and the refinement bits are computed once and
-      // reused. Each child record is one Set, so the touch sequence is that
-      // of the two-scan path with per-record writes. The path always counts
-      // the children itself, so counts from a verify scan are reset first.
-      RoleTimer timer(Tally(roles_.partition));
-      std::array<ColoredEdge, kTinyBase> ebuf;
-      std::array<std::uint8_t, kTinyBase> ebits;
-      child_len = {};
-      slots = {};
-      a.ReadScanInto(0, len, ebuf.data());
-      ctx_.AddWork(2 * len);
-      for (std::size_t i = 0; i < len; ++i) {
-        ebits[i] = static_cast<std::uint8_t>(bh.PairBits(ebuf[i].u, ebuf[i].v));
-        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1, count_child);
-      }
-      for (int z = 0; z < 8; ++z) {
-        children[z] = ctx_.Alloc<ColoredEdge>(child_len[z]);
-      }
-      feed_children();
-      std::array<std::size_t, 8> filled{};
-      a.TouchScanRange(0, len);  // the routing pass's read charges
-      ctx_.AddWork(2 * len);
-      for (std::size_t i = 0; i < len; ++i) {
-        route(ebuf[i], ebits[i] & 1u, ebits[i] >> 1,
-              [&](int z, const ColoredEdge& ce, bool, bool, bool) {
-                children[z].Set(filled[z]++, ce);
-                if ((feed >> z) & 1u) finders[z].Count(ce.u, ce.v);
-              });
-      }
-    } else {
+    {
       RoleTimer timer(Tally(roles_.partition));
       if (!counts_final) {
         child_len = {};
-        slots = {};
         nbits = 0;
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
         while (in.HasNext()) count_record(in.Next());
       }
       ctx_.AddWork(2 * len);  // the counting pass, fused or not
+      std::uint32_t feed = 0;  // bit z: child z runs the step
       for (int z = 0; z < 8; ++z) {
         writers[z] =
             em::Writer<ColoredEdge>(ctx_.Alloc<ColoredEdge>(child_len[z]));
+        if (RunsStep(child_len[z], depth + 1)) feed |= 1u << z;
       }
-      feed_children();
-      auto push_child = [&](int z, const ColoredEdge& ce, bool, bool, bool) {
+      auto push_child = [&](int z, const ColoredEdge& ce) {
         writers[z].Push(ce);
         if ((feed >> z) & 1u) finders[z].Count(ce.u, ce.v);
       };
@@ -376,18 +322,14 @@ class CoRunner {
     ctx_.DropLines(input.base(),
                    input.size() * em::Array<ColoredEdge>::kWordsPer);
     for (int z = 0; z < 8; ++z) {
-      if (report_ != nullptr) report_->total_child_edges += child_len[z];
-      if (opts_.prune_empty_slots &&
-          (slots[z][0] == 0 || slots[z][1] == 0 || slots[z][2] == 0)) {
-        continue;  // a proper triangle needs one edge in each slot class
-      }
-      // A streamed child's tail line is flushed only now, just before the
-      // child recurses.
-      Recurse(tiny ? children[z] : writers[z].Written(), cc[z], depth + 1,
-              finders[z]);
+      shape_.total_child_edges += child_len[z];
+      // A child's tail line is flushed only now, just before it recurses.
+      Recurse(writers[z].Written(), cc[z], depth + 1, finders[z]);
       SwitchLevel(depth);
     }
   }
+
+  const Shape& shape() const { return shape_; }
 
   /// Per-role wall time and node counts, filled only when timed.
   const RoleTallies& roles() const { return roles_; }
@@ -400,7 +342,6 @@ class CoRunner {
   }
 
  private:
-  static constexpr std::size_t kTinyBase = CacheObliviousOptions::kTinyBase;
   /// Smallest subproblem that runs the high-degree step.
   static constexpr std::size_t kStepMin = 24;
 
@@ -426,8 +367,7 @@ class CoRunner {
 
   /// Whether a node of `len` edges at `depth` is solved by the base case.
   bool IsBase(std::size_t len, int depth) const {
-    return depth >= max_depth_ ||
-           (opts_.base_cutoff != 0 && len <= opts_.base_cutoff);
+    return depth >= max_depth_ || len <= kTinyBase;
   }
 
   /// Whether a node of `len` edges at `depth` runs the high-degree step. The
@@ -476,7 +416,7 @@ class CoRunner {
 
     RoleTimer timer(Tally(roles_.lemma1));
     for (VertexId x : high) {
-      if (report_ != nullptr) ++report_->high_degree_calls;
+      ++shape_.high_degree_calls;
       em::Array<ColoredEdge> cur = a.Slice(0, len);
       EnumerateTrianglesContaining<ColoredEdge>(
           ctx_, cur, x, extsort::ObliviousSorter{},
@@ -500,7 +440,7 @@ class CoRunner {
   /// listing in its oblivious (funnelsort) flavor. Both filter to proper
   /// triangles.
   void BaseCase(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col) {
-    if (report_ != nullptr) ++report_->base_cases;
+    ++shape_.base_cases;
     const std::size_t len = a.size();
     if (len <= kTinyBase) {
       em::ScratchLease lease = ctx_.LeaseScratch(2 * kTinyBase + 8);
@@ -540,11 +480,10 @@ class CoRunner {
 
   em::QuerySession& ctx_;
   TriangleSink& sink_;
-  CacheObliviousOptions opts_;
   int max_depth_;
   SplitMix64 rng_;
-  CacheObliviousReport* report_;
   const bool timed_;
+  Shape shape_;
   RoleTallies roles_;
   std::array<LevelTally, kLevelRows> levels_{};
   int level_ = 0;          // the depth charged at the next switch
@@ -554,10 +493,11 @@ class CoRunner {
 
 }  // namespace
 
-void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
-                             TriangleSink& sink,
-                             const CacheObliviousOptions& opts,
-                             CacheObliviousReport* report) {
+namespace internal {
+
+void EnumerateCacheObliviousToDepth(em::QuerySession& ctx,
+                                    const graph::EmGraph& g,
+                                    TriangleSink& sink, int max_depth) {
   const std::size_t m = g.num_edges();
   if (m < 3) return;
   auto region = ctx.Region();
@@ -565,15 +505,14 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   // The (1,1,1)-problem under the constant coloring xi = 1. The transform
   // that writes the root also makes the root's high-degree pass 1.
   em::Array<ColoredEdge> root = ctx.Alloc<ColoredEdge>(m);
-  internal::HighDegreeFinder counted;
-  extsort::Transform(g.edges, root, [&counted](const graph::Edge& e) {
-    counted.Count(e.u, e.v);
-    return ColoredEdge{e.u, e.v, 1, 1};
-  });
-
-  int max_depth = 0;  // ceil(log4 E)
-  while ((std::uint64_t{1} << (2 * max_depth)) < m) ++max_depth;
-  if (opts.max_depth_override >= 0) max_depth = opts.max_depth_override;
+  HighDegreeFinder counted;
+  {
+    obs::Span span("co.root");
+    extsort::Transform(g.edges, root, [&counted](const graph::Edge& e) {
+      counted.Count(e.u, e.v);
+      return ColoredEdge{e.u, e.v, 1, 1};
+    });
+  }
 
   // One span for the whole recursion: per-node spans would emit an event per
   // subproblem, so the runner tallies each role's time and nodes, and each
@@ -584,9 +523,7 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   span.AddArg("record_words", em::Array<ColoredEdge>::kWordsPer);
   span.AddArg("max_depth", static_cast<std::uint64_t>(max_depth));
   const bool timed = obs::CurrentTraceCollector() != nullptr;
-  CacheObliviousReport local;
-  if (timed && report == nullptr) report = &local;
-  CoRunner runner(ctx, sink, opts, max_depth, report, timed);
+  CoRunner runner(ctx, sink, max_depth, timed);
   runner.Recurse(root, {1, 1, 1}, 0, counted);
   if (!timed) return;
   const RoleTallies& roles = runner.roles();
@@ -598,19 +535,29 @@ void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
   span.AddArg("partition_nodes", roles.partition.nodes);
   span.AddArg("base_ns", roles.base.ns);
   span.AddArg("base_nodes", roles.base.nodes);
-  span.AddArg("subproblems", report->subproblems);
-  span.AddArg("base_cases", report->base_cases);
-  span.AddArg("high_degree_calls", report->high_degree_calls);
-  span.AddArg("total_child_edges", report->total_child_edges);
+  const Shape& shape = runner.shape();
+  span.AddArg("subproblems", shape.subproblems);
+  span.AddArg("base_cases", shape.base_cases);
+  span.AddArg("high_degree_calls", shape.high_degree_calls);
+  span.AddArg("total_child_edges", shape.total_child_edges);
   span.AddArg("max_depth_reached",
-              static_cast<std::uint64_t>(report->max_depth_reached));
+              static_cast<std::uint64_t>(shape.max_depth_reached));
   const std::array<LevelTally, kLevelRows>& levels = runner.levels();
-  for (int d = 0; d <= std::min(report->max_depth_reached, kLevelRows - 1);
+  for (int d = 0; d <= std::min(shape.max_depth_reached, kLevelRows - 1);
        ++d) {
     const LevelTally& t = levels[d];
     const std::uint64_t values[4] = {t.nodes, t.edges, t.reads, t.writes};
     for (int f = 0; f < 4; ++f) span.AddArg(LevelKey(d, f), values[f]);
   }
+}
+
+}  // namespace internal
+
+void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
+                             TriangleSink& sink) {
+  int max_depth = 0;  // ceil(log4 E)
+  while ((std::uint64_t{1} << (2 * max_depth)) < g.num_edges()) ++max_depth;
+  internal::EnumerateCacheObliviousToDepth(ctx, g, sink, max_depth);
 }
 
 }  // namespace trienum::core

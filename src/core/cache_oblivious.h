@@ -16,12 +16,18 @@
 //      scan writes. A node above the base case whose step 1 removes no
 //      edge thus reads its input twice; when step 1 removes edges, the
 //      filtered array is counted again before the routing scan.
-// Recursion ends at depth log4(E), or once a subproblem has at most
-// base_cutoff edges (default kTinyBase = 64). A base case of at most
-// kTinyBase edges is solved in an O(1) host buffer, a larger one with
-// Dementiev's sort/scan algorithm (funnelsort flavor); both filter to proper
-// triangles. Triangle enumeration is the (1,1,1)-problem under the constant
-// coloring.
+// Recursion ends at depth ceil(log4 E), or once a subproblem has at most
+// kTinyBase = 64 edges. A base case of at most kTinyBase edges is solved in
+// an O(1) host buffer; a larger one, reached only when the depth cap stops a
+// node first, runs Dementiev's sort/scan algorithm (funnelsort flavor). Both
+// filter to proper triangles. Triangle enumeration is the (1,1,1)-problem
+// under the constant coloring. The refinement bits come from ctx.seed().
+//
+// Traced, the recursion is one `co.recurse` span whose args carry its shape
+// (subproblems, base_cases, high_degree_calls, total_child_edges,
+// max_depth_reached), each role's time and nodes, and each depth's nodes,
+// edges and exclusive block I/Os; the root's transform is its own
+// `co.root` span before it.
 #ifndef TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 #define TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 
@@ -34,49 +40,21 @@
 
 namespace trienum::core {
 
-struct CacheObliviousOptions {
-  /// Largest subproblem the base case solves in an O(1)-sized host buffer
-  /// (one charged read, a sort and a wedge probe). A fixed constant, so the
-  /// algorithm stays oblivious to M and B.
-  static constexpr std::size_t kTinyBase = 64;
-
-  /// Seed for the per-node refinement bits; 0 means the context's seed.
-  std::uint64_t seed = 0;
-  /// Ablation: skip a child whose edge set misses one of the three slot
-  /// classes its proper triangles would need (not in the paper; default off).
-  bool prune_empty_slots = false;
-  /// Fall to the base case when a subproblem has at most this many edges,
-  /// in addition to the paper's depth-log4(E) rule. The paper's analysis
-  /// charges constant-size subproblems O(1), so a constant cutoff keeps the
-  /// bound and the obliviousness. The default, kTinyBase, is the largest
-  /// cutoff whose leaves all fit the tiny host base case. A smaller cutoff
-  /// keeps splitting nodes of a few dozen edges, each paying a high-degree
-  /// verify scan, an 8-way partition and often a Lemma 1 call. A
-  /// larger one sends the nodes between kTinyBase and the cutoff to the
-  /// Dementiev/funnel-sort base, which costs far more per edge than
-  /// splitting them. On R-MAT scale 12 (E=16384, M=4096, B=64), a cutoff of
-  /// 16 took 2.4x the wall time of 64 and 9% more I/Os; 96, 128 and 256
-  /// took 2.6x, 3.0x and 7.4x, also with more I/Os.
-  /// 0 = paper-exact depth-only termination (ablation bench EXP-AB).
-  std::size_t base_cutoff = kTinyBase;
-  /// Override of the maximum recursion depth (< 0 = the paper's log4(E)).
-  int max_depth_override = -1;
-};
-
-/// Statistics of one run, for the recursion-shape benches.
-struct CacheObliviousReport {
-  std::uint64_t subproblems = 0;       ///< recursion nodes entered
-  std::uint64_t base_cases = 0;        ///< Dementiev leaves executed
-  std::uint64_t high_degree_calls = 0; ///< Lemma-1 invocations
-  std::uint64_t total_child_edges = 0; ///< sum of child edge-set sizes
-  int max_depth_reached = 0;
-};
+/// Largest subproblem the recursion splits no further. Such a node is solved
+/// in an O(1)-sized host buffer (one charged read, a sort and a wedge
+/// probe), whose lease of 2 * kTinyBase + 8 words also sets the smallest M
+/// the algorithm runs at. A fixed constant, so the algorithm stays
+/// oblivious to M and B; the paper's analysis charges constant-size
+/// subproblems O(1), so it keeps the bound. A smaller cutoff keeps
+/// splitting nodes of a few dozen edges, each paying a high-degree verify
+/// scan, an 8-way partition and often a Lemma 1 call: on R-MAT scale 12
+/// (E=16384, M=4096, B=64), a cutoff of 16 took 2.4x the wall time of 64
+/// and 9% more I/Os.
+inline constexpr std::size_t kTinyBase = 64;
 
 /// Enumerates all triangles of `g`, cache-obliviously.
 void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
-                             TriangleSink& sink,
-                             const CacheObliviousOptions& opts = {},
-                             CacheObliviousReport* report = nullptr);
+                             TriangleSink& sink);
 
 namespace internal {
 
@@ -119,6 +97,13 @@ class HighDegreeFinder {
   std::uint32_t occupied_ = 0;  // bit k: lane k holds a live counter
   std::size_t counted_ = 0;
 };
+
+/// EnumerateCacheOblivious with the depth cap `max_depth` in place of
+/// ceil(log4 E), so a test can reach the Dementiev base (cap 0 solves the
+/// whole graph there).
+void EnumerateCacheObliviousToDepth(em::QuerySession& ctx,
+                                    const graph::EmGraph& g,
+                                    TriangleSink& sink, int max_depth);
 
 }  // namespace internal
 

@@ -104,7 +104,7 @@ class QuadRecursor {
         return;
       }
       std::vector<std::vector<std::array<VertexId, 4>>> bufs(parts);
-      par::ThreadPool::Global().Run(parts, threads, [&](std::size_t k) {
+      auto join = [&](std::size_t k) {
         const par::Range rows = par::PartRange(b12.size(), parts, k);
         for (std::size_t i = rows.lo; i < rows.hi; ++i) {
           for (const Edge& e34 : b34) {
@@ -113,7 +113,8 @@ class QuadRecursor {
             }
           }
         }
-      });
+      };
+      ctx_.NoteThreadsUsed(par::ThreadPool::Global().Run(parts, threads, join));
       for (const auto& buf : bufs) {
         for (const auto& q : buf) sink_.Emit4(q[0], q[1], q[2], q[3]);
       }

@@ -7,6 +7,7 @@
 #include "extsort/ext_merge_sort.h"
 #include "extsort/sort_key.h"
 #include "hashing/bit_family.h"
+#include "obs/trace.h"
 
 namespace trienum::core {
 namespace {
@@ -206,6 +207,8 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
   // The slack of (4): the paper's alpha = 1/log2(c).
   const double alpha = 1.0 / static_cast<double>(levels);
 
+  // One span for all rounds; the region releases inside it.
+  obs::Span span("det.round");
   auto region = ctx.Region();
   const std::size_t m = edges.size();
   em::Array<ColoredEdge> ce = ctx.Alloc<ColoredEdge>(m);
@@ -267,6 +270,8 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
     seeds.push_back(best_seed);
     bits.push_back(best_fn);
     phi = best_phi;
+    // Nothing reads the arrays after the last round.
+    if (round == levels) break;
 
     // Apply the accepted bit: refine colors, rebuild and re-sort by class.
     for (std::size_t i = 0; i < m; ++i) {
@@ -279,6 +284,8 @@ DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
     SortStructures(ctx, ce, inc);
   }
 
+  span.AddArg("rounds", static_cast<std::uint64_t>(levels));
+  span.AddArg("candidates", tried);
   DeterministicColoring out(c, std::move(bits));
   out.set_round_seeds(std::move(seeds));
   out.set_final_potential(phi);  // at the last level the potential IS X_xi

@@ -9,8 +9,8 @@
 //
 // with alpha = 1/log2(c). At i = log2(c) the left side *is* X_xi, giving the
 // deterministic guarantee X_xi < e*E*M that Theorem 2 needs. Candidates come
-// from a fixed deterministic schedule (see hashing/bit_family.h and
-// DESIGN.md §2 for the substitution of the AGHP family); for each candidate
+// from a fixed deterministic schedule (hashing/bit_family.h explains why it
+// may stand in for the AGHP family); for each candidate
 // the potential is evaluated exactly with two scans (class-grouped edges for
 // the subclass counts, (class, vertex)-grouped incidences for the adjacent
 // pairs), and the first candidate satisfying (4) is accepted — by Markov's
@@ -75,7 +75,9 @@ class DeterministicColoring {
 
 /// Runs the greedy bit-fixing over `edges` (lex-sorted, low-degree part of
 /// the graph) for c colors (power of two). O(E log(E/M) / B)-ish I/Os plus
-/// one sort per round, as in the paper's Theorem 2 proof.
+/// one sort per round, as in the paper's Theorem 2 proof; the last round
+/// skips its refine and re-sort, since nothing reads them. Traced as one
+/// `det.round` span with `rounds` and `candidates` args.
 DeterministicColoring BuildDeterministicColoring(em::QuerySession& ctx,
                                                  em::Array<graph::Edge> edges,
                                                  std::uint32_t c,

@@ -21,7 +21,7 @@ void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g,
 double MgtIoBound(std::size_t num_edges, std::size_t m, std::size_t b) {
   double e = static_cast<double>(num_edges);
   double chunk = std::max(
-      1.0, static_cast<double>(m) * PivotEnumOptions{}.chunk_fraction);
+      1.0, static_cast<double>(m) * kChunkFraction);
   double chunks = std::ceil(e / chunk);
   // Each chunk costs one scan of E (cone stream) plus reading the chunk.
   return chunks * (e / static_cast<double>(b) + chunk / static_cast<double>(b)) +

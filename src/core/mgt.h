@@ -18,7 +18,7 @@
 namespace trienum::core {
 
 /// Enumerates every triangle of the normalized graph `g`, with resident
-/// pivot chunks of PivotEnumOptions' default fraction alpha = 1/8 of M.
+/// pivot chunks of kChunkFraction (alpha = 1/8) of M.
 void EnumerateMgt(em::QuerySession& ctx, const graph::EmGraph& g,
                   TriangleSink& sink);
 

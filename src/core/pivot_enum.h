@@ -8,13 +8,12 @@
 // resident pivot edge {u, w} with u, w in Gamma_v closes the triangle
 // (v, u, w).
 //
-// The same engine serves three callers:
+// The same engine serves two callers:
 //   * the full Hu-Tao-Chung baseline (cone = pivot = E);
 //   * step 3 of the paper's cache-aware algorithm, where the cone edges come
 //     from color buckets (tau1,tau2) and (tau1,tau3) and the pivot from
 //     (tau2,tau3) — which makes the paper's "ignore triangles whose cone
-//     vertex is not colored tau1" a structural no-op;
-//   * ablation benches sweeping the chunk fraction alpha.
+//     vertex is not colored tau1" a structural no-op.
 //
 // Each chunk (load, then cone scan) is independent of every other, and so
 // is each call. Two engines run the same per-chunk code
@@ -318,10 +317,8 @@ inline constexpr std::size_t kChunkWordsPer = em::Array<EdgeT>::kWordsPer + 6;
 
 }  // namespace internal
 
-struct PivotEnumOptions {
-  /// Fraction alpha of internal memory used for the resident pivot chunk.
-  double chunk_fraction = 1.0 / 8.0;
-};
+/// Fraction alpha of internal memory that one resident pivot chunk takes.
+inline constexpr double kChunkFraction = 1.0 / 8.0;
 
 /// One Lemma 2 call of an ordered batch (PivotEnumerateOrdered): arrays as
 /// for PivotEnumerate, plus the caller's own charges that precede the call
@@ -338,16 +335,15 @@ struct PivotCall {
 
 namespace internal {
 
-/// Records per resident chunk: alpha*M words of records, capped so the
-/// chunk's scratch lease stays within M even for aggressive alpha.
+/// Records per resident chunk: alpha*M words of records, at least one. At
+/// alpha = 1/8 the chunk's scratch lease of kChunkWordsPer words a record
+/// stays within M.
 template <typename EdgeT>
-std::size_t ChunkItems(const em::QuerySession& ctx,
-                       const PivotEnumOptions& opts) {
+std::size_t ChunkItems(const em::QuerySession& ctx) {
   const std::size_t items = static_cast<std::size_t>(
-      static_cast<double>(ctx.memory_words()) * opts.chunk_fraction /
+      static_cast<double>(ctx.memory_words()) * kChunkFraction /
       static_cast<double>(em::Array<EdgeT>::kWordsPer));
-  return std::max<std::size_t>(
-      std::min(items, ctx.memory_words() / kChunkWordsPer<EdgeT>), 1);
+  return std::max<std::size_t>(items, 1);
 }
 
 /// One slot of the ordered engine, reused by every task RunOrdered assigns
@@ -386,12 +382,11 @@ inline bool PivotChunksRunOrdered(em::QuerySession& ctx) {
 template <typename EdgeT>
 void PivotEnumerateOrdered(em::QuerySession& ctx,
                            const std::vector<PivotCall<EdgeT>>& calls,
-                           TriangleSink& sink,
-                           const PivotEnumOptions& opts = {}) {
+                           TriangleSink& sink) {
   struct Task {
     std::size_t call, p0, p1;
   };
-  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx, opts);
+  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx);
   em::GraphStore& store = ctx.store();
   std::vector<Task> tasks;
   for (std::size_t k = 0; k < calls.size(); ++k) {
@@ -483,7 +478,7 @@ void PivotEnumerateOrdered(em::QuerySession& ctx,
         ctx.device().Mark() == top && ctx.device().direct_view() == words,
         "device allocation while Lemma 2 chunks are in flight");
   };
-  par::RunOrdered(tasks.size(), threads, compute, commit);
+  ctx.NoteThreadsUsed(par::RunOrdered(tasks.size(), threads, compute, commit));
   run_befores(calls.size());
 }
 
@@ -496,16 +491,16 @@ void PivotEnumerateOrdered(em::QuerySession& ctx,
 template <typename EdgeT>
 void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
                     em::Array<EdgeT> cone_b, em::Array<EdgeT> pivot,
-                    TriangleSink& sink, const PivotEnumOptions& opts = {}) {
+                    TriangleSink& sink) {
   if (pivot.empty() || cone_a.empty() || cone_b.empty()) return;
   if (PivotChunksRunOrdered(ctx)) {
     PivotEnumerateOrdered<EdgeT>(
-        ctx, {PivotCall<EdgeT>{cone_a, cone_b, pivot, {}}}, sink, opts);
+        ctx, {PivotCall<EdgeT>{cone_a, cone_b, pivot, {}}}, sink);
     return;
   }
 
   const bool same_cone = cone_a.base() == cone_b.base();
-  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx, opts);
+  const std::size_t chunk_items = internal::ChunkItems<EdgeT>(ctx);
   internal::ResidentChunk<EdgeT> rc;
   for (std::size_t p0 = 0; p0 < pivot.size(); p0 += chunk_items) {
     const std::size_t p1 = std::min(pivot.size(), p0 + chunk_items);

@@ -165,15 +165,6 @@ class Array {
     }
   }
 
-  /// Charges a forward scan of [begin, end) like per-record Gets, moving no
-  /// data (for re-passes over records a caller already holds host-side).
-  void TouchScanRange(std::size_t begin, std::size_t end) const {
-    TRIENUM_CHECK(begin <= end && end <= n_);
-    if (begin == end) return;
-    ctx_->TouchScan(base_ + begin * kWordsPer, (end - begin) * kWordsPer,
-                    kWordsPer);
-  }
-
   /// Scan-exact bulk write into [begin, end): one transfer, charged exactly
   /// like per-record Set calls (the buffered Writer's flush).
   void WriteScanFrom(std::size_t begin, std::size_t end, const T* in) {

@@ -160,15 +160,6 @@ class GraphStore {
     }
   }
 
-  /// The charge half of ReadScan alone: registers a per-record forward scan
-  /// without moving any data (callers already hold the records).
-  void TouchScan(Addr a, std::size_t words, std::size_t elem_words) {
-    cache_.ScanRange(a, words, elem_words, /*write=*/false);
-    if (probe_ != nullptr && cache_.counting()) {
-      probe_->ScanRange(a, words, elem_words, /*write=*/false);
-    }
-  }
-
   void WriteScan(Addr a, std::size_t words, std::size_t elem_words,
                  const void* in) {
     if (!cache_.staged()) {
@@ -333,6 +324,16 @@ class QuerySession {
   std::size_t threads() const { return threads_; }
   void set_threads(std::size_t n) { threads_ = n; }
 
+  /// Threads the widest parallel region of this query ran on, the caller
+  /// included; 1 while nothing fanned out, which is what a staged store or
+  /// an algorithm without a parallel phase reports at any threads().
+  /// query::RunQuery resets it at each query's cold start.
+  std::size_t threads_used() const { return threads_used_; }
+  void NoteThreadsUsed(std::size_t n) {
+    if (n > threads_used_) threads_used_ = n;
+  }
+  void ResetThreadsUsed() { threads_used_ = 1; }
+
  private:
   friend class ScratchLease;
 
@@ -341,6 +342,7 @@ class QuerySession {
   std::uint64_t work_ = 0;
   std::uint64_t seed_ = 0;
   std::size_t threads_ = 1;
+  std::size_t threads_used_ = 1;
 };
 
 namespace internal {

@@ -14,8 +14,12 @@
 //    the exactly-4-wise polynomial family. The derandomizer's greedy
 //    first-fit over this schedule terminates after O(1) candidates in
 //    expectation (Markov on the potential), so the deterministic algorithm
-//    runs at full speed. See DESIGN.md §2 for why this substitution
-//    preserves the algorithmic structure.
+//    runs at full speed. The substitution keeps the guarantee: the
+//    derandomizer evaluates (4) exactly for every candidate and accepts
+//    only one that satisfies it, so the final coloring meets Theorem 2's
+//    bound whichever family supplied the bits. The family decides only
+//    how many candidates a round inspects (tests/test_derandomize.cc runs
+//    both families against the bound).
 #ifndef TRIENUM_HASHING_BIT_FAMILY_H_
 #define TRIENUM_HASHING_BIT_FAMILY_H_
 

@@ -85,9 +85,9 @@ void ThreadPool::WorkerLoop(std::size_t id) {
   }
 }
 
-void ThreadPool::Run(std::size_t parts, std::size_t threads,
-                     const std::function<void(std::size_t)>& task,
-                     bool caller_first) {
+std::size_t ThreadPool::Run(std::size_t parts, std::size_t threads,
+                            const std::function<void(std::size_t)>& task,
+                            bool caller_first) {
   TRIENUM_CHECK(parts > 0);
   // One region at a time: a part that called Run again would overwrite the
   // region this pool is running.
@@ -132,6 +132,7 @@ void ThreadPool::Run(std::size_t parts, std::size_t threads,
   cv_done_.wait(lk, [&] { return done_ == parts_; });
   task_ = nullptr;
   parts_ = 0;
+  return helpers + 1;
 }
 
 }  // namespace trienum::par

@@ -54,10 +54,12 @@ class ThreadPool {
   /// caller before it claims any other part (RunOrdered's commit loop);
   /// workers claim parts in index order. `task` must not throw and must
   /// not touch the em:: accounting layer. Calling Run from inside a part
-  /// (nested fan-out) is rejected with a TRIENUM_CHECK.
-  void Run(std::size_t parts, std::size_t threads,
-           const std::function<void(std::size_t)>& task,
-           bool caller_first = false);
+  /// (nested fan-out) is rejected with a TRIENUM_CHECK. Returns the region's
+  /// width: the caller plus the helpers allowed to claim a part, so at most
+  /// min(threads, parts).
+  std::size_t Run(std::size_t parts, std::size_t threads,
+                  const std::function<void(std::size_t)>& task,
+                  bool caller_first = false);
 
   /// Workers spawned so far (test / telemetry hook; grows lazily, never
   /// shrinks until process exit).
@@ -103,17 +105,17 @@ inline std::size_t OrderedWindow(std::size_t threads) {
 /// the window, not by n. At threads <= 1 both run inline on the caller.
 /// An exception from compute(i) is held until task i's commit point;
 /// there, or when a commit throws, no further task starts, the tasks in
-/// flight drain, and the exception is rethrown on the caller.
+/// flight drain, and the exception is rethrown on the caller. Returns the
+/// threads the run used: its region's width, or 1 when it ran inline.
 template <typename Compute, typename Commit>
-void RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
-                Commit&& commit) {
-  if (n == 0) return;
-  if (threads <= 1) {
+std::size_t RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
+                       Commit&& commit) {
+  if (threads <= 1 || n == 0) {
     for (std::size_t i = 0; i < n; ++i) {
       compute(i, std::size_t{0});
       commit(i, std::size_t{0});
     }
-    return;
+    return 1;
   }
   const std::size_t window = OrderedWindow(threads);
   constexpr std::size_t kNone = ~std::size_t{0};
@@ -175,8 +177,10 @@ void RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
     }
     cv_computed.notify_one();
   };
-  ThreadPool::Global().Run(n + 1, threads, part, /*caller_first=*/true);
+  const std::size_t width =
+      ThreadPool::Global().Run(n + 1, threads, part, /*caller_first=*/true);
   if (failure) std::rethrow_exception(failure);
+  return width;
 }
 
 }  // namespace trienum::par

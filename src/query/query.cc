@@ -98,6 +98,7 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   em::DeviceRegion region = session.Region();
   session.cache().Reset();
   session.ResetWork();
+  session.ResetThreadsUsed();
   session.device().ResetPeak();
 
   core::CountingSink count_sink;
@@ -188,7 +189,7 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                   std::chrono::duration<double, std::milli>>(t1 - t0)
                   .count();
   r.seed_used = session.seed();
-  r.threads_used = session.threads();
+  r.threads_used = session.threads_used();
 
   if (tc != nullptr) {
     // Phase table: aggregate the run's sampled spans by name, first

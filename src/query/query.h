@@ -14,7 +14,8 @@
 //   1. a DeviceRegion opens at the frozen mark (the device top right after
 //      normalization), so every query allocates at the same addresses;
 //   2. Cache::Reset() — the query starts cold, counters zeroed;
-//   3. the work counter and the device peak tracker reset;
+//   3. the work counter, the threads-used tally and the device peak
+//      tracker reset;
 //   4. the session seed resolves to the query's seed (store's master seed
 //      when the query leaves it 0), and the session thread count to the
 //      query's (all hardware cores when it is 0);
@@ -107,6 +108,9 @@ struct QueryResult {
   em::RecoveryStats recovery;
   double wall_ms = 0;
   std::uint64_t seed_used = 0;
+  /// Threads the query's widest parallel region ran on (see
+  /// em::QuerySession::threads_used): 1 when nothing fanned out, at most
+  /// the resolved Query::threads.
   std::size_t threads_used = 0;
   /// Per-phase attribution table, first-appearance order. Populated only
   /// when a TraceCollector was installed for the run (empty otherwise —

@@ -1,12 +1,14 @@
-// The §2 cache-aware algorithm: option coverage (seeds, forced colors,
-// ablations), exactly-once semantics on adversarial shapes, and the
+// The §2 cache-aware algorithm: seeds, colour counts and chunk sizes across
+// M, exactly-once semantics on adversarial shapes, and the
 // E^{3/2}/(sqrt(M)B) behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/cache_aware.h"
 #include "core/mgt.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -15,63 +17,86 @@ namespace {
 using namespace trienum::graph;
 
 std::vector<Triangle> RunAware(const std::vector<Edge>& raw,
-                          const core::CacheAwareOptions& opts,
-                          std::size_t m = 1 << 12, std::size_t b = 16) {
+                               std::uint64_t seed = 0x7001,
+                               std::size_t m = 1 << 12, std::size_t b = 16) {
   em::Context ctx = test::MakeContext(m, b);
+  ctx.set_seed(seed);
   EmGraph g = BuildEmGraph(ctx, raw);
   core::CollectingSink sink;
-  core::EnumerateCacheAware(ctx, g, sink, opts);
+  core::EnumerateCacheAware(ctx, g, sink);
   auto out = sink.triangles();
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// The colour count of a traced run, read from its ca.coloring span.
+struct TracedAware {
+  std::vector<Triangle> tris;  // sorted
+  std::uint64_t colors = 0;
+};
+
+TracedAware RunAwareTraced(const std::vector<Edge>& raw, std::size_t m,
+                           std::size_t b) {
+  em::Context ctx = test::MakeContext(m, b);
+  EmGraph g = BuildEmGraph(ctx, raw);
+  core::CollectingSink sink;
+  obs::TraceCollector tc;
+  {
+    obs::ScopedTraceCollector install(tc);
+    core::EnumerateCacheAware(ctx, g, sink);
+  }
+  TracedAware r;
+  r.tris = sink.triangles();
+  std::sort(r.tris.begin(), r.tris.end());
+  for (const obs::TraceEvent& ev : tc.events_since(0)) {
+    if (std::string(ev.name) != "ca.coloring") continue;
+    for (const auto& [key, value] : ev.args) {
+      if (std::string(key) == "colors") r.colors = value;
+    }
+  }
+  return r;
 }
 
 TEST(CacheAware, DifferentSeedsSameAnswer) {
   auto raw = Gnm(120, 900, 55);
   auto expected = test::ReferenceNormalized(raw);
   for (std::uint64_t seed : {1ull, 2ull, 0xDEADBEEFull, 77777ull}) {
-    core::CacheAwareOptions opts;
-    opts.seed = seed;
-    EXPECT_EQ(RunAware(raw, opts), expected) << "seed " << seed;
+    EXPECT_EQ(RunAware(raw, seed), expected) << "seed " << seed;
   }
 }
 
-TEST(CacheAware, ForcedColorCountsStillCorrect) {
-  auto raw = Gnm(100, 700, 9);
+TEST(CacheAware, ColorCountFollowsMStillCorrect) {
+  // c is the least power of two with c^2 M >= E (no vertex of this Gnm is
+  // high-degree at any of these M), so each quartering of M doubles it.
+  auto raw = Gnm(400, 4000, 9);
   auto expected = test::ReferenceNormalized(raw);
-  for (std::uint32_t c : {1u, 2u, 4u, 8u, 16u}) {
-    core::CacheAwareOptions opts;
-    opts.force_colors = c;
-    EXPECT_EQ(RunAware(raw, opts), expected) << "c = " << c;
+  struct Point {
+    std::size_t m, b;
+    std::uint64_t colors;
+  };
+  for (Point p : {Point{4096, 16, 1}, Point{2048, 16, 2}, Point{512, 16, 4},
+                  Point{128, 8, 8}, Point{32, 4, 16}}) {
+    const TracedAware run = RunAwareTraced(raw, p.m, p.b);
+    EXPECT_EQ(run.colors, p.colors) << "M = " << p.m;
+    EXPECT_EQ(run.tris, expected) << "M = " << p.m;
   }
-}
-
-TEST(CacheAware, HighDegreeStepAblationStillCorrect) {
-  // Without step 1, correctness must not change (only the I/O bound's proof
-  // breaks); with a hub-heavy graph this exercises huge color classes.
-  auto raw = CliquePlusPath(16, 60);
-  auto expected = test::ReferenceNormalized(raw);
-  core::CacheAwareOptions opts;
-  opts.high_degree_step = false;
-  EXPECT_EQ(RunAware(raw, opts), expected);
 }
 
 TEST(CacheAware, HubGraphExactlyOnce) {
   // Multiple overlapping hubs: triangles with 1, 2, and 3 high-degree
   // vertices must each be emitted exactly once across step 1's iterations.
   std::vector<Edge> raw = Clique(20);  // in K20 every vertex is "high degree"
-  auto got = RunAware(raw, {}, /*m=*/256, /*b=*/8);
+  auto got = RunAware(raw, 0x7001, /*m=*/256, /*b=*/8);
   EXPECT_TRUE(test::NoDuplicates(got));
   EXPECT_EQ(got.size(), 1140u);  // C(20,3)
 }
 
-TEST(CacheAware, ChunkFractionSweep) {
+TEST(CacheAware, ChunkSizesFollowMStillCorrect) {
+  // Lemma 2's resident chunk is M/8 records: 64 at M = 512, 512 at 4096.
   auto raw = Gnm(90, 650, 31);
   auto expected = test::ReferenceNormalized(raw);
-  for (double frac : {1.0 / 64, 1.0 / 8}) {
-    core::CacheAwareOptions opts;
-    opts.chunk_fraction = frac;
-    EXPECT_EQ(RunAware(raw, opts), expected);
+  for (std::size_t m : {std::size_t{512}, std::size_t{4096}}) {
+    EXPECT_EQ(RunAware(raw, 0x7001, m), expected) << "M = " << m;
   }
 }
 

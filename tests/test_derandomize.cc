@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/cache_aware.h"
 #include "core/coloring.h"
 #include "core/derandomize.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace trienum {
@@ -94,12 +96,40 @@ TEST(Derandomize, DeterministicAlgorithmIsRepeatable) {
     em::Context ctx = test::MakeContext(1 << 9, 16);
     EmGraph g = BuildEmGraph(ctx, raw);
     core::CollectingSink sink;
-    core::CacheAwareOptions opts;
-    opts.deterministic_coloring = true;
-    core::EnumerateCacheAware(ctx, g, sink, opts);
+    core::EnumerateDeterministic(ctx, g, sink);
     return sink.triangles();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Derandomize, LastRoundSkipsItsDeadRebuild) {
+  // The CLI's gnm:n=600,m=6000 at M = 1024, B = 16: c = 4, so two rounds.
+  // Refining, rebuilding and re-sorting the arrays after the last round,
+  // which nothing reads, would raise this to 54,596 reads and 46,471
+  // writes.
+  em::Context ctx = test::MakeContext(1 << 10, 16);
+  EmGraph g = BuildEmGraph(ctx, Gnm(600, 6000, 2014));
+  ctx.cache().Reset();
+  core::CountingSink sink;
+  obs::TraceCollector tc;
+  {
+    obs::ScopedTraceCollector install(tc);
+    core::EnumerateDeterministic(ctx, g, sink);
+  }
+  ctx.cache().FlushAll();
+  EXPECT_EQ(sink.count(), 1310u);
+  EXPECT_EQ(ctx.cache().stats().block_reads, 41535u);
+  EXPECT_EQ(ctx.cache().stats().block_writes, 32253u);
+  std::uint64_t spans = 0, rounds = 0;
+  for (const obs::TraceEvent& ev : tc.events_since(0)) {
+    if (std::string(ev.name) != "det.round") continue;
+    ++spans;
+    for (const auto& [key, value] : ev.args) {
+      if (std::string(key) == "rounds") rounds = value;
+    }
+  }
+  EXPECT_EQ(spans, 1u);
+  EXPECT_EQ(rounds, 2u);
 }
 
 TEST(Derandomize, SkewedDegreesWithinBoundAfterHighDegreeRemoval) {

@@ -56,7 +56,7 @@ TEST(IoBounds, MgtWithinModel) {
 
 TEST(IoBounds, MgtBoundIsTightAcrossM) {
   // MgtIoBound and mgt both size the resident pivot chunk as
-  // PivotEnumOptions' fraction of M, so at E >> M the prediction matches
+  // kChunkFraction of M, so at E >> M the prediction matches
   // the measurement to within a few percent at every M, not just below it.
   for (std::size_t m : {std::size_t{512}, std::size_t{1024},
                         std::size_t{2048}, std::size_t{4096}}) {

@@ -19,12 +19,11 @@ using namespace trienum::graph;
 em::IoStats DirectRun(const std::vector<Edge>& raw, std::size_t m, std::size_t b,
                       std::uint64_t seed) {
   em::Context ctx = test::MakeContext(m, b);
+  ctx.set_seed(seed);
   EmGraph g = BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
   core::CountingSink sink;
-  core::CacheObliviousOptions opts;
-  opts.seed = seed;
-  core::EnumerateCacheOblivious(ctx, g, sink, opts);
+  core::EnumerateCacheOblivious(ctx, g, sink);
   ctx.cache().FlushAll();
   return ctx.cache().stats();
 }
@@ -36,14 +35,13 @@ TEST(Multilevel, ProbeSeesExactlyTheDirectRunsMisses) {
 
   // One run at L2 with an L1 probe attached.
   em::Context ctx = test::MakeContext(l2_m, b);
+  ctx.set_seed(seed);
   ctx.AttachProbe(l1_m, b);
   EmGraph g = BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
   ctx.probe()->Reset();
   core::CountingSink sink;
-  core::CacheObliviousOptions opts;
-  opts.seed = seed;
-  core::EnumerateCacheOblivious(ctx, g, sink, opts);
+  core::EnumerateCacheOblivious(ctx, g, sink);
   ctx.cache().FlushAll();
   ctx.probe()->FlushAll();
 
@@ -66,14 +64,13 @@ TEST(Multilevel, ProbeWithDifferentBlockSize) {
   // vs 4K pages); the probe supports that.
   auto raw = Gnm(500, 3000, 9);
   em::Context ctx = test::MakeContext(1 << 12, 64);
+  ctx.set_seed(77);
   ctx.AttachProbe(1 << 9, 8);
   EmGraph g = BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
   ctx.probe()->Reset();
   core::CountingSink sink;
-  core::CacheObliviousOptions opts;
-  opts.seed = 77;
-  core::EnumerateCacheOblivious(ctx, g, sink, opts);
+  core::EnumerateCacheOblivious(ctx, g, sink);
   EXPECT_GT(sink.count(), 0u);
   EXPECT_GT(ctx.probe()->stats().block_reads, 0u);
 }
@@ -99,14 +96,13 @@ TEST(Multilevel, ObliviousBoundHoldsAtBothLevelsOfOneRun) {
   auto raw = Gnm(1 << 11, 1 << 13, 5);
   const std::size_t l1_m = 1 << 8, l2_m = 1 << 12, b = 16;
   em::Context ctx = test::MakeContext(l2_m, b);
+  ctx.set_seed(99);
   ctx.AttachProbe(l1_m, b);
   EmGraph g = BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
   ctx.probe()->Reset();
   core::CountingSink sink;
-  core::CacheObliviousOptions opts;
-  opts.seed = 99;
-  core::EnumerateCacheOblivious(ctx, g, sink, opts);
+  core::EnumerateCacheOblivious(ctx, g, sink);
   ctx.cache().FlushAll();
   ctx.probe()->FlushAll();
 

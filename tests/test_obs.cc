@@ -469,6 +469,33 @@ TEST(ObsAttribution, PhaseSelfDeltasSumToQueryTotals) {
   EXPECT_TRUE(saw_read_hist);
 }
 
+TEST(ObsAttribution, EveryAlgorithmChargesItsIoToNamedPhases) {
+  // query.run's own row holds what no phase claims. At CI's trace point it
+  // may hold at most 1% of any registered algorithm's block I/Os.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 11);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(em::StorageKind::kMemory, 4096, 64), raw);
+  obs::TraceCollector tc;
+  obs::ScopedTraceCollector install(tc);
+  for (const core::AlgorithmInfo& algo : core::AllAlgorithms()) {
+    query::Query q;
+    q.algo = algo.name;
+    const query::QueryResult r = *lg.Run(q);
+    const std::uint64_t total = r.io.block_reads + r.io.block_writes;
+    ASSERT_GT(total, 0u) << algo.name;
+    auto root = std::find_if(r.phases.begin(), r.phases.end(),
+                             [](const query::PhaseStat& p) {
+                               return p.name == "query.run";
+                             });
+    ASSERT_NE(root, r.phases.end()) << algo.name;
+    const std::uint64_t unclaimed =
+        root->self.block_reads + root->self.block_writes;
+    EXPECT_LE(100 * unclaimed, total)
+        << algo.name << ": query.run holds " << unclaimed << " of " << total;
+  }
+}
+
 TEST(ObsAttribution, SecondQueryWindowExcludesTheFirst) {
   // Histogram deltas are windowed per query: query 2's window counts only
   // its own syscalls even though the process-wide histogram accumulated

@@ -354,9 +354,8 @@ TEST(SessionThreads, RunQueryResolvesZeroToTheHardwareConcurrency) {
   q.threads = 0;
   auto r = lg->Run(q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->threads_used, par::HardwareThreads());
-  EXPECT_GE(r->threads_used, 1u);
   EXPECT_EQ(lg->session().threads(), par::HardwareThreads());
+  EXPECT_GE(lg->session().threads(), 1u);
 }
 
 TEST(SessionThreads, RunQueryClampsAtMaxThreads) {
@@ -370,7 +369,7 @@ TEST(SessionThreads, RunQueryClampsAtMaxThreads) {
   Result<query::QueryResult> huge = Status::Internal("not run");
   EXPECT_EQ(WorkerTasks([&] { huge = lg->Run(q); }), 0u);
   ASSERT_TRUE(huge.ok()) << huge.status().ToString();
-  EXPECT_EQ(huge->threads_used, par::kMaxThreads);
+  EXPECT_EQ(lg->session().threads(), par::kMaxThreads);
   EXPECT_EQ(huge->triangles, serial->triangles);
   EXPECT_EQ(huge->io.block_reads, serial->io.block_reads);
   EXPECT_EQ(huge->io.block_writes, serial->io.block_writes);
@@ -391,17 +390,74 @@ TEST(SessionThreads, EachQuerySetsTheSessionThreadCount) {
   Result<query::QueryResult> wide = Status::Internal("not run");
   Result<query::QueryResult> narrow = Status::Internal("not run");
   EXPECT_GT(WorkerTasks([&] { wide = lg->Run(q); }), 0u);
+  EXPECT_EQ(lg->session().threads(), 4u);
   q.threads = 1;
   EXPECT_EQ(WorkerTasks([&] { narrow = lg->Run(q); }), 0u);
   ASSERT_TRUE(wide.ok()) << wide.status().ToString();
   ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
-  EXPECT_EQ(wide->threads_used, 4u);
+  EXPECT_GT(wide->threads_used, 1u);
   EXPECT_EQ(narrow->threads_used, 1u);
   EXPECT_EQ(lg->session().threads(), 1u);
   EXPECT_EQ(narrow->list, wide->list);
   EXPECT_EQ(narrow->io.block_reads, wide->io.block_reads);
   EXPECT_EQ(narrow->io.block_writes, wide->io.block_writes);
   EXPECT_EQ(narrow->io.cache_hits, wide->io.cache_hits);
+}
+
+// threads_used reports the threads that ran, not the ones asked for.
+
+TEST(SessionThreads, StagedStoreReportsOneThread) {
+  // A staged store keeps Lemma 2's serial loop: nothing fans out.
+  auto lg = LoadFileGraph();
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.algo = "mgt";
+  q.threads = 4;
+  Result<query::QueryResult> r = Status::Internal("not run");
+  EXPECT_EQ(WorkerTasks([&] { r = lg->Run(q); }), 0u);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(lg->session().threads(), 4u);
+  EXPECT_EQ(r->threads_used, 1u);
+}
+
+TEST(SessionThreads, ObliviousQueryRunsOnOneThread) {
+  // §3 has no parallel phase, even on the memory backend.
+  em::EmConfig cfg;
+  cfg.memory_words = 1 << 12;
+  cfg.block_words = 32;
+  auto lg = query::LoadedGraph::FromEdges(
+      cfg, graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31));
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.algo = "ps-cache-oblivious";
+  q.threads = 4;
+  Result<query::QueryResult> r = Status::Internal("not run");
+  EXPECT_EQ(WorkerTasks([&] { r = lg->Run(q); }), 0u);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->threads_used, 1u);
+}
+
+TEST(SessionThreads, MemoryMgtReportsTheThreadsThatRan) {
+  // rmat10 at M = 4096 gives mgt 16 chunks, so a 4-thread ordered run
+  // fans out to all 4. The next query's cold start resets the tally: a §3
+  // query at 4 threads after it reports 1.
+  em::EmConfig cfg;
+  cfg.memory_words = 1 << 12;
+  cfg.block_words = 64;
+  auto lg = query::LoadedGraph::FromEdges(
+      cfg, graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 11));
+  ASSERT_TRUE(lg.ok()) << lg.status().ToString();
+  query::Query q;
+  q.algo = "mgt";
+  q.threads = 4;
+  Result<query::QueryResult> wide = Status::Internal("not run");
+  EXPECT_GT(WorkerTasks([&] { wide = lg->Run(q); }), 0u);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->threads_used, 4u);
+  q.algo = "ps-cache-oblivious";
+  auto after = lg->Run(q);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->threads_used, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,23 +592,21 @@ TEST(ParallelInvariance, EngineSortNeverFansOut) {
 }
 
 TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
-  // The matrix graph yields a single color triple. Forcing c = 4 gives 64
-  // triples, and alpha = 1/64 cuts every pivot bucket into several 64-edge
-  // chunks, so the ordered run commits across triples and across chunks of
-  // one triple — with each triple's charged bucket-bound reads in between.
+  // The matrix graph yields a single color triple. At M = 1024 this graph
+  // gets c = 4, so 64 triples, and 128-edge chunks cut the pivot buckets
+  // into 408 chunks, so the ordered run commits across triples and across
+  // chunks of one triple — with each triple's charged bucket-bound reads in
+  // between.
   const std::vector<graph::Edge> raw =
       graph::Rmat(11, 12000, 0.45, 0.22, 0.22, 97);
   auto run = [&](std::size_t threads) {
-    em::Context ctx = test::MakeContext(1 << 12, 32, 0xCA4);
+    em::Context ctx = test::MakeContext(1 << 10, 32, 0xCA4);
     ctx.set_threads(threads);
     graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
     ctx.cache().Reset();
     ctx.ResetWork();
     core::CollectingSink sink;
-    core::CacheAwareOptions opts;
-    opts.force_colors = 4;
-    opts.chunk_fraction = 1.0 / 64;
-    core::EnumerateCacheAware(ctx, g, sink, opts);
+    core::EnumerateCacheAware(ctx, g, sink);
     ctx.cache().FlushAll();
     MatrixRun out;
     out.triangles = sink.triangles();
@@ -560,8 +614,24 @@ TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
     out.work = ctx.work();
     return out;
   };
-  const MatrixRun base = run(1);
+  obs::TraceCollector tc;
+  MatrixRun base;
+  {
+    obs::ScopedTraceCollector install(tc);
+    base = run(1);
+  }
   ASSERT_FALSE(base.triangles.empty());
+  std::uint64_t colors = 0, chunk_loads = 0;
+  for (const obs::TraceEvent& ev : tc.events_since(0)) {
+    const std::string name = ev.name;
+    if (name == "pivot.chunk_load") ++chunk_loads;
+    if (name != "ca.coloring") continue;
+    for (const auto& [key, value] : ev.args) {
+      if (std::string(key) == "colors") colors = value;
+    }
+  }
+  EXPECT_EQ(colors, 4u);
+  EXPECT_EQ(chunk_loads, 408u);
   for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
     const MatrixRun got = run(threads);
     ASSERT_EQ(got.triangles, base.triangles) << "threads " << threads;

@@ -37,17 +37,16 @@ TEST(PivotEnum, PivotSubsetSelectsExactlyItsTriangles) {
 }
 
 TEST(PivotEnum, ChunkSizeDoesNotChangeTheAnswer) {
-  em::Context ctx = test::MakeContext();
-  EmGraph g = BuildEmGraph(ctx, Gnm(60, 500, 23));
-  auto all = core::ListTrianglesHost(DownloadEdges(g));
-  for (double frac : {1.0 / 64, 1.0 / 16, 1.0 / 4}) {
+  // The resident chunk is M/8 records: 32, 128 and 512 of the ~500 edges.
+  for (std::size_t m : {std::size_t{256}, std::size_t{1024}, std::size_t{4096}}) {
+    em::Context ctx = test::MakeContext(m, 16);
+    EmGraph g = BuildEmGraph(ctx, Gnm(60, 500, 23));
+    auto all = core::ListTrianglesHost(DownloadEdges(g));
     core::CollectingSink sink;
-    core::PivotEnumOptions opts;
-    opts.chunk_fraction = frac;
-    core::PivotEnumerate<Edge>(ctx, g.edges, g.edges, g.edges, sink, opts);
+    core::PivotEnumerate<Edge>(ctx, g.edges, g.edges, g.edges, sink);
     auto got = sink.triangles();
     std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, all) << "chunk fraction " << frac;
+    EXPECT_EQ(got, all) << "M = " << m;
   }
 }
 

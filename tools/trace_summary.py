@@ -15,7 +15,8 @@ it should have streamed once.
 The §3 recursion runs as a single `co.recurse` span; its args carry the
 wall time and node count of each recursion role (the high-degree verify
 scan, which also counts the children, Lemma 1, partition, base case),
-the recursion-shape report, and for each depth d the nodes, input edges
+the recursion's shape (subproblems, base cases, Lemma 1 calls, child
+edges, depth), and for each depth d the nodes, input edges
 and exclusive block reads and writes
 (`level<d>_{nodes,edges,reads,writes}`). The summary prints the roles,
 the shape and one row per level under the `co.recurse` row. When the trace
@@ -50,7 +51,7 @@ DELTA_KEYS = (
 FLAG_RATIO = 2.0
 
 # Recursion roles the cache-oblivious engine tallies on its co.recurse span
-# (args <role>_ns and <role>_nodes), and its recursion-shape report args.
+# (args <role>_ns and <role>_nodes), and its recursion-shape args.
 CO_SPAN = "co.recurse"
 CO_ROLES = ("high_degree", "lemma1", "partition", "base")
 CO_SHAPE = ("subproblems", "base_cases", "high_degree_calls",

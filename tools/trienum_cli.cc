@@ -83,7 +83,9 @@ constexpr char kUsage[] =
     "                            file (default $TMPDIR, then /tmp)\n"
     "  --threads=<N>             host compute threads (default 1; 0 = all\n"
     "                            hardware cores). Parallelism never changes\n"
-    "                            the result or the counted block I/Os\n"
+    "                            the result or the counted block I/Os; the\n"
+    "                            report's `threads` is how many ran (1 when\n"
+    "                            nothing fanned out)\n"
     "  --faults=<spec>           deterministic fault-injection schedule, e.g.\n"
     "                            'read:eio:every=7;write:short:every=9'\n"
     "                            (clauses op:kind[:k=v,...]; op in read|write|\n"
