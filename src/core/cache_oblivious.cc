@@ -76,6 +76,102 @@ void HighDegreeFinder::High(std::size_t threshold,
   }
 }
 
+void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
+                std::array<std::uint32_t, 3> col, TriangleSink& sink) {
+  using graph::ColoredEdge;
+  using graph::VertexId;
+  em::ScratchLease lease = ctx.LeaseScratch(kBaseLeaseWords);
+  std::array<std::uint64_t, kJoinKeys> keys{};
+  std::array<VertexId, kJoinRunEnds> ends{};
+  const std::size_t len = node.size();
+  constexpr std::size_t kNone = ~std::size_t{0};
+
+  // One record of a join pass: an R02 edge (u, w) probes (v, w) for every
+  // kept endpoint v < w, then an R01 edge keeps its endpoint. A full buffer
+  // marks the run's first unkept R01 record as its spill point.
+  std::size_t nkeys = 0;
+  std::size_t nends = 0;
+  std::size_t spill = kNone;
+  std::uint64_t probes = 0;
+  auto visit = [&](const ColoredEdge& e, std::size_t i) {
+    if (e.cu != col[0]) return;
+    if (e.cv == col[2]) {
+      for (std::size_t k = 0; k < nends; ++k) {
+        if (std::binary_search(keys.begin(), keys.begin() + nkeys,
+                               extsort::PackKey(ends[k], e.v))) {
+          sink.Emit(e.u, ends[k], e.v);
+        }
+      }
+      probes += nends;
+    }
+    if (e.cv == col[1]) {
+      if (nends < kJoinRunEnds) {
+        ends[nends++] = e.v;
+      } else if (spill == kNone) {
+        spill = i;
+      }
+    }
+  };
+  // Ends the u-run whose records end before `end`: each spill rescans the
+  // run's tail from the spill point with an emptied buffer.
+  std::uint64_t streamed = 0;
+  auto end_run = [&](std::size_t end) {
+    while (spill != kNone) {
+      const std::size_t from = spill;
+      nends = 0;
+      spill = kNone;
+      em::Scanner<ColoredEdge> tail(node.Slice(from, end - from));
+      for (std::size_t i = from; i < end; ++i) visit(tail.Next(), i);
+      streamed += end - from;
+    }
+    nends = 0;
+  };
+
+  std::size_t from = 0;  // the first record the next gather pass reads
+  std::uint64_t prev = 0;
+  while (from < len) {
+    // Gather the next chunk of R12 keys; the record that finds the chunk
+    // full starts the next gather pass.
+    nkeys = 0;
+    std::size_t next = len;
+    em::Scanner<ColoredEdge> in(node.Slice(from, len - from));
+    for (std::size_t i = from; i < len; ++i) {
+      const ColoredEdge e = in.Next();
+      ++streamed;
+      const std::uint64_t key = extsort::PackKey(e.u, e.v);
+      TRIENUM_CHECK_MSG(i == 0 || prev < key, "base-case node not lex-sorted");
+      if (e.cu == col[1] && e.cv == col[2]) {
+        if (nkeys == kJoinKeys) {
+          next = i;
+          break;
+        }
+        keys[nkeys++] = key;
+      }
+      prev = key;
+    }
+    from = next;
+    if (nkeys == 0) break;
+
+    // Join the u-runs that can reach the chunk: u < v <= its last key's v.
+    const VertexId last_v = static_cast<VertexId>(keys[nkeys - 1] >> 32);
+    em::Scanner<ColoredEdge> runs(node);
+    VertexId u = 0;
+    std::size_t i = 0;
+    for (; i < len; ++i) {
+      const ColoredEdge e = runs.Next();
+      ++streamed;
+      if (e.u >= last_v) break;
+      if (e.u != u) {
+        end_run(i);
+        u = e.u;
+      }
+      visit(e, i);
+    }
+    end_run(i);
+  }
+  ctx.AddWork(streamed + probes);
+}
+
 }  // namespace internal
 
 namespace {
@@ -173,7 +269,8 @@ class CoRunner {
 
   /// Solves the (col)-problem on `a`. `counted` is Misra-Gries pass 1 of the
   /// high-degree step over `a`'s records in order, fed by whoever wrote `a`
-  /// (the root's transform, or the parent's routing scan) iff RunsStep holds.
+  /// (the root's transform, or the parent's routing scan) iff `a` is not a
+  /// base case.
   void Recurse(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col,
                int depth, const internal::HighDegreeFinder& counted) {
     const em::Array<ColoredEdge> input = a;
@@ -262,14 +359,11 @@ class CoRunner {
     // qualifies, the node's records are final, and so are the counts and
     // the cached bits; otherwise Lemma 1 removes edges, and the counts are
     // thrown away and redone on the filtered array below.
-    bool counts_final = false;
-    if (RunsStep(len, depth)) {
-      const std::size_t before = len;
-      len = HighDegreeStep(a, col, len, counted, count_record);
-      counts_final = len == before;
-      if (len < 3) return;
-      a = a.Slice(0, len);
-    }
+    const std::size_t before = len;
+    len = HighDegreeStep(a, col, len, counted, count_record);
+    const bool counts_final = len == before;
+    if (len < 3) return;
+    a = a.Slice(0, len);
 
     // ---- Step 2: refine the coloring with one fresh 4-wise random bit -------
     rng_ = next;
@@ -293,7 +387,7 @@ class CoRunner {
       for (int z = 0; z < 8; ++z) {
         writers[z] =
             em::Writer<ColoredEdge>(ctx_.Alloc<ColoredEdge>(child_len[z]));
-        if (RunsStep(child_len[z], depth + 1)) feed |= 1u << z;
+        if (!IsBase(child_len[z], depth + 1)) feed |= 1u << z;
       }
       auto push_child = [&](int z, const ColoredEdge& ce) {
         writers[z].Push(ce);
@@ -342,9 +436,6 @@ class CoRunner {
   }
 
  private:
-  /// Smallest subproblem that runs the high-degree step.
-  static constexpr std::size_t kStepMin = 24;
-
   /// Largest subproblem whose refinement bits are cached between the
   /// counting pass and the write scan (2 bits/record, 1 MiB of host
   /// metadata at the cap). A fixed constant — the oblivious code path still never consults
@@ -365,19 +456,12 @@ class CoRunner {
     level_ = std::min(depth, kLevelRows - 1);
   }
 
-  /// Whether a node of `len` edges at `depth` is solved by the base case.
+  /// Whether a node of `len` edges at `depth` is solved by the base case;
+  /// every other node runs the high-degree step. The writer of a node's
+  /// array feeds its pass-1 finder exactly when this fails, and the node
+  /// checks that it got one.
   bool IsBase(std::size_t len, int depth) const {
     return depth >= max_depth_ || len <= kTinyBase;
-  }
-
-  /// Whether a node of `len` edges at `depth` runs the high-degree step. The
-  /// writer of a node's array feeds its pass-1 finder exactly when this
-  /// holds, and the node checks that it got one.
-  bool RunsStep(std::size_t len, int depth) const {
-    // For subproblems so small that the degree threshold E/8 is a trivial
-    // constant, the step is vacuous for the analysis (it exists to cap the
-    // maximum degree in the variance argument); skip it.
-    return len >= kStepMin && !IsBase(len, depth);
   }
 
   /// Enumerates proper triangles through vertices of degree >= E/8 within
@@ -434,48 +518,26 @@ class CoRunner {
     return len;
   }
 
-  /// Base case. Constant-size subproblems (<= kTinyBase edges) are solved
-  /// directly in an O(1)-sized host buffer — one read of the input, no
-  /// allocations; larger depth-capped subproblems run Dementiev's sort/scan
-  /// listing in its oblivious (funnelsort) flavor. Both filter to proper
-  /// triangles.
+  /// Base case. Constant-size subproblems (<= kTinyBase edges) stream
+  /// through internal::StreamJoin in an O(1) host buffer; larger
+  /// depth-capped subproblems run Dementiev's sort/scan listing in its
+  /// oblivious (funnelsort) flavor. Both filter to proper triangles. The
+  /// input is never read again, so its lines leave the cache without
+  /// write-back.
   void BaseCase(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col) {
     ++shape_.base_cases;
-    const std::size_t len = a.size();
-    if (len <= kTinyBase) {
-      em::ScratchLease lease = ctx_.LeaseScratch(2 * kTinyBase + 8);
-      std::array<ColoredEdge, kTinyBase> buf;
-      a.ReadTo(0, len, buf.data());
-      std::sort(buf.begin(), buf.begin() + len, graph::LexLess{});
-      ctx_.AddWork(len * 4);
-      // Wedges at the smallest vertex: edges (u,v), (u,w) with v < w close a
-      // triangle iff (v,w) is present (binary search in the sorted buffer).
-      for (std::size_t i = 0; i < len; ++i) {
-        for (std::size_t j = i + 1; j < len && buf[j].u == buf[i].u; ++j) {
-          ColoredEdge probe;
-          probe.u = buf[i].v;
-          probe.v = buf[j].v;
-          ctx_.AddWork(1);
-          auto it = std::lower_bound(buf.begin(), buf.begin() + len, probe,
-                                     graph::LexLess{});
-          if (it == buf.begin() + len || it->u != probe.u || it->v != probe.v) {
-            continue;
-          }
-          // Triangle u < v < w with positional colors from the edge records.
-          if (buf[i].cu == col[0] && buf[i].cv == col[1] && it->cv == col[2]) {
-            sink_.Emit(buf[i].u, buf[i].v, buf[j].v);
-          }
-        }
-      }
-      return;
+    if (a.size() <= kTinyBase) {
+      internal::StreamJoin(ctx_, a, col, sink_);
+    } else {
+      WedgeJoinEnumerate<ColoredEdge>(
+          ctx_, a, extsort::ObliviousSorter{},
+          [col](const graph::Triangle&, std::uint32_t c0, std::uint32_t c1,
+                std::uint32_t c2) {
+            return c0 == col[0] && c1 == col[1] && c2 == col[2];
+          },
+          sink_);
     }
-    WedgeJoinEnumerate<ColoredEdge>(
-        ctx_, a, extsort::ObliviousSorter{},
-        [col](const graph::Triangle&, std::uint32_t c0, std::uint32_t c1,
-              std::uint32_t c2) {
-          return c0 == col[0] && c1 == col[1] && c2 == col[2];
-        },
-        sink_);
+    ctx_.DropLines(a.base(), a.size() * em::Array<ColoredEdge>::kWordsPer);
   }
 
   em::QuerySession& ctx_;

@@ -17,11 +17,13 @@
 //      edge thus reads its input twice; when step 1 removes edges, the
 //      filtered array is counted again before the routing scan.
 // Recursion ends at depth ceil(log4 E), or once a subproblem has at most
-// kTinyBase = 64 edges. A base case of at most kTinyBase edges is solved in
-// an O(1) host buffer; a larger one, reached only when the depth cap stops a
-// node first, runs Dementiev's sort/scan algorithm (funnelsort flavor). Both
-// filter to proper triangles. Triangle enumeration is the (1,1,1)-problem
-// under the constant coloring. The refinement bits come from ctx.seed().
+// kTinyBase = 256 edges. A base case of at most kTinyBase edges streams the
+// node through a join in an O(1) host buffer (internal::StreamJoin); a
+// larger one, reached only when the depth cap stops a node first, runs
+// Dementiev's sort/scan algorithm (funnelsort flavor). Both filter to proper
+// triangles and end by dropping the node's spent input lines. Triangle
+// enumeration is the (1,1,1)-problem under the constant coloring. The
+// refinement bits come from ctx.seed().
 //
 // Traced, the recursion is one `co.recurse` span whose args carry its shape
 // (subproblems, base_cases, high_degree_calls, total_child_edges,
@@ -31,6 +33,7 @@
 #ifndef TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 #define TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -41,16 +44,18 @@
 namespace trienum::core {
 
 /// Largest subproblem the recursion splits no further. Such a node is solved
-/// in an O(1)-sized host buffer (one charged read, a sort and a wedge
-/// probe), whose lease of 2 * kTinyBase + 8 words also sets the smallest M
-/// the algorithm runs at. A fixed constant, so the algorithm stays
-/// oblivious to M and B; the paper's analysis charges constant-size
-/// subproblems O(1), so it keeps the bound. A smaller cutoff keeps
-/// splitting nodes of a few dozen edges, each paying a high-degree verify
-/// scan, an 8-way partition and often a Lemma 1 call: on R-MAT scale 12
-/// (E=16384, M=4096, B=64), a cutoff of 16 took 2.4x the wall time of 64
-/// and 9% more I/Os.
-inline constexpr std::size_t kTinyBase = 64;
+/// by internal::StreamJoin, which streams it instead of copying it, so the
+/// base size does not set the host lease: the join's kBaseLeaseWords = 136
+/// words do, and they also set the smallest M the algorithm runs at. A
+/// fixed constant, so the algorithm stays oblivious to M and B; the paper's
+/// analysis charges constant-size subproblems O(1), so it keeps the bound.
+/// A smaller cutoff keeps splitting nodes of a few hundred edges, each
+/// paying a high-degree verify scan, an 8-way partition and often a Lemma 1
+/// call: on R-MAT scale 12 (E=16384, M=4096, B=64, one core of a 4-vCPU
+/// VM), this join under a cutoff of 64 ran 61,522 subproblems instead of
+/// 5,369, took 246-282 ms instead of 79-99 ms (5 alternating runs each)
+/// and moved 0.8% more blocks.
+inline constexpr std::size_t kTinyBase = 256;
 
 /// Enumerates all triangles of `g`, cache-obliviously.
 void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
@@ -97,6 +102,31 @@ class HighDegreeFinder {
   std::uint32_t occupied_ = 0;  // bit k: lane k holds a live counter
   std::size_t counted_ = 0;
 };
+
+/// The base case's host buffer: a chunk of kJoinKeys R12 keys (one word
+/// each) and kJoinRunEnds 32-bit R01 endpoints of the current u-run.
+inline constexpr std::size_t kJoinKeys = 120;
+inline constexpr std::size_t kJoinRunEnds = 32;
+inline constexpr std::size_t kBaseLeaseWords = kJoinKeys + kJoinRunEnds / 2;
+
+/// §3's base case: enumerates the proper triangles u < v < w of the
+/// col-problem on `node`, whose records must be lex-sorted (u, v) with
+/// u < v, as every node of the recursion is. It joins the node's three slot
+/// relations R01(u,v), R02(u,w) and R12(v,w), where an edge is in Rij when
+/// its endpoint colours are (col[i], col[j]); an edge may sit in several.
+/// A gather pass collects the next kJoinKeys R12 keys, already in order,
+/// and checks the node's order (one compare per record). A join pass then
+/// walks the u-runs that can reach the chunk (u below its last key's v),
+/// keeps each run's R01 endpoints and probes (v, w) in the chunk for each
+/// R02 edge (u, w), so triangles come out by chunk, then u, w and v. An R12
+/// larger than a chunk costs one more gather-and-join round; a run with
+/// more than kJoinRunEnds R01 edges rescans its own tail once per further
+/// batch. Every pass after the first hits the cache whenever the node fits
+/// in M. Leases exactly kBaseLeaseWords words and charges one unit of work
+/// per streamed record and per probe. The node's lines stay cached; the
+/// recursion drops them.
+void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
+                std::array<std::uint32_t, 3> col, TriangleSink& sink);
 
 /// EnumerateCacheOblivious with the depth cap `max_depth` in place of
 /// ceil(log4 E), so a test can reach the Dementiev base (cap 0 solves the

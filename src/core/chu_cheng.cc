@@ -137,7 +137,9 @@ void EnumerateChuCheng(em::QuerySession& ctx, const graph::EmGraph& g,
 
   // Greedy partition into consecutive ranges of incident-edge mass <= the
   // budget (degree array scan); ranges that still overflow their *extended*
-  // subgraph are split inside ProcessRange.
+  // subgraph are split inside ProcessRange. The plan's own span holds the
+  // degree reads; each range's cc.partition span nests inside it.
+  obs::Span plan("cc.plan");
   const std::size_t budget_items = capacity / 4;
   VertexId lo = 0;
   std::uint64_t mass = 0;

@@ -1,7 +1,7 @@
 // The §3 cache-oblivious algorithm: obliviousness (identical emission for
 // every hierarchy configuration), the recursion shape its co.recurse span
-// reports, the depth cap's Dementiev base, and the I/O advantage over MGT at
-// small M.
+// reports, the depth cap's Dementiev base, the streaming join that solves
+// the other base cases, and the I/O advantage over MGT at small M.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,12 +178,17 @@ TEST(CacheOblivious, DepthZeroIsPureDementiev) {
   EXPECT_EQ(run.args.at("subproblems"), 1u);
 }
 
-TEST(CacheOblivious, CliqueWithLocalHighDegreeEveryLevel) {
-  // In a clique every vertex has degree E/8-ish at every level: the
-  // high-degree step fires repeatedly; exactly-once must survive.
-  auto got = RunOblivious(Clique(24));
-  EXPECT_TRUE(test::NoDuplicates(got));
-  EXPECT_EQ(got.size(), 2024u);  // C(24,3)
+TEST(CacheOblivious, CliqueWithLocalHighDegreeBelowTheRoot) {
+  // A clique vertex has degree about sqrt(2E), short of E/8 in a balanced
+  // node of more than about 85 edges, so above the 256-edge base Lemma 1
+  // fires only in unbalanced nodes, where one colour class is much smaller
+  // than the others. K_120 reaches such nodes: the step fires repeatedly
+  // below the root, and exactly-once must survive.
+  const ShapedRun run = RunShaped(Clique(120), 0x7001);
+  EXPECT_GE(run.args.at("high_degree_calls"), 2u);
+  EXPECT_GE(run.args.at("max_depth_reached"), 3u);
+  EXPECT_TRUE(test::NoDuplicates(run.tris));
+  EXPECT_EQ(run.tris.size(), 280840u);  // C(120,3)
 }
 
 TEST(CacheOblivious, GrowsLikeE15WhileMgtGrowsLikeE2) {
@@ -239,11 +244,10 @@ TEST(CacheOblivious, IoDropsWithLargerMemoryWithoutRecompiling) {
 
 TEST(CacheOblivious, ShrunkNodesPartitionAtPinnedIoStats) {
   // A node that the high-degree step leaves with fewer than kTinyBase edges
-  // still writes its children through Writers, each flushed just before the
-  // child recurses. Pinned exactly (reads, writes and hits), so any change
-  // to the partition's charges shows. Writing such a node's children with
-  // one Set per record instead read 101,749 blocks, wrote 69,458 and hit
-  // 4,604,587 times.
+  // (11 nodes here) still writes its children through Writers, each flushed
+  // just before the child recurses, and every leaf streams through the
+  // base-case join. Pinned exactly (reads, writes and hits), so any change
+  // to the partition's or the base case's charges shows.
   const auto raw = Rmat(10, 8192, 0.45, 0.22, 0.22, 2014);
   const CoRun untraced = RunCoRecurse(raw, 1 << 10, 16, 2014, nullptr);
   obs::TraceCollector tc;
@@ -254,9 +258,9 @@ TEST(CacheOblivious, ShrunkNodesPartitionAtPinnedIoStats) {
   const obs::TraceEvent* span = CoRecurseSpan(evs);
   ASSERT_NE(span, nullptr);
   EXPECT_GT(ArgsOf(*span)["high_degree_calls"], 0u);
-  EXPECT_EQ(untraced.io.block_reads, 101568u);
-  EXPECT_EQ(untraced.io.block_writes, 69277u);
-  EXPECT_EQ(untraced.io.cache_hits, 4604766u);
+  EXPECT_EQ(untraced.io.block_reads, 93246u);
+  EXPECT_EQ(untraced.io.block_writes, 61371u);
+  EXPECT_EQ(untraced.io.cache_hits, 2176084u);
 }
 
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
@@ -342,6 +346,237 @@ TEST(CacheOblivious, NodesAboveMemoryReadTheirInputTwice) {
   // A depth-1 array may straddle one line more than its edges fill.
   EXPECT_LE(args["level1_reads"],
             2 * (lines(args["level1_edges"]) + args["level1_nodes"]));
+}
+
+TEST(CacheOblivious, EmissionOrderPinned) {
+  // The base case emits by R12 chunk, then u, w and v. Pinned as a hash of
+  // the ordered list, so a change to the recursion or the join that keeps
+  // the triangle set but moves the order shows.
+  const auto raw = Rmat(10, 8192, 0.45, 0.22, 0.22, 2014);
+  const CoRun run = RunCoRecurse(raw, 1 << 10, 16, 2014, nullptr);
+  ASSERT_EQ(run.tris.size(), 10511u);
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over (a, b, c) in order
+  for (const Triangle& t : run.tris) {
+    for (VertexId x : {t.a, t.b, t.c}) {
+      h = (h ^ x) * 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, 318821042347569681u);
+}
+
+// ---------------------------------------------------------------------------
+// The base case's streaming join against a brute-force triple loop, on
+// hand-built lex-sorted nodes, including the chunk and run-buffer overflows
+// that the recursion rarely reaches.
+
+using Colour = std::array<std::uint32_t, 3>;
+
+/// The node of `edges` under the vertex colouring `colour`: each edge (with
+/// u < v) coloured by its endpoints, lex-sorted.
+std::vector<ColoredEdge> NodeOf(
+    std::vector<std::pair<VertexId, VertexId>> edges,
+    const std::map<VertexId, std::uint32_t>& colour) {
+  std::vector<ColoredEdge> node;
+  for (auto [u, v] : edges) {
+    if (u > v) std::swap(u, v);
+    node.push_back(ColoredEdge{u, v, colour.at(u), colour.at(v)});
+  }
+  std::sort(node.begin(), node.end(), LexLess{});
+  return node;
+}
+
+/// Every triple of records (u,v) in R01, (u,w) in R02 and (v,w) in R12 with
+/// v < w, in (u, v, w) order.
+std::vector<Triangle> BruteForceJoin(const std::vector<ColoredEdge>& node,
+                                     Colour col) {
+  auto in = [&](const ColoredEdge& e, int i, int j) {
+    return e.cu == col[i] && e.cv == col[j];
+  };
+  std::vector<Triangle> out;
+  for (const ColoredEdge& a : node) {
+    if (!in(a, 0, 1)) continue;
+    for (const ColoredEdge& b : node) {
+      if (b.u != a.u || b.v <= a.v || !in(b, 0, 2)) continue;
+      for (const ColoredEdge& c : node) {
+        if (c.u == a.v && c.v == b.v && in(c, 1, 2)) {
+          out.push_back(Triangle{a.u, a.v, b.v});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// StreamJoin on `node` written to a cold device of M = `m`, B = `b` words.
+struct JoinRun {
+  std::vector<Triangle> tris;  // emission order
+  em::IoStats io;
+  std::uint64_t work = 0;
+};
+
+JoinRun RunJoin(const std::vector<ColoredEdge>& node, Colour col,
+                std::size_t m = 1 << 12, std::size_t b = 16) {
+  em::Context ctx = test::MakeContext(m, b);
+  em::Array<ColoredEdge> a = ctx.Alloc<ColoredEdge>(node.size());
+  a.WriteFrom(0, node.size(), node.data());
+  ctx.cache().FlushAll();
+  ctx.cache().Reset();
+  core::CollectingSink sink;
+  core::internal::StreamJoin(ctx, a, col, sink);
+  EXPECT_EQ(ctx.scratch_in_use(), 0u);
+  JoinRun r;
+  r.tris = sink.triangles();
+  r.io = ctx.cache().stats();
+  r.work = ctx.work();
+  return r;
+}
+
+/// The join finds exactly the brute force's triangles, each once.
+void ExpectJoinMatches(const std::vector<ColoredEdge>& node, Colour col) {
+  std::vector<Triangle> got = RunJoin(node, col).tris;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, BruteForceJoin(node, col));
+  EXPECT_TRUE(test::NoDuplicates(got));
+}
+
+/// Vertices 0..n-1, vertex x coloured palette[x % palette.size()] after a
+/// seeded shuffle of the ids; each pair an edge with probability p.
+std::vector<ColoredEdge> RandomNode(VertexId n, double p,
+                                    const std::vector<std::uint32_t>& palette,
+                                    std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<VertexId> ids(n);
+  for (VertexId x = 0; x < n; ++x) ids[x] = x;
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.Next() % i]);
+  }
+  std::map<VertexId, std::uint32_t> colour;
+  for (VertexId x = 0; x < n; ++x) colour[ids[x]] = palette[x % palette.size()];
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  const auto cut = static_cast<std::uint64_t>(p * 1e6);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng.Next() % 1000000 < cut) edges.emplace_back(u, v);
+    }
+  }
+  return NodeOf(edges, colour);
+}
+
+/// The number of records of `node` in slot relation (i, j) under `col`.
+std::size_t Relation(const std::vector<ColoredEdge>& node, Colour col, int i,
+                     int j) {
+  return static_cast<std::size_t>(
+      std::count_if(node.begin(), node.end(), [&](const ColoredEdge& e) {
+        return e.cu == col[i] && e.cv == col[j];
+      }));
+}
+
+/// The longest u-run's R01 records.
+std::size_t LongestR01Run(const std::vector<ColoredEdge>& node, Colour col) {
+  std::map<VertexId, std::size_t> run;
+  std::size_t longest = 0;
+  for (const ColoredEdge& e : node) {
+    if (e.cu == col[0] && e.cv == col[1]) {
+      longest = std::max(longest, ++run[e.u]);
+    }
+  }
+  return longest;
+}
+
+TEST(StreamJoin, LeasesExactly136Words) {
+  EXPECT_EQ(core::internal::kBaseLeaseWords, 136u);
+  const std::vector<ColoredEdge> node = RandomNode(60, 0.9, {1, 2, 3}, 1);
+  ASSERT_GT(Relation(node, {1, 2, 3}, 1, 2), core::internal::kJoinKeys);
+  // M = 136 runs; a node too big for such a cache still finds every
+  // triangle.
+  std::vector<Triangle> got = RunJoin(node, {1, 2, 3}, 136, 4).tris;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, BruteForceJoin(node, {1, 2, 3}));
+  em::Context ctx = test::MakeContext(128, 8);
+  em::Array<ColoredEdge> a = ctx.Alloc<ColoredEdge>(node.size());
+  a.WriteFrom(0, node.size(), node.data());
+  core::CountingSink sink;
+  EXPECT_THROW(core::internal::StreamJoin(ctx, a, {1, 2, 3}, sink), Status);
+}
+
+TEST(StreamJoin, R12LargerThanAChunk) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const std::vector<ColoredEdge> node =
+        RandomNode(100, 0.6, {1, 2, 3}, seed);
+    ASSERT_GT(Relation(node, {1, 2, 3}, 1, 2),
+              2 * core::internal::kJoinKeys);
+    ExpectJoinMatches(node, {1, 2, 3});
+    // The vertex colours are a permutation: every slot order is a problem.
+    ExpectJoinMatches(node, {3, 1, 2});
+    ExpectJoinMatches(node, {2, 3, 1});
+  }
+}
+
+TEST(StreamJoin, RunLongerThanItsBuffer) {
+  // Vertex 0 has 70 R01 edges and 30 R02 edges: its run spills twice.
+  std::map<VertexId, std::uint32_t> colour{{0, 1}};
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId x = 1; x <= 100; ++x) {
+    colour[x] = x % 10 < 7 ? 2 : 3;
+    edges.emplace_back(0, x);
+  }
+  SplitMix64 rng(9);
+  for (VertexId v = 1; v <= 100; ++v) {
+    for (VertexId w = v + 1; w <= 100; ++w) {
+      if (rng.Next() % 4 == 0) edges.emplace_back(v, w);
+    }
+  }
+  const std::vector<ColoredEdge> node = NodeOf(edges, colour);
+  ASSERT_GT(LongestR01Run(node, {1, 2, 3}), 2 * core::internal::kJoinRunEnds);
+  ExpectJoinMatches(node, {1, 2, 3});
+}
+
+TEST(StreamJoin, OneColourForAllThreePositions) {
+  // The root's (1,1,1) problem on K_40 and on a sparser graph: every edge is
+  // in all three relations, so R12 spans several chunks and vertex 0's run
+  // (39 edges) spills as well.
+  const std::vector<ColoredEdge> clique = RandomNode(40, 1.0, {1}, 4);
+  ASSERT_EQ(clique.size(), 780u);
+  ASSERT_GT(LongestR01Run(clique, {1, 1, 1}), core::internal::kJoinRunEnds);
+  ExpectJoinMatches(clique, {1, 1, 1});
+  EXPECT_EQ(RunJoin(clique, {1, 1, 1}).tris.size(), 9880u);  // C(40,3)
+  ExpectJoinMatches(RandomNode(80, 0.2, {1}, 5), {1, 1, 1});
+}
+
+TEST(StreamJoin, TwoPositionsShareAColour) {
+  for (std::uint64_t seed : {6ull, 7ull}) {
+    const std::vector<ColoredEdge> node = RandomNode(70, 0.4, {4, 5}, seed);
+    ExpectJoinMatches(node, {4, 5, 5});  // col[1] == col[2]
+    ExpectJoinMatches(node, {4, 4, 5});  // col[0] == col[1]
+    ExpectJoinMatches(node, {5, 4, 5});  // col[0] == col[2]
+  }
+}
+
+TEST(StreamJoin, AnEmptyRelationFindsNothing) {
+  // Colours 1 and 2 only: under (1,2,3) neither R02 nor R12 has a record.
+  const std::vector<ColoredEdge> node = RandomNode(50, 0.5, {1, 2}, 8);
+  ASSERT_GT(Relation(node, {1, 2, 3}, 0, 1), 0u);
+  EXPECT_TRUE(RunJoin(node, {1, 2, 3}).tris.empty());
+  // Under (3,1,2) only R12 has records.
+  ASSERT_GT(Relation(node, {3, 1, 2}, 1, 2), 0u);
+  EXPECT_TRUE(RunJoin(node, {3, 1, 2}).tris.empty());
+  EXPECT_TRUE(RunJoin({}, {1, 1, 1}).tris.empty());
+}
+
+TEST(StreamJoin, EveryPassHitsWhenTheNodeFitsInM) {
+  // K_40 under (1,1,1) takes several gather and join rounds and run spills,
+  // yet its 1,560 words fit in M = 4,096: each line is read once.
+  const std::vector<ColoredEdge> clique = RandomNode(40, 1.0, {1}, 4);
+  const JoinRun run = RunJoin(clique, {1, 1, 1});
+  EXPECT_EQ(run.io.block_reads, (clique.size() * 2 + 15) / 16);
+  EXPECT_EQ(run.io.block_writes, 0u);
+  EXPECT_GT(run.work, 2 * clique.size());
+}
+
+TEST(StreamJoin, UnsortedNodeAborts) {
+  std::vector<ColoredEdge> node = RandomNode(30, 0.5, {1}, 10);
+  std::swap(node[3], node[4]);
+  EXPECT_DEATH((void)RunJoin(node, {1, 1, 1}), "lex-sorted");
 }
 
 // ---------------------------------------------------------------------------
