@@ -1,8 +1,9 @@
-// Shared helpers for the experiment benches. Every bench runs an algorithm
-// once inside a google-benchmark iteration and reports *measured block I/Os*
-// (the paper's complexity measure) as custom counters, alongside the
-// theorem-predicted bound and the measured/bound ratio — the "shape"
-// evidence EXPERIMENTS.md records.
+// Shared helpers for the experiment benches. MeasureAlgorithm runs an
+// algorithm once from a cold cache and returns its *measured block I/Os*
+// (the paper's complexity measure); io_sweep.cc runs it on every cell of
+// the grid behind README's Reproduction section, and the google-benchmark
+// binaries report it as custom counters through ReportIo, alongside the
+// theorem-predicted bound and the measured/bound ratio.
 #ifndef TRIENUM_BENCH_BENCH_UTIL_H_
 #define TRIENUM_BENCH_BENCH_UTIL_H_
 

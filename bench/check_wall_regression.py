@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """Fail if any benchmark's wall_ms regressed past a loose band vs baseline,
-or if any of its deterministic counters changed at all.
+if any of its deterministic counters changed at all, or if a row is present
+on one side only.
 
 Usage: check_wall_regression.py NEW_JSON BASELINE_JSON [--max-ratio 2.0]
                                 [--min-ms 1.0]
 
-Rows are matched by benchmark name; rows present on only one side are
-ignored (renames and new benches don't break the gate). For every common
-row the deterministic counters (ios, block_ios, ios_per_query, work) must
-match the baseline exactly: block I/Os and work are pure functions of the
-code and the input, so any difference is a behaviour change, never noise.
-A counter present on one side only also counts as a mismatch.
+Rows are matched by benchmark name, and both files must hold the same
+names: a row missing from either side fails the check, so a dropped or
+renamed row shows up instead of passing unseen (a rename updates the
+baseline in the same change). For every row the deterministic counters
+(triangles, reads, writes, ios, block_ios, ios_per_query, work) must match
+the baseline exactly: triangles, block I/Os and work are pure functions of
+the code and the input, so any difference is a behaviour change, never
+noise. A counter present on one side only also counts as a mismatch.
 
-Rows whose baseline wall_ms is below --min-ms are skipped by the wall check
-as noise. The default 2x band is deliberately loose: it tolerates machine
-variance between the committed baseline and the CI runner and catches only
-accidental slow paths (an engine fallback kicking in, a debug assert left
-on, quadratic bookkeeping).
+A row that lacks wall_ms on either side is compared on its counters only;
+bench/io_sweep.cc writes only such rows. Rows whose baseline wall_ms is below
+--min-ms are skipped by the wall check as noise. The default 2x band is
+deliberately loose: it tolerates machine variance between the committed
+baseline and the CI runner and catches only accidental slow paths (an
+engine fallback kicking in, a debug assert left on, quadratic bookkeeping).
 
 Note: the JSON context's "library_build_type" describes how the
 google-benchmark *library* was built (the distro package reports "debug");
@@ -27,7 +31,8 @@ import argparse
 import json
 import sys
 
-EXACT_COUNTERS = ("ios", "block_ios", "ios_per_query", "work")
+EXACT_COUNTERS = ("triangles", "reads", "writes", "ios", "block_ios",
+                  "ios_per_query", "work")
 
 
 def load_rows(path):
@@ -53,6 +58,12 @@ def main():
 
     failures = []
     mismatches = []
+    unmatched = []
+    walled = 0
+    for name in sorted(set(new) ^ set(base)):
+        side = "baseline" if name in base else "new run"
+        print(f"{name}: only in the {side} <-- ROW MISMATCH")
+        unmatched.append(name)
     for name in common:
         for key in EXACT_COUNTERS:
             got, want = new[name].get(key), base[name].get(key)
@@ -65,6 +76,7 @@ def main():
         new_ms = float(new[name]["wall_ms"])
         if base_ms < args.min_ms:
             continue
+        walled += 1
         ratio = new_ms / base_ms
         marker = " <-- REGRESSION" if ratio > args.max_ratio else ""
         print(f"{name}: {base_ms:.2f} ms -> {new_ms:.2f} ms "
@@ -73,6 +85,9 @@ def main():
             failures.append(name)
 
     errors = []
+    if unmatched:
+        errors.append(f"{len(unmatched)} row(s) present on one side only: "
+                      f"{', '.join(unmatched)}")
     if mismatches:
         errors.append(f"{len(mismatches)} deterministic counter(s) differ "
                       f"from the baseline: {', '.join(mismatches)}")
@@ -81,8 +96,8 @@ def main():
                       f"{args.max_ratio}x: {', '.join(failures)}")
     if errors:
         sys.exit("\n".join(errors))
-    print(f"OK: {len(common)} rows within the {args.max_ratio}x band, "
-          f"counters exact")
+    print(f"OK: {len(common)} rows with exact counters; {walled} "
+          f"wall-checked, all within the {args.max_ratio}x band")
 
 
 if __name__ == "__main__":

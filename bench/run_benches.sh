@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs every built bench binary with --benchmark_format=json, writing one
+# Runs every built bench_* binary with --benchmark_format=json, writing one
 # BENCH_<name>.json per bench into the output directory — the perf trajectory
 # the repo accumulates across PRs.
 #
@@ -92,4 +92,6 @@ fi
 
 echo "done. (BENCH_backends.json carries the simulated-vs-real I/O counters;"
 echo " BENCH_hotpath.json the Scanner/Writer and end-to-end hot-path rows;"
-echo " BENCH_session_traced.json the tracing-overhead probe.)"
+echo " BENCH_session_traced.json the tracing-overhead probe. The paper's"
+echo " bound ratios, crossover and exponents come from ${bench_dir}/io_sweep,"
+echo " which this script does not run; see README's Reproduction section.)"
