@@ -10,10 +10,13 @@ Rows are matched by benchmark name, and both files must hold the same
 names: a row missing from either side fails the check, so a dropped or
 renamed row shows up instead of passing unseen (a rename updates the
 baseline in the same change). For every row the deterministic counters
-(triangles, reads, writes, ios, block_ios, ios_per_query, work) must match
-the baseline exactly: triangles, block I/Os and work are pure functions of
-the code and the input, so any difference is a behaviour change, never
-noise. A counter present on one side only also counts as a mismatch.
+(triangles, reads, writes, ios, block_ios, ios_per_query, work; the
+simulated and real storage counters sim_ios, sim_reads, sim_writes,
+real_read_calls, real_write_calls; the join's join_ios; and the two cache
+levels' l1_ios, l2_ios) must match the baseline exactly: triangles, block
+I/Os, storage calls and work are pure functions of the code and the input,
+so any difference is a behaviour change, never noise. A counter present on
+one side only also counts as a mismatch.
 
 A row that lacks wall_ms on either side is compared on its counters only;
 bench/io_sweep.cc writes only such rows. Rows whose baseline wall_ms is below
@@ -32,7 +35,9 @@ import json
 import sys
 
 EXACT_COUNTERS = ("triangles", "reads", "writes", "ios", "block_ios",
-                  "ios_per_query", "work")
+                  "ios_per_query", "work", "sim_ios", "sim_reads",
+                  "sim_writes", "real_read_calls", "real_write_calls",
+                  "join_ios", "l1_ios", "l2_ios")
 
 
 def load_rows(path):

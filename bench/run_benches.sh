@@ -49,11 +49,9 @@ for b in doc.get("benchmarks", []):
     if "wall_ms" not in b:
         b["wall_ms"] = b.get("real_time", 0.0) * scale.get(b.get("time_unit", "ns"), 1e-6)
 # Parallel-scaling provenance: how many cores this machine has (per-case
-# sweeps report their own `threads` counter). `traced` records whether a
-# TraceCollector was installed for the run (TRIENUM_BENCH_TRACE=1).
+# sweeps report their own `threads` counter).
 ctx = doc.setdefault("context", {})
 ctx["host_cores"] = os.cpu_count() or 1
-ctx["traced"] = int(os.environ.get("TRIENUM_BENCH_TRACE", "0") not in ("", "0"))
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)
 missing = [b["name"] for b in doc.get("benchmarks", []) if "wall_ms" not in b]
@@ -78,20 +76,9 @@ if [[ "${found}" -eq 0 ]]; then
   exit 1
 fi
 
-# The observability overhead probe: the session bench again, this time with
-# a TraceCollector installed (spans recording, sampler attributing). CI
-# gates BENCH_session_traced.json against BENCH_session.json at 1.05x —
-# tracing must be nearly free or the always-on seams are mis-placed.
-if [[ -x "${bench_dir}/bench_session" ]]; then
-  out="${out_dir}/BENCH_session_traced.json"
-  echo "== bench_session (traced) -> ${out}"
-  TRIENUM_BENCH_TRACE=1 "${bench_dir}/bench_session" \
-    --benchmark_format=json "$@" > "${out}"
-  postprocess "${out}"
-fi
-
 echo "done. (BENCH_backends.json carries the simulated-vs-real I/O counters;"
 echo " BENCH_hotpath.json the Scanner/Writer and end-to-end hot-path rows;"
-echo " BENCH_session_traced.json the tracing-overhead probe. The paper's"
-echo " bound ratios, crossover and exponents come from ${bench_dir}/io_sweep,"
-echo " which this script does not run; see README's Reproduction section.)"
+echo " BENCH_session.json's trace_overhead counters the tracing-overhead probe."
+echo " The paper's bound ratios, crossover and exponents come from"
+echo " ${bench_dir}/io_sweep, which this script does not run; see README's"
+echo " Reproduction section.)"

@@ -17,7 +17,7 @@
 //      edge thus reads its input twice; when step 1 removes edges, the
 //      filtered array is counted again before the routing scan.
 // Recursion ends at depth ceil(log4 E), or once a subproblem has at most
-// kTinyBase = 256 edges. A base case of at most kTinyBase edges streams the
+// kTinyBase = 1,024 edges. A base case of at most kTinyBase edges streams the
 // node through a join in an O(1) host buffer (internal::StreamJoin); a
 // larger one, reached only when the depth cap stops a node first, runs
 // Dementiev's sort/scan algorithm (funnelsort flavor). Both filter to proper
@@ -49,13 +49,17 @@ namespace trienum::core {
 /// words do, and they also set the smallest M the algorithm runs at. A
 /// fixed constant, so the algorithm stays oblivious to M and B; the paper's
 /// analysis charges constant-size subproblems O(1), so it keeps the bound.
-/// A smaller cutoff keeps splitting nodes of a few hundred edges, each
-/// paying a high-degree verify scan, an 8-way partition and often a Lemma 1
-/// call: on R-MAT scale 12 (E=16384, M=4096, B=64, one core of a 4-vCPU
-/// VM), this join under a cutoff of 64 ran 61,522 subproblems instead of
-/// 5,369, took 246-282 ms instead of 79-99 ms (5 alternating runs each)
-/// and moved 0.8% more blocks.
-inline constexpr std::size_t kTinyBase = 256;
+/// A smaller cutoff splits nodes the join would finish in a few passes, each
+/// split paying a high-degree verify scan and an 8-way partition; a larger
+/// one gives the join one gather-and-join round per 120 R12 keys, which on
+/// dense nodes costs more work than the splits save. On R-MAT scale 12
+/// (E = 16,384, M = 4,096, B = 64, one core of a 4-vCPU VM, 5 runs each),
+/// cutoffs of 256, 1,024 and 2,048 took 81-100, 57-72 and 37-52 ms and
+/// moved 48,232, 39,301 and 35,293 blocks. Against 256, 1,024 lowers both
+/// block I/Os and work in all 27 cells of bench/io_sweep, while 2,048
+/// raises work on K_48 and K_64 (K_64: 275,982 at 256, 185,338 at 1,024,
+/// 467,481 at 2,048): 1,024 is the largest cutoff measured that lowers both.
+inline constexpr std::size_t kTinyBase = 1024;
 
 /// Enumerates all triangles of `g`, cache-obliviously.
 void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -132,8 +133,10 @@ ShapedRun RunShaped(const std::vector<Edge>& raw, std::uint64_t seed,
 
 TEST(CacheOblivious, EmissionIndependentOfMAndB) {
   // Obliviousness: with a fixed seed, the emitted multiset (indeed the whole
-  // computation) cannot depend on M or B.
-  auto raw = Gnm(100, 800, 21);
+  // computation) cannot depend on M or B. Above the base, so the recursion
+  // runs at every M and B.
+  auto raw = Gnm(100, 1500, 21);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   auto first = RunOblivious(raw, 99, 1 << 12, 16);
   for (auto [m, b] : std::vector<std::pair<std::size_t, std::size_t>>{
            {256, 8}, {1 << 10, 32}, {1 << 15, 64}}) {
@@ -143,12 +146,16 @@ TEST(CacheOblivious, EmissionIndependentOfMAndB) {
 }
 
 TEST(CacheOblivious, SeedsVaryRecursionNotAnswer) {
-  auto raw = Gnm(80, 600, 13);
+  // 1,400 edges: more than one kTinyBase leaf, and enough for a second level,
+  // where the child sizes (unlike depth 1's, always 4E in all) depend on
+  // the bits.
+  auto raw = Gnm(80, 1400, 13);
   auto expected = test::ReferenceNormalized(raw);
   std::vector<std::uint64_t> child_edge_counts;
   for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
     const ShapedRun run = RunShaped(raw, seed);
     EXPECT_EQ(run.tris, expected);
+    EXPECT_GT(run.args.at("subproblems"), 1u);
     child_edge_counts.push_back(run.args.at("total_child_edges"));
   }
   // Different random refinements lead to different recursion trees.
@@ -171,7 +178,10 @@ TEST(CacheOblivious, ReportShapeMatchesTheory) {
 }
 
 TEST(CacheOblivious, DepthZeroIsPureDementiev) {
-  auto raw = Gnm(100, 700, 29);
+  // Above the base, so the capped root takes the Dementiev branch, not the
+  // streaming join.
+  auto raw = Gnm(100, 1500, 29);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const ShapedRun run = RunShaped(raw, 0x7001, /*max_depth=*/0);
   EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
   EXPECT_EQ(run.args.at("base_cases"), 1u);
@@ -180,21 +190,30 @@ TEST(CacheOblivious, DepthZeroIsPureDementiev) {
 
 TEST(CacheOblivious, CliqueWithLocalHighDegreeBelowTheRoot) {
   // A clique vertex has degree about sqrt(2E), short of E/8 in a balanced
-  // node of more than about 85 edges, so above the 256-edge base Lemma 1
-  // fires only in unbalanced nodes, where one colour class is much smaller
-  // than the others. K_120 reaches such nodes: the step fires repeatedly
-  // below the root, and exactly-once must survive.
-  const ShapedRun run = RunShaped(Clique(120), 0x7001);
+  // node of more than about 85 edges, so Lemma 1 fires only in nodes where
+  // two colour classes are much smaller than the third. Above the
+  // 1,024-edge base a plain clique never gets there (K_100 to K_200 at 30
+  // seeds each: no call). Joining K_12 to 300 independent vertices makes
+  // the clique's classes the small ones: its vertices have degree 311,
+  // short of E/8 = 458 at the root, but reach a node's E/8 below it. The
+  // step fires repeatedly there, and exactly-once must survive.
+  std::vector<Edge> raw = Clique(12);
+  for (VertexId x = 0; x < 12; ++x) {
+    for (VertexId y = 12; y < 312; ++y) raw.push_back(Edge{x, y});
+  }
+  const ShapedRun run = RunShaped(raw, 0x7001);
   EXPECT_GE(run.args.at("high_degree_calls"), 2u);
   EXPECT_GE(run.args.at("max_depth_reached"), 3u);
   EXPECT_TRUE(test::NoDuplicates(run.tris));
-  EXPECT_EQ(run.tris.size(), 280840u);  // C(120,3)
+  EXPECT_EQ(run.tris.size(), 20020u);  // C(12,3) + C(12,2) * 300
 }
 
 TEST(CacheOblivious, GrowsLikeE15WhileMgtGrowsLikeE2) {
   // The paper's separation is asymptotic: ours scales as E^{3/2}, MGT as
-  // E^2. Growing E by 8x at fixed M must grow MGT's I/O by ~64x but ours by
-  // only ~23x; the measured growth exponents must be separated.
+  // E^2. Growing E by 4x at fixed M must grow MGT's I/O by ~16x but ours by
+  // only ~8x; the measured growth exponents must be separated. E starts at
+  // 2^13: at 2^12 the 1,024-edge base leaves a recursion only two levels
+  // deep (three at 2^13, four at 2^15).
   const std::size_t m = 1 << 9, b = 16;
   auto measure = [&](std::size_t e, bool oblivious) {
     em::Context ctx = test::MakeContext(m, b);
@@ -209,10 +228,10 @@ TEST(CacheOblivious, GrowsLikeE15WhileMgtGrowsLikeE2) {
     ctx.cache().FlushAll();
     return static_cast<double>(ctx.cache().stats().total_ios());
   };
-  const std::size_t e_small = 1 << 12, e_big = 1 << 15;
+  const std::size_t e_small = 1 << 13, e_big = 1 << 15;
   double ours_growth = measure(e_big, true) / measure(e_small, true);
   double mgt_growth = measure(e_big, false) / measure(e_small, false);
-  double factor = std::log2(static_cast<double>(e_big) / e_small);  // 3
+  double factor = std::log2(static_cast<double>(e_big) / e_small);  // 2
   double ours_exp = std::log2(ours_growth) / factor;
   double mgt_exp = std::log2(mgt_growth) / factor;
   EXPECT_LT(ours_exp, mgt_exp - 0.25)
@@ -244,23 +263,25 @@ TEST(CacheOblivious, IoDropsWithLargerMemoryWithoutRecompiling) {
 
 TEST(CacheOblivious, ShrunkNodesPartitionAtPinnedIoStats) {
   // A node that the high-degree step leaves with fewer than kTinyBase edges
-  // (11 nodes here) still writes its children through Writers, each flushed
+  // (3 nodes here) still writes its children through Writers, each flushed
   // just before the child recurses, and every leaf streams through the
-  // base-case join. Pinned exactly (reads, writes and hits), so any change
-  // to the partition's or the base case's charges shows.
-  const auto raw = Rmat(10, 8192, 0.45, 0.22, 0.22, 2014);
+  // base-case join. R-MAT's hubs must be skewed enough (a = 0.5) for Lemma 1
+  // to fire above the 1,024-edge base. Pinned exactly (reads, writes and
+  // hits), so any change to the partition's or the base case's charges
+  // shows.
+  const auto raw = Rmat(10, 8192, 0.5, 0.2, 0.2, 2014);
   const CoRun untraced = RunCoRecurse(raw, 1 << 10, 16, 2014, nullptr);
   obs::TraceCollector tc;
   const CoRun traced = RunCoRecurse(raw, 1 << 10, 16, 2014, &tc);
   ExpectSameRun(traced, untraced);
-  EXPECT_EQ(untraced.tris.size(), 10511u);
+  EXPECT_EQ(untraced.tris.size(), 20105u);
   const std::vector<obs::TraceEvent> evs = tc.events_since(0);
   const obs::TraceEvent* span = CoRecurseSpan(evs);
   ASSERT_NE(span, nullptr);
-  EXPECT_GT(ArgsOf(*span)["high_degree_calls"], 0u);
-  EXPECT_EQ(untraced.io.block_reads, 93246u);
-  EXPECT_EQ(untraced.io.block_writes, 61371u);
-  EXPECT_EQ(untraced.io.cache_hits, 2176084u);
+  EXPECT_GE(ArgsOf(*span)["high_degree_calls"], 2u);
+  EXPECT_EQ(untraced.io.block_reads, 53477u);
+  EXPECT_EQ(untraced.io.block_writes, 33600u);
+  EXPECT_EQ(untraced.io.cache_hits, 969527u);
 }
 
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
@@ -361,7 +382,7 @@ TEST(CacheOblivious, EmissionOrderPinned) {
       h = (h ^ x) * 0x100000001b3ull;
     }
   }
-  EXPECT_EQ(h, 318821042347569681u);
+  EXPECT_EQ(h, 8474186124629679567u);
 }
 
 // ---------------------------------------------------------------------------
@@ -571,6 +592,33 @@ TEST(StreamJoin, EveryPassHitsWhenTheNodeFitsInM) {
   EXPECT_EQ(run.io.block_reads, (clique.size() * 2 + 15) / 16);
   EXPECT_EQ(run.io.block_writes, 0u);
   EXPECT_GT(run.work, 2 * clique.size());
+}
+
+TEST(StreamJoin, LargestLeafAtTheSmallestM) {
+  // A node of kTinyBase records, the largest the recursion streams, under
+  // the root's (1,1,1) problem at M = 136, B = 4. Every record is in R12,
+  // which spans 9 chunks, and vertex 0's run of 320 R01 edges spills 9
+  // times.
+  std::map<VertexId, std::uint32_t> colour;
+  std::set<std::pair<VertexId, VertexId>> edges;
+  for (VertexId x = 0; x <= 320; ++x) colour[x] = 1;
+  for (VertexId x = 1; x <= 320; ++x) edges.emplace(0, x);
+  SplitMix64 rng(12);
+  while (edges.size() < core::kTinyBase) {
+    const auto v = static_cast<VertexId>(1 + rng.Next() % 320);
+    const auto w = static_cast<VertexId>(1 + rng.Next() % 320);
+    if (v != w) edges.emplace(std::min(v, w), std::max(v, w));
+  }
+  const std::vector<ColoredEdge> node =
+      NodeOf({edges.begin(), edges.end()}, colour);
+  ASSERT_EQ(node.size(), 1024u);
+  ASSERT_GT(Relation(node, {1, 1, 1}, 1, 2), 7 * core::internal::kJoinKeys);
+  ASSERT_GT(LongestR01Run(node, {1, 1, 1}), 9 * core::internal::kJoinRunEnds);
+  std::vector<Triangle> got = RunJoin(node, {1, 1, 1}, 136, 4).tris;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, BruteForceJoin(node, {1, 1, 1}));
+  EXPECT_TRUE(test::NoDuplicates(got));
+  EXPECT_FALSE(got.empty());
 }
 
 TEST(StreamJoin, UnsortedNodeAborts) {

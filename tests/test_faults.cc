@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/algorithms.h"
+#include "core/cache_oblivious.h"
 #include "em/storage.h"
 #include "faults/fault_injection.h"
 #include "faults/fault_spec.h"
@@ -388,7 +389,11 @@ TEST(Faults, TransientSchedulesLeaveEveryQueryBitIdentical) {
   // threads. The faulted store answers every query with the
   // same triangles (values AND emission order), the same counted IoStats,
   // and the same internal work as the clean store, with all recovery
-  // traffic reported separately.
+  // traffic reported separately. The graph is above §3's base, so its
+  // recursion (partition writers, high-degree step, dropped child arrays)
+  // runs under the retries too.
+  const std::vector<graph::Edge> edges = graph::Gnm(96, 1100, 0x51);
+  ASSERT_GT(edges.size(), core::kTinyBase);
   for (em::StorageKind storage :
        {em::StorageKind::kMemory, em::StorageKind::kFile}) {
     SCOPED_TRACE(storage == em::StorageKind::kFile ? "file" : "memory");
@@ -397,8 +402,8 @@ TEST(Faults, TransientSchedulesLeaveEveryQueryBitIdentical) {
     fault_cfg.fault_spec = kTransientSpec;
     ASSERT_TRUE(faults::ApplyFaultConfig(fault_cfg).ok());
 
-    auto clean_lg = query::LoadedGraph::FromEdges(clean_cfg, FixtureEdges());
-    auto fault_lg = query::LoadedGraph::FromEdges(fault_cfg, FixtureEdges());
+    auto clean_lg = query::LoadedGraph::FromEdges(clean_cfg, edges);
+    auto fault_lg = query::LoadedGraph::FromEdges(fault_cfg, edges);
     ASSERT_TRUE(clean_lg.ok()) << clean_lg.status().ToString();
     ASSERT_TRUE(fault_lg.ok()) << fault_lg.status().ToString();
 
@@ -612,6 +617,7 @@ TEST(Faults, WriterFlushingDuringTheUnwindFindsACacheLine) {
 struct WriteBackFaultCase {
   const char* algo;
   std::size_t block_words;  // M = B: a one-line cache
+  std::size_t edges;        // of Gnm(96, edges, 0x51)
 };
 
 class WriteBackFault : public ::testing::TestWithParam<WriteBackFaultCase> {};
@@ -630,7 +636,8 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
   q.kind = query::QueryKind::kEnumerate;
   q.algo = c.algo;
 
-  auto ref_lg = query::LoadedGraph::FromEdges(base, FixtureEdges());
+  const std::vector<graph::Edge> edges = graph::Gnm(96, c.edges, 0x51);
+  auto ref_lg = query::LoadedGraph::FromEdges(base, edges);
   ASSERT_TRUE(ref_lg.ok());
   auto ref = ref_lg->Run(q);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -638,7 +645,7 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
   em::EmConfig probe_cfg = base;
   probe_cfg.fault_spec = "write:eio:at=1000000000";  // installed, never fires
   ASSERT_TRUE(faults::ApplyFaultConfig(probe_cfg).ok());
-  auto probe = query::LoadedGraph::FromEdges(probe_cfg, FixtureEdges());
+  auto probe = query::LoadedGraph::FromEdges(probe_cfg, edges);
   ASSERT_TRUE(probe.ok());
   const std::uint64_t after_load =
       faults::FindInjector(probe->store().device().backend())
@@ -651,7 +658,7 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
     cfg.fault_spec =
         "write:eio:at=" + std::to_string(after_load + k) + ",perm=1";
     ASSERT_TRUE(faults::ApplyFaultConfig(cfg).ok());
-    auto lg = query::LoadedGraph::FromEdges(cfg, FixtureEdges());
+    auto lg = query::LoadedGraph::FromEdges(cfg, edges);
     ASSERT_TRUE(lg.ok()) << "the fault must not fire during load";
     auto failed = lg->Run(q);
     ASSERT_FALSE(failed.ok());
@@ -669,13 +676,15 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
   }
 }
 
-// §3 leases 136 words of scratch on this graph, so it gets a wider line.
+// §3 leases 136 words of scratch, so it gets a wider line, and a graph
+// above its 1,024-edge base: on the fixture's 400 edges, one leaf, the query
+// writes only 4 lines.
 INSTANTIATE_TEST_SUITE_P(
     OneLineCache, WriteBackFault,
-    ::testing::Values(WriteBackFaultCase{"edge-iterator", 16},
-                      WriteBackFaultCase{"dementiev", 16},
-                      WriteBackFaultCase{"ps-cache-aware", 16},
-                      WriteBackFaultCase{"ps-cache-oblivious", 256}),
+    ::testing::Values(WriteBackFaultCase{"edge-iterator", 16, 400},
+                      WriteBackFaultCase{"dementiev", 16, 400},
+                      WriteBackFaultCase{"ps-cache-aware", 16, 400},
+                      WriteBackFaultCase{"ps-cache-oblivious", 256, 1100}),
     [](const ::testing::TestParamInfo<WriteBackFaultCase>& info) {
       std::string name = info.param.algo;
       std::replace(name.begin(), name.end(), '-', '_');

@@ -120,7 +120,7 @@ TEST(IoBounds, PinnedRegressionCacheAware) {
 }
 
 TEST(IoBounds, PinnedRegressionCacheOblivious) {
-  ExpectPinnedIos("ps-cache-oblivious", 71, 369230.0);
+  ExpectPinnedIos("ps-cache-oblivious", 71, 248401.0);
 }
 
 TEST(IoBounds, PinnedRegressionHoldsOnFileBackend) {

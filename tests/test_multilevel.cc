@@ -93,8 +93,9 @@ TEST(Multilevel, ObliviousBoundHoldsAtBothLevelsOfOneRun) {
   // statement exists for the cache-aware algorithm: its staged internal
   // buffers are sized for one level — and indeed live in host scratch here,
   // outside what a smaller-level probe could meaningfully observe.)
+  // L2 is 32x L1 and holds half of the root's 16,384 words.
   auto raw = Gnm(1 << 11, 1 << 13, 5);
-  const std::size_t l1_m = 1 << 8, l2_m = 1 << 12, b = 16;
+  const std::size_t l1_m = 1 << 8, l2_m = 1 << 13, b = 16;
   em::Context ctx = test::MakeContext(l2_m, b);
   ctx.set_seed(99);
   ctx.AttachProbe(l1_m, b);
