@@ -62,8 +62,7 @@ void Enumerate(em::QuerySession& ctx, const graph::EmGraph& g,
   em::Array<Edge> low = work.Slice(0, wlen);
 
   // ---- Step 2: coloring and bucketing ---------------------------------------
-  std::uint32_t c = 1;
-  while (static_cast<std::uint64_t>(c) * c * ctx.memory_words() < wlen) c <<= 1;
+  const std::uint32_t c = internal::ColorCount(ctx, wlen, deterministic);
 
   ColorFn color;
   if (deterministic) {
@@ -123,25 +122,24 @@ void Enumerate(em::QuerySession& ctx, const graph::EmGraph& g,
   }
 
   // ---- Step 3: Lemma 2 per color triple -------------------------------------
-  // The triple loop in its serial order: bound(key) reads one bucket bound,
-  // lemma2(cone_a, cone_b, pivot) is one Lemma 2 call.
-  auto for_each_triple = [&](auto bound, auto lemma2) {
+  // Row t1 of the triple loop in its serial order: bound(key) reads one bucket
+  // bound, lemma2(cone_a, cone_b, pivot) is one Lemma 2 call.
+  auto for_each_triple_in_row = [&](std::uint32_t t1, auto bound,
+                                    auto lemma2) {
     auto bucket = [&](std::uint32_t a, std::uint32_t b) {
       const std::size_t key = static_cast<std::size_t>(a) * c + b;
       const std::size_t lo = bound(key);
       return buckets.Slice(lo, bound(key + 1) - lo);
     };
-    for (std::uint32_t t1 = 0; t1 < c; ++t1) {
-      for (std::uint32_t t2 = 0; t2 < c; ++t2) {
-        em::Array<Edge> cone_a = bucket(t1, t2);
-        if (cone_a.empty()) continue;
-        for (std::uint32_t t3 = 0; t3 < c; ++t3) {
-          em::Array<Edge> pivot = bucket(t2, t3);
-          if (pivot.empty()) continue;
-          em::Array<Edge> cone_b = t2 == t3 ? cone_a : bucket(t1, t3);
-          if (cone_b.empty()) continue;
-          lemma2(cone_a, cone_b, pivot);
-        }
+    for (std::uint32_t t2 = 0; t2 < c; ++t2) {
+      em::Array<Edge> cone_a = bucket(t1, t2);
+      if (cone_a.empty()) continue;
+      for (std::uint32_t t3 = 0; t3 < c; ++t3) {
+        em::Array<Edge> pivot = bucket(t2, t3);
+        if (pivot.empty()) continue;
+        em::Array<Edge> cone_b = t2 == t3 ? cone_a : bucket(t1, t3);
+        if (cone_b.empty()) continue;
+        lemma2(cone_a, cone_b, pivot);
       }
     }
   };
@@ -151,38 +149,67 @@ void Enumerate(em::QuerySession& ctx, const graph::EmGraph& g,
     return static_cast<std::size_t>(offsets.Get(key));
   };
   if (!PivotChunksRunOrdered(ctx)) {
-    for_each_triple(charged_bound, [&](em::Array<Edge> cone_a,
-                                       em::Array<Edge> cone_b,
-                                       em::Array<Edge> pivot) {
-      PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink);
-    });
+    for (std::uint32_t t1 = 0; t1 < c; ++t1) {
+      for_each_triple_in_row(t1, charged_bound, [&](em::Array<Edge> cone_a,
+                                                    em::Array<Edge> cone_b,
+                                                    em::Array<Edge> pivot) {
+        PivotEnumerate<Edge>(ctx, cone_a, cone_b, pivot, sink);
+      });
+    }
     return;
   }
-  // All c^3 triples' chunks go through one ordered run. The plan reads the
-  // bounds through the direct view, uncharged; each call then re-reads its
-  // own bounds, charged, at its serial position in the commit order.
+  // Each row's chunks go through one ordered run, so the plan holds at most
+  // c^2 calls, not c^3. The plan reads the bounds through the direct view,
+  // uncharged; each call then re-reads its own bounds, charged, at its serial
+  // position in the commit order, and the bounds read after a row's last call
+  // are charged when its run ends.
   const std::uint64_t* bounds = offsets.MemRef();
   std::vector<PivotCall<Edge>> calls;
   std::vector<std::size_t> keys;  // bounds read since the last call
   auto charge = [&](const std::vector<std::size_t>& ks) {
     for (std::size_t k : ks) charged_bound(k);
   };
-  for_each_triple(
-      [&](std::size_t key) {
-        keys.push_back(key);
-        return static_cast<std::size_t>(bounds[key]);
-      },
-      [&](em::Array<Edge> cone_a, em::Array<Edge> cone_b,
-          em::Array<Edge> pivot) {
-        calls.push_back(PivotCall<Edge>{
-            cone_a, cone_b, pivot, [&charge, ks = keys] { charge(ks); }});
-        keys.clear();
-      });
-  PivotEnumerateOrdered<Edge>(ctx, calls, sink);
-  charge(keys);
+  for (std::uint32_t t1 = 0; t1 < c; ++t1) {
+    for_each_triple_in_row(
+        t1,
+        [&](std::size_t key) {
+          keys.push_back(key);
+          return static_cast<std::size_t>(bounds[key]);
+        },
+        [&](em::Array<Edge> cone_a, em::Array<Edge> cone_b,
+            em::Array<Edge> pivot) {
+          calls.push_back(PivotCall<Edge>{
+              cone_a, cone_b, pivot, [&charge, ks = keys] { charge(ks); }});
+          keys.clear();
+        });
+    if (!calls.empty()) PivotEnumerateOrdered<Edge>(ctx, calls, sink);
+    calls.clear();
+    charge(keys);
+    keys.clear();
+  }
 }
 
 }  // namespace
+
+namespace internal {
+
+std::uint32_t ColorCount(const em::QuerySession& ctx, std::size_t low_edges,
+                         bool deterministic) {
+  std::uint32_t c = 1;
+  if (deterministic) {
+    // §4 fixes one colour bit per derandomization round, so its c is a power
+    // of two and each doubling costs a round: it keeps classes of M edges.
+    while (static_cast<std::uint64_t>(c) * c * ctx.memory_words() < low_edges) {
+      c <<= 1;
+    }
+    return c;
+  }
+  const std::uint64_t chunk = ChunkItems<graph::Edge>(ctx);
+  while (static_cast<std::uint64_t>(c) * c * chunk < low_edges) ++c;
+  return c;
+}
+
+}  // namespace internal
 
 void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
                          TriangleSink& sink) {

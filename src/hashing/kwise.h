@@ -84,9 +84,10 @@ class FourWiseHash {
     return static_cast<std::uint32_t>((hx & 1u) | ((hy & 1u) << 1));
   }
 
-  /// Color in [0, c) for power-of-two c (low bits of the hash).
-  std::uint32_t Color(std::uint64_t x, std::uint32_t c_pow2) const {
-    return static_cast<std::uint32_t>((*this)(x) & (c_pow2 - 1));
+  /// Color in [0, c), c >= 1: the hash mod c. For a power-of-two c that is
+  /// the hash's low bits.
+  std::uint32_t Color(std::uint64_t x, std::uint32_t c) const {
+    return static_cast<std::uint32_t>((*this)(x) % c);
   }
 
   std::uint64_t seed() const { return seed_; }

@@ -65,17 +65,44 @@ TEST(CacheAware, DifferentSeedsSameAnswer) {
   }
 }
 
+TEST(CacheAware, ColorCountIsLeastCWithClassesOfOneChunk) {
+  // M = 65,536 words: Lemma 2's chunk holds alpha*M = 8,192 one-word edges.
+  em::Context ctx = test::MakeContext(1 << 16, 64);
+  const std::size_t chunk = 8192;
+  auto random = [&](std::size_t e) {
+    return core::internal::ColorCount(ctx, e, /*deterministic=*/false);
+  };
+  auto deterministic = [&](std::size_t e) {
+    return core::internal::ColorCount(ctx, e, /*deterministic=*/true);
+  };
+  for (std::size_t e : {std::size_t{0}, std::size_t{1}, chunk}) {
+    EXPECT_EQ(random(e), 1u) << "E_low = " << e;
+  }
+  for (std::uint32_t c = 1; c <= 12; ++c) {
+    EXPECT_EQ(random(c * c * chunk), c) << "E_low = c^2 alpha M, c = " << c;
+    EXPECT_EQ(random(c * c * chunk + 1), c + 1) << "one edge more, c = " << c;
+  }
+  EXPECT_EQ(random(600000), 9u);  // rmat16: 8^2 chunks hold 524,288 edges
+  // §4 keeps the least power of two with c^2 M >= E_low.
+  EXPECT_EQ(deterministic(1 << 16), 1u);
+  EXPECT_EQ(deterministic((1 << 16) + 1), 2u);
+  EXPECT_EQ(deterministic(4 << 16), 2u);
+  EXPECT_EQ(deterministic((4 << 16) + 1), 4u);
+  EXPECT_EQ(deterministic(600000), 4u);
+}
+
 TEST(CacheAware, ColorCountFollowsMStillCorrect) {
-  // c is the least power of two with c^2 M >= E (no vertex of this Gnm is
-  // high-degree at any of these M), so each quartering of M doubles it.
+  // c is the least integer with c^2 M/8 >= E (no vertex of this Gnm is
+  // high-degree at any of these M), so from M = 2048 on each quartering of
+  // M doubles it.
   auto raw = Gnm(400, 4000, 9);
   auto expected = test::ReferenceNormalized(raw);
   struct Point {
     std::size_t m, b;
     std::uint64_t colors;
   };
-  for (Point p : {Point{4096, 16, 1}, Point{2048, 16, 2}, Point{512, 16, 4},
-                  Point{128, 8, 8}, Point{32, 4, 16}}) {
+  for (Point p : {Point{4096, 16, 3}, Point{2048, 16, 4}, Point{512, 16, 8},
+                  Point{128, 8, 16}, Point{32, 4, 32}}) {
     const TracedAware run = RunAwareTraced(raw, p.m, p.b);
     EXPECT_EQ(run.colors, p.colors) << "M = " << p.m;
     EXPECT_EQ(run.tris, expected) << "M = " << p.m;

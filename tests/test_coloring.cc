@@ -55,23 +55,27 @@ TEST(ColoringStats, AdjacentPairsOnAStar) {
 
 TEST(ColoringStats, Lemma3HoldsOnAverage) {
   // E[X_xi] <= E*M for the 4-wise coloring with c = sqrt(E/M): average over
-  // seeds must come in under the bound (with slack for variance).
-  const std::size_t m_words = 1 << 8;
-  em::Context ctx = test::MakeContext(m_words, 16);
+  // seeds must come in under the bound (with slack for variance). c = 4 is
+  // the power of two with c^2 M = E at M = 256; c = 12, the least integer
+  // with c^2 M >= E at M = 32, colours by the hash mod c.
+  em::Context ctx = test::MakeContext(1 << 8, 16);
   EmGraph g = BuildEmGraph(ctx, Gnm(500, 4096, 2));
-  std::uint32_t c = 1;
-  while (static_cast<std::uint64_t>(c) * c * m_words < g.num_edges()) c <<= 1;
+  for (std::size_t m_words : {std::size_t{256}, std::size_t{32}}) {
+    std::uint32_t c = 1;
+    while (static_cast<std::uint64_t>(c) * c * m_words < g.num_edges()) ++c;
+    ASSERT_EQ(c, m_words == 256 ? 4u : 12u);
 
-  double sum = 0;
-  const int trials = 10;
-  for (int t = 0; t < trials; ++t) {
-    hashing::FourWiseHash h(1000 + t);
-    std::uint32_t cc = c;
-    core::ColoringStats s = core::ComputeColoringStats(
-        ctx, g.edges, [h, cc](VertexId v) { return h.Color(v, cc); }, c);
-    sum += s.x_total;
+    double sum = 0;
+    const int trials = 10;
+    for (int t = 0; t < trials; ++t) {
+      hashing::FourWiseHash h(1000 + t);
+      core::ColoringStats s = core::ComputeColoringStats(
+          ctx, g.edges, [h, c](VertexId v) { return h.Color(v, c); }, c);
+      sum += s.x_total;
+    }
+    EXPECT_LT(sum / trials, 1.5 * core::Lemma3Bound(g.num_edges(), m_words))
+        << "c = " << c;
   }
-  EXPECT_LT(sum / trials, 1.5 * core::Lemma3Bound(g.num_edges(), m_words));
 }
 
 TEST(ColoringStats, MoreColorsShrinkX) {

@@ -55,6 +55,27 @@ TEST(FourWiseHash, ColorsRoughlyUniform) {
   }
 }
 
+TEST(FourWiseHash, ColorIsHashModCAtAnyC) {
+  FourWiseHash h(2014);
+  for (std::uint32_t c : {3u, 5u, 9u, 12u}) {
+    std::vector<int> counts(c, 0);
+    for (std::uint64_t x = 0; x < 10000; ++x) {
+      const std::uint32_t color = h.Color(x, c);
+      ASSERT_LT(color, c) << "x = " << x;
+      ++counts[color];
+    }
+    for (std::uint32_t k = 0; k < c; ++k) {
+      EXPECT_GT(counts[k], 0) << "c = " << c << ", colour " << k;
+    }
+  }
+  // At a power of two the colour is the hash's low bits.
+  for (std::uint32_t c : {1u, 2u, 8u, 64u}) {
+    for (std::uint64_t x = 0; x < 1000; ++x) {
+      ASSERT_EQ(h.Color(x, c), h(x) & (c - 1)) << "c = " << c;
+    }
+  }
+}
+
 TEST(FourWiseHash, BitsPairwiseBalanced) {
   // For any fixed pair (x, y), over random seeds Pr[b(x) == b(y)] ~ 1/2 —
   // the property Lemma 3's adjacent-pair argument needs.

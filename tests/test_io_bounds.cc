@@ -116,7 +116,7 @@ void ExpectPinnedIos(const std::string& algo, std::uint64_t pinned_tris,
 }
 
 TEST(IoBounds, PinnedRegressionCacheAware) {
-  ExpectPinnedIos("ps-cache-aware", 71, 90266.0);
+  ExpectPinnedIos("ps-cache-aware", 71, 48078.0);
 }
 
 TEST(IoBounds, PinnedRegressionCacheOblivious) {

@@ -471,8 +471,9 @@ struct MatrixRun {
 
 MatrixRun RunMatrixCase(const std::string& algo,
                         const std::vector<graph::Edge>& raw,
-                        std::size_t threads, em::StorageKind storage) {
-  em::Context ctx = test::MakeContext(1 << 11, 32, 0x7001, storage);
+                        std::size_t threads, em::StorageKind storage,
+                        std::size_t m = 1 << 11, std::size_t b = 32) {
+  em::Context ctx = test::MakeContext(m, b, 0x7001, storage);
   ctx.set_threads(threads);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
   ctx.cache().Reset();
@@ -593,10 +594,11 @@ TEST(ParallelInvariance, EngineSortNeverFansOut) {
 
 TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
   // The matrix graph yields a single color triple. At M = 1024 this graph
-  // gets c = 4, so 64 triples, and 128-edge chunks cut the pivot buckets
-  // into 408 chunks, so the ordered run commits across triples and across
-  // chunks of one triple — with each triple's charged bucket-bound reads in
-  // between.
+  // gets c = 10, so 10 rows of ordered runs over 1,000 triples, and 128-edge
+  // chunks cut the pivot buckets into 1,350 chunks. More chunks than triples
+  // means some triple commits several, so the runs commit across triples and
+  // across chunks of one triple, with each triple's charged bucket-bound
+  // reads in between and a row's trailing reads charged after its run.
   const std::vector<graph::Edge> raw =
       graph::Rmat(11, 12000, 0.45, 0.22, 0.22, 97);
   auto run = [&](std::size_t threads) {
@@ -630,12 +632,35 @@ TEST(ParallelInvariance, CacheAwareChunksAcrossManyColorTriples) {
       if (std::string(key) == "colors") colors = value;
     }
   }
-  EXPECT_EQ(colors, 4u);
-  EXPECT_EQ(chunk_loads, 408u);
+  EXPECT_EQ(colors, 10u);
+  EXPECT_EQ(chunk_loads, 1350u);
+  EXPECT_GT(chunk_loads, colors * colors * colors);
   for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
     const MatrixRun got = run(threads);
     ASSERT_EQ(got.triangles, base.triangles) << "threads " << threads;
     const std::string label = "threads " + std::to_string(threads);
+    EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
+    EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
+    EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
+    EXPECT_EQ(got.work, base.work) << label;
+  }
+}
+
+TEST(ParallelInvariance, CacheAwareRowsEndingInEmptyColorClasses) {
+  // At M = 16 a Lemma 2 chunk holds two edges, so this graph gets over 20
+  // colours and many empty colour classes: rows of triples often end in
+  // bucket-bound reads after their last Lemma 2 call, and the ordered path
+  // must charge them in serial order when the row's run ends.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31);
+  const MatrixRun base = RunMatrixCase("ps-cache-aware", raw, 1,
+                                       em::StorageKind::kMemory, 16, 4);
+  ASSERT_FALSE(base.triangles.empty());
+  for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    const MatrixRun got = RunMatrixCase("ps-cache-aware", raw, threads,
+                                        em::StorageKind::kMemory, 16, 4);
+    const std::string label = "threads " + std::to_string(threads);
+    ASSERT_EQ(got.triangles, base.triangles) << label;
     EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
     EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
     EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
