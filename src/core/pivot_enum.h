@@ -26,9 +26,9 @@
 //     words through the direct view and appends every charge to a per-task
 //     charge log; the triangles go to an emit buffer and the work to a
 //     count. The caller commits the tasks strictly in serial order: it
-//     takes the chunk's lease, replays the logs into the real LRU cache (and
-//     probe) under the same pivot.chunk_load / pivot.cone_scan spans, adds
-//     the work and flushes the emits to the sink. Triangles, emission order,
+//     takes the chunk's lease, replays the logs into the store's LRU cache
+//     under the same pivot.chunk_load / pivot.cone_scan spans, adds the
+//     work and flushes the emits to the sink. Triangles, emission order,
 //     IoStats (reads, writes and hits), work and the phase table therefore
 //     match threads=1 by construction (pinned by tests/test_parallel.cc).
 //     Sinks see every emission on the calling thread.
@@ -461,13 +461,13 @@ void PivotEnumerateOrdered(em::QuerySession& ctx,
     {
       obs::Span span("pivot.chunk_load");
       span.AddArg("chunk_items", csize);
-      store.Replay(slot.load_log);
+      store.cache().Replay(slot.load_log);
       ctx.AddWork(slot.load_work);
     }
     {
       obs::Span span("pivot.cone_scan");
       span.AddArg("chunk_items", csize);
-      store.Replay(slot.scan_log);
+      store.cache().Replay(slot.scan_log);
       ctx.AddWork(slot.scan_work);
       for (const graph::Triangle& tri : slot.emits.triangles()) {
         sink.Emit(tri.a, tri.b, tri.c);

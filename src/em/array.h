@@ -86,13 +86,15 @@ class Array {
   /// Get would cost. Scanner::Peek uses this so every Peek costs a Get.
   void TouchGet(std::size_t i) const {
     TRIENUM_CHECK(i < n_);
-    ctx_->TouchRange(base_ + i * kWordsPer, kWordsPer, /*write=*/false);
+    ctx_->cache().TouchRange(base_ + i * kWordsPer, kWordsPer,
+                             /*write=*/false);
   }
 
   /// Charges the touch of element `i` as a write — what a Set would cost.
   void TouchSet(std::size_t i) const {
     TRIENUM_CHECK(i < n_);
-    ctx_->TouchRange(base_ + i * kWordsPer, kWordsPer, /*write=*/true);
+    ctx_->cache().TouchRange(base_ + i * kWordsPer, kWordsPer,
+                             /*write=*/true);
   }
 
   /// Memory-backend zero-copy view of the records: a typed pointer into the
@@ -229,7 +231,6 @@ class Scanner {
       : a_(a.Slice(begin, end - begin)) {}
 
   bool HasNext() const { return pos_ < a_.size(); }
-  std::size_t position() const { return pos_; }
   std::size_t remaining() const { return a_.size() - pos_; }
 
   /// Reads the current element without advancing (charges one touch, like

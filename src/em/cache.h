@@ -93,7 +93,7 @@ class LineMap {
 /// or ScanRange call, followed by `repeat_hits` further touches that all
 /// fell on the line holding the call's last word. On replay the call runs
 /// as recorded and leaves that line MRU, so every folded touch is a hit on
-/// it, in any cache whose line size the recording's line size divides.
+/// it in a cache of the recording's line size.
 struct Charge {
   Addr addr = 0;
   std::uint64_t repeat_hits = 0;
@@ -179,10 +179,10 @@ class Cache {
   /// Recording mode (counting-only caches): every later TouchRange and
   /// ScanRange is appended to `log` as a Charge — a touch of the line the
   /// previous charge ended on folds into that charge — and no LRU state or
-  /// IoStats change. Recording happens at this cache's line size, so a
-  /// recorder built with B = gcd of the target caches' line sizes produces
-  /// a log exact for all of them. Record(nullptr) closes the last charge
-  /// and ends recording; switching logs closes it too.
+  /// IoStats change. Recording happens at this cache's line size, so the
+  /// log replays exactly into one cache of that line size (a recording
+  /// view records at its store's B). Record(nullptr) closes the last
+  /// charge and ends recording; switching logs closes it too.
   void Record(ChargeLog* log);
 
   /// Re-issues `log`'s charges, touching lines and counting reads, writes
@@ -225,13 +225,6 @@ class Cache {
   /// Discard(). The query layer checks this after a run: a fault swallowed
   /// during unwinding (Writer destructors) still fails the query.
   const Status& fault() const { return fault_; }
-
-  /// Zeroes the IoStats counters only, leaving residency, recency and dirty
-  /// bits untouched — per-session counting reset without
-  /// disturbing resident lines. A query that must match a fresh context
-  /// bit-for-bit still needs a cold cache (Reset); ResetCounters is for
-  /// re-baselining accounting over a deliberately warm store.
-  void ResetCounters() { stats_ = IoStats{}; }
 
   /// Number of lines currently resident (in the LRU list).
   std::size_t resident_lines() const { return resident_; }

@@ -1,6 +1,5 @@
 #include "em/context.h"
 
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -57,9 +56,7 @@ GraphStore::GraphStore(GraphStore& source, std::size_t line_words)
 std::unique_ptr<GraphStore> GraphStore::RecordingView() {
   TRIENUM_CHECK_MSG(!cache_.staged(),
                     "recording views need a memory-resident store");
-  std::size_t line = cfg_.block_words;
-  if (probe_ != nullptr) line = std::gcd(line, probe_->block_words());
-  return std::unique_ptr<GraphStore>(new GraphStore(*this, line));
+  return std::unique_ptr<GraphStore>(new GraphStore(*this, cfg_.block_words));
 }
 
 ScratchLease::ScratchLease(QuerySession* session, std::size_t words)
@@ -110,25 +107,17 @@ void GraphStore::Release(Addr mark) {
   const Addr top = device_.Mark();
   if (mark < top) {
     // Lines starting at or above the mark; the top line's tail is dead too.
-    auto clean = [mark, top](Cache& c) {
-      const Addr b = c.block_words();
-      c.DropDirty(static_cast<std::int64_t>((mark + b - 1) / b),
-                  static_cast<std::int64_t>((top + b - 1) / b));
-    };
-    clean(cache_);
-    if (probe_ != nullptr) clean(*probe_);
+    const Addr b = cache_.block_words();
+    cache_.DropDirty(static_cast<std::int64_t>((mark + b - 1) / b),
+                     static_cast<std::int64_t>((top + b - 1) / b));
   }
   device_.Release(mark);
 }
 
 void GraphStore::DropLines(Addr addr, std::size_t words) {
-  auto drop = [addr, end = addr + words](Cache& c) {
-    const Addr b = c.block_words();
-    c.DropLines(static_cast<std::int64_t>((addr + b - 1) / b),
-                static_cast<std::int64_t>(end / b));
-  };
-  drop(cache_);
-  if (probe_ != nullptr) drop(*probe_);
+  const Addr b = cache_.block_words();
+  cache_.DropLines(static_cast<std::int64_t>((addr + b - 1) / b),
+                   static_cast<std::int64_t>((addr + words) / b));
 }
 
 }  // namespace trienum::em

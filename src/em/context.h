@@ -1,9 +1,12 @@
 // The state model of the external-memory layer, split by lifetime:
 //
 //   * GraphStore — graph-lifetime state: the device (memory- or file-backed,
-//     see em/storage.h), the LRU cache with its geometry (M, B), and the
-//     optional probe cache. One store holds one resident data set (typically
-//     a normalized graph) and serves any number of queries over it.
+//     see em/storage.h) and the one LRU cache with its geometry (M, B). One
+//     store holds one resident data set (typically a normalized graph) and
+//     serves any number of queries over it. A second cache level is measured
+//     by a second run at that level's (M, B), not by a second cache here:
+//     the §3 algorithm never reads M or B, so both runs issue one access
+//     stream (see bench/bench_multilevel.cc).
 //
 //   * QuerySession — query-lifetime state: scratch-memory accounting, the
 //     internal-work counter and the RNG seed of one measured run. A session
@@ -102,15 +105,6 @@ class GraphStore {
   Cache& cache() { return cache_; }
   const Cache& cache() const { return cache_; }
 
-  /// Registers a word-range touch with the primary cache and, if attached,
-  /// the passive probe cache.
-  void TouchRange(Addr addr, std::size_t words, bool write) {
-    cache_.TouchRange(addr, words, write);
-    if (probe_ != nullptr && cache_.counting()) {
-      probe_->TouchRange(addr, words, write);
-    }
-  }
-
   /// Reads `words` device words at `a` into `out`, charging I/Os exactly as
   /// a TouchRange of the same span. All em::Array accesses route through
   /// here (and WriteWords below), which is what makes the storage backend
@@ -118,13 +112,10 @@ class GraphStore {
   /// memcpy; otherwise the staged cache moves real blocks.
   void ReadWords(Addr a, std::size_t words, void* out) {
     if (!cache_.staged()) {
-      TouchRange(a, words, /*write=*/false);
+      cache_.TouchRange(a, words, /*write=*/false);
       std::memcpy(out, device_.direct_view() + a, words * sizeof(Word));
     } else {
       cache_.ReadRange(a, words, out);
-      if (probe_ != nullptr && cache_.counting()) {
-        probe_->TouchRange(a, words, /*write=*/false);
-      }
     }
   }
 
@@ -133,13 +124,10 @@ class GraphStore {
   /// output).
   void WriteWords(Addr a, std::size_t words, const void* in) {
     if (!cache_.staged()) {
-      TouchRange(a, words, /*write=*/true);
+      cache_.TouchRange(a, words, /*write=*/true);
       std::memcpy(device_.direct_view() + a, in, words * sizeof(Word));
     } else {
       cache_.WriteRange(a, words, in);
-      if (probe_ != nullptr && cache_.counting()) {
-        probe_->TouchRange(a, words, /*write=*/true);
-      }
     }
   }
 
@@ -155,9 +143,6 @@ class GraphStore {
     } else {
       cache_.ReadScan(a, words, elem_words, out);
     }
-    if (probe_ != nullptr && cache_.counting()) {
-      probe_->ScanRange(a, words, elem_words, /*write=*/false);
-    }
   }
 
   void WriteScan(Addr a, std::size_t words, std::size_t elem_words,
@@ -167,9 +152,6 @@ class GraphStore {
       std::memcpy(device_.direct_view() + a, in, words * sizeof(Word));
     } else {
       cache_.WriteScan(a, words, elem_words, in);
-    }
-    if (probe_ != nullptr && cache_.counting()) {
-      probe_->ScanRange(a, words, elem_words, /*write=*/true);
     }
   }
 
@@ -182,31 +164,15 @@ class GraphStore {
     return cache_.staged() ? nullptr : device_.direct_view() + a;
   }
 
-  /// Attaches a second, passive LRU cache observing the same access stream —
-  /// the paper's multilevel-cache corollary (a cache-oblivious algorithm is
-  /// simultaneously optimal at every level of an LRU hierarchy) becomes
-  /// directly measurable: one run, two levels, two miss counts.
-  void AttachProbe(std::size_t memory_words, std::size_t block_words) {
-    probe_ = std::make_unique<Cache>(memory_words, block_words);
-  }
-  Cache* probe() { return probe_.get(); }
-
   /// A recording view of this memory-resident store, for running counted
   /// code on another thread. Arrays rebound to the view (Array(view, base,
   /// n)) read the same words through the direct view, while every charge
   /// goes to the log set by the view's cache().Record instead of to any
-  /// cache; Replay then applies the log to this store on its owner thread. The view records at
-  /// the gcd of this store's and its probe's line sizes, so one log replays
-  /// exactly into both. The view is valid while this store's device neither
-  /// grows nor releases the words it reads.
+  /// cache; cache().Replay then applies the log to this store's cache on its
+  /// owner thread. The view records at this store's line size B. It is
+  /// valid while this store's device neither grows nor releases the words
+  /// it reads.
   std::unique_ptr<GraphStore> RecordingView();
-
-  /// Charges a recorded log to the cache and, if attached, the probe, as
-  /// if the recorded calls ran here now.
-  void Replay(const ChargeLog& log) {
-    cache_.Replay(log);
-    if (probe_ != nullptr && cache_.counting()) probe_->Replay(log);
-  }
 
   /// Internal memory size M in words. Only cache-aware algorithms may
   /// consult this.
@@ -228,14 +194,14 @@ class GraphStore {
 
   /// Pops every allocation made since `mark` (DeviceRegion's release). The
   /// popped words are dead, so resident lines lying wholly at or above the
-  /// mark lose their dirty bit in the cache and the probe (Cache::DropDirty).
+  /// mark lose their dirty bit (Cache::DropDirty).
   /// They stay resident: the next allocation reuses these addresses at once,
   /// so evicting them would cost reads.
   void Release(Addr mark);
 
   /// Declares [addr, addr+words) never read again while it stays allocated:
-  /// the lines wholly inside it leave the cache and the probe without
-  /// write-back (Cache::DropLines). A line shared with a neighbour is kept.
+  /// the lines wholly inside it leave the cache without write-back
+  /// (Cache::DropLines). A line shared with a neighbour is kept.
   void DropLines(Addr addr, std::size_t words);
 
  private:
@@ -246,7 +212,6 @@ class GraphStore {
   EmConfig cfg_;
   Device device_;
   Cache cache_;
-  std::unique_ptr<Cache> probe_;
 };
 
 /// \brief Query-lifetime state over a borrowed GraphStore.
@@ -274,16 +239,9 @@ class QuerySession {
   const Cache& cache() const {
     return static_cast<const GraphStore*>(store_)->cache();
   }
-  void TouchRange(Addr addr, std::size_t words, bool write) {
-    store_->TouchRange(addr, words, write);
-  }
   void DropLines(Addr addr, std::size_t words) {
     store_->DropLines(addr, words);
   }
-  void AttachProbe(std::size_t memory_words, std::size_t block_words) {
-    store_->AttachProbe(memory_words, block_words);
-  }
-  Cache* probe() { return store_->probe(); }
   std::size_t memory_words() const { return store_->memory_words(); }
   std::size_t block_words() const { return store_->block_words(); }
   const EmConfig& config() const { return store_->config(); }

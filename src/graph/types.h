@@ -60,7 +60,6 @@ struct EdgeAccess;
 
 template <>
 struct EdgeAccess<Edge> {
-  static constexpr bool kColored = false;
   static VertexId U(const Edge& e) { return e.u; }
   static VertexId V(const Edge& e) { return e.v; }
   static std::uint32_t CU(const Edge&) { return 0; }
@@ -69,7 +68,6 @@ struct EdgeAccess<Edge> {
 
 template <>
 struct EdgeAccess<ColoredEdge> {
-  static constexpr bool kColored = true;
   static VertexId U(const ColoredEdge& e) { return e.u; }
   static VertexId V(const ColoredEdge& e) { return e.v; }
   static std::uint32_t CU(const ColoredEdge& e) { return e.cu; }

@@ -34,12 +34,10 @@ HistogramSnapshot Histogram::Snapshot(std::string name) const {
   return s;
 }
 
-// Instruments live in deques so GetX references stay valid forever; the
-// mutex guards registration and name iteration only, never the hot path.
+// Histograms live in a deque so GetHistogram references stay valid forever;
+// the mutex guards registration and name iteration only, never the hot path.
 struct MetricsRegistry::Impl {
   mutable std::mutex mu;
-  std::deque<std::pair<std::string, Counter>> counters;
-  std::deque<std::pair<std::string, Gauge>> gauges;
   std::deque<std::pair<std::string, Histogram>> histograms;
 };
 
@@ -51,30 +49,6 @@ MetricsRegistry::Impl& MetricsRegistry::impl() const {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* r = new MetricsRegistry;
   return *r;
-}
-
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mu);
-  for (auto& [n, c] : im.counters) {
-    if (n == name) return c;
-  }
-  im.counters.emplace_back(std::piecewise_construct,
-                           std::forward_as_tuple(name),
-                           std::forward_as_tuple());
-  return im.counters.back().second;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mu);
-  for (auto& [n, g] : im.gauges) {
-    if (n == name) return g;
-  }
-  im.gauges.emplace_back(std::piecewise_construct,
-                         std::forward_as_tuple(name),
-                         std::forward_as_tuple());
-  return im.gauges.back().second;
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
@@ -93,10 +67,6 @@ MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
   Snapshot s;
-  s.counters.reserve(im.counters.size());
-  for (const auto& [n, c] : im.counters) s.counters.emplace_back(n, c.value());
-  s.gauges.reserve(im.gauges.size());
-  for (const auto& [n, g] : im.gauges) s.gauges.emplace_back(n, g.value());
   s.histograms.reserve(im.histograms.size());
   for (const auto& [n, h] : im.histograms) s.histograms.push_back(h.Snapshot(n));
   return s;

@@ -1,12 +1,12 @@
-// Process-wide metrics: counters, gauges, and log2-bucket latency
-// histograms, attached to the real-I/O seams of the EM stack.
+// Process-wide metrics: log2-bucket latency histograms, attached to the
+// real-I/O seams of the EM stack.
 //
 // Design rules:
-//   - The fast path (Add / Set / Observe) is lock-free: relaxed atomics
-//     only, safe from any thread including the par pool. Registration (GetHistogram etc.) interns by name under
-//     a mutex and returns a reference with a stable address, so seam code
-//     resolves its instrument once (function-local static) and never pays
-//     the lookup again.
+//   - The fast path (Observe) is lock-free: relaxed atomics only, safe
+//     from any thread including the par pool. Registration (GetHistogram)
+//     interns by name under a mutex and returns a reference with a stable
+//     address, so seam code resolves its instrument once (function-local
+//     static) and never pays the lookup again.
 //   - Snapshots read the same atomics, so they are TSan-clean by
 //     construction: a snapshot taken mid-burst sees a consistent-enough
 //     view (each cell individually atomic; count/sum may trail each other
@@ -31,25 +31,6 @@
 #include <vector>
 
 namespace trienum::obs {
-
-class Counter {
- public:
-  void Add(std::uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  void Increment() { Add(1); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 inline constexpr int kHistogramBuckets = 64;
 
@@ -132,13 +113,9 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
   struct Snapshot {
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<HistogramSnapshot> histograms;
   };
   Snapshot Snap() const;

@@ -20,9 +20,16 @@ struct MatrixParam {
   std::size_t b_words;
 };
 
+/// The standard menagerie, generated once per process: the name generator
+/// runs for every parameter at registration, and each case's body reads it.
+const std::vector<test::GraphCase>& Cases() {
+  static const std::vector<test::GraphCase> cases = test::StandardGraphCases();
+  return cases;
+}
+
 std::vector<MatrixParam> BuildMatrix() {
   std::vector<MatrixParam> params;
-  const auto cases = test::StandardGraphCases();
+  const auto& cases = Cases();
   const std::vector<std::pair<std::size_t, std::size_t>> mem_configs = {
       {1 << 12, 16},  // roomy memory
       {512, 8},       // tight memory: many chunks / merge passes
@@ -42,8 +49,7 @@ class AlgorithmMatrixTest : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(AlgorithmMatrixTest, MatchesReferenceExactly) {
   const MatrixParam& p = GetParam();
-  const auto cases = test::StandardGraphCases();
-  const test::GraphCase& gc = cases[p.graph_index];
+  const test::GraphCase& gc = Cases()[p.graph_index];
 
   std::vector<graph::Triangle> expected = test::ReferenceNormalized(gc.edges);
   std::vector<graph::Triangle> got =
@@ -56,12 +62,11 @@ TEST_P(AlgorithmMatrixTest, MatchesReferenceExactly) {
 }
 
 std::string MatrixName(const ::testing::TestParamInfo<MatrixParam>& info) {
-  const auto cases = test::StandardGraphCases();
   std::string algo = info.param.algorithm;
   for (char& ch : algo) {
     if (ch == '-') ch = '_';
   }
-  return algo + "_" + cases[info.param.graph_index].name + "_M" +
+  return algo + "_" + Cases()[info.param.graph_index].name + "_M" +
          std::to_string(info.param.m_words) + "_B" +
          std::to_string(info.param.b_words);
 }

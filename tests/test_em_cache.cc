@@ -1,12 +1,15 @@
 // LRU cache simulator semantics: miss/hit accounting, eviction order,
 // write-allocate policy, flush/reset, the scan-cost identity n/B that the
 // entire I/O methodology rests on, the two dead-line operations (released
-// regions are cleaned in place, spent arrays leave the cache), and a failed
+// regions are cleaned in place, spent arrays leave the cache), charge logs
+// (a recording at a store's B replays into its cache exactly), and a failed
 // write-back (its slot returns to the free list; Discard empties the cache).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -423,36 +426,29 @@ TEST(CacheDeadLines, FreedSlotsAreReusedBeforeEviction) {
   EXPECT_EQ(FlushWrites(ctx.cache()), 4u);
 }
 
-TEST(CacheDeadLines, ProbeDropsAtItsOwnLineSize) {
-  em::Context ctx = test::MakeContext(/*m=*/256, /*b=*/16);
-  ctx.AttachProbe(/*memory_words=*/256, /*block_words=*/8);
-  em::Cache& probe = *ctx.probe();
-  // The mark (word 24) splits a primary line but starts a probe line.
-  em::Array<std::uint64_t> live = ctx.Alloc<std::uint64_t>(24);
+TEST(CacheDeadLines, MarkAndArrayOnLineBoundaries) {
+  // At B = 8 the region's mark (word 24) starts a line instead of splitting
+  // one, and a 40-word array is 5 whole lines: the line that starts at the
+  // mark is cleaned, and DropLines takes every line of the array.
+  em::Context ctx = test::MakeContext(/*m=*/256, /*b=*/8);
+  em::Array<std::uint64_t> live = ctx.Alloc<std::uint64_t>(24);  // 0-2
   ctx.cache().Reset();
-  probe.Reset();
-  live.Set(17, 1);
+  live.Set(17, 1);  // line 2, just below the mark
   {
     em::DeviceRegion region = ctx.Region();
-    ctx.TouchRange(26, 1, /*write=*/true);  // a dead word past the array
-    em::Array<std::uint64_t> dead = ctx.Alloc<std::uint64_t>(32);
+    em::Array<std::uint64_t> dead = ctx.Alloc<std::uint64_t>(32);  // 3-6
+    ASSERT_EQ(dead.base(), 24u);
     for (std::size_t i = 0; i < dead.size(); ++i) dead.Set(i, i);
   }
-  // Primary line 1 [16, 32) straddles the mark and stays dirty; probe line
-  // 3 [24, 32) lies wholly above it and is cleaned, probe line 2 keeps the
-  // live word.
-  EXPECT_EQ(FlushWrites(ctx.cache()), 1u);
-  EXPECT_EQ(FlushWrites(probe), 1u);
+  EXPECT_EQ(ctx.cache().resident_lines(), 5u);
+  EXPECT_EQ(FlushWrites(ctx.cache()), 1u);  // line 2 only
 
-  // DropLines: the lines wholly inside the array's 40 words [32, 72), at
-  // each cache's line size.
-  em::Array<std::uint64_t> spent = ctx.Alloc<std::uint64_t>(40);
+  em::Array<std::uint64_t> spent = ctx.Alloc<std::uint64_t>(40);  // 3-7
   for (std::size_t i = 0; i < spent.size(); ++i) spent.Set(i, i);
+  ASSERT_EQ(ctx.cache().resident_lines(), 5u);
   ctx.DropLines(spent.base(), spent.size());
-  EXPECT_EQ(ctx.cache().resident_lines(), 1u);  // the padded tail line
-  EXPECT_EQ(probe.resident_lines(), 0u);        // 5 whole probe lines
-  EXPECT_EQ(FlushWrites(ctx.cache()), 1u);
-  EXPECT_EQ(FlushWrites(probe), 0u);
+  EXPECT_EQ(ctx.cache().resident_lines(), 0u);
+  EXPECT_EQ(FlushWrites(ctx.cache()), 0u);
 }
 
 TEST(CacheDeadLines, RecordingCacheRejectsBoth) {
@@ -471,6 +467,200 @@ TEST(CacheDeadLines, RecordingCacheRejectsBoth) {
         c.DropLines(0, 4);
       },
       "recording");
+}
+
+// Charge logs: a recording cache logs its charges at its own line size, and
+// Replay into a cache of that line size charges exactly what the calls
+// themselves would have. The ordered Lemma 2 path (core/pivot_enum.h) rests
+// on this.
+
+TEST(ChargeLog, ReplayChargesExactlyTheRecordedTouches) {
+  // One call sequence goes to a cache directly and, in segments, through a
+  // one-line recording cache whose logs replay into a twin. Three calls in
+  // four start on the line the previous one ended on, so many fold into the
+  // open charge. Odd seeds take line sizes that are not powers of two.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SplitMix64 rng(seed);
+    const std::size_t b = seed % 2 == 0 ? std::size_t{1} << (rng.Next() % 6)
+                                        : 3 * (1 + rng.Next() % 8);
+    const std::size_t lines = 1 + rng.Next() % 16;
+    const em::Addr space = 48 * b;  // words the far calls start in
+    em::Cache direct(lines * b, b);
+    em::Cache replayed(lines * b, b);
+    em::Cache recorder(b, b);
+    em::Addr last = 0;  // the word the previous call ended on
+    std::size_t calls = 0, charges = 0;
+    for (int segment = 0; segment < 40; ++segment) {
+      em::ChargeLog log;
+      recorder.Record(&log);
+      for (int step = 0; step < 100; ++step, ++calls) {
+        const std::uint64_t r = rng.Next();
+        const bool near = (r & 3) != 0;
+        const em::Addr addr =
+            near ? last / b * b + rng.Next() % b : rng.Next() % space;
+        const std::size_t elem = 1 + (r >> 8) % 2;
+        const std::size_t words = elem * (1 + rng.Next() % (near ? 2 : 2 * b));
+        const bool write = ((r >> 16) & 1) != 0;
+        for (em::Cache* c : {&direct, &recorder}) {
+          if ((r >> 24) % 3 == 0) {
+            c->ScanRange(addr, words, elem, write);
+          } else {
+            c->TouchRange(addr, words, write);
+          }
+        }
+        last = addr + words - 1;
+      }
+      recorder.Record(nullptr);
+      charges += log.size();
+      replayed.Replay(log);
+      ASSERT_EQ(replayed.stats().block_reads, direct.stats().block_reads)
+          << "seed " << seed << " segment " << segment;
+      ASSERT_EQ(replayed.stats().block_writes, direct.stats().block_writes)
+          << "seed " << seed << " segment " << segment;
+      ASSERT_EQ(replayed.stats().cache_hits, direct.stats().cache_hits)
+          << "seed " << seed << " segment " << segment;
+      ASSERT_EQ(replayed.resident_lines(), direct.resident_lines())
+          << "seed " << seed << " segment " << segment;
+    }
+    EXPECT_LT(charges, calls / 2) << "seed " << seed << " B=" << b;
+    // The folded writes' dirty bits came through too.
+    direct.FlushAll();
+    replayed.FlushAll();
+    EXPECT_EQ(replayed.stats().block_writes, direct.stats().block_writes)
+        << "seed " << seed;
+  }
+}
+
+TEST(ChargeLog, TouchesOfOneLineFoldIntoOneCharge) {
+  em::Cache recorder(/*memory_words=*/16, /*block_words=*/16);
+  em::ChargeLog log;
+  auto issue = [](em::Cache& c) {
+    c.TouchRange(3, 2, /*write=*/false);            // line 0
+    c.Touch(5, /*write=*/true);                     // line 0 again
+    c.ScanRange(8, 8, 2, /*write=*/false);          // 4 records on line 0
+    c.ScanRange(32, 32, 2, /*write=*/false);        // lines 2-3
+    c.Touch(63, /*write=*/false);                   // line 3 again
+  };
+  recorder.Record(&log);
+  issue(recorder);
+  recorder.Record(nullptr);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].addr, 3u);
+  EXPECT_EQ(log[0].words, 2u);
+  EXPECT_EQ(log[0].elem_words, 0u);  // a TouchRange
+  EXPECT_FALSE(log[0].write);
+  EXPECT_EQ(log[0].repeat_hits, 5u);  // the Touch and the 4 records
+  EXPECT_TRUE(log[0].repeat_write);
+  EXPECT_EQ(log[1].addr, 32u);
+  EXPECT_EQ(log[1].words, 32u);
+  EXPECT_EQ(log[1].elem_words, 2u);  // a ScanRange
+  EXPECT_EQ(log[1].repeat_hits, 1u);
+  EXPECT_FALSE(log[1].repeat_write);
+
+  em::Cache direct(/*memory_words=*/64, /*block_words=*/16);
+  em::Cache replayed(/*memory_words=*/64, /*block_words=*/16);
+  issue(direct);
+  replayed.Replay(log);
+  for (em::Cache* c : {&direct, &replayed}) {
+    EXPECT_EQ(c->stats().block_reads, 3u);  // lines 0, 2 and 3
+    EXPECT_EQ(c->stats().cache_hits, 20u);
+    EXPECT_EQ(FlushWrites(*c), 1u);  // line 0, dirtied by a folded touch
+  }
+}
+
+TEST(ChargeLog, NothingIsRecordedOrReplayedWhileCountingIsOff) {
+  auto issue = [](em::Cache& c) {
+    c.TouchRange(0, 64, /*write=*/true);          // 4 aligned line writes
+    c.ScanRange(64, 64, 1, /*write=*/false);      // 4 line reads
+  };
+  em::Cache recorder(/*memory_words=*/16, /*block_words=*/16);
+  em::ChargeLog log;
+  recorder.set_counting(false);
+  recorder.Record(&log);
+  issue(recorder);
+  recorder.Record(nullptr);
+  EXPECT_TRUE(log.empty());
+
+  recorder.set_counting(true);
+  recorder.Record(&log);
+  issue(recorder);
+  recorder.Record(nullptr);
+  ASSERT_EQ(log.size(), 2u);
+
+  em::Cache target(/*memory_words=*/128, /*block_words=*/16);
+  target.set_counting(false);
+  target.Replay(log);
+  EXPECT_EQ(target.resident_lines(), 0u);
+  EXPECT_EQ(target.stats().total_ios(), 0u);
+  EXPECT_EQ(target.stats().cache_hits, 0u);
+  target.set_counting(true);
+  target.Replay(log);
+  EXPECT_EQ(target.resident_lines(), 8u);
+  EXPECT_EQ(target.stats().block_reads, 4u);
+  EXPECT_EQ(target.stats().cache_hits, 60u);
+  EXPECT_EQ(FlushWrites(target), 4u);
+}
+
+TEST(RecordingView, RecordsAtTheStoresLineSize) {
+  // A view's log replays into its store's one cache exactly: the same
+  // IoStats as the same reads issued on a twin store. B = 24 is not a power
+  // of two.
+  for (std::size_t b : {std::size_t{8}, std::size_t{24}, std::size_t{64}}) {
+    SCOPED_TRACE("B=" + std::to_string(b));
+    const std::size_t n = 40 * b + 5;
+    em::Context ctx = test::MakeContext(/*m=*/16 * b, b);
+    em::Context twin = test::MakeContext(/*m=*/16 * b, b);
+    em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
+    em::Array<std::uint64_t> t = twin.Alloc<std::uint64_t>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a.Set(i, 3 * i + 1);
+      t.Set(i, 3 * i + 1);
+    }
+    ctx.cache().Reset();
+    twin.cache().Reset();
+    // Strided Gets, a Scanner over the last two thirds, then Gets back down.
+    auto reads = [n](const em::Array<std::uint64_t>& arr) {
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < n; i += 7) sum += arr.Get(i);
+      em::Scanner<std::uint64_t> scan(arr, n / 3, n);
+      while (scan.HasNext()) sum += scan.Next();
+      for (std::size_t i = n; i > 0; i -= std::min<std::size_t>(i, 5)) {
+        sum += arr.Get(i - 1);
+      }
+      return sum;
+    };
+
+    std::unique_ptr<em::GraphStore> view = a.store()->RecordingView();
+    EXPECT_EQ(view->cache().block_words(), b);
+    EXPECT_EQ(view->cache().num_lines(), 1u);
+    em::ChargeLog log;
+    view->cache().Record(&log);
+    const std::uint64_t got = reads(em::Array<std::uint64_t>(view.get(),
+                                                             a.base(), n));
+    view->cache().Record(nullptr);
+    EXPECT_EQ(got, reads(t));  // the view read the store's words
+    EXPECT_EQ(ctx.cache().stats().total_ios(), 0u);  // nothing charged yet
+    EXPECT_EQ(ctx.cache().resident_lines(), 0u);
+
+    ctx.cache().Replay(log);
+    EXPECT_GT(twin.cache().stats().block_reads, 0u);
+    EXPECT_EQ(ctx.cache().stats().block_reads,
+              twin.cache().stats().block_reads);
+    EXPECT_EQ(ctx.cache().stats().block_writes,
+              twin.cache().stats().block_writes);
+    EXPECT_EQ(ctx.cache().stats().cache_hits, twin.cache().stats().cache_hits);
+    EXPECT_EQ(ctx.cache().resident_lines(), twin.cache().resident_lines());
+
+    // A view takes its store's counting switch: an uncounted store's view
+    // logs nothing.
+    ctx.cache().set_counting(false);
+    std::unique_ptr<em::GraphStore> quiet = a.store()->RecordingView();
+    em::ChargeLog none;
+    quiet->cache().Record(&none);
+    EXPECT_EQ(reads(em::Array<std::uint64_t>(quiet.get(), a.base(), n)), got);
+    quiet->cache().Record(nullptr);
+    EXPECT_TRUE(none.empty());
+  }
 }
 
 /// A memory store whose reads or writes can be switched to fail, to latch a

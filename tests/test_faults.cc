@@ -642,10 +642,10 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
   auto ref = ref_lg->Run(q);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  em::EmConfig probe_cfg = base;
-  probe_cfg.fault_spec = "write:eio:at=1000000000";  // installed, never fires
-  ASSERT_TRUE(faults::ApplyFaultConfig(probe_cfg).ok());
-  auto probe = query::LoadedGraph::FromEdges(probe_cfg, edges);
+  em::EmConfig count_cfg = base;
+  count_cfg.fault_spec = "write:eio:at=1000000000";  // installed, never fires
+  ASSERT_TRUE(faults::ApplyFaultConfig(count_cfg).ok());
+  auto probe = query::LoadedGraph::FromEdges(count_cfg, edges);
   ASSERT_TRUE(probe.ok());
   const std::uint64_t after_load =
       faults::FindInjector(probe->store().device().backend())

@@ -106,46 +106,45 @@ TEST(ObsHistogram, SnapshotDeltaIsolatesAWindow) {
 // Registry: interning, stability, concurrent snapshot.
 
 TEST(ObsRegistry, InternsByNameWithStableAddresses) {
-  obs::Counter& a = obs::MetricsRegistry::Global().GetCounter("obs_test.c1");
-  obs::Counter& b = obs::MetricsRegistry::Global().GetCounter("obs_test.c1");
+  obs::Histogram& a =
+      obs::MetricsRegistry::Global().GetHistogram("obs_test.interned_ns");
+  obs::Histogram& b =
+      obs::MetricsRegistry::Global().GetHistogram("obs_test.interned_ns");
   EXPECT_EQ(&a, &b);
-  a.Add(3);
-  b.Increment();
-  EXPECT_EQ(a.value(), 4u);
+  // Registering more names must not move an interned instrument.
+  for (int i = 0; i < 64; ++i) {
+    obs::MetricsRegistry::Global().GetHistogram("obs_test.filler_" +
+                                                std::to_string(i));
+  }
+  EXPECT_EQ(&obs::MetricsRegistry::Global().GetHistogram("obs_test.interned_ns"),
+            &a);
+  const std::uint64_t before = a.Snapshot().count;
+  a.Observe(3);
+  b.Observe(4);
+  EXPECT_EQ(a.Snapshot().count, before + 2);
 
-  obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge("obs_test.g1");
-  g.Set(-7);
-  EXPECT_EQ(g.value(), -7);
-
-  bool saw_counter = false;
-  bool saw_gauge = false;
+  int seen = 0;
   obs::MetricsRegistry::Snapshot snap = obs::MetricsRegistry::Global().Snap();
-  for (const auto& [name, v] : snap.counters) {
-    if (name == "obs_test.c1") {
-      saw_counter = true;
-      EXPECT_EQ(v, 4u);
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (h.name == "obs_test.interned_ns") {
+      ++seen;
+      EXPECT_EQ(h.count, before + 2);
     }
   }
-  for (const auto& [name, v] : snap.gauges) {
-    if (name == "obs_test.g1") {
-      saw_gauge = true;
-      EXPECT_EQ(v, -7);
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_gauge);
+  EXPECT_EQ(seen, 1);
 }
 
 TEST(ObsRegistry, SnapshotUnderConcurrentWritersIsClean) {
   // The fast path is relaxed atomics; snapshots read the same atomics. This
-  // is primarily a TSan test: writers hammer one histogram and one counter
-  // while the main thread snapshots in a loop. Afterwards, totals are exact.
+  // is primarily a TSan test: writers hammer two registry histograms while
+  // the main thread snapshots the histogram and the whole registry in a
+  // loop. Afterwards, totals are exact.
   obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("obs_test.concurrent_ns");
-  obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("obs_test.concurrent_c");
+  obs::Histogram& g =
+      obs::MetricsRegistry::Global().GetHistogram("obs_test.concurrent_2_ns");
   const std::uint64_t before_count = h.Snapshot().count;
-  const std::uint64_t before_c = c.value();
+  const std::uint64_t before_g = g.Snapshot().count;
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
@@ -153,12 +152,12 @@ TEST(ObsRegistry, SnapshotUnderConcurrentWritersIsClean) {
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&go, &h, &c, t] {
+    writers.emplace_back([&go, &h, &g, t] {
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kPerThread; ++i) {
         h.Observe(static_cast<std::uint64_t>(t * kPerThread + i));
-        c.Increment();
+        g.Observe(1);
       }
     });
   }
@@ -171,6 +170,12 @@ TEST(ObsRegistry, SnapshotUnderConcurrentWritersIsClean) {
     // observations but neither can exceed the true total.
     EXPECT_LE(mid.count, before_count + kThreads * kPerThread);
     EXPECT_LE(bucket_total, before_count + kThreads * kPerThread);
+    for (const obs::HistogramSnapshot& s :
+         obs::MetricsRegistry::Global().Snap().histograms) {
+      if (s.name == "obs_test.concurrent_2_ns") {
+        EXPECT_LE(s.count, before_g + kThreads * kPerThread);
+      }
+    }
   }
   for (std::thread& w : writers) w.join();
 
@@ -179,7 +184,7 @@ TEST(ObsRegistry, SnapshotUnderConcurrentWritersIsClean) {
   std::uint64_t bucket_total = 0;
   for (std::uint64_t b : final_snap.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, before_count + kThreads * kPerThread);
-  EXPECT_EQ(c.value(), before_c + kThreads * kPerThread);
+  EXPECT_EQ(g.Snapshot().count, before_g + kThreads * kPerThread);
 }
 
 // ---------------------------------------------------------------------------

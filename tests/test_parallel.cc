@@ -668,6 +668,34 @@ TEST(ParallelInvariance, CacheAwareRowsEndingInEmptyColorClasses) {
   }
 }
 
+TEST(ParallelInvariance, ReplayAtSmallAndNonPowerOfTwoLineSizes) {
+  // Each worker's view records at its store's B and the caller replays the
+  // log into the store's one cache. The cases above take B = 4, 32 and 64;
+  // these take 8-word lines, and 24-word lines, which are not a power of
+  // two, so the cache finds a word's line by division.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(10, 6000, 0.45, 0.22, 0.22, 41);
+  struct Geometry {
+    std::size_t m, b;
+  };
+  for (const char* algo : {"ps-cache-aware", "mgt"}) {
+    for (Geometry geo : {Geometry{1 << 9, 8}, Geometry{24 * 32, 24}}) {
+      const MatrixRun base = RunMatrixCase(
+          algo, raw, 1, em::StorageKind::kMemory, geo.m, geo.b);
+      const std::string label =
+          std::string(algo) + " B=" + std::to_string(geo.b);
+      ASSERT_FALSE(base.triangles.empty()) << label;
+      const MatrixRun got = RunMatrixCase(
+          algo, raw, 4, em::StorageKind::kMemory, geo.m, geo.b);
+      ASSERT_EQ(got.triangles, base.triangles) << label;
+      EXPECT_EQ(got.io.block_reads, base.io.block_reads) << label;
+      EXPECT_EQ(got.io.block_writes, base.io.block_writes) << label;
+      EXPECT_EQ(got.io.cache_hits, base.io.cache_hits) << label;
+      EXPECT_EQ(got.work, base.work) << label;
+    }
+  }
+}
+
 TEST(ParallelInvariance, Lemma2EmitLoopFanOutOnDenseCore) {
   // K_150 under M = 2^15: resident pivot chunks of 4096 edges with dense
   // groups, so each chunk task emits many triangles; the ordered run must

@@ -4,7 +4,7 @@
 // internal-work counter — to the same query answered by a fresh em::Context
 // built for that one run. Exercised across the full algorithm x backend x
 // threads x cache-geometry matrix, plus consistency checks for the per-vertex
-// and per-edge query kinds and the Cache::ResetCounters residency contract.
+// and per-edge query kinds.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -350,41 +350,6 @@ TEST(QueryErrors, GeometryNoCacheCanHoldFailsTheLoadBeforeAllocating) {
   cfg.block_words = 128;
   EXPECT_EQ(query::LoadedGraph::FromEdges(cfg, graph::Clique(4)).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Cache::ResetCounters: per-session counting reset without disturbing
-// resident lines.
-
-TEST(ResetCounters, ZeroesStatsButKeepsResidency) {
-  em::Context ctx = test::MakeContext(kMemWords, kBlockWords);
-  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(256);
-  for (std::size_t i = 0; i < a.size(); ++i) a.Set(i, i);
-  ASSERT_GT(ctx.cache().stats().total_ios() + ctx.cache().stats().cache_hits,
-            0u);
-  std::size_t resident = ctx.cache().resident_lines();
-  ASSERT_GT(resident, 0u);
-
-  ctx.cache().ResetCounters();
-  EXPECT_EQ(ctx.cache().stats().block_reads, 0u);
-  EXPECT_EQ(ctx.cache().stats().block_writes, 0u);
-  EXPECT_EQ(ctx.cache().stats().cache_hits, 0u);
-  EXPECT_EQ(ctx.cache().resident_lines(), resident)
-      << "ResetCounters must not evict";
-
-  // A warm re-read after the counter reset is all hits: the residency the
-  // reset preserved is real.
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 16; ++i) v += a.Get(a.size() - 1 - i);
-  EXPECT_GT(v, 0u);
-  EXPECT_EQ(ctx.cache().stats().block_reads, 0u);
-  EXPECT_GT(ctx.cache().stats().cache_hits, 0u);
-
-  // Reset() by contrast starts cold: the same touches now fault lines in.
-  ctx.cache().Reset();
-  EXPECT_EQ(ctx.cache().resident_lines(), 0u);
-  for (std::size_t i = 0; i < 16; ++i) v += a.Get(a.size() - 1 - i);
-  EXPECT_GT(ctx.cache().stats().block_reads, 0u);
 }
 
 }  // namespace
