@@ -1,9 +1,8 @@
 // Shared helpers for the experiment benches. MeasureAlgorithm runs an
 // algorithm once from a cold cache and returns its *measured block I/Os*
-// (the paper's complexity measure); io_sweep.cc runs it on every cell of
-// the grid behind README's Reproduction section, and the google-benchmark
-// binaries report it as custom counters through ReportIo, alongside the
-// theorem-predicted bound and the measured/bound ratio.
+// (the paper's complexity measure); the google-benchmark binaries report
+// it as custom counters through ReportIo, alongside the theorem-predicted
+// bound and the measured/bound ratio.
 #ifndef TRIENUM_BENCH_BENCH_UTIL_H_
 #define TRIENUM_BENCH_BENCH_UTIL_H_
 

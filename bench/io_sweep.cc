@@ -9,26 +9,33 @@
 //   $ python3 bench/sweep_tables.py bench/baselines/io_sweep.json
 //
 // The rows carry counters only, no wall time, so two runs write the same
-// bytes and the checker compares every counter exactly. Exits 1 if a cell's
-// triangles differ from the host reference or its block I/Os fall below the
-// lower bound. A plain program, not a google-benchmark binary: it takes no
-// arguments and run_benches.sh does not run it.
+// bytes and the checker compares every counter exactly. Each row is one
+// query (query::LoadedGraph::Run) under its own trace collector. Exits 1 if
+// a cell's triangles differ from the host reference, its block I/Os fall
+// below the lower bound, or query.run's self row holds a block I/O that no
+// named phase claims. A plain program, not a google-benchmark binary: it
+// takes no arguments and run_benches.sh does not run it.
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "core/algorithms.h"
 #include "core/cache_aware.h"
 #include "core/lower_bound.h"
 #include "core/reference.h"
+#include "graph/generators.h"
 #include "obs/json.h"
+#include "obs/trace.h"
+#include "query/query.h"
 
 namespace trienum::bench {
 namespace {
 
 constexpr std::uint64_t kGraphSeed = 1;
+/// The master seed of every cell's store (2827).
+constexpr std::uint64_t kRunSeed = 0xB0B;
 
 template <typename... Parts>
 std::string Cat(const Parts&... parts) {
@@ -39,8 +46,8 @@ std::string Cat(const Parts&... parts) {
 
 /// A graph with its spec in the syntax of `trienum --graph=`, which builds
 /// the same edges: `trienum count --algo=<name> --graph=<spec> --memory=<M>
-/// --block=<B> --seed=2827` (MeasureAlgorithm's seed, 0xB0B) reproduces a
-/// row's triangles, reads and writes.
+/// --block=<B> --seed=2827` (kRunSeed) reproduces a row's triangles, reads
+/// and writes.
 struct Input {
   std::string spec;
   std::vector<graph::Edge> edges;
@@ -108,6 +115,14 @@ std::vector<Cell> Grid() {
   return cells;
 }
 
+/// Block I/Os in query.run's self row: what no named phase claimed.
+std::uint64_t UnclaimedIos(const query::QueryResult& r) {
+  for (const query::PhaseStat& p : r.phases) {
+    if (p.name == "query.run") return p.self.block_reads + p.self.block_writes;
+  }
+  return r.io.total_ios();  // no phase table: nothing was claimed
+}
+
 int Sweep() {
   int failures = 0;
   std::set<std::string> done;
@@ -118,11 +133,32 @@ int Sweep() {
     if (!done.insert(key).second) continue;
     const std::uint64_t want = core::CountTrianglesHost(cell.input.edges);
     const double lower = core::IoLowerBoundEpoch(want, cell.m, cell.b);
+    em::EmConfig cfg;
+    cfg.memory_words = cell.m;
+    cfg.block_words = cell.b;
+    cfg.seed = kRunSeed;
+    Result<query::LoadedGraph> lg =
+        query::LoadedGraph::FromEdges(cfg, cell.input.edges);
+    if (!lg.ok()) {
+      std::cerr << key << ": " << lg.status().ToString() << "\n";
+      ++failures;
+      continue;
+    }
+    const std::size_t num_edges = lg->graph().num_edges();
     for (const core::AlgorithmInfo& algo : core::AllAlgorithms()) {
-      const RunOutcome out =
-          MeasureAlgorithm(algo.name, cell.input.edges, cell.m, cell.b);
       const std::string name = Cat(key, "/", algo.name);
-      const std::uint64_t ios = out.io.total_ios();
+      obs::TraceCollector tc;
+      obs::ScopedTraceCollector install(tc);
+      query::Query q;
+      q.algo = algo.name;
+      const Result<query::QueryResult> run = lg->Run(q);
+      if (!run.ok()) {
+        std::cerr << name << ": " << run.status().ToString() << "\n";
+        ++failures;
+        continue;
+      }
+      const query::QueryResult& r = *run;
+      const std::uint64_t ios = r.io.total_ios();
       std::cout << sep;
       sep = ",\n";
       obs::JsonWriter w(std::cout);
@@ -130,26 +166,30 @@ int Sweep() {
           .KV("name", name)
           .KV("algorithm", algo.name)
           .KV("graph", cell.input.spec)
-          .KV("E", static_cast<std::uint64_t>(out.num_edges))
+          .KV("E", static_cast<std::uint64_t>(num_edges))
           .KV("M", static_cast<std::uint64_t>(cell.m))
           .KV("B", static_cast<std::uint64_t>(cell.b))
-          .KV("triangles", out.triangles)
-          .KV("reads", out.io.block_reads)
-          .KV("writes", out.io.block_writes)
+          .KV("triangles", r.triangles)
+          .KV("reads", r.io.block_reads)
+          .KV("writes", r.io.block_writes)
           .KV("ios", ios)
-          .KV("work", out.work)
-          .KV("ps_bound",
-              core::PaghSilvestriIoBound(out.num_edges, cell.m, cell.b))
+          .KV("work", r.work)
+          .KV("ps_bound", core::PaghSilvestriIoBound(num_edges, cell.m, cell.b))
           .KV("lower_bound", lower)
           .EndObject();
-      if (out.triangles != want) {
-        std::cerr << name << ": " << out.triangles << " triangles, the host "
+      if (r.triangles != want) {
+        std::cerr << name << ": " << r.triangles << " triangles, the host "
                   << "reference counts " << want << "\n";
         ++failures;
       }
       if (static_cast<double>(ios) < lower) {
         std::cerr << name << ": " << ios << " block I/Os, below the lower "
                   << "bound " << lower << "\n";
+        ++failures;
+      }
+      if (const std::uint64_t unclaimed = UnclaimedIos(r); unclaimed != 0) {
+        std::cerr << name << ": query.run's self row holds " << unclaimed
+                  << " of " << ios << " block I/Os\n";
         ++failures;
       }
     }

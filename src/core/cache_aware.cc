@@ -80,9 +80,9 @@ void Enumerate(em::QuerySession& ctx, const graph::EmGraph& g,
   // reads interleave with Writer flushes, and that interleaving is part of
   // the pinned LRU charge sequence — batching reads ahead of the writes
   // would perturb IoStats under capacity pressure. Parallelism enters this
-  // algorithm through charge-safe windows instead: run formation inside
-  // the ExternalMergeSort below and the Lemma 2 chunks of step 3 (see
-  // pivot_enum.h), both invariant in the thread count.
+  // algorithm only through the Lemma 2 chunks of step 3, an ordered run
+  // that is invariant in the thread count (see pivot_enum.h); the
+  // ExternalMergeSort below is serial at every thread count.
   const std::size_t num_keys = static_cast<std::size_t>(c) * c;
   em::Array<std::uint64_t> offsets;
   em::Array<Edge> buckets;

@@ -116,11 +116,17 @@ class Cache {
   /// int32_t index, whatever the host's memory.
   static constexpr std::size_t kMaxLines = INT32_MAX;
 
+  /// Lines below this id sit in the LineMap's dense vector by default: it
+  /// caps the vector at 16 MiB of host RAM while keeping the hot lookup a
+  /// vector load.
+  static constexpr std::size_t kDenseLineLimit = std::size_t{1} << 22;
+
   /// `staging` selects the mode: nullptr = counting-only (default);
-  /// otherwise the cache stages real data against that backend.
+  /// otherwise the cache stages real data against that backend. Tests lower
+  /// `line_map_dense_limit` to exercise the LineMap's sparse regime.
   Cache(std::size_t memory_words, std::size_t block_words,
         StorageBackend* staging = nullptr,
-        std::size_t line_map_dense_limit = std::size_t{1} << 22);
+        std::size_t line_map_dense_limit = kDenseLineLimit);
 
   /// Registers a touch of `words` consecutive words starting at `addr`.
   /// (In staged mode, missed lines are fetched so buffers stay coherent,

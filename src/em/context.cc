@@ -40,8 +40,7 @@ class AliasBackend final : public StorageBackend {
 GraphStore::GraphStore(const EmConfig& cfg)
     : cfg_(cfg),
       device_(MakeStorageBackend(cfg)),
-      cache_(cfg.memory_words, cfg.block_words, device_.staging_backend(),
-             cfg.line_map_dense_limit) {
+      cache_(cfg.memory_words, cfg.block_words, device_.staging_backend()) {
   TRIENUM_CHECK_MSG(cfg.memory_words >= cfg.block_words,
                     "internal memory must hold at least one block");
 }

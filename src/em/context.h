@@ -274,11 +274,12 @@ class QuerySession {
   std::uint64_t seed() const { return seed_; }
   void set_seed(std::uint64_t s) { seed_ = s; }
 
-  /// Host compute threads for this session's parallel phases (Lemma 2
-  /// chunks, clique4's pair join); 1, the default, and 0 run serially. It
-  /// never moves an I/O. query::RunQuery sets it from Query::threads. The
-  /// worker pool is process-wide and runs one region at a time, so sessions
-  /// on different host threads must not fan out at once.
+  /// Host compute threads for this session's one parallel phase, Lemma 2's
+  /// chunks as an ordered run (par::RunOrdered); 1, the default, and 0 run
+  /// serially. It never moves an I/O. query::RunQuery sets it from
+  /// Query::threads. The worker pool is process-wide and runs one region at
+  /// a time, so sessions on different host threads must not fan out at
+  /// once.
   std::size_t threads() const { return threads_; }
   void set_threads(std::size_t n) { threads_ = n; }
 

@@ -47,12 +47,6 @@ struct EmConfig {
   StorageKind storage = StorageKind::kMemory;
   /// Directory for the FileBackend's temp file; empty = $TMPDIR or /tmp.
   std::string temp_dir;
-  /// Device lines below this id use a dense line->slot vector in the cache;
-  /// lines at or above it fall back to a hash map. The default caps the dense
-  /// map at 16 MiB of host RAM while keeping the hot lookup a vector load, so
-  /// a multi-TB file-backed device no longer needs device/(2B) bytes of host
-  /// memory for the map. Lowered in tests to exercise the sparse regime.
-  std::size_t line_map_dense_limit = std::size_t{1} << 22;
 
   // --- Fault injection & recovery (src/faults/) -----------------------------
   // The em layer carries the configuration but never depends on the faults

@@ -6,6 +6,22 @@
 #include <sstream>
 
 namespace trienum::graph {
+namespace {
+
+/// istream >> uint64_t accepts a leading '-' and wraps it modulo 2^64
+/// ("-18446744073709551615" reads as 1), so a line with a '-' is re-read to
+/// see whether one of its two ids starts with one, after blanks or glued to
+/// the id before it ("1-2").
+bool HasNegativeId(const std::string& line) {
+  if (line.find('-') == std::string::npos) return false;
+  std::istringstream ss(line);
+  std::uint64_t first = 0;
+  if ((ss >> std::ws).peek() == '-') return true;
+  if (!(ss >> first)) return false;
+  return (ss >> std::ws).peek() == '-';
+}
+
+}  // namespace
 
 Result<std::vector<Edge>> ReadEdgeListText(const std::string& path) {
   std::ifstream in(path);
@@ -20,6 +36,10 @@ Result<std::vector<Edge>> ReadEdgeListText(const std::string& path) {
     std::uint64_t u, v;
     if (!(ss >> u >> v)) {
       return Status::InvalidArgument("parse error at " + path + ":" +
+                                     std::to_string(lineno));
+    }
+    if (HasNegativeId(line)) {
+      return Status::InvalidArgument("negative vertex id at " + path + ":" +
                                      std::to_string(lineno));
     }
     if (u > 0xFFFFFFFFULL || v > 0xFFFFFFFFULL) {

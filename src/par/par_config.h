@@ -1,18 +1,17 @@
 // Thread-count limits for the host-parallel execution subsystem.
 //
 // The Pagh–Silvestri model counts block transfers, not CPU cycles, so host
-// compute (whole Lemma 2 pivot chunks, clique4's in-memory pair join) may
-// fan out across cores without perturbing a single counted I/O. The thread
-// count is a setting of one query, carried by em::QuerySession (default 1,
-// so every serial code path is byte-for-byte the default); query::RunQuery
-// resolves Query::threads against the limits below.
+// compute (whole Lemma 2 pivot chunks) may fan out across cores without
+// perturbing a single counted I/O. The thread count is a setting of one
+// query, carried by em::QuerySession (default 1, so every serial code path
+// is byte-for-byte the default); query::RunQuery resolves Query::threads
+// against the limits below.
 //
 // Contract (enforced by tests/test_parallel.cc): for any thread count N,
 // every algorithm produces identical triangle output, identical emission
-// order, and identical IoStats to threads=1. Parallel kernels achieve this
-// by splitting pure host work over stable contiguous partitions (see
-// partition.h) and merging results in partition order, or by replaying
-// workers' charge logs and emits in task order (RunOrdered).
+// order, and identical IoStats to threads=1. The one parallel shape,
+// RunOrdered (thread_pool.h), achieves this by replaying workers' charge
+// logs and emits on the caller in task order.
 #ifndef TRIENUM_PAR_PAR_CONFIG_H_
 #define TRIENUM_PAR_PAR_CONFIG_H_
 

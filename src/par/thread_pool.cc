@@ -64,8 +64,8 @@ void ThreadPool::WorkerLoop(std::size_t id) {
     // Claim parts one at a time. Every claim re-checks the generation under
     // the lock, so a worker that drained the queue can never run a stale
     // task pointer against the next region's counters. Parts are coarse
-    // (>= grain items each, or one whole Lemma 2 chunk under RunOrdered),
-    // so the per-claim lock is noise next to the work inside a part.
+    // (one whole Lemma 2 chunk under RunOrdered), so the per-claim lock is
+    // noise next to the work inside a part.
     while (generation_ == seen && next_ < parts_) {
       const std::size_t idx = next_++;
       const std::function<void(std::size_t)>* task = task_;
@@ -86,8 +86,7 @@ void ThreadPool::WorkerLoop(std::size_t id) {
 }
 
 std::size_t ThreadPool::Run(std::size_t parts, std::size_t threads,
-                            const std::function<void(std::size_t)>& task,
-                            bool caller_first) {
+                            const std::function<void(std::size_t)>& task) {
   TRIENUM_CHECK(parts > 0);
   // One region at a time: a part that called Run again would overwrite the
   // region this pool is running.
@@ -101,23 +100,19 @@ std::size_t ThreadPool::Run(std::size_t parts, std::size_t threads,
   task_ = &task;
   helpers_ = helpers;
   parts_ = parts;
-  next_ = caller_first ? 1 : 0;
+  next_ = 1;  // part 0 is the caller's
   done_ = 0;
   ++generation_;
   lk.unlock();
   cv_work_.notify_all();
 
-  if (caller_first) {
-    {
-      RegionScope region;
-      task(0);
-    }
-    lk.lock();
-    ++done_;
-    lk.unlock();
+  {
+    RegionScope region;
+    task(0);
   }
-  // The caller is a worker too; it claims parts alongside the pool.
+  // Then the caller claims whatever parts the workers have not.
   lk.lock();
+  ++done_;
   const std::uint64_t gen = generation_;
   while (generation_ == gen && next_ < parts_) {
     const std::size_t idx = next_++;

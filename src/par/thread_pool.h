@@ -1,27 +1,20 @@
-// Fixed-size host thread pool: one fork/join primitive and an ordered
-// pipeline.
+// Fixed-size host thread pool and the ordered pipeline built on it.
 //
-// The pool parallelizes host compute without moving an I/O charge, in two
-// shapes:
-//   * fork/join (ThreadPool::Run) over *pure host compute between
-//     charges* — clique4's in-memory pair join, split into stable partitions
-//     (partition.h) whose results the caller merges in partition order.
-//     These workers never touch the em:: layer; every charge stays on the
-//     calling thread.
-//   * the ordered pipeline (RunOrdered) for whole subproblems — Lemma 2
-//     pivot chunks. A worker runs counted code against an em recording view
-//     and hands back a charge log; the caller replays the logs into the real
-//     cache strictly in task order (see core/pivot_enum.h).
-// Either way the caller issues the serial charge sequence, which is why
-// IoStats are invariant in the thread count by construction (and pinned by
-// tests/test_parallel.cc). The thread count is the caller's argument,
-// taken from its em::QuerySession.
+// The pool parallelizes host compute without moving an I/O charge. A region
+// has one shape: part 0 runs on the calling thread while pool workers claim
+// parts 1, 2, ... in index order. RunOrdered gives part 0 its commit loop
+// and every other part one task's compute, a whole Lemma 2 pivot chunk
+// (core/pivot_enum.h): a worker runs counted code against an em recording
+// view and hands back a charge log, and the caller replays the logs into
+// the real cache strictly in task order. So the caller issues the serial
+// charge sequence, which is why IoStats are invariant in the thread count
+// by construction (and pinned by tests/test_parallel.cc). The thread count
+// is the caller's argument, taken from its em::QuerySession.
 //
 // Shape: one process-wide pool (Global()), lazily spawning up to N-1
 // workers the first time a region actually fans out; the caller
 // participates as worker N. One region runs at a time; nested fan-out is a
-// library bug and is rejected with a TRIENUM_CHECK. RunOrdered commits in
-// task order.
+// library bug and is rejected with a TRIENUM_CHECK.
 #ifndef TRIENUM_PAR_THREAD_POOL_H_
 #define TRIENUM_PAR_THREAD_POOL_H_
 
@@ -46,20 +39,17 @@ class ThreadPool {
   /// needs them (lazy spawn), so serial processes never pay for threads.
   static ThreadPool& Global();
 
-  /// Executes task(i) once for every i in [0, parts), distributing parts
-  /// over at most `threads` threads (the caller participates), and blocks
-  /// until every part has finished. Part-to-worker assignment is dynamic —
-  /// callers must make parts independent and merge any results in part
-  /// order to stay deterministic. With `caller_first`, part 0 runs on the
-  /// caller before it claims any other part (RunOrdered's commit loop);
-  /// workers claim parts in index order. `task` must not throw and must
-  /// not touch the em:: accounting layer. Calling Run from inside a part
-  /// (nested fan-out) is rejected with a TRIENUM_CHECK. Returns the region's
-  /// width: the caller plus the helpers allowed to claim a part, so at most
-  /// min(threads, parts).
+  /// Executes task(i) once for every i in [0, parts) on at most `threads`
+  /// threads and blocks until every part has finished. Part 0 runs on the
+  /// caller; meanwhile up to threads - 1 workers claim parts 1, 2, ... in
+  /// index order, and the caller claims whatever they left once part 0
+  /// returns. Any part but 0 may run on a worker, so only part 0 may charge
+  /// the em:: accounting layer. `task` must not throw. Calling Run from
+  /// inside a part (nested fan-out) is rejected with a TRIENUM_CHECK.
+  /// Returns the region's width: the caller plus the helpers allowed to
+  /// claim a part, so at most min(threads, parts).
   std::size_t Run(std::size_t parts, std::size_t threads,
-                  const std::function<void(std::size_t)>& task,
-                  bool caller_first = false);
+                  const std::function<void(std::size_t)>& task);
 
   /// Workers spawned so far (test / telemetry hook; grows lazily, never
   /// shrinks until process exit).
@@ -177,8 +167,7 @@ std::size_t RunOrdered(std::size_t n, std::size_t threads, Compute&& compute,
     }
     cv_computed.notify_one();
   };
-  const std::size_t width =
-      ThreadPool::Global().Run(n + 1, threads, part, /*caller_first=*/true);
+  const std::size_t width = ThreadPool::Global().Run(n + 1, threads, part);
   if (failure) std::rethrow_exception(failure);
   return width;
 }

@@ -228,6 +228,17 @@ TEST(CliSmoke, GarbageBinaryEdgeFileFails) {
   RunCli("count --algo=mgt --graph=" + bin.path, /*expected_status=*/2);
 }
 
+TEST(CliSmoke, NegativeIdInTextEdgeFileFails) {
+  // The triangle {1, 2, 3} loads; the same lines with the first id written
+  // as -18446744073709551615, which wraps to 1, are a usage error.
+  TempScript good("1 2\n2 3\n1 3\n", ".txt");
+  EXPECT_EQ(ReportValue(RunCli("count --algo=mgt --graph=" + good.path),
+                        "triangles"),
+            "1");
+  TempScript bad("-18446744073709551615 2\n2 3\n1 3\n", ".txt");
+  RunCli("count --algo=mgt --graph=" + bad.path, /*expected_status=*/2);
+}
+
 // One row per generator spec at, or just past, a generator precondition.
 struct GeneratorSpecRow {
   const char* spec;

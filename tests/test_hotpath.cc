@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -319,19 +321,19 @@ TEST(LineMapRegimes, SparseRegimeCountsExactlyLikeDense) {
 }
 
 TEST(LineMapRegimes, FileBackendWorksBeyondDenseLimit) {
-  // A staged device addressed far past the dense line-map limit: data stays
-  // correct and host memory for the map is bounded by residency, not by the
-  // device size (the sparse file makes the huge address range cheap).
+  // A staged device addressed past the store's dense line-map limit: data
+  // stays correct and host memory for the map is bounded by residency, not
+  // by the device size. At B = 1 the limit's 2^22 lines are 32 MiB of
+  // address range, which the sparse file makes cheap.
   em::EmConfig cfg;
   cfg.memory_words = 1 << 8;
-  cfg.block_words = 16;
+  cfg.block_words = 1;
   cfg.storage = em::StorageKind::kFile;
-  cfg.line_map_dense_limit = 32;  // 32 lines = 512 words
   em::Context ctx(cfg);
   // Burn address space past the dense limit, then allocate out there.
-  ctx.device().Allocate(1 << 20, 16);
+  ctx.device().Allocate(em::Cache::kDenseLineLimit, 1);
   em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(4096);
-  ASSERT_GT(a.base(), cfg.line_map_dense_limit * cfg.block_words);
+  ASSERT_GE(a.base() / cfg.block_words, em::Cache::kDenseLineLimit);
   {
     em::Writer<std::uint64_t> w(a);
     for (std::size_t i = 0; i < 4096; ++i) w.Push(i * 3 + 1);
@@ -345,9 +347,86 @@ TEST(LineMapRegimes, FileBackendWorksBeyondDenseLimit) {
   }
   ctx.cache().FlushAll();
   // One sequential write pass + one read pass at block granularity.
-  const std::size_t lines = 4096 / 16;
+  const std::size_t lines = 4096 / cfg.block_words;
   EXPECT_EQ(ctx.cache().stats().block_writes, lines);
   EXPECT_EQ(ctx.cache().stats().block_reads, lines);
+}
+
+TEST(LineMapRegimes, MapMatchesAHashMapAcrossTheDenseLimit) {
+  // Random sets, erasures (slot -1) and clears on lines below a small dense
+  // limit, around it, and far past it: each lookup agrees with a hash map,
+  // and an absent line reads -1 in either regime.
+  const std::size_t limit = 256;
+  em::LineMap map(limit);
+  std::unordered_map<std::int64_t, std::int32_t> ref;
+  SplitMix64 rng(0x11AB);
+  auto any_line = [&]() -> std::int64_t {
+    switch (rng.Next() % 3) {
+      case 0:
+        return static_cast<std::int64_t>(rng.Next() % limit);
+      case 1:
+        return static_cast<std::int64_t>(limit - 8 + rng.Next() % 16);
+      default:
+        return (std::int64_t{1} << 40) + static_cast<std::int64_t>(
+                                             rng.Next() % 512);
+    }
+  };
+  auto expect = [&](std::int64_t line) {
+    auto it = ref.find(line);
+    return it == ref.end() ? std::int32_t{-1} : it->second;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const std::int64_t line = any_line();
+    const std::uint64_t kind = rng.Next() % 100;
+    if (kind < 60) {
+      const auto slot = static_cast<std::int32_t>(rng.Next() % 1000);
+      map.Set(line, slot);
+      ref[line] = slot;
+    } else if (kind < 99) {
+      map.Set(line, -1);
+      ref.erase(line);
+    } else {
+      map.Clear();
+      ref.clear();
+    }
+    ASSERT_EQ(map.Get(line), expect(line)) << "op " << op << " line " << line;
+    const std::int64_t probe = any_line();
+    ASSERT_EQ(map.Get(probe), expect(probe)) << "op " << op << " line " << probe;
+  }
+}
+
+TEST(LineMapRegimes, FileBackendArrayStraddlesTheDenseLimit) {
+  // Half of the array's lines sit below the store's dense limit and half at
+  // or above it, so one stream crosses from the dense vector, grown to its
+  // cap, into the hash map. At B = 1 the boundary is 32 MiB into a sparse
+  // file.
+  em::EmConfig cfg;
+  cfg.memory_words = 1 << 8;
+  cfg.block_words = 1;
+  cfg.storage = em::StorageKind::kFile;
+  em::Context ctx(cfg);
+  const std::size_t n = 4096;
+  const em::Addr start = em::Cache::kDenseLineLimit - n / 2;
+  ASSERT_LE(ctx.device().Mark(), start);
+  ctx.device().Allocate(start - ctx.device().Mark(), 1);
+  em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
+  ASSERT_EQ(a.base(), start);
+  {
+    em::Writer<std::uint64_t> w(a);
+    for (std::size_t i = 0; i < n; ++i) w.Push(i * 7 + 5);
+    w.Flush();
+  }
+  em::Scanner<std::uint64_t> in(a);
+  std::size_t i = 0;
+  while (in.HasNext()) {
+    ASSERT_EQ(in.Next(), i * 7 + 5) << i;
+    ++i;
+  }
+  ASSERT_EQ(i, n);
+  ctx.cache().FlushAll();
+  // One sequential write pass + one read pass, a transfer per line.
+  EXPECT_EQ(ctx.cache().stats().block_writes, n);
+  EXPECT_EQ(ctx.cache().stats().block_reads, n);
 }
 
 TEST(LineMapRegimes, ScanChargesMatchElementwiseAtHugeAddresses) {

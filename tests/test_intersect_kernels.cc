@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "core/pivot_enum.h"
 #include "graph/generators.h"
-#include "simd/flat_set.h"
 #include "simd/intersect.h"
 #include "simd/kernel_policy.h"
 #include "test_util.h"
@@ -270,7 +269,7 @@ TEST(IntersectKernels, DenseBitmapProbeMatchesBinarySearch) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat-map probe batches and the clique4 membership set.
+// Flat-map probe batches.
 
 TEST(IntersectKernels, ProbeFlatMapMatchesMapOracle) {
   SplitMix64 rng(0xC001);
@@ -308,36 +307,6 @@ TEST(IntersectKernels, ProbeFlatMapMatchesMapOracle) {
       ASSERT_EQ(out[i], want) << "n=" << n << " i=" << i << " q=" << queries[i];
     }
     EXPECT_EQ(out[n], kGuard) << "n=" << n << ": wrote past the batch";
-  }
-}
-
-TEST(IntersectKernels, FlatU64SetMatchesUnorderedSet) {
-  SplitMix64 rng(0xC002);
-  simd::FlatU64Set flat;
-  std::unordered_set<std::uint64_t> ref;
-  flat.Reset(400);
-  for (int i = 0; i < 400; ++i) {
-    // Packed-edge-shaped keys (never 0).
-    const std::uint64_t k = (rng.Next() % 1000 + 1) << 32 | (rng.Next() % 1000);
-    flat.Insert(k);
-    ref.insert(k);
-  }
-  std::vector<std::uint64_t> queries;
-  for (int i = 0; i < 2000; ++i) {
-    queries.push_back((rng.Next() % 1200 + 1) << 32 | (rng.Next() % 1200));
-  }
-  for (std::uint64_t q : queries) {
-    ASSERT_EQ(flat.Contains(q), ref.count(q) != 0) << "q=" << q;
-  }
-  for (std::size_t i = 0; i + 4 <= queries.size(); i += 4) {
-    const bool want = ref.count(queries[i]) != 0 &&
-                      ref.count(queries[i + 1]) != 0 &&
-                      ref.count(queries[i + 2]) != 0 &&
-                      ref.count(queries[i + 3]) != 0;
-    ASSERT_EQ(flat.ContainsAll4(queries[i], queries[i + 1], queries[i + 2],
-                                queries[i + 3]),
-              want)
-        << "i=" << i;
   }
 }
 

@@ -474,19 +474,21 @@ TEST(ObsAttribution, PhaseSelfDeltasSumToQueryTotals) {
   EXPECT_TRUE(saw_read_hist);
 }
 
-TEST(ObsAttribution, EveryAlgorithmChargesItsIoToNamedPhases) {
-  // query.run's own row holds what no phase claims. At CI's trace point no
-  // registered algorithm leaves a single block I/O there.
-  const std::vector<graph::Edge> raw =
-      graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 11);
-  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
-      TestConfig(em::StorageKind::kMemory, 4096, 64), raw);
+/// Runs every registered algorithm on `lg` at `threads` and expects
+/// query.run's own row, which holds what no phase claims, to hold no block
+/// I/O. `widest` is the most threads any of the queries ran on.
+void ExpectEveryAlgorithmChargesNamedPhases(query::LoadedGraph& lg,
+                                            std::size_t threads,
+                                            std::size_t& widest) {
   obs::TraceCollector tc;
   obs::ScopedTraceCollector install(tc);
+  widest = 0;
   for (const core::AlgorithmInfo& algo : core::AllAlgorithms()) {
     query::Query q;
     q.algo = algo.name;
+    q.threads = threads;
     const query::QueryResult r = *lg.Run(q);
+    widest = std::max(widest, r.threads_used);
     const std::uint64_t total = r.io.block_reads + r.io.block_writes;
     ASSERT_GT(total, 0u) << algo.name;
     auto root = std::find_if(r.phases.begin(), r.phases.end(),
@@ -499,6 +501,43 @@ TEST(ObsAttribution, EveryAlgorithmChargesItsIoToNamedPhases) {
     EXPECT_EQ(unclaimed, 0u)
         << algo.name << ": query.run holds " << unclaimed << " of " << total;
   }
+}
+
+TEST(ObsAttribution, EveryAlgorithmChargesItsIoToNamedPhases) {
+  // At CI's trace point no registered algorithm leaves a single block I/O
+  // in query.run's own row.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 11);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(em::StorageKind::kMemory, 4096, 64), raw);
+  std::size_t widest = 0;
+  ExpectEveryAlgorithmChargesNamedPhases(lg, 1, widest);
+  EXPECT_EQ(widest, 1u);
+}
+
+TEST(ObsAttribution, EveryAlgorithmChargesNamedPhasesOnTheFileBackend) {
+  // The same check with a small cache on the staged store, which takes
+  // the file device's charge paths and never fans out.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(9, 2400, 0.45, 0.22, 0.22, 11);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(em::StorageKind::kFile, 512, 16), raw);
+  std::size_t widest = 0;
+  ExpectEveryAlgorithmChargesNamedPhases(lg, 4, widest);
+  EXPECT_EQ(widest, 1u);  // a staged store never fans out
+}
+
+TEST(ObsAttribution, OrderedRunsReplayTheirChargesInNamedPhases) {
+  // At four threads the Lemma 2 chunks' charge logs are replayed by the
+  // ordered run's commit loop on the caller; the replayed I/O lands in
+  // named phases too.
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 11);
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(em::StorageKind::kMemory, 4096, 64), raw);
+  std::size_t widest = 0;
+  ExpectEveryAlgorithmChargesNamedPhases(lg, 4, widest);
+  EXPECT_EQ(widest, 4u);
 }
 
 TEST(ObsAttribution, SecondQueryWindowExcludesTheFirst) {

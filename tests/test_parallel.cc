@@ -1,11 +1,12 @@
 // The par subsystem's determinism contract, adversarially pinned.
 //
 // Five layers:
-//   * pool unit tests — stable range splitting, grain edge cases,
-//     ThreadPool::Run's part coverage, its thread cap and its nested fan-out
-//     rejection;
-//   * RunOrdered unit tests — commit order on the caller, the look-ahead
-//     bound, and a throwing task or commit;
+//   * pool unit tests — ThreadPool::Run's part coverage, its one region
+//     shape (part 0 on the caller, the rest claimed by workers in index
+//     order), its width, its thread cap, its lazy worker spawn and its
+//     nested fan-out rejection;
+//   * RunOrdered unit tests — commit order on the caller, its width, the
+//     look-ahead bound, and a throwing task or commit;
 //   * the session's thread count — per context, resolved by RunQuery;
 //   * the full algorithm matrix — threads in {1, 2, 7} x both storage
 //     backends, asserting byte-identical triangle output (same triangles IN
@@ -29,13 +30,11 @@
 
 #include "common/rng.h"
 #include "core/cache_aware.h"
-#include "core/clique4.h"
 #include "core/pivot_enum.h"
 #include "em/array.h"
 #include "extsort/ext_merge_sort.h"
 #include "obs/trace.h"
 #include "par/par_config.h"
-#include "par/partition.h"
 #include "par/thread_pool.h"
 #include "query/query.h"
 #include "test_util.h"
@@ -43,41 +42,7 @@
 namespace trienum {
 namespace {
 
-using par::PartRange;
-using par::PartsFor;
-using par::Range;
 using par::ThreadPool;
-
-// ---------------------------------------------------------------------------
-// partition.h: stable splitting.
-
-TEST(Partition, PartRangeCoversContiguouslyWithBalancedSizes) {
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                        std::size_t{64}, std::size_t{1000}, std::size_t{1001}}) {
-    for (std::size_t parts = 1; parts <= 9; ++parts) {
-      std::size_t expect_lo = 0;
-      std::size_t min_sz = n, max_sz = 0;
-      for (std::size_t i = 0; i < parts; ++i) {
-        const Range r = PartRange(n, parts, i);
-        EXPECT_EQ(r.lo, expect_lo);
-        expect_lo = r.hi;
-        min_sz = std::min(min_sz, r.size());
-        max_sz = std::max(max_sz, r.size());
-      }
-      EXPECT_EQ(expect_lo, n);
-      EXPECT_LE(max_sz - min_sz, 1u) << "n=" << n << " parts=" << parts;
-    }
-  }
-}
-
-TEST(Partition, PartsForGrainControl) {
-  EXPECT_EQ(PartsFor(0, 8, 100), 0u);      // empty range: nothing to do
-  EXPECT_EQ(PartsFor(1000, 1, 1), 1u);     // one thread: always serial
-  EXPECT_EQ(PartsFor(99, 8, 100), 1u);     // under one grain: serial
-  EXPECT_EQ(PartsFor(200, 8, 100), 2u);    // two grains: two parts
-  EXPECT_EQ(PartsFor(100000, 4, 100), 4u); // capped by threads
-  EXPECT_EQ(PartsFor(100, 8, 0), 8u);      // grain 0 treated as 1
-}
 
 // ---------------------------------------------------------------------------
 // thread_pool.h: ThreadPool::Run.
@@ -120,6 +85,43 @@ TEST(ThreadPool, RunOfOnePartRunsOnTheCaller) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ThreadPool, PartZeroRunsOnTheCallerWhileWorkersTakeTheRestInOrder) {
+  // RunOrdered's commit loop is part 0: it charges the session's cache, so
+  // it must run on the caller while workers compute the other parts. Part 0
+  // here waits for every other part, so a region that handed it to a worker
+  // and left the rest to the caller would show it. At two threads the one
+  // worker runs parts 1, 2, ... alone, in the order it claims them.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    for (int rep = 0; rep < 50; ++rep) {
+      const std::size_t parts = 64;
+      std::atomic<std::size_t> done{0};
+      std::mutex mu;
+      std::vector<std::size_t> order;
+      std::thread::id zero;
+      ThreadPool::Global().Run(parts, threads, [&](std::size_t i) {
+        if (i == 0) {
+          zero = std::this_thread::get_id();
+          while (done.load() < parts - 1) std::this_thread::yield();
+          return;
+        }
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          order.push_back(i);
+        }
+        done.fetch_add(1);
+      });
+      ASSERT_EQ(zero, caller) << "threads " << threads << " rep " << rep;
+      ASSERT_EQ(order.size(), parts - 1);
+      if (threads == 2) {
+        for (std::size_t k = 0; k < order.size(); ++k) {
+          ASSERT_EQ(order[k], k + 1) << "rep " << rep;
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, RunNeverUsesMoreThreadsThanAsked) {
   // A region at 7 threads leaves 6 workers behind; a later region at 2
   // (another session's count) must run on the caller plus one of them.
@@ -134,6 +136,109 @@ TEST(ThreadPool, RunNeverUsesMoreThreadsThanAsked) {
     seen.insert(std::this_thread::get_id());
   });
   EXPECT_LE(seen.size(), 2u);
+}
+
+TEST(ThreadPool, RunReturnsTheRegionWidth) {
+  // The caller plus the helpers allowed to claim a part: min(threads,
+  // parts), and 1 at zero threads, which run serially like one. A region
+  // of width 1 runs every part on the caller.
+  struct Case {
+    std::size_t parts, threads, width;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Case& c : {Case{1, 4, 1}, Case{3, 8, 3}, Case{64, 2, 2},
+                        Case{64, 7, 7}, Case{10, 1, 1}, Case{10, 0, 1}}) {
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> off_caller{0};
+    const std::size_t width =
+        ThreadPool::Global().Run(c.parts, c.threads, [&](std::size_t) {
+          calls.fetch_add(1);
+          if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+        });
+    const std::string label = "parts " + std::to_string(c.parts) +
+                              " threads " + std::to_string(c.threads);
+    EXPECT_EQ(width, c.width) << label;
+    EXPECT_EQ(calls.load(), c.parts) << label;
+    if (c.width == 1) {
+      EXPECT_EQ(off_caller.load(), 0u) << label;
+    }
+  }
+}
+
+TEST(ThreadPool, CallerClaimsWhatTheWorkersLeaveOncePartZeroReturns) {
+  // Three parts at two threads: part 0 returns at once and part 1 waits for
+  // part 2. Whichever of the caller and the one worker claims part 1, the
+  // other runs part 2, so the caller runs part 0 first and then exactly one
+  // more part.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int rep = 0; rep < 50; ++rep) {
+    std::atomic<bool> two_done{false};
+    std::mutex mu;
+    std::vector<std::size_t> on_caller;
+    ThreadPool::Global().Run(3, 2, [&](std::size_t i) {
+      if (std::this_thread::get_id() == caller) {
+        std::lock_guard<std::mutex> lk(mu);
+        on_caller.push_back(i);
+      }
+      if (i == 1) {
+        while (!two_done.load()) std::this_thread::yield();
+      }
+      if (i == 2) two_done.store(true);
+    });
+    ASSERT_EQ(on_caller.size(), 2u) << "rep " << rep;
+    EXPECT_EQ(on_caller[0], 0u) << "rep " << rep;
+    EXPECT_NE(on_caller[1], 0u) << "rep " << rep;
+  }
+}
+
+TEST(ThreadPool, WorkersSpawnLazilyUpToTheRegionsHelpers) {
+  // A one-thread region spawns no worker, and a wider one spawns only the
+  // helpers it can use: at most parts - 1, however many threads it may
+  // take. Workers are never given back.
+  ThreadPool& pool = ThreadPool::Global();
+  const std::size_t before = pool.spawned_workers();
+  pool.Run(100, 1, [](std::size_t) {});
+  EXPECT_EQ(pool.spawned_workers(), before);
+  pool.Run(3, 8, [](std::size_t) {});
+  EXPECT_EQ(pool.spawned_workers(), std::max<std::size_t>(before, 2));
+  pool.Run(1, 8, [](std::size_t) {});
+  EXPECT_EQ(pool.spawned_workers(), std::max<std::size_t>(before, 2));
+  pool.Run(64, 5, [](std::size_t) {});
+  EXPECT_EQ(pool.spawned_workers(), std::max<std::size_t>(before, 4));
+  pool.Run(64, 2, [](std::size_t) {});
+  EXPECT_EQ(pool.spawned_workers(), std::max<std::size_t>(before, 4));
+}
+
+TEST(ThreadPool, RegionsOfChangingWidthEachVisitEveryPartOnce) {
+  // Back-to-back regions alternate between wide and narrow. Workers that a
+  // wide region woke must not claim parts of a narrower one or of the next
+  // region, so every part runs once, on at most the region's width of
+  // threads.
+  struct Region {
+    std::size_t parts, threads;
+  };
+  for (int round = 0; round < 20; ++round) {
+    for (const Region& r : {Region{1000, 7}, Region{5, 2}, Region{1, 7},
+                            Region{300, 1}, Region{64, 3}, Region{2, 7}}) {
+      std::vector<std::atomic<int>> hits(r.parts);
+      for (auto& h : hits) h.store(0);
+      std::mutex mu;
+      std::set<std::thread::id> seen;
+      const std::size_t width =
+          ThreadPool::Global().Run(r.parts, r.threads, [&](std::size_t i) {
+            hits[i].fetch_add(1);
+            std::lock_guard<std::mutex> lk(mu);
+            seen.insert(std::this_thread::get_id());
+          });
+      const std::string label = "round " + std::to_string(round) +
+                                " parts " + std::to_string(r.parts) +
+                                " threads " + std::to_string(r.threads);
+      ASSERT_LE(seen.size(), width) << label;
+      for (std::size_t i = 0; i < r.parts; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << label << " part " << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolDeathTest, NestedFanOutIsRejected) {
@@ -192,6 +297,29 @@ TEST(OrderedRun, CommitsEveryTaskInOrderOnTheCaller) {
         });
     ASSERT_EQ(order.size(), n) << "threads " << threads;
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(order[i], i);
+  }
+}
+
+TEST(OrderedRun, ReturnsTheWidthItRanAt) {
+  // A query's threads_used is this value. An inline run (one thread or
+  // fewer, or no task) reports 1; a run that fans out reports its region's
+  // width: the caller's commit loop plus at most one worker per task.
+  struct Case {
+    std::size_t n, threads, width;
+  };
+  for (const Case& c : {Case{0, 4, 1}, Case{50, 1, 1}, Case{50, 0, 1},
+                        Case{1, 4, 2}, Case{2, 7, 3}, Case{50, 4, 4}}) {
+    std::atomic<std::size_t> computes{0};
+    std::size_t commits = 0;
+    const std::size_t width = par::RunOrdered(
+        c.n, c.threads,
+        [&](std::size_t, std::size_t) { computes.fetch_add(1); },
+        [&](std::size_t, std::size_t) { ++commits; });
+    const std::string label =
+        "n " + std::to_string(c.n) + " threads " + std::to_string(c.threads);
+    EXPECT_EQ(width, c.width) << label;
+    EXPECT_EQ(computes.load(), c.n) << label;
+    EXPECT_EQ(commits, c.n) << label;
   }
 }
 
@@ -532,32 +660,6 @@ TEST(ParallelInvariance, HighThreadCountOnDenseGraph) {
   EXPECT_EQ(got.io.block_writes, base.io.block_writes);
   EXPECT_EQ(got.io.cache_hits, base.io.cache_hits);
   EXPECT_EQ(got.work, base.work);
-}
-
-TEST(ParallelInvariance, Clique4EnumerationIsThreadCountInvariant) {
-  // The 4-clique engine's in-memory pair join fans out over the pool: on
-  // K_40 at M = 2^11 its largest subproblems hold more candidate pairs than
-  // two join partitions' grain.
-  const std::vector<graph::Edge> raw = graph::Clique(40);
-  auto run = [&](std::size_t threads) {
-    em::Context ctx = test::MakeContext(1 << 11, 32);
-    ctx.set_threads(threads);
-    graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
-    ctx.cache().Reset();
-    core::CollectingCliqueSink sink;
-    core::EnumerateFourCliques(ctx, g, sink);
-    ctx.cache().FlushAll();
-    return std::make_pair(sink.cliques(), ctx.cache().stats());
-  };
-  const auto [base_quads, base_io] = run(1);
-  EXPECT_EQ(base_quads.size(), 40u * 39u * 38u * 37u / 24u);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const auto [quads, io] = run(threads);
-    EXPECT_EQ(quads, base_quads) << "threads " << threads;
-    EXPECT_EQ(io.block_reads, base_io.block_reads) << "threads " << threads;
-    EXPECT_EQ(io.block_writes, base_io.block_writes) << "threads " << threads;
-    EXPECT_EQ(io.cache_hits, base_io.cache_hits) << "threads " << threads;
-  }
 }
 
 TEST(ParallelInvariance, EngineSortNeverFansOut) {

@@ -173,6 +173,48 @@ TEST_F(GraphIoTest, OversizedIdsRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST_F(GraphIoTest, NegativeIdsRejected) {
+  // istream >> uint64_t wraps a leading '-' modulo 2^64: the first file
+  // would load as {1, 2}, {2, 3}, {1, 3}, one triangle.
+  struct Case {
+    const char* name;
+    const char* text;
+    const char* where;  // file:line the status must name
+  };
+  for (const Case& c : {Case{"wrap.txt", "-18446744073709551615 2\n2 3\n1 3\n",
+                             "wrap.txt:1"},
+                        Case{"minus.txt", "2 3\n-1 2\n", "minus.txt:2"},
+                        Case{"second.txt", "1 -2\n", "second.txt:1"},
+                        // No blank before the '-': read as {1, 2} until the
+                        // sign was checked where each id starts.
+                        Case{"glued.txt", "1-18446744073709551614\n2 3\n1 3\n",
+                             "glued.txt:1"}}) {
+    {
+      std::FILE* f = std::fopen(Path(c.name).c_str(), "w");
+      std::fputs(c.text, f);
+      std::fclose(f);
+    }
+    auto bad = ReadEdgeListText(Path(c.name));
+    ASSERT_FALSE(bad.ok()) << c.name;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(bad.status().message().find(c.where), std::string::npos)
+        << bad.status().ToString();
+  }
+}
+
+TEST_F(GraphIoTest, MinusPastTheTwoIdsIsNotAnId) {
+  // Only the first two tokens are ids: a signed third column (a weight) or
+  // a '-' in a trailing comment leaves the line's edge as it was.
+  {
+    std::FILE* f = std::fopen(Path("w.txt").c_str(), "w");
+    std::fputs("1 2 -0.5\n4 5 # was -4 5\n", f);
+    std::fclose(f);
+  }
+  auto back = ReadEdgeListText(Path("w.txt"));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, (std::vector<Edge>{{1, 2}, {4, 5}}));
+}
+
 TEST(Status, BasicsAndResult) {
   Status ok = Status::OK();
   EXPECT_TRUE(ok.ok());
