@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs every built bench_* binary with --benchmark_format=json, writing one
-# BENCH_<name>.json per bench into the output directory — the perf trajectory
-# the repo accumulates across PRs.
+# Runs every built bench_* binary whose bench/bench_*.cc source exists with
+# --benchmark_format=json, writing one BENCH_<name>.json per bench into the
+# output directory — the perf trajectory the repo accumulates across PRs.
 #
 #   $ cmake -B build -S . -DTRIENUM_BUILD_BENCHMARKS=ON
 #   $ cmake --build build -j
@@ -60,11 +60,18 @@ if missing:
 PYEOF
 }
 
+# Only benches whose source is still in the tree: an incremental build
+# directory keeps the binary of a deleted bench, which would emit a stale JSON.
+src_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 found=0
 for bin in "${bench_dir}"/bench_*; do
   [[ -f "${bin}" && -x "${bin}" ]] || continue
-  found=1
   name="$(basename "${bin}")"
+  if [[ ! -f "${src_dir}/${name}.cc" ]]; then
+    echo "== ${name}: skipped, no ${name}.cc in ${src_dir} (stale binary)"
+    continue
+  fi
+  found=1
   out="${out_dir}/BENCH_${name#bench_}.json"
   echo "== ${name} -> ${out}"
   "${bin}" --benchmark_format=json "$@" > "${out}"

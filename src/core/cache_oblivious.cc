@@ -76,8 +76,8 @@ void HighDegreeFinder::High(std::size_t threshold,
   }
 }
 
-void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
-                std::array<std::uint32_t, 3> col, TriangleSink& sink) {
+JoinCounts StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
+                      std::array<std::uint32_t, 3> col, TriangleSink& sink) {
   using graph::ColoredEdge;
   using graph::VertexId;
   em::ScratchLease lease = ctx.LeaseScratch(kBaseLeaseWords);
@@ -85,17 +85,22 @@ void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
   std::array<VertexId, kJoinRunEnds> ends{};
   const std::size_t len = node.size();
   constexpr std::size_t kNone = ~std::size_t{0};
+  JoinCounts counts;
 
   // One record of a join pass: an R02 edge (u, w) probes (v, w) for every
-  // kept endpoint v < w, then an R01 edge keeps its endpoint. A full buffer
-  // marks the run's first unkept R01 record as its spill point.
+  // kept endpoint v < w, then an R01 edge keeps its endpoint. Every key of
+  // the chunk has its v in [first_v, last_v], so only an endpoint in that
+  // range is kept, and only an R02 edge with w > first_v probes. A full
+  // buffer marks the run's first unkept R01 record as its spill point.
   std::size_t nkeys = 0;
   std::size_t nends = 0;
   std::size_t spill = kNone;
+  VertexId first_v = 0;
+  VertexId last_v = 0;
   std::uint64_t probes = 0;
   auto visit = [&](const ColoredEdge& e, std::size_t i) {
     if (e.cu != col[0]) return;
-    if (e.cv == col[2]) {
+    if (e.cv == col[2] && e.v > first_v) {
       for (std::size_t k = 0; k < nends; ++k) {
         if (std::binary_search(keys.begin(), keys.begin() + nkeys,
                                extsort::PackKey(ends[k], e.v))) {
@@ -104,7 +109,7 @@ void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
       }
       probes += nends;
     }
-    if (e.cv == col[1]) {
+    if (e.cv == col[1] && e.v >= first_v && e.v <= last_v) {
       if (nends < kJoinRunEnds) {
         ends[nends++] = e.v;
       } else if (spill == kNone) {
@@ -120,6 +125,7 @@ void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
       const std::size_t from = spill;
       nends = 0;
       spill = kNone;
+      ++counts.spills;
       em::Scanner<ColoredEdge> tail(node.Slice(from, end - from));
       for (std::size_t i = from; i < end; ++i) visit(tail.Next(), i);
       streamed += end - from;
@@ -153,7 +159,9 @@ void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
     if (nkeys == 0) break;
 
     // Join the u-runs that can reach the chunk: u < v <= its last key's v.
-    const VertexId last_v = static_cast<VertexId>(keys[nkeys - 1] >> 32);
+    ++counts.rounds;
+    first_v = static_cast<VertexId>(keys[0] >> 32);
+    last_v = static_cast<VertexId>(keys[nkeys - 1] >> 32);
     em::Scanner<ColoredEdge> runs(node);
     VertexId u = 0;
     std::size_t i = 0;
@@ -170,6 +178,7 @@ void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
     end_run(i);
   }
   ctx.AddWork(streamed + probes);
+  return counts;
 }
 
 }  // namespace internal
@@ -428,6 +437,9 @@ class CoRunner {
   /// Per-role wall time and node counts, filled only when timed.
   const RoleTallies& roles() const { return roles_; }
 
+  /// The base joins' rounds and spills, summed only when timed.
+  const internal::JoinCounts& join() const { return join_; }
+
   /// Per-depth tallies, filled only when timed. Charges the I/O since the
   /// last switch first, so read them once the recursion has returned.
   const std::array<LevelTally, kLevelRows>& levels() {
@@ -527,7 +539,11 @@ class CoRunner {
   void BaseCase(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col) {
     ++shape_.base_cases;
     if (a.size() <= kTinyBase) {
-      internal::StreamJoin(ctx_, a, col, sink_);
+      const internal::JoinCounts c = internal::StreamJoin(ctx_, a, col, sink_);
+      if (timed_) {
+        join_.rounds += c.rounds;
+        join_.spills += c.spills;
+      }
     } else {
       WedgeJoinEnumerate<ColoredEdge>(
           ctx_, a, extsort::ObliviousSorter{},
@@ -547,6 +563,7 @@ class CoRunner {
   const bool timed_;
   Shape shape_;
   RoleTallies roles_;
+  internal::JoinCounts join_;
   std::array<LevelTally, kLevelRows> levels_{};
   int level_ = 0;          // the depth charged at the next switch
   em::IoStats level_mark_;  // counters at the last switch
@@ -597,6 +614,8 @@ void EnumerateCacheObliviousToDepth(em::QuerySession& ctx,
   span.AddArg("partition_nodes", roles.partition.nodes);
   span.AddArg("base_ns", roles.base.ns);
   span.AddArg("base_nodes", roles.base.nodes);
+  span.AddArg("join_rounds", runner.join().rounds);
+  span.AddArg("join_spills", runner.join().spills);
   const Shape& shape = runner.shape();
   span.AddArg("subproblems", shape.subproblems);
   span.AddArg("base_cases", shape.base_cases);

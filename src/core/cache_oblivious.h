@@ -17,7 +17,7 @@
 //      edge thus reads its input twice; when step 1 removes edges, the
 //      filtered array is counted again before the routing scan.
 // Recursion ends at depth ceil(log4 E), or once a subproblem has at most
-// kTinyBase = 1,024 edges. A base case of at most kTinyBase edges streams the
+// kTinyBase = 4,096 edges. A base case of at most kTinyBase edges streams the
 // node through a join in an O(1) host buffer (internal::StreamJoin); a
 // larger one, reached only when the depth cap stops a node first, runs
 // Dementiev's sort/scan algorithm (funnelsort flavor). Both filter to proper
@@ -27,9 +27,10 @@
 //
 // Traced, the recursion is one `co.recurse` span whose args carry its shape
 // (subproblems, base_cases, high_degree_calls, total_child_edges,
-// max_depth_reached), each role's time and nodes, and each depth's nodes,
-// edges and exclusive block I/Os; the root's transform is its own
-// `co.root` span before it.
+// max_depth_reached), each role's time and nodes, the base joins' rounds and
+// spills (join_rounds, join_spills), and each depth's nodes, edges and
+// exclusive block I/Os; the root's transform is its own `co.root` span
+// before it.
 #ifndef TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 #define TRIENUM_CORE_CACHE_OBLIVIOUS_H_
 
@@ -49,17 +50,27 @@ namespace trienum::core {
 /// words do, and they also set the smallest M the algorithm runs at. A
 /// fixed constant, so the algorithm stays oblivious to M and B; the paper's
 /// analysis charges constant-size subproblems O(1), so it keeps the bound.
-/// A smaller cutoff splits nodes the join would finish in a few passes, each
+/// A smaller cutoff splits nodes the join would finish in a few rounds, each
 /// split paying a high-degree verify scan and an 8-way partition; a larger
-/// one gives the join one gather-and-join round per 120 R12 keys, which on
-/// dense nodes costs more work than the splits save. On R-MAT scale 12
-/// (E = 16,384, M = 4,096, B = 64, one core of a 4-vCPU VM, 5 runs each),
-/// cutoffs of 256, 1,024 and 2,048 took 81-100, 57-72 and 37-52 ms and
-/// moved 48,232, 39,301 and 35,293 blocks. Against 256, 1,024 lowers both
-/// block I/Os and work in all 27 cells of bench/io_sweep, while 2,048
-/// raises work on K_48 and K_64 (K_64: 275,982 at 256, 185,338 at 1,024,
-/// 467,481 at 2,048): 1,024 is the largest cutoff measured that lowers both.
-inline constexpr std::size_t kTinyBase = 1024;
+/// one gives the join more gather-and-join rounds, one per 120 R12 keys, and
+/// a leaf above M rereads its input in each. The join's v-range rule keeps a
+/// round's probes to the wedges whose v its chunk holds, so dense leaves no
+/// longer cost work that grows with their square (K_64 under (1,1,1):
+/// 467,481 work before the rule, 71,815 with it). With the rule, on R-MAT
+/// scale 12 (E = 16,384, M = 4,096, B = 64, one core of a 4-vCPU VM, 5 runs
+/// each):
+///
+///   cutoff   wall      block I/Os   work
+///   1,024    43-62 ms  39,301       2.59M
+///   2,048    41-55 ms  35,293       2.38M
+///   4,096    34-38 ms  31,045       1.51M
+///   8,192    25-33 ms  33,389       1.42M
+///
+/// Against 1,024, both 4,096 and 8,192 lower block I/Os in 26 and work in 26
+/// of bench/io_sweep's 27 §3 cells (K_32 is one leaf at all four), but
+/// 8,192 moves more blocks than 4,096 here and in 5 sweep cells (Gnm at
+/// M = 2,048 and 4,096, up to 1.09x): 4,096 moves the fewest.
+inline constexpr std::size_t kTinyBase = 4096;
 
 /// Enumerates all triangles of `g`, cache-obliviously.
 void EnumerateCacheOblivious(em::QuerySession& ctx, const graph::EmGraph& g,
@@ -113,6 +124,13 @@ inline constexpr std::size_t kJoinKeys = 120;
 inline constexpr std::size_t kJoinRunEnds = 32;
 inline constexpr std::size_t kBaseLeaseWords = kJoinKeys + kJoinRunEnds / 2;
 
+/// What one StreamJoin call did: its gather-and-join rounds, and its spills,
+/// each a rescan of one u-run's tail.
+struct JoinCounts {
+  std::uint64_t rounds = 0;
+  std::uint64_t spills = 0;
+};
+
 /// §3's base case: enumerates the proper triangles u < v < w of the
 /// col-problem on `node`, whose records must be lex-sorted (u, v) with
 /// u < v, as every node of the recursion is. It joins the node's three slot
@@ -122,15 +140,20 @@ inline constexpr std::size_t kBaseLeaseWords = kJoinKeys + kJoinRunEnds / 2;
 /// and checks the node's order (one compare per record). A join pass then
 /// walks the u-runs that can reach the chunk (u below its last key's v),
 /// keeps each run's R01 endpoints and probes (v, w) in the chunk for each
-/// R02 edge (u, w), so triangles come out by chunk, then u, w and v. An R12
-/// larger than a chunk costs one more gather-and-join round; a run with
-/// more than kJoinRunEnds R01 edges rescans its own tail once per further
-/// batch. Every pass after the first hits the cache whenever the node fits
-/// in M. Leases exactly kBaseLeaseWords words and charges one unit of work
-/// per streamed record and per probe. The node's lines stay cached; the
-/// recursion drops them.
-void StreamJoin(em::QuerySession& ctx, em::Array<graph::ColoredEdge> node,
-                std::array<std::uint32_t, 3> col, TriangleSink& sink);
+/// R02 edge (u, w), so triangles come out by chunk, then u, w and v. Every
+/// key of a chunk has its v in [first_v, last_v], the v of its first and
+/// last key, so a run keeps only the endpoints in that range and only an
+/// R02 edge with w > first_v probes: each wedge (u; v, w) is probed only in
+/// the rounds whose chunk range holds v. An R12 larger than a chunk costs
+/// one more gather-and-join round; a run with more than kJoinRunEnds R01
+/// endpoints in one chunk's range rescans its own tail once per further
+/// batch (a spill). Every pass after the first hits the cache whenever the
+/// node fits in M. Leases exactly kBaseLeaseWords words and charges one unit
+/// of work per streamed record and per probe. The node's lines stay cached;
+/// the recursion drops them.
+JoinCounts StreamJoin(em::QuerySession& ctx,
+                      em::Array<graph::ColoredEdge> node,
+                      std::array<std::uint32_t, 3> col, TriangleSink& sink);
 
 /// EnumerateCacheOblivious with the depth cap `max_depth` in place of
 /// ceil(log4 E), so a test can reach the Dementiev base (cap 0 solves the

@@ -131,11 +131,24 @@ ShapedRun RunShaped(const std::vector<Edge>& raw, std::uint64_t seed,
   return r;
 }
 
+/// K_k joined to n independent vertices k, ..., k + n - 1: C(k,3) +
+/// C(k,2)·n triangles. A clique vertex has degree k - 1 + n, short of E/8 at
+/// the root once n is well above k, but it reaches E/8 in a node where the
+/// clique's colour classes are small and the independent set's large, so
+/// Lemma 1 fires below the root.
+std::vector<Edge> CliqueJoined(VertexId k, VertexId n) {
+  std::vector<Edge> raw = Clique(k);
+  for (VertexId x = 0; x < k; ++x) {
+    for (VertexId y = k; y < k + n; ++y) raw.push_back(Edge{x, y});
+  }
+  return raw;
+}
+
 TEST(CacheOblivious, EmissionIndependentOfMAndB) {
   // Obliviousness: with a fixed seed, the emitted multiset (indeed the whole
   // computation) cannot depend on M or B. Above the base, so the recursion
   // runs at every M and B.
-  auto raw = Gnm(100, 1500, 21);
+  auto raw = Gnm(300, 6000, 21);
   ASSERT_GT(raw.size(), core::kTinyBase);
   auto first = RunOblivious(raw, 99, 1 << 12, 16);
   for (auto [m, b] : std::vector<std::pair<std::size_t, std::size_t>>{
@@ -146,16 +159,17 @@ TEST(CacheOblivious, EmissionIndependentOfMAndB) {
 }
 
 TEST(CacheOblivious, SeedsVaryRecursionNotAnswer) {
-  // 1,400 edges: more than one kTinyBase leaf, and enough for a second level,
+  // 5,600 edges: more than one kTinyBase leaf, and enough for a second level,
   // where the child sizes (unlike depth 1's, always 4E in all) depend on
   // the bits.
-  auto raw = Gnm(80, 1400, 13);
+  auto raw = Gnm(160, 5600, 13);
   auto expected = test::ReferenceNormalized(raw);
   std::vector<std::uint64_t> child_edge_counts;
   for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
     const ShapedRun run = RunShaped(raw, seed);
     EXPECT_EQ(run.tris, expected);
     EXPECT_GT(run.args.at("subproblems"), 1u);
+    EXPECT_GE(run.args.at("max_depth_reached"), 2u);
     child_edge_counts.push_back(run.args.at("total_child_edges"));
   }
   // Different random refinements lead to different recursion trees.
@@ -164,15 +178,16 @@ TEST(CacheOblivious, SeedsVaryRecursionNotAnswer) {
 }
 
 TEST(CacheOblivious, ReportShapeMatchesTheory) {
-  auto raw = Gnm(300, 2500, 5);
+  auto raw = Gnm(600, 6000, 5);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const ShapedRun run = RunShaped(raw, 7);
   EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
-  // max depth = ceil(log4 E) for E=2500 -> 6.
-  EXPECT_EQ(run.args.at("max_depth"), 6u);
-  EXPECT_LE(run.args.at("max_depth_reached"), 6u);
+  // max depth = ceil(log4 E) for E=6000 -> 7.
+  EXPECT_EQ(run.args.at("max_depth"), 7u);
+  EXPECT_LE(run.args.at("max_depth_reached"), 7u);
   EXPECT_GT(run.args.at("subproblems"), 8u);
   // Total child-edge mass across all levels is O(E^{3/2}) (sum 2^i E).
-  double e = 2500;
+  double e = 6000;
   EXPECT_LE(static_cast<double>(run.args.at("total_child_edges")),
             6.0 * std::pow(e, 1.5));
 }
@@ -180,7 +195,7 @@ TEST(CacheOblivious, ReportShapeMatchesTheory) {
 TEST(CacheOblivious, DepthZeroIsPureDementiev) {
   // Above the base, so the capped root takes the Dementiev branch, not the
   // streaming join.
-  auto raw = Gnm(100, 1500, 29);
+  auto raw = Gnm(300, 6000, 29);
   ASSERT_GT(raw.size(), core::kTinyBase);
   const ShapedRun run = RunShaped(raw, 0x7001, /*max_depth=*/0);
   EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
@@ -192,28 +207,27 @@ TEST(CacheOblivious, CliqueWithLocalHighDegreeBelowTheRoot) {
   // A clique vertex has degree about sqrt(2E), short of E/8 in a balanced
   // node of more than about 85 edges, so Lemma 1 fires only in nodes where
   // two colour classes are much smaller than the third. Above the
-  // 1,024-edge base a plain clique never gets there (K_100 to K_200 at 30
-  // seeds each: no call). Joining K_12 to 300 independent vertices makes
-  // the clique's classes the small ones: its vertices have degree 311,
-  // short of E/8 = 458 at the root, but reach a node's E/8 below it. The
-  // step fires repeatedly there, and exactly-once must survive.
-  std::vector<Edge> raw = Clique(12);
-  for (VertexId x = 0; x < 12; ++x) {
-    for (VertexId y = 12; y < 312; ++y) raw.push_back(Edge{x, y});
-  }
+  // kTinyBase-edge base a plain clique never gets there (K_100 to K_200 at
+  // 30 seeds each made no call even above a 1,024-edge base). Joining K_12
+  // to 1,200 independent vertices makes the clique's classes the small
+  // ones: its vertices have degree 1,211, short of E/8 = 1,808 at the root,
+  // but reach a node's E/8 below it. The step fires repeatedly there, and
+  // exactly-once must survive.
+  const std::vector<Edge> raw = CliqueJoined(12, 1200);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const ShapedRun run = RunShaped(raw, 0x7001);
   EXPECT_GE(run.args.at("high_degree_calls"), 2u);
   EXPECT_GE(run.args.at("max_depth_reached"), 3u);
   EXPECT_TRUE(test::NoDuplicates(run.tris));
-  EXPECT_EQ(run.tris.size(), 20020u);  // C(12,3) + C(12,2) * 300
+  EXPECT_EQ(run.tris.size(), 79420u);  // C(12,3) + C(12,2) * 1,200
 }
 
 TEST(CacheOblivious, GrowsLikeE15WhileMgtGrowsLikeE2) {
   // The paper's separation is asymptotic: ours scales as E^{3/2}, MGT as
   // E^2. Growing E by 4x at fixed M must grow MGT's I/O by ~16x but ours by
   // only ~8x; the measured growth exponents must be separated. E starts at
-  // 2^13: at 2^12 the 1,024-edge base leaves a recursion only two levels
-  // deep (three at 2^13, four at 2^15).
+  // 2^13, which the kTinyBase-edge base still splits: the recursion reaches
+  // depth 2 at 2^13 and depth 3 at 2^15.
   const std::size_t m = 1 << 9, b = 16;
   auto measure = [&](std::size_t e, bool oblivious) {
     em::Context ctx = test::MakeContext(m, b);
@@ -263,30 +277,33 @@ TEST(CacheOblivious, IoDropsWithLargerMemoryWithoutRecompiling) {
 
 TEST(CacheOblivious, ShrunkNodesPartitionAtPinnedIoStats) {
   // A node that the high-degree step leaves with fewer than kTinyBase edges
-  // (3 nodes here) still writes its children through Writers, each flushed
+  // (2 nodes here) still writes its children through Writers, each flushed
   // just before the child recurses, and every leaf streams through the
-  // base-case join. R-MAT's hubs must be skewed enough (a = 0.5) for Lemma 1
-  // to fire above the 1,024-edge base. Pinned exactly (reads, writes and
-  // hits), so any change to the partition's or the base case's charges
-  // shows.
-  const auto raw = Rmat(10, 8192, 0.5, 0.2, 0.2, 2014);
+  // base-case join. No R-MAT input made Lemma 1 fire above the 4,096-edge
+  // base (scales 10 to 14, a = 0.45 to 0.7), so a clique joined to an
+  // independent set makes it fire. Pinned exactly (reads, writes and hits),
+  // so any change to the partition's or the base case's charges shows.
+  const std::vector<Edge> raw = CliqueJoined(10, 800);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const CoRun untraced = RunCoRecurse(raw, 1 << 10, 16, 2014, nullptr);
   obs::TraceCollector tc;
   const CoRun traced = RunCoRecurse(raw, 1 << 10, 16, 2014, &tc);
   ExpectSameRun(traced, untraced);
-  EXPECT_EQ(untraced.tris.size(), 20105u);
+  EXPECT_EQ(untraced.tris.size(), 36120u);  // C(10,3) + C(10,2) * 800
   const std::vector<obs::TraceEvent> evs = tc.events_since(0);
   const obs::TraceEvent* span = CoRecurseSpan(evs);
   ASSERT_NE(span, nullptr);
   EXPECT_GE(ArgsOf(*span)["high_degree_calls"], 2u);
-  EXPECT_EQ(untraced.io.block_reads, 53477u);
-  EXPECT_EQ(untraced.io.block_writes, 33600u);
-  EXPECT_EQ(untraced.io.cache_hits, 969527u);
+  EXPECT_EQ(untraced.io.block_reads, 87598u);
+  EXPECT_EQ(untraced.io.block_writes, 54389u);
+  EXPECT_EQ(untraced.io.cache_hits, 5666353u);
 }
 
 TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
-  // R-MAT hubs make Lemma 1 fire below the root, so all four roles run.
-  const auto raw = Rmat(10, 6000, 0.57, 0.19, 0.19, 3);
+  // A clique joined to an independent set makes Lemma 1 fire below the
+  // root, so all four roles run.
+  const std::vector<Edge> raw = CliqueJoined(12, 600);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const CoRun untraced = RunCoRecurse(raw, 1 << 12, 16, 7, nullptr);
   obs::TraceCollector tc;
   const CoRun traced = RunCoRecurse(raw, 1 << 12, 16, 7, &tc);
@@ -301,10 +318,11 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
        {"high_degree_ns", "high_degree_nodes", "lemma1_ns", "lemma1_nodes",
         "partition_ns", "partition_nodes", "base_ns", "base_nodes",
         "subproblems", "base_cases", "high_degree_calls", "total_child_edges",
-        "max_depth_reached"}) {
+        "max_depth_reached", "join_rounds", "join_spills"}) {
     EXPECT_EQ(args.count(key), 1u) << key;
   }
   EXPECT_EQ(args["base_nodes"], args["base_cases"]);
+  EXPECT_GT(args["join_rounds"], 0u);
   EXPECT_GT(args["partition_nodes"], 0u);
   EXPECT_GE(args["high_degree_nodes"], args["partition_nodes"]);
   EXPECT_GT(args["lemma1_nodes"], 0u);
@@ -340,14 +358,16 @@ TEST(CacheOblivious, TracedRunTalliesRecursionRolesOnItsSpan) {
 }
 
 TEST(CacheOblivious, NodesAboveMemoryReadTheirInputTwice) {
-  // The co-rmat12 point: R-MAT scale 12 under M = 4,096 and B = 64 words.
-  // Nodes at depths 0 and 1 span far more than M, so none of a node's input
-  // is still cached when a pass over it starts: every pass misses once per
-  // line. A node reads its input in the verify scan, which also counts the
-  // children, and in the routing scan; pass 1 of the high-degree step rides
-  // on the transform or routing scan that wrote the array. Separate pass-1
-  // and child-counting scans would make the root read 4 passes (2,048).
-  const auto raw = Rmat(12, 16384, 0.45, 0.22, 0.22, 2014);
+  // The co-rmat12 point's M = 4,096 and B = 64 words, on R-MAT scale 13.
+  // Nodes at depths 0 and 1 span far more than M and split, so none of a
+  // node's input is still cached when a pass over it starts: every pass
+  // misses once per line. A node reads its input in the verify scan, which
+  // also counts the children, and in the routing scan; pass 1 of the
+  // high-degree step rides on the transform or routing scan that wrote the
+  // array. Separate pass-1 and child-counting scans would make the root read
+  // 4 passes (4,096). At scale 12 one depth-1 node is a leaf of 8,192
+  // words, which the join's rounds read more than twice.
+  const auto raw = Rmat(13, 32768, 0.45, 0.22, 0.22, 2014);
   const std::size_t m = 4096, b = 64;
   const CoRun untraced = RunCoRecurse(raw, m, b, 2014, nullptr);
   obs::TraceCollector tc;
@@ -362,8 +382,8 @@ TEST(CacheOblivious, NodesAboveMemoryReadTheirInputTwice) {
   auto lines = [&](std::uint64_t edges) {
     return (edges * args["record_words"] + b - 1) / b;
   };
-  ASSERT_EQ(lines(args["level0_edges"]), 512u);
-  EXPECT_EQ(args["level0_reads"], 1024u);
+  ASSERT_EQ(lines(args["level0_edges"]), 1024u);
+  EXPECT_EQ(args["level0_reads"], 2048u);
   // A depth-1 array may straddle one line more than its edges fill.
   EXPECT_LE(args["level1_reads"],
             2 * (lines(args["level1_edges"]) + args["level1_nodes"]));
@@ -374,6 +394,7 @@ TEST(CacheOblivious, EmissionOrderPinned) {
   // the ordered list, so a change to the recursion or the join that keeps
   // the triangle set but moves the order shows.
   const auto raw = Rmat(10, 8192, 0.45, 0.22, 0.22, 2014);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const CoRun run = RunCoRecurse(raw, 1 << 10, 16, 2014, nullptr);
   ASSERT_EQ(run.tris.size(), 10511u);
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over (a, b, c) in order
@@ -382,7 +403,7 @@ TEST(CacheOblivious, EmissionOrderPinned) {
       h = (h ^ x) * 0x100000001b3ull;
     }
   }
-  EXPECT_EQ(h, 8474186124629679567u);
+  EXPECT_EQ(h, 16942551150030837539u);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,6 +454,7 @@ struct JoinRun {
   std::vector<Triangle> tris;  // emission order
   em::IoStats io;
   std::uint64_t work = 0;
+  core::internal::JoinCounts counts;
 };
 
 JoinRun RunJoin(const std::vector<ColoredEdge>& node, Colour col,
@@ -443,9 +465,9 @@ JoinRun RunJoin(const std::vector<ColoredEdge>& node, Colour col,
   ctx.cache().FlushAll();
   ctx.cache().Reset();
   core::CollectingSink sink;
-  core::internal::StreamJoin(ctx, a, col, sink);
-  EXPECT_EQ(ctx.scratch_in_use(), 0u);
   JoinRun r;
+  r.counts = core::internal::StreamJoin(ctx, a, col, sink);
+  EXPECT_EQ(ctx.scratch_in_use(), 0u);
   r.tris = sink.triangles();
   r.io = ctx.cache().stats();
   r.work = ctx.work();
@@ -534,7 +556,9 @@ TEST(StreamJoin, R12LargerThanAChunk) {
 }
 
 TEST(StreamJoin, RunLongerThanItsBuffer) {
-  // Vertex 0 has 70 R01 edges and 30 R02 edges: its run spills twice.
+  // Vertex 0 has 70 R01 edges and 30 R02 edges, more R01 endpoints than its
+  // buffer holds; but each chunk's v-range holds fewer than kJoinRunEnds of
+  // them, so the run does not spill (HubRunSpillsInsideOneChunk does).
   std::map<VertexId, std::uint32_t> colour{{0, 1}};
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId x = 1; x <= 100; ++x) {
@@ -554,8 +578,9 @@ TEST(StreamJoin, RunLongerThanItsBuffer) {
 
 TEST(StreamJoin, OneColourForAllThreePositions) {
   // The root's (1,1,1) problem on K_40 and on a sparser graph: every edge is
-  // in all three relations, so R12 spans several chunks and vertex 0's run
-  // (39 edges) spills as well.
+  // in all three relations, so R12 spans several chunks. Vertex 0's run (39
+  // edges) is longer than its buffer, but no chunk's v-range holds more
+  // than kJoinRunEnds of its endpoints, so it does not spill.
   const std::vector<ColoredEdge> clique = RandomNode(40, 1.0, {1}, 4);
   ASSERT_EQ(clique.size(), 780u);
   ASSERT_GT(LongestR01Run(clique, {1, 1, 1}), core::internal::kJoinRunEnds);
@@ -585,10 +610,11 @@ TEST(StreamJoin, AnEmptyRelationFindsNothing) {
 }
 
 TEST(StreamJoin, EveryPassHitsWhenTheNodeFitsInM) {
-  // K_40 under (1,1,1) takes several gather and join rounds and run spills,
-  // yet its 1,560 words fit in M = 4,096: each line is read once.
+  // K_40 under (1,1,1) takes 7 gather-and-join rounds, yet its 1,560 words
+  // fit in M = 4,096: each line is read once.
   const std::vector<ColoredEdge> clique = RandomNode(40, 1.0, {1}, 4);
   const JoinRun run = RunJoin(clique, {1, 1, 1});
+  EXPECT_EQ(run.counts.rounds, 7u);
   EXPECT_EQ(run.io.block_reads, (clique.size() * 2 + 15) / 16);
   EXPECT_EQ(run.io.block_writes, 0u);
   EXPECT_GT(run.work, 2 * clique.size());
@@ -596,9 +622,9 @@ TEST(StreamJoin, EveryPassHitsWhenTheNodeFitsInM) {
 
 TEST(StreamJoin, LargestLeafAtTheSmallestM) {
   // A node of kTinyBase records, the largest the recursion streams, under
-  // the root's (1,1,1) problem at M = 136, B = 4. Every record is in R12,
-  // which spans 9 chunks, and vertex 0's run of 320 R01 edges spills 9
-  // times.
+  // the root's (1,1,1) problem at M = 136, B = 4: vertex 0 joined to
+  // 1..320 and random edges among them. Every record is in R12, which
+  // spans 35 chunks, one gather-and-join round each.
   std::map<VertexId, std::uint32_t> colour;
   std::set<std::pair<VertexId, VertexId>> edges;
   for (VertexId x = 0; x <= 320; ++x) colour[x] = 1;
@@ -611,14 +637,68 @@ TEST(StreamJoin, LargestLeafAtTheSmallestM) {
   }
   const std::vector<ColoredEdge> node =
       NodeOf({edges.begin(), edges.end()}, colour);
-  ASSERT_EQ(node.size(), 1024u);
-  ASSERT_GT(Relation(node, {1, 1, 1}, 1, 2), 7 * core::internal::kJoinKeys);
-  ASSERT_GT(LongestR01Run(node, {1, 1, 1}), 9 * core::internal::kJoinRunEnds);
-  std::vector<Triangle> got = RunJoin(node, {1, 1, 1}, 136, 4).tris;
+  ASSERT_EQ(node.size(), 4096u);
+  const JoinRun run = RunJoin(node, {1, 1, 1}, 136, 4);
+  EXPECT_EQ(run.counts.rounds, 35u);  // ceil(4,096 / 120)
+  std::vector<Triangle> got = run.tris;
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, BruteForceJoin(node, {1, 1, 1}));
   EXPECT_TRUE(test::NoDuplicates(got));
   EXPECT_FALSE(got.empty());
+}
+
+TEST(StreamJoin, HubRunSpillsInsideOneChunk) {
+  // Hub 0 (colour 1) is joined to v = 1..100 (colour 2) and w = 101..200
+  // (colour 3), with R12 edges (v, 100 + v): one chunk of 100 keys whose
+  // v-range [1, 100] holds all 100 of the hub's R01 endpoints. Its run
+  // keeps 32 of them, then spills three times, and each spill finds the
+  // triangles (0, v, 100 + v) of its batch. At M = 136, B = 4 too.
+  std::map<VertexId, std::uint32_t> colour{{0, 1}};
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 1; v <= 100; ++v) {
+    colour[v] = 2;
+    colour[100 + v] = 3;
+    edges.emplace_back(0, v);
+    edges.emplace_back(0, 100 + v);
+    edges.emplace_back(v, 100 + v);
+  }
+  const std::vector<ColoredEdge> node = NodeOf(edges, colour);
+  ASSERT_LE(Relation(node, {1, 2, 3}, 1, 2), core::internal::kJoinKeys);
+  for (std::size_t m : {std::size_t{1} << 12, std::size_t{136}}) {
+    SCOPED_TRACE("M=" + std::to_string(m));
+    const JoinRun run = RunJoin(node, {1, 2, 3}, m, 4);
+    EXPECT_EQ(run.counts.rounds, 1u);
+    EXPECT_EQ(run.counts.spills, 3u);
+    std::vector<Triangle> got = run.tris;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, BruteForceJoin(node, {1, 2, 3}));
+    EXPECT_EQ(got.size(), 100u);
+    EXPECT_TRUE(test::NoDuplicates(got));
+  }
+}
+
+TEST(StreamJoin, CliqueWorkWithinTheRoundBound) {
+  // K_k under (1,1,1): every record is in all three relations, so R12 takes
+  // r = ceil(C(k,2) / 120) rounds. Each round streams at most the node once
+  // and probes only the wedges (u; v, w) whose v lies in its chunk's range;
+  // a v at a chunk boundary lies in two. So the join's work stays within
+  // (r + 1) * len + 2 * C(k,3); probing every kept endpoint in every round
+  // would cost 51,580, 467,481 and 2,576,661 here. K_90 (4,005 edges) is
+  // about the largest clique a kTinyBase leaf holds.
+  for (VertexId k : {40u, 64u, 90u}) {
+    SCOPED_TRACE("K_" + std::to_string(k));
+    const std::vector<ColoredEdge> clique = RandomNode(k, 1.0, {1}, 4);
+    const std::uint64_t len = clique.size();
+    const std::uint64_t rounds =
+        (len + core::internal::kJoinKeys - 1) / core::internal::kJoinKeys;
+    const std::uint64_t triples =
+        std::uint64_t{k} * (k - 1) * (k - 2) / 6;
+    const JoinRun run = RunJoin(clique, {1, 1, 1});
+    EXPECT_EQ(run.counts.rounds, rounds);
+    EXPECT_LE(run.work, (rounds + 1) * len + 2 * triples);
+    EXPECT_EQ(run.tris.size(), triples);
+    EXPECT_TRUE(test::NoDuplicates(run.tris));
+  }
 }
 
 TEST(StreamJoin, UnsortedNodeAborts) {

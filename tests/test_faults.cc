@@ -392,7 +392,7 @@ TEST(Faults, TransientSchedulesLeaveEveryQueryBitIdentical) {
   // traffic reported separately. The graph is above §3's base, so its
   // recursion (partition writers, high-degree step, dropped child arrays)
   // runs under the retries too.
-  const std::vector<graph::Edge> edges = graph::Gnm(96, 1100, 0x51);
+  const std::vector<graph::Edge> edges = graph::Gnm(400, 4400, 0x51);
   ASSERT_GT(edges.size(), core::kTinyBase);
   for (em::StorageKind storage :
        {em::StorageKind::kMemory, em::StorageKind::kFile}) {
@@ -617,7 +617,8 @@ TEST(Faults, WriterFlushingDuringTheUnwindFindsACacheLine) {
 struct WriteBackFaultCase {
   const char* algo;
   std::size_t block_words;  // M = B: a one-line cache
-  std::size_t edges;        // of Gnm(96, edges, 0x51)
+  std::size_t vertices;     // the graph is Gnm(vertices, edges, 0x51)
+  std::size_t edges;
 };
 
 class WriteBackFault : public ::testing::TestWithParam<WriteBackFaultCase> {};
@@ -636,7 +637,8 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
   q.kind = query::QueryKind::kEnumerate;
   q.algo = c.algo;
 
-  const std::vector<graph::Edge> edges = graph::Gnm(96, c.edges, 0x51);
+  const std::vector<graph::Edge> edges =
+      graph::Gnm(c.vertices, c.edges, 0x51);
   auto ref_lg = query::LoadedGraph::FromEdges(base, edges);
   ASSERT_TRUE(ref_lg.ok());
   auto ref = ref_lg->Run(q);
@@ -677,14 +679,15 @@ TEST_P(WriteBackFault, FailsOnlyTheQueryAndTheSessionSurvives) {
 }
 
 // §3 leases 136 words of scratch, so it gets a wider line, and a graph
-// above its 1,024-edge base: on the fixture's 400 edges, one leaf, the query
+// above its 4,096-edge base: on the fixture's 400 edges, one leaf, the query
 // writes only 4 lines.
 INSTANTIATE_TEST_SUITE_P(
     OneLineCache, WriteBackFault,
-    ::testing::Values(WriteBackFaultCase{"edge-iterator", 16, 400},
-                      WriteBackFaultCase{"dementiev", 16, 400},
-                      WriteBackFaultCase{"ps-cache-aware", 16, 400},
-                      WriteBackFaultCase{"ps-cache-oblivious", 256, 1100}),
+    ::testing::Values(WriteBackFaultCase{"edge-iterator", 16, 96, 400},
+                      WriteBackFaultCase{"dementiev", 16, 96, 400},
+                      WriteBackFaultCase{"ps-cache-aware", 16, 96, 400},
+                      WriteBackFaultCase{"ps-cache-oblivious", 256, 400,
+                                         4400}),
     [](const ::testing::TestParamInfo<WriteBackFaultCase>& info) {
       std::string name = info.param.algo;
       std::replace(name.begin(), name.end(), '-', '_');

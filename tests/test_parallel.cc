@@ -30,6 +30,7 @@
 
 #include "common/rng.h"
 #include "core/cache_aware.h"
+#include "core/cache_oblivious.h"
 #include "core/pivot_enum.h"
 #include "em/array.h"
 #include "extsort/ext_merge_sort.h"
@@ -549,12 +550,15 @@ TEST(SessionThreads, StagedStoreReportsOneThread) {
 }
 
 TEST(SessionThreads, ObliviousQueryRunsOnOneThread) {
-  // §3 has no parallel phase, even on the memory backend.
+  // §3 has no parallel phase, even on the memory backend. The graph is
+  // above its base, so the recursion's partition runs too.
   em::EmConfig cfg;
   cfg.memory_words = 1 << 12;
   cfg.block_words = 32;
-  auto lg = query::LoadedGraph::FromEdges(
-      cfg, graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31));
+  const std::vector<graph::Edge> raw =
+      graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 31);
+  ASSERT_GT(raw.size(), core::kTinyBase);
+  auto lg = query::LoadedGraph::FromEdges(cfg, raw);
   ASSERT_TRUE(lg.ok()) << lg.status().ToString();
   query::Query q;
   q.algo = "ps-cache-oblivious";

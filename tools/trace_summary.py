@@ -15,8 +15,10 @@ it should have streamed once.
 The §3 recursion runs as a single `co.recurse` span; its args carry the
 wall time and node count of each recursion role (the high-degree verify
 scan, which also counts the children, Lemma 1, partition, base case),
-the recursion's shape (subproblems, base cases, Lemma 1 calls, child
-edges, depth), and for each depth d the nodes, input edges
+the base joins' gather-and-join rounds and run spills (`join_rounds`,
+`join_spills`, printed under the base role), the recursion's shape
+(subproblems, base cases, Lemma 1 calls, child edges, depth), and for each
+depth d the nodes, input edges
 and exclusive block reads and writes
 (`level<d>_{nodes,edges,reads,writes}`). The summary prints the roles,
 the shape and one row per level under the `co.recurse` row. When the trace
@@ -56,8 +58,12 @@ CO_SPAN = "co.recurse"
 CO_ROLES = ("high_degree", "lemma1", "partition", "base")
 CO_SHAPE = ("subproblems", "base_cases", "high_degree_calls",
             "total_child_edges")
+# The base case's join tallies, printed under the base role.
+CO_JOIN = ("join_rounds", "join_spills")
 CO_SUMMED = (
-    tuple(r + s for r in CO_ROLES for s in ("_ns", "_nodes")) + CO_SHAPE
+    tuple(r + s for r in CO_ROLES for s in ("_ns", "_nodes"))
+    + CO_SHAPE
+    + CO_JOIN
 )
 # Per-depth args: level<d>_<field>.
 CO_LEVEL_FIELDS = ("nodes", "edges", "reads", "writes")
@@ -140,6 +146,11 @@ def print_co_roles(p, block_words):
             f"  {role:<22} {co.get(role + '_nodes', 0):>6} {ms:>9.2f} "
             f"{share:>8.1%} of span"
         )
+        if role == "base" and any(k in co for k in CO_JOIN):
+            print(
+                f"    join: {co.get('join_rounds', 0)} rounds, "
+                f"{co.get('join_spills', 0)} spills"
+            )
     shape = [
         f"{k} {co[k]}" for k in CO_SHAPE + ("max_depth_reached",) if k in co
     ]
