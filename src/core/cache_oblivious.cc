@@ -214,6 +214,8 @@ struct Shape {
   std::uint64_t base_cases = 0;         ///< base cases solved
   std::uint64_t high_degree_calls = 0;  ///< Lemma 1 invocations
   std::uint64_t total_child_edges = 0;  ///< sum of child edge-set sizes
+  std::uint64_t join_rounds = 0;        ///< base joins' gather-and-join rounds
+  std::uint64_t join_spills = 0;        ///< base joins' u-run spills
   int max_depth_reached = 0;
 };
 
@@ -437,9 +439,6 @@ class CoRunner {
   /// Per-role wall time and node counts, filled only when timed.
   const RoleTallies& roles() const { return roles_; }
 
-  /// The base joins' rounds and spills, summed only when timed.
-  const internal::JoinCounts& join() const { return join_; }
-
   /// Per-depth tallies, filled only when timed. Charges the I/O since the
   /// last switch first, so read them once the recursion has returned.
   const std::array<LevelTally, kLevelRows>& levels() {
@@ -540,10 +539,8 @@ class CoRunner {
     ++shape_.base_cases;
     if (a.size() <= kTinyBase) {
       const internal::JoinCounts c = internal::StreamJoin(ctx_, a, col, sink_);
-      if (timed_) {
-        join_.rounds += c.rounds;
-        join_.spills += c.spills;
-      }
+      shape_.join_rounds += c.rounds;
+      shape_.join_spills += c.spills;
     } else {
       WedgeJoinEnumerate<ColoredEdge>(
           ctx_, a, extsort::ObliviousSorter{},
@@ -563,7 +560,6 @@ class CoRunner {
   const bool timed_;
   Shape shape_;
   RoleTallies roles_;
-  internal::JoinCounts join_;
   std::array<LevelTally, kLevelRows> levels_{};
   int level_ = 0;          // the depth charged at the next switch
   em::IoStats level_mark_;  // counters at the last switch
@@ -614,13 +610,13 @@ void EnumerateCacheObliviousToDepth(em::QuerySession& ctx,
   span.AddArg("partition_nodes", roles.partition.nodes);
   span.AddArg("base_ns", roles.base.ns);
   span.AddArg("base_nodes", roles.base.nodes);
-  span.AddArg("join_rounds", runner.join().rounds);
-  span.AddArg("join_spills", runner.join().spills);
   const Shape& shape = runner.shape();
   span.AddArg("subproblems", shape.subproblems);
   span.AddArg("base_cases", shape.base_cases);
   span.AddArg("high_degree_calls", shape.high_degree_calls);
   span.AddArg("total_child_edges", shape.total_child_edges);
+  span.AddArg("join_rounds", shape.join_rounds);
+  span.AddArg("join_spills", shape.join_spills);
   span.AddArg("max_depth_reached",
               static_cast<std::uint64_t>(shape.max_depth_reached));
   const std::array<LevelTally, kLevelRows>& levels = runner.levels();

@@ -45,7 +45,9 @@ LevelRun RunLevel(const std::vector<Edge>& raw, std::size_t m, std::size_t b,
 }
 
 TEST(Multilevel, ObliviousRunIsOneStreamAtEveryLevel) {
-  auto raw = Gnm(1 << 10, 1 << 12, 5);
+  // Above one leaf of kTinyBase edges, so the partition runs at both levels.
+  auto raw = Gnm(1 << 11, 1 << 13, 5);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const std::uint64_t seed = 1234;
   const std::size_t l1_m = 1 << 8, l2_m = 1 << 12, b = 16;
   const LevelRun l1 = RunLevel(raw, l1_m, b, seed);
@@ -65,7 +67,8 @@ TEST(Multilevel, ObliviousRunIsOneStreamAcrossLineSizes) {
   // Levels of a real hierarchy differ in line size too (64-byte L1 lines
   // against 4K pages). §3 never reads B either, so a level of 8-word lines
   // and one of 64-word lines run the same computation.
-  auto raw = Gnm(500, 3000, 9);
+  auto raw = Gnm(1000, 6000, 9);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   const LevelRun l1 = RunLevel(raw, 1 << 9, 8, 77);
   const LevelRun l2 = RunLevel(raw, 1 << 12, 64, 77);
   ASSERT_GT(l1.triangles.size(), 0u);

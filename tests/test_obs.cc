@@ -18,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
+#include "core/cache_oblivious.h"
 #include "graph/generators.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/query.h"
+#include "test_util.h"
 
 namespace trienum {
 namespace {
@@ -362,7 +364,14 @@ query::QueryResult RunOnce(const Cell& c, const std::vector<graph::Edge>& raw,
 
 TEST_P(ObsInvarianceMatrix, TracedRunIsBitIdenticalToUntraced) {
   const Cell& c = GetParam();
-  const std::vector<graph::Edge> raw = FixtureEdges();
+  // §3's traced recursion tallies every node, so its cells run a graph
+  // above one leaf.
+  const bool oblivious = c.algo == "ps-cache-oblivious";
+  const std::vector<graph::Edge> raw =
+      oblivious ? test::ObliviousRecursionEdges() : FixtureEdges();
+  if (oblivious) {
+    ASSERT_GT(raw.size(), core::kTinyBase);
+  }
   std::uint64_t events = 0;
   query::QueryResult plain = RunOnce(c, raw, /*traced=*/false, nullptr);
   query::QueryResult traced = RunOnce(c, raw, /*traced=*/true, &events);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
+#include "core/cache_oblivious.h"
 #include "em/context.h"
 #include "graph/generators.h"
 #include "graph/normalize.h"
@@ -73,7 +74,13 @@ void ExpectBitIdentical(const query::QueryResult& reused,
 void RunCell(const std::string& algo, em::StorageKind storage,
              std::size_t threads, std::size_t memory_words,
              std::size_t block_words) {
-  const std::vector<graph::Edge> raw = FixtureEdges();
+  // §3's recursion allocates and frees child arrays only above one leaf.
+  const bool oblivious = algo == "ps-cache-oblivious";
+  const std::vector<graph::Edge> raw =
+      oblivious ? test::ObliviousRecursionEdges() : FixtureEdges();
+  if (oblivious) {
+    ASSERT_GT(raw.size(), core::kTinyBase);
+  }
   const em::EmConfig cfg = TestConfig(storage, memory_words, block_words);
   query::LoadedGraph lg = *query::LoadedGraph::FromEdges(cfg, raw);
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cache_oblivious.h"
 #include "em/array.h"
 #include "em/storage.h"
 #include "test_util.h"
@@ -45,11 +46,13 @@ BackendRun RunOn(em::StorageKind kind, const std::string& algo_name,
 
 /// The generator specs of the differential matrix: a random graph, a skewed
 /// R-MAT, a dense core with periphery, and a planted-triangle instance —
-/// plus a triangle-free control.
+/// plus a triangle-free control. The first two hold more than one §3 leaf
+/// (core::kTinyBase edges), so §3's partition writes child arrays on both
+/// backends.
 std::vector<test::GraphCase> DifferentialCases() {
   std::vector<test::GraphCase> cases;
-  cases.push_back({"gnm", Gnm(512, 2048, 7)});
-  cases.push_back({"rmat", Rmat(9, 1500, 0.45, 0.22, 0.22, 13)});
+  cases.push_back({"gnm", Gnm(2048, 8192, 7)});
+  cases.push_back({"rmat", Rmat(10, 6000, 0.45, 0.22, 0.22, 13)});
   cases.push_back({"clique_plus_path", CliquePlusPath(14, 60)});
   cases.push_back({"planted", PlantedTriangles(300, 600, 40, 99)});
   cases.push_back({"bipartite_control", BipartiteRandom(40, 40, 300, 5)});
@@ -58,7 +61,10 @@ std::vector<test::GraphCase> DifferentialCases() {
 
 TEST(StorageBackends, FullAlgorithmMatrixIsObservationallyIdentical) {
   const std::size_t m = 1 << 10, b = 16;
-  for (const test::GraphCase& gc : DifferentialCases()) {
+  const std::vector<test::GraphCase> cases = DifferentialCases();
+  ASSERT_GT(cases[0].edges.size(), core::kTinyBase);
+  ASSERT_GT(cases[1].edges.size(), core::kTinyBase);
+  for (const test::GraphCase& gc : cases) {
     for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
       SCOPED_TRACE(gc.name + " / " + a.name);
       BackendRun mem = RunOn(em::StorageKind::kMemory, a.name, gc.edges, m, b,
@@ -75,8 +81,10 @@ TEST(StorageBackends, FullAlgorithmMatrixIsObservationallyIdentical) {
 
 TEST(StorageBackends, MatrixAcrossHierarchyShapes) {
   // Same differential, sweeping (M, B) so line granularity and cache
-  // pressure both vary; one algorithm per family keeps runtime sane.
-  const std::vector<Edge> raw = Gnm(400, 1600, 21);
+  // pressure both vary; one algorithm per family keeps runtime sane. The
+  // graph holds more than one §3 leaf, so §3 partitions at every shape.
+  const std::vector<Edge> raw = Gnm(1024, 6000, 21);
+  ASSERT_GT(raw.size(), core::kTinyBase);
   for (auto [m, b] : std::vector<std::pair<std::size_t, std::size_t>>{
            {256, 8}, {1 << 10, 16}, {1 << 12, 64}}) {
     for (const char* name : {"ps-cache-aware", "ps-cache-oblivious", "mgt"}) {

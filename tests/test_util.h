@@ -68,6 +68,13 @@ inline bool NoDuplicates(std::vector<graph::Triangle> tris) {
   return std::adjacent_find(tris.begin(), tris.end()) == tris.end();
 }
 
+/// The graph an all-algorithm matrix gives its ps-cache-oblivious cells:
+/// §3 splits only nodes of more than core::kTinyBase (4,096) edges, so a
+/// smaller fixture would run it as one leaf; this one has 8,192.
+inline std::vector<graph::Edge> ObliviousRecursionEdges() {
+  return graph::Rmat(10, 8192, 0.45, 0.22, 0.22, 17);
+}
+
 /// A named raw-edge workload for parameterized suites.
 struct GraphCase {
   std::string name;
