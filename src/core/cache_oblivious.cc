@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/dementiev.h"
 #include "core/vertex_enum.h"
 #include "extsort/scan_ops.h"
 #include "extsort/sorter.h"
@@ -529,27 +528,15 @@ class CoRunner {
     return len;
   }
 
-  /// Base case. Constant-size subproblems (<= kTinyBase edges) stream
-  /// through internal::StreamJoin in an O(1) host buffer; larger
-  /// depth-capped subproblems run Dementiev's sort/scan listing in its
-  /// oblivious (funnelsort) flavor. Both filter to proper triangles. The
-  /// input is never read again, so its lines leave the cache without
-  /// write-back.
+  /// Base case: streams the node through internal::StreamJoin in its O(1)
+  /// host buffer, whatever its size (a node the depth cap stops above
+  /// kTinyBase edges takes more join rounds). The input is never read
+  /// again, so its lines leave the cache without write-back.
   void BaseCase(em::Array<ColoredEdge> a, std::array<std::uint32_t, 3> col) {
     ++shape_.base_cases;
-    if (a.size() <= kTinyBase) {
-      const internal::JoinCounts c = internal::StreamJoin(ctx_, a, col, sink_);
-      shape_.join_rounds += c.rounds;
-      shape_.join_spills += c.spills;
-    } else {
-      WedgeJoinEnumerate<ColoredEdge>(
-          ctx_, a, extsort::ObliviousSorter{},
-          [col](const graph::Triangle&, std::uint32_t c0, std::uint32_t c1,
-                std::uint32_t c2) {
-            return c0 == col[0] && c1 == col[1] && c2 == col[2];
-          },
-          sink_);
-    }
+    const internal::JoinCounts c = internal::StreamJoin(ctx_, a, col, sink_);
+    shape_.join_rounds += c.rounds;
+    shape_.join_spills += c.spills;
     ctx_.DropLines(a.base(), a.size() * em::Array<ColoredEdge>::kWordsPer);
   }
 

@@ -17,13 +17,14 @@
 //      edge thus reads its input twice; when step 1 removes edges, the
 //      filtered array is counted again before the routing scan.
 // Recursion ends at depth ceil(log4 E), or once a subproblem has at most
-// kTinyBase = 4,096 edges. A base case of at most kTinyBase edges streams the
-// node through a join in an O(1) host buffer (internal::StreamJoin); a
-// larger one, reached only when the depth cap stops a node first, runs
-// Dementiev's sort/scan algorithm (funnelsort flavor). Both filter to proper
-// triangles and end by dropping the node's spent input lines. Triangle
-// enumeration is the (1,1,1)-problem under the constant coloring. The
-// refinement bits come from ctx.seed().
+// kTinyBase = 4,096 edges. Every base case streams the node through a join
+// in an O(1) host buffer (internal::StreamJoin), which filters to proper
+// triangles, and ends by dropping the node's spent input lines. A node the
+// depth cap stops above kTinyBase edges is one too: it costs more join
+// rounds, one per 120 R12 keys. The paper's §3.1 ends there in Dementiev's
+// sort/scan listing instead; no measured input reaches the cap above the
+// base. Triangle enumeration is the (1,1,1)-problem under the constant
+// coloring. The refinement bits come from ctx.seed().
 //
 // Traced, the recursion is one `co.recurse` span whose args carry its shape
 // (subproblems, base_cases, high_degree_calls, total_child_edges,
@@ -156,8 +157,8 @@ JoinCounts StreamJoin(em::QuerySession& ctx,
                       std::array<std::uint32_t, 3> col, TriangleSink& sink);
 
 /// EnumerateCacheOblivious with the depth cap `max_depth` in place of
-/// ceil(log4 E), so a test can reach the Dementiev base (cap 0 solves the
-/// whole graph there).
+/// ceil(log4 E), so a test can reach a capped base case (cap 0 streams the
+/// whole graph through one join).
 void EnumerateCacheObliviousToDepth(em::QuerySession& ctx,
                                     const graph::EmGraph& g,
                                     TriangleSink& sink, int max_depth);

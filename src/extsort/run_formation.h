@@ -39,9 +39,10 @@ inline constexpr std::size_t kRadixMinRecords = 48;
 
 /// Widest keyed record SortRun accepts: records are moved directly through
 /// the scatter passes (with constant-byte skipping, usually ~4 of them).
-/// 24 bytes covers every record type in the library (wedge and incidence
-/// records), and keeps the scatter scratch at one run of records — the
-/// amount the run-formation scratch lease accounts for.
+/// 24 bytes covers every record type in the library (the widest are the
+/// derandomization's incidence records), and keeps the scatter scratch at
+/// one run of records — the amount the run-formation scratch lease accounts
+/// for.
 inline constexpr std::size_t kDirectScatterMaxBytes = 24;
 
 /// Stable insertion sort for tiny loads.

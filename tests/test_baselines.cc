@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "core/bnl.h"
@@ -77,6 +80,71 @@ TEST(Dementiev, IoHasWeakDependenceOnM) {
   double big = measure(1 << 12);
   EXPECT_LT(small / big, 3.0) << "Dementiev should gain little from 8x memory";
 }
+
+TEST(Dementiev, PinnedIoStats) {
+  // Its records carry ids and degrees only: a wedge query is 2 words, an
+  // oriented edge 1 and a degree-annotated edge 2. Pinned exactly, so a
+  // change to a record's width or to the sorts' charges shows.
+  em::Context ctx = test::MakeContext(1 << 10, 16);
+  EmGraph g = BuildEmGraph(ctx, Rmat(12, 16384, 0.45, 0.22, 0.22, 2014));
+  ctx.cache().Reset();
+  ctx.ResetWork();
+  core::CountingSink sink;
+  core::EnumerateDementiev(ctx, g, sink);
+  ctx.cache().FlushAll();
+  EXPECT_EQ(sink.count(), 3660u);
+  EXPECT_EQ(ctx.cache().stats().block_reads, 60105u);
+  EXPECT_EQ(ctx.cache().stats().block_writes, 55787u);
+  EXPECT_EQ(ctx.work(), 1326482u);
+}
+
+/// One graph on one backend, with the FNV-1a hash of Dementiev's emitted
+/// (a, b, c) sequence at M = 1,024, B = 16.
+struct EmissionCase {
+  std::string name;
+  std::vector<Edge> (*make)();
+  em::StorageKind storage;
+  std::uint64_t triangles;
+  std::uint64_t hash;
+};
+
+class DementievEmission : public ::testing::TestWithParam<EmissionCase> {};
+
+TEST_P(DementievEmission, OrderPinned) {
+  // The wedge join emits by query edge (a, b), then by cone vertex in the
+  // sorts' stable order. Pinned as a hash of the ordered list, so a change
+  // to the records or the sorts that keeps the triangle set but moves the
+  // order shows; the backend must not move it either.
+  const EmissionCase& c = GetParam();
+  em::Context ctx = test::MakeContext(1 << 10, 16, 0x7001, c.storage);
+  EmGraph g = BuildEmGraph(ctx, c.make());
+  core::CollectingSink sink;
+  core::EnumerateDementiev(ctx, g, sink);
+  ASSERT_EQ(sink.triangles().size(), c.triangles);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Triangle& t : sink.triangles()) {
+    for (VertexId x : {t.a, t.b, t.c}) h = (h ^ x) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, c.hash);
+}
+
+std::vector<Edge> Rmat12() { return Rmat(12, 16384, 0.45, 0.22, 0.22, 2014); }
+std::vector<Edge> Tripartite30() { return CompleteTripartite(30, 30, 30); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DementievEmission,
+    ::testing::Values(
+        EmissionCase{"rmat12_memory", Rmat12, em::StorageKind::kMemory,
+                     3660, 12287217181001258349u},
+        EmissionCase{"rmat12_file", Rmat12, em::StorageKind::kFile, 3660,
+                     12287217181001258349u},
+        EmissionCase{"tripartite30_memory", Tripartite30,
+                     em::StorageKind::kMemory, 27000, 12361539563385475537u},
+        EmissionCase{"tripartite30_file", Tripartite30, em::StorageKind::kFile,
+                     27000, 12361539563385475537u}),
+    [](const ::testing::TestParamInfo<EmissionCase>& info) {
+      return info.param.name;
+    });
 
 TEST(EdgeIterator, TriangleFreeGraphStillPaysRandomAccesses) {
   // O(E + ...) term: even with zero triangles, ~E random accesses happen.

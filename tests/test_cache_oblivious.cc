@@ -1,7 +1,7 @@
 // The §3 cache-oblivious algorithm: obliviousness (identical emission for
 // every hierarchy configuration), the recursion shape its co.recurse span
-// reports, the depth cap's Dementiev base, the streaming join that solves
-// the other base cases, and the I/O advantage over MGT at small M.
+// reports, the depth cap, the streaming join that solves every base case,
+// and the I/O advantage over MGT at small M.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,15 +192,44 @@ TEST(CacheOblivious, ReportShapeMatchesTheory) {
             6.0 * std::pow(e, 1.5));
 }
 
-TEST(CacheOblivious, DepthZeroIsPureDementiev) {
-  // Above the base, so the capped root takes the Dementiev branch, not the
-  // streaming join.
+TEST(CacheOblivious, DepthZeroRootIsOneStreamingJoin) {
+  // Above the base, so only the cap stops the root, and it streams through
+  // the join like any leaf. Under (1,1,1) every edge is an R12 key, so the
+  // join takes ceil(6,000 / 120) = 50 gather-and-join rounds.
   auto raw = Gnm(300, 6000, 29);
   ASSERT_GT(raw.size(), core::kTinyBase);
   const ShapedRun run = RunShaped(raw, 0x7001, /*max_depth=*/0);
   EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
   EXPECT_EQ(run.args.at("base_cases"), 1u);
   EXPECT_EQ(run.args.at("subproblems"), 1u);
+  EXPECT_EQ(run.args.at("join_rounds"), 50u);
+}
+
+TEST(CacheOblivious, CappedChildrenAboveTheBaseStream) {
+  // At cap 1 the root splits into 8 children of 4E edges in all, and the
+  // cap makes each a base case. A child gets the edges of each distinct
+  // colour pair among its three slots, about E/4 per pair: the two whose
+  // three positions share one colour get about 3,000 edges, and the other
+  // six 6,000 or 9,000, above kTinyBase. All eight stream through the join.
+  auto raw = Gnm(2000, 12000, 29);
+  const ShapedRun run = RunShaped(raw, 0x7001, /*max_depth=*/1);
+  EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
+  EXPECT_EQ(run.tris.size(), 303u);
+  EXPECT_EQ(run.args.at("max_depth_reached"), 1u);
+  EXPECT_EQ(run.args.at("subproblems"), 9u);
+  EXPECT_EQ(run.args.at("base_cases"), 8u);
+  EXPECT_EQ(run.args.at("level1_nodes"), 8u);
+  EXPECT_EQ(run.args.at("total_child_edges"), 48000u);
+  EXPECT_EQ(run.args.at("join_rounds"), 202u);
+}
+
+TEST(CacheOblivious, CappedRootRunsAtTheSmallestM) {
+  // A capped node leases the join's 136 words like any leaf, so a root of
+  // 6,000 edges stopped at cap 0 runs at M = 136, B = 4.
+  auto raw = Gnm(300, 6000, 29);
+  CoRun run = RunCoRecurse(raw, 136, 4, 0x7001, nullptr, /*max_depth=*/0);
+  std::sort(run.tris.begin(), run.tris.end());
+  EXPECT_EQ(run.tris, test::ReferenceNormalized(raw));
 }
 
 TEST(CacheOblivious, CliqueWithLocalHighDegreeBelowTheRoot) {

@@ -1,7 +1,10 @@
 // Graph generators: exact structural invariants (edge counts, simplicity,
-// known triangle counts) and determinism in the seed.
+// known triangle counts), determinism in the seed, and the shape of the
+// Barabasi-Albert and Watts-Strogatz families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "core/reference.h"
@@ -102,6 +105,49 @@ TEST(CliqueUnion, DisjointCliques) {
   auto g = CliqueUnion(4, 5);
   EXPECT_EQ(g.size(), 4u * 10);
   EXPECT_EQ(core::CountTrianglesHost(g), 4u * 10);  // 4 * C(5,3)
+}
+
+TEST(Generators, BarabasiAlbertShape) {
+  auto g = BarabasiAlbert(500, 3, 11);
+  EXPECT_EQ(g, BarabasiAlbert(500, 3, 11));
+  // ~3 edges per arriving vertex plus the seed clique.
+  EXPECT_GE(g.size(), 3u * (500 - 4));
+  // Preferential attachment: heavy tail — max degree far above attach.
+  std::map<VertexId, int> deg;
+  for (const Edge& e : g) {
+    ++deg[e.u];
+    ++deg[e.v];
+  }
+  int maxdeg = 0;
+  for (auto& [v, d] : deg) maxdeg = std::max(maxdeg, d);
+  EXPECT_GT(maxdeg, 30);
+}
+
+TEST(Generators, WattsStrogatzClusteringDropsWithBeta) {
+  auto clustering = [](const std::vector<Edge>& edges) {
+    double tri = static_cast<double>(core::CountTrianglesHost(edges));
+    std::map<VertexId, double> deg;
+    for (const Edge& e : edges) {
+      ++deg[e.u];
+      ++deg[e.v];
+    }
+    double wedges = 0;
+    for (auto& [v, d] : deg) wedges += d * (d - 1) / 2;
+    return wedges > 0 ? 3 * tri / wedges : 0.0;
+  };
+  double low_beta = clustering(WattsStrogatz(600, 4, 0.01, 5));
+  double high_beta = clustering(WattsStrogatz(600, 4, 0.9, 5));
+  EXPECT_GT(low_beta, 0.3);  // ring lattice: ~1/2 with k=4
+  EXPECT_LT(high_beta, 0.15);
+  EXPECT_GT(low_beta, 2 * high_beta);
+}
+
+TEST(Generators, NewFamiliesEnumerateCorrectly) {
+  for (const auto& raw :
+       {BarabasiAlbert(300, 4, 2), WattsStrogatz(400, 3, 0.1, 2)}) {
+    EXPECT_EQ(test::RunCollect("ps-cache-oblivious", raw).size(),
+              core::CountTrianglesHost(raw));
+  }
 }
 
 }  // namespace

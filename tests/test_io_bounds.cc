@@ -3,6 +3,8 @@
 // algorithms stay within a constant of E^{3/2}/(sqrt(M)B).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/algorithms.h"
 #include "core/bnl.h"
 #include "core/cache_aware.h"
